@@ -88,7 +88,7 @@ def cmd_train_scheduler(args) -> int:
     return 0
 
 
-def _parse_policy(token, model, ensemble_dir):
+def _parse_policy(token, model):
     if token == "all":
         return simrun.FixedKPolicy(model.size, model.size)
     if token.startswith("fixed:"):
@@ -106,10 +106,6 @@ def _parse_policy(token, model, ensemble_dir):
     raise ConfigError(f"unknown policy {token!r} (use all, fixed:k, qtable:PATH)")
 
 
-def _run_one(sim_cfg):
-    return simrun.run(sim_cfg)
-
-
 def cmd_simulate(args) -> int:
     cfg = cfgmod.load_config(args.config)
     config_dir = Path(args.config).parent
@@ -119,7 +115,7 @@ def cmd_simulate(args) -> int:
     dataset = cfgmod.make_dataset(cfg, config_dir)
     model = ens.load_ensemble(Path(args.ensemble) / "ensemble.json")
     seed = cfg["simulation"]["seed"] if args.seed is None else args.seed
-    policies = [_parse_policy(tok, model, args.ensemble) for tok in args.policy]
+    policies = [_parse_policy(tok, model) for tok in args.policy]
     baseline_policy = simrun.FixedKPolicy(model.size, model.size)
 
     def sim_config(policy):
@@ -132,7 +128,7 @@ def cmd_simulate(args) -> int:
     jobs = [sim_config(baseline_policy)] + [sim_config(p) for p in policies]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_run_one, jobs))
+            reports = list(pool.map(simrun.run, jobs))
     else:
         reports = [simrun.run(c) for c in jobs]
     baseline_report, policy_reports = reports[0], reports[1:]

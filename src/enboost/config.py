@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -69,7 +70,6 @@ _SCHEMA = {
             "energy_per_mac": (_NUM, 1e-9),
             "per_inference_overhead": (_NUM, 1e-4),
             "sleep_power": (_NUM, 5e-6),
-            "active_idle_power": (_NUM, 1e-3),
             "fc_retrain_energy_fraction": (_NUM, 0.1),
         }, {}),
         "trace": ({
@@ -220,16 +220,13 @@ def make_pool_config(cfg: dict, seed=None) -> PoolConfig:
 
 
 def make_trace(cfg: dict, config_dir=".") -> PowerTrace:
+    """The harvest trace, CSV or synthetic, scaled by harvester_efficiency."""
     e = cfg["energy"]
     if e["trace"]["csv"] is not None:
-        return load_trace(Path(config_dir) / e["trace"]["csv"],
-                          harvester_efficiency=e["harvester_efficiency"])
-    s = e["trace"]["synthetic"]
-    return synth_trace(seed=s["seed"], profile=s["profile"],
-                       duration=s["duration"], sample_interval=s["sample_interval"],
-                       period=s["period"], high_power=s["high_power"],
-                       burst_rate=s["burst_rate"],
-                       constant_power=s["constant_power"])
+        trace = load_trace(Path(config_dir) / e["trace"]["csv"])
+    else:
+        trace = synth_trace(**e["trace"]["synthetic"])
+    return replace(trace, power=trace.power * e["harvester_efficiency"])
 
 
 def make_env(cfg: dict, config_dir=".") -> EnvConfig:
@@ -237,7 +234,8 @@ def make_env(cfg: dict, config_dir=".") -> EnvConfig:
     cap = Capacitor(capacitance=e["capacitor"]["capacitance"],
                     v_max=e["capacitor"]["v_max"],
                     v_cutoff=e["capacitor"]["v_cutoff"],
-                    voltage=e["capacitor"]["v_max"])
+                    voltage=e["capacitor"]["v_max"] if e["initial_voltage"] is None
+                    else e["initial_voltage"])
     cm = CostModel(**e["cost_model"])
     trace = make_trace(cfg, config_dir)
     sim = cfg["simulation"]
@@ -248,9 +246,7 @@ def make_env(cfg: dict, config_dir=".") -> EnvConfig:
     return EnvConfig(capacitor=cap, trace=trace, cost_model=cm,
                      requests=requests,
                      reward=RewardParams(beta=r["beta"], p_miss=r["p_miss"]),
-                     power_thresholds=tuple(thresholds) if thresholds else None,
-                     eta=1.0,  # efficiency already folded into the trace
-                     initial_voltage=e["initial_voltage"])
+                     power_thresholds=tuple(thresholds) if thresholds else None)
 
 
 def make_qhyper(cfg: dict) -> QHyperParams:

@@ -5,7 +5,7 @@ bins."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +13,9 @@ import numpy as np
 from .errors import ConfigError, TraceError
 
 
-@dataclass
+@dataclass(frozen=True)
 class Capacitor:
+    """The storage part; `voltage` is its charge when a run starts."""
     capacitance: float = 0.47   # farads
     v_max: float = 4.2          # regulated charging ceiling, volts
     v_cutoff: float = 1.7       # device browns out below this, volts
@@ -39,38 +40,16 @@ class Capacitor:
         return 0.5 * self.capacitance * self.v_cutoff ** 2
 
     @property
-    def usable_energy(self) -> float:
-        """Energy stored above the cutoff voltage; what the device can spend."""
-        return max(0.0, self.energy - self.cutoff_energy)
-
-    @property
     def max_usable_energy(self) -> float:
         return self.max_energy - self.cutoff_energy
 
-    @property
-    def usable_fraction(self) -> float:
-        return self.usable_energy / self.max_usable_energy
 
-    @property
-    def is_on(self) -> bool:
-        return self.voltage >= self.v_cutoff
-
-    def with_energy(self, joules: float) -> "Capacitor":
-        e = min(max(joules, 0.0), self.max_energy)
-        return replace(self, voltage=float(np.sqrt(2.0 * e / self.capacitance)))
-
-
-def step(cap: Capacitor, harvested_power, load_power, dt, eta=1.0):
-    """Advance charge by (P_harv*eta - P_load)*dt, clamped to [0, full].
-
-    Returns (capacitor, deficit flag); the flag is set when stored energy hit
-    zero, i.e. the load could not be fully served.
-    """
+def step(cap: Capacitor, energy: float, harvested_power, load_power, dt) -> float:
+    """Stored energy after (P_harv - P_load)*dt, clamped to [0, full]."""
     if dt <= 0:
         raise ConfigError("dt must be > 0")
-    e = cap.energy + (harvested_power * eta - load_power) * dt
-    deficit = e < 0.0
-    return cap.with_energy(e), deficit
+    e = energy + (harvested_power - load_power) * dt
+    return min(max(e, 0.0), cap.max_energy)
 
 
 @dataclass(frozen=True)
@@ -86,6 +65,8 @@ class PowerTrace:
         object.__setattr__(self, "power", p)
         if t.shape != p.shape or t.ndim != 1 or t.size == 0:
             raise TraceError("trace needs matching 1-d time and power arrays")
+        if not (np.isfinite(t).all() and np.isfinite(p).all()):
+            raise TraceError("trace times and power must be finite")
         if np.any(np.diff(t) <= 0):
             raise TraceError("trace timestamps must be strictly increasing")
         if np.any(p < 0):
@@ -102,7 +83,7 @@ class PowerTrace:
         return float(self.power[idx])
 
 
-def load_trace(path, harvester_efficiency=1.0) -> PowerTrace:
+def load_trace(path) -> PowerTrace:
     """CSV replay; two schemas sniffed by header:
     timestamp_s,voltage_V,current_A  or  timestamp_s,power_W."""
     path = Path(path)
@@ -125,10 +106,9 @@ def load_trace(path, harvester_efficiency=1.0) -> PowerTrace:
             try:
                 if vi_schema:
                     t, v, i = (float(x) for x in row)
-                    p = v * i * harvester_efficiency
+                    p = v * i
                 else:
-                    t, p_raw = (float(x) for x in row)
-                    p = p_raw * harvester_efficiency
+                    t, p = (float(x) for x in row)
             except ValueError as exc:
                 raise TraceError(f"{path}:{lineno}: malformed row: {exc}") from exc
             times.append(t)
@@ -170,7 +150,6 @@ class CostModel:
     energy_per_mac: float = 1e-9          # joules
     per_inference_overhead: float = 1e-4  # joules per learner execution
     sleep_power: float = 5e-6             # watts
-    active_idle_power: float = 1e-3       # watts
     fc_retrain_energy_fraction: float = 0.1  # FC-backward cost / forward cost
 
     def __post_init__(self):
@@ -204,21 +183,9 @@ POWER_LEVELS = 3    # 0 low / 1 mid / 2 high
 _FULL_TOLERANCE = 1e-9
 
 
-def discretize_energy(cap: Capacitor, one_learner_cost: float) -> int:
-    """0 if the usable store cannot cover one learner; 3 at full charge;
-    else 1 below half of max usable, 2 at or above."""
-    usable = cap.usable_energy
-    if usable < one_learner_cost:
-        return 0
-    if usable >= cap.max_usable_energy - _FULL_TOLERANCE:
-        return 3
-    return 1 if usable < 0.5 * cap.max_usable_energy else 2
-
-
-def discretize_energy_fraction(fraction: float, cap: Capacitor,
-                               one_learner_cost: float) -> int:
-    """Same bins, applied to a usable-energy fraction (for trailing means)."""
-    usable = fraction * cap.max_usable_energy
+def discretize_energy(usable: float, cap: Capacitor, one_learner_cost: float) -> int:
+    """Bin usable joules: 0 if they cannot cover one learner; 3 at full
+    charge; else 1 below half of max usable, 2 at or above."""
     if usable < one_learner_cost:
         return 0
     if usable >= cap.max_usable_energy - _FULL_TOLERANCE:
@@ -256,34 +223,54 @@ def power_terciles(trace: PowerTrace):
 
 @dataclass
 class Device:
+    """Live state of one run: the stored charge `energy` in joules, starting
+    at the capacitor's initial charge, and the harvest/load ledger."""
     cap: Capacitor
     trace: PowerTrace
     cost_model: CostModel
-    eta: float = 1.0
     t: float = 0.0
     harvested: float = 0.0     # absorbed energy (post-clamp), joules
     consumed: float = 0.0      # served load energy, joules
+    energy: float = field(init=False)
+
+    def __post_init__(self):
+        self.energy = self.cap.energy
+
+    @property
+    def usable_energy(self) -> float:
+        """Energy stored above the cutoff voltage; what the device can spend."""
+        return max(0.0, self.energy - self.cap.cutoff_energy)
+
+    @property
+    def usable_fraction(self) -> float:
+        return self.usable_energy / self.cap.max_usable_energy
+
+    @property
+    def is_on(self) -> bool:
+        return self.energy >= self.cap.cutoff_energy
+
+    @property
+    def voltage(self) -> float:
+        return float(np.sqrt(2.0 * self.energy / self.cap.capacitance))
 
     def advance(self, until: float, load_power=None):
         """Integrate harvest minus a constant load power up to time `until`,
         splitting at trace sample boundaries for exact bookkeeping."""
         if load_power is None:
             load_power = self.cost_model.sleep_power
+        times = self.trace.times
         while self.t < until - 1e-12:
-            idx = int(np.searchsorted(self.trace.times, self.t, side="right"))
-            boundary = self.trace.times[idx] if idx < self.trace.times.size else np.inf
-            seg_end = min(until, float(boundary))
+            idx = int(np.searchsorted(times, self.t, side="right"))
+            seg_end = min(until, float(times[idx])) if idx < times.size else until
             dt = seg_end - self.t
             if dt <= 0:
                 break
-            p_harv = self.trace.power_at(self.t) * self.eta
-            before = self.cap.energy
-            self.cap, deficit = step(self.cap, p_harv, load_power, dt, eta=1.0)
-            delta = self.cap.energy - before
+            p_harv = float(self.trace.power[max(idx - 1, 0)])
+            before = self.energy
+            self.energy = step(self.cap, before, p_harv, load_power, dt)
             # attribute the clamped delta: absorbed harvest vs served load
             served_load = min(load_power * dt, before + p_harv * dt)
-            absorbed = delta + served_load
-            self.harvested += absorbed
+            self.harvested += self.energy - before + served_load
             self.consumed += served_load
             self.t = seg_end
 
@@ -292,12 +279,12 @@ class Device:
         it (nothing is deducted on failure)."""
         if joules < 0:
             raise ConfigError("draw must be >= 0")
-        if self.cap.usable_energy < joules:
+        if self.usable_energy < joules:
             return False
-        self.cap = self.cap.with_energy(self.cap.energy - joules)
+        self.energy -= joules
         self.consumed += joules
         return True
 
     @property
     def p_harv(self) -> float:
-        return self.trace.power_at(self.t) * self.eta
+        return self.trace.power_at(self.t)

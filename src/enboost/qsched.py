@@ -1,6 +1,10 @@
 """Tabular Q-learning scheduler: per decision point it either executes the
 next weak learner (a=1) or stops and aggregates (a=0).
 
+`replay` is the one request loop over the simulated device: the offline
+trainer steps it with an epsilon-greedy Q-learning `Agent`, and `simrun` with
+its policy, forward, retrain and vote hooks.
+
 Reward: a=1 pays delta_acc(l+1) minus beta * (1 - usable-energy fraction);
 declining an unserved request (r=1, a=0) pays -p_miss. The r flag marks a
 request that has not produced any learner execution yet, so it is 1 at the
@@ -9,15 +13,14 @@ l=0 decision point of a request and 0 afterwards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .energy import (Capacitor, CostModel, Device, PowerTrace, RequestPattern,
-                     discretize_energy, discretize_energy_fraction,
-                     discretize_power, inference_cost, power_terciles,
-                     ENERGY_LEVELS, POWER_LEVELS)
+                     discretize_energy, discretize_power, inference_cost,
+                     power_terciles, ENERGY_LEVELS, POWER_LEVELS)
 from .errors import ConfigError, TableLoadError
 
 QTABLE_VERSION = 1
@@ -93,15 +96,6 @@ class QHyperParams:
     epsilon_end: float = 0.01
     anneal_fraction: float = 0.8
 
-    def to_dict(self):
-        return {"learning_rate": self.learning_rate, "discount": self.discount,
-                "epsilon_start": self.epsilon_start, "epsilon_end": self.epsilon_end,
-                "anneal_fraction": self.anneal_fraction}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class QTable:
@@ -155,8 +149,6 @@ class EnvConfig:
     requests: RequestPattern
     reward: RewardParams
     power_thresholds: tuple = None
-    eta: float = 1.0
-    initial_voltage: float = None
 
     def __post_init__(self):
         if self.power_thresholds is None:
@@ -168,34 +160,124 @@ class StateTracker:
     trailing mean battery level over the last 10 served requests (running mean
     until 10 exist)."""
 
-    def __init__(self, n, cap_template: Capacitor, one_learner_cost,
-                 power_thresholds):
-        self.n = n
-        self.cap_template = cap_template
+    def __init__(self, one_learner_cost, power_thresholds):
         self.one_learner_cost = one_learner_cost
         self.power_thresholds = power_thresholds
         self.history = []
 
     def observe(self, device: Device, l: int, r: int) -> SchedulerState:
-        e_now = discretize_energy(device.cap, self.one_learner_cost)
+        cap = device.cap
+        e_now = discretize_energy(device.usable_energy, cap, self.one_learner_cost)
         if self.history:
             mean_frac = float(np.mean(self.history[-E_LAST_WINDOW:]))
         else:
-            mean_frac = device.cap.usable_fraction
-        e_last = discretize_energy_fraction(mean_frac, self.cap_template,
-                                            self.one_learner_cost)
+            mean_frac = device.usable_fraction
+        e_last = discretize_energy(mean_frac * cap.max_usable_energy, cap,
+                                   self.one_learner_cost)
         p = discretize_power(device.p_harv, self.power_thresholds)
         return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p, l=l, r=r)
 
     def record_post_inference(self, device: Device):
-        self.history.append(device.cap.usable_fraction)
+        self.history.append(device.usable_fraction)
 
 
 def _make_device(env: EnvConfig) -> Device:
-    cap = env.capacitor
-    if env.initial_voltage is not None:
-        cap = replace(cap, voltage=env.initial_voltage)
-    return Device(cap=cap, trace=env.trace, cost_model=env.cost_model, eta=env.eta)
+    return Device(cap=env.capacitor, trace=env.trace, cost_model=env.cost_model)
+
+
+# how a request ends
+OFF = "off"            # the device is below cutoff at arrival
+STOP = "stop"          # the agent chose a=0
+BROWNOUT = "brownout"  # the store could not cover the next learner
+
+
+class Agent:
+    """The decision and hooks `replay` calls; the hooks default to no-ops."""
+
+    def arrive(self, i: int, t: float):
+        """Request i arrives; the device has advanced to its time t."""
+
+    def decide(self, state: SchedulerState) -> int:
+        """1 runs learner state.l, 0 stops; must be 0 at l = N."""
+        raise NotImplementedError
+
+    def ran(self, l: int):
+        """Learner l's cost was drawn; it runs."""
+
+    def done(self, l: int, end: str):
+        """The request ended (OFF, STOP or BROWNOUT) after l learners ran."""
+
+
+def replay(env: EnvConfig, device: Device, costs, horizon, agent: Agent):
+    """Serve the periodic requests up to `horizon` on `device`, then advance
+    it to `horizon`. costs[l] is the energy learner l draws per run.
+
+    Per request: advance to its time; if the device is off, miss it.
+    Otherwise, for l = 0, 1, ... observe the state and ask the agent; stop
+    on a=0, else draw learner l's cost, stopping on a brownout. A request
+    that ran any learner feeds the trailing-energy feature.
+    """
+    tracker = StateTracker(max(costs), env.power_thresholds)
+    period = env.requests.period
+    for i, t in enumerate(np.arange(period, horizon + 1e-9, period).tolist()):
+        device.advance(t)
+        agent.arrive(i, t)
+        if not device.is_on:
+            agent.done(0, OFF)
+            continue
+        l, end = 0, STOP
+        while agent.decide(tracker.observe(device, l=l, r=1 if l == 0 else 0)):
+            if not device.draw(costs[l]):
+                end = BROWNOUT
+                break
+            agent.ran(l)
+            l += 1
+        if l > 0:
+            tracker.record_post_inference(device)
+        agent.done(l, end)
+    device.advance(horizon)
+
+
+class _QLearner(Agent):
+    """Epsilon-greedy exploration with one-step Q-updates for one episode."""
+
+    def __init__(self, table: QTable, params: RewardParams, device: Device,
+                 rng, epsilon):
+        self.table = table
+        self.params = params
+        self.device = device
+        self.rng = rng
+        self.epsilon = epsilon
+        self.total_reward = 0.0
+        self.pending = None  # (s, a, reward) awaiting its successor state
+
+    def decide(self, s):
+        if self.pending is not None:
+            # a successor with l > 0 is in the same request: gamma discounts
+            # request-to-request steps, not prefix depth
+            q_update(self.table, *self.pending, s,
+                     discount=1.0 if s.l > 0 else None)
+        if s.l < self.table.n and self.rng.random() < self.epsilon:
+            a = int(self.rng.integers(0, 2))
+        else:
+            a = act(self.table, s)  # a=0 at l = N
+        r = reward(s, a, self.params, self.device.usable_fraction)
+        self.total_reward += r
+        self.pending = (s, a, r)
+        return a
+
+    def done(self, l, end):
+        if end == STOP:
+            return
+        # a brownout revokes the learner's accuracy gain; at l = 0 it fails
+        # the request, as does a miss while off, which is charged to the action
+        # before it: that is what lets the agent learn to conserve energy
+        penalty = ((self.params.delta_acc[l] if end == BROWNOUT else 0.0)
+                   + (self.params.p_miss if l == 0 else 0.0))
+        if self.pending is not None:
+            s, a, r = self.pending
+            self.pending = (s, a, r - penalty)
+        self.total_reward -= penalty
 
 
 def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
@@ -204,15 +286,13 @@ def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
 
     Each episode replays the trace from the start. Misses that happen while
     the device is off are charged (as -p_miss) to the reward of the previous
-    action, which is what lets the agent learn to conserve energy. Returns
-    (QTable, per-episode cumulative reward list).
+    action. Returns (QTable, per-episode cumulative reward list).
     """
-    n = ensemble_model.size
     params = replace(env.reward, delta_acc=tuple(ensemble_model.delta_acc))
     hyper = hyper or QHyperParams()
-    table = QTable.zeros(n, hyper)
+    table = QTable.zeros(ensemble_model.size, hyper)
     costs = [inference_cost(l.macs, env.cost_model) for l in ensemble_model.learners]
-    one_cost = max(costs)
+    horizon = min(env.requests.horizon, env.trace.horizon)
     rng = np.random.default_rng(seed)
     curve = []
     anneal_len = max(1, int(episodes * hyper.anneal_fraction))
@@ -220,54 +300,11 @@ def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
         frac = min(1.0, episode / anneal_len)
         epsilon = hyper.epsilon_start + frac * (hyper.epsilon_end - hyper.epsilon_start)
         device = _make_device(env)
-        tracker = StateTracker(n, env.capacitor, one_cost, env.power_thresholds)
-        horizon = min(env.requests.horizon, env.trace.horizon)
-        req_times = np.arange(env.requests.period, horizon + 1e-9,
-                              env.requests.period)
-        total_reward = 0.0
-        # (s, a, accumulated reward, discount) awaiting its successor state;
-        # discount 1.0 marks transitions that stay inside one request
-        pending = None
-        for t_req in req_times:
-            device.advance(float(t_req))
-            if not device.cap.is_on:
-                if pending is not None:
-                    s_p, a_p, r_p, _ = pending
-                    pending = (s_p, a_p, r_p - params.p_miss, hyper.discount)
-                total_reward -= params.p_miss
-                continue
-            l = 0
-            while True:
-                s = tracker.observe(device, l=l, r=1 if l == 0 else 0)
-                if pending is not None:
-                    q_update(table, pending[0], pending[1], pending[2], s,
-                             discount=pending[3])
-                    pending = None
-                if l >= n:
-                    a = 0
-                elif rng.random() < epsilon:
-                    a = int(rng.integers(0, 2))
-                else:
-                    a = act(table, s)
-                r_now = reward(s, a, params, device.cap.usable_fraction)
-                total_reward += r_now
-                if a == 0:
-                    pending = (s, a, r_now, hyper.discount)
-                    break
-                if not device.draw(costs[l]):
-                    # the learner could not run: revoke its accuracy gain; at
-                    # l = 0 the request fails outright, like a decline
-                    penalty = params.delta_acc[l] + (params.p_miss if l == 0 else 0.0)
-                    pending = (s, a, r_now - penalty, hyper.discount)
-                    total_reward -= penalty
-                    break
-                pending = (s, a, r_now, 1.0)
-                l += 1
-            if l > 0:
-                tracker.record_post_inference(device)
-        if pending is not None:
-            q_update(table, pending[0], pending[1], pending[2], None, terminal=True)
-        curve.append(total_reward)
+        learner = _QLearner(table, params, device, rng, epsilon)
+        replay(env, device, costs, horizon, learner)
+        if learner.pending is not None:
+            q_update(table, *learner.pending, None, terminal=True)
+        curve.append(learner.total_reward)
     return table, curve
 
 
@@ -279,7 +316,7 @@ def save_qtable(table: QTable, path):
     doc = {
         "version": QTABLE_VERSION,
         "n": table.n,
-        "hyperparameters": table.hyper.to_dict(),
+        "hyperparameters": asdict(table.hyper),
         "values": [[float(v) for v in row] for row in table.values],
     }
     with open(path, "w") as f:
@@ -302,4 +339,4 @@ def load_qtable(path, expected_n=None) -> QTable:
     if values.shape != (state_space_size(n), 2):
         raise TableLoadError(f"{path}: value array shape {values.shape} wrong for N={n}")
     return QTable(values=values, n=n,
-                  hyper=QHyperParams.from_dict(doc["hyperparameters"]))
+                  hyper=QHyperParams(**doc["hyperparameters"]))

@@ -3,6 +3,9 @@ harvesting-powered device, executes the learner prefix chosen by a policy,
 optionally interleaves FC-only retraining on the shared forward pass, and
 accumulates mean-accuracy / failure-rate metrics.
 
+The request loop is `qsched.replay`, the one the Q-trainer steps too; this
+module supplies its decision and its forward, retrain and vote hooks.
+
 Service is instantaneous in simulated time; "concurrent inference and
 training" means one learner's forward pass is reused for both, not thread
 parallelism.
@@ -12,16 +15,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset
-from .energy import Device, inference_cost
+from .energy import inference_cost
 from .ensemble import EnsembleModel, weighted_vote
 from .errors import ConfigError
-from .nn import forward, train_fc_only
-from .qsched import EnvConfig, QTable, StateTracker, act, _make_device
+from .nn import evaluate, forward, train_fc_only
+from .qsched import (BROWNOUT, OFF, STOP, Agent, EnvConfig, QTable, act,
+                     replay, _make_device)
 
 RETRAIN_MODES = ("off", "high-energy", "low-energy", "auto")
 
@@ -30,6 +35,8 @@ SERVED = "served"
 MISS_OFF = "miss-off"            # device below cutoff at arrival
 MISS_DECLINED = "miss-declined"  # policy stopped at l = 0
 MISS_BROWNOUT = "miss-brownout"  # energy ran out mid-prefix
+# the event of a request that ran no learner, by how `replay` says it ended
+_MISSES = {OFF: MISS_OFF, STOP: MISS_DECLINED, BROWNOUT: MISS_BROWNOUT}
 
 
 class QPolicy:
@@ -141,8 +148,9 @@ def _round_robin_mode(mode, e_now):
 
 
 def run(cfg: SimConfig) -> SimReport:
-    """Policy-driven inference with no retraining."""
-    return _drive(cfg, retrain=False)[0]
+    """Policy-driven inference, with FC-only retraining per cfg.retrain_mode
+    on the samples of cfg.dataset."""
+    return _serve(cfg)[0]
 
 
 def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):
@@ -155,43 +163,38 @@ def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):
     """
     if cfg.retrain_mode == "off":
         raise ConfigError("run_concurrent_training requires a retrain mode")
-    from .nn import evaluate
     cfg = replace(cfg, dataset=drift_dataset)
     ex, ey = drift_dataset.split("eval")
     before = [evaluate(l, ex, ey) for l in cfg.ensemble.learners]
-    report, learners = _drive(cfg, retrain=True)
+    report, learners = _serve(cfg)
     after = [evaluate(l, ex, ey) for l in learners]
     return report, before, after
 
 
-def _drive(cfg: SimConfig, retrain: bool):
-    env = cfg.env
-    model = cfg.ensemble
-    n = model.size
-    learners = [l.copy() for l in model.learners]
-    costs = [inference_cost(l.macs, env.cost_model) for l in learners]
-    one_cost = max(costs)
-    device = _make_device(env)
-    tracker = StateTracker(n, env.capacitor, one_cost, env.power_thresholds)
-    sx, sy = cfg.dataset.split(cfg.sample_split)
-    req_times = np.arange(env.requests.period, cfg.duration + 1e-9,
-                          env.requests.period)
-    initial_energy = device.cap.energy
-    events = []
-    histogram = {}
-    failures = 0
-    correct = 0
-    retrain_events = 0
-    retrain_cursor = 0
-    for req_no, t_req in enumerate(req_times):
-        device.advance(float(t_req))
+class _Server(Agent):
+    """The simulator's decision and hooks on `replay`: the policy or the
+    retrain target decides, each learner that runs does a forward pass (one
+    of them also retrains), and the vote fills one events row per request."""
+
+    def __init__(self, cfg: SimConfig):
+        self.cfg = cfg
+        self.device = _make_device(cfg.env)
+        self.costs = [inference_cost(l.macs, cfg.env.cost_model)
+                      for l in cfg.ensemble.learners]
+        self.learners = [l.copy() for l in cfg.ensemble.learners]
+        self.sx, self.sy = cfg.dataset.split(cfg.sample_split)
+        self.retrain_cursor = 0
+        self.events = []
+
+    def arrive(self, i, t):
         # requests cycle through the split so an unconstrained run reproduces
         # the offline split accuracy exactly
-        sample_idx = req_no % len(sy)
-        row = {
-            "time": float(t_req),
-            "voltage": device.cap.voltage,
-            "p_harv": device.p_harv,
+        sample_idx = i % len(self.sy)
+        self.row = {
+            "time": t,
+            "event": SERVED,
+            "voltage": self.device.voltage,
+            "p_harv": self.device.p_harv,
             "sample_index": sample_idx,
             "learners_run": 0,
             "retrained_learner": -1,
@@ -200,92 +203,72 @@ def _drive(cfg: SimConfig, retrain: bool):
             "inference_energy": 0.0,
             "retrain_energy": 0.0,
         }
-        if not device.cap.is_on:
-            row["event"] = MISS_OFF
-            failures += 1
-            events.append(row)
-            continue
+        self.x = self.sx[sample_idx]
+        self.label = int(self.sy[sample_idx])
+        self.probs = []
 
-        e_now0 = tracker.observe(device, l=0, r=1).e_now
-        mode = _round_robin_mode(cfg.retrain_mode, e_now0) if retrain else "off"
-        if mode == "high-energy":
-            target = n
-        elif mode == "low-energy":
-            target = max(n - 1, 1)
-        else:
-            target = None  # policy decides
+    def decide(self, state):
+        if state.l == 0:
+            n = len(self.costs)
+            mode = _round_robin_mode(self.cfg.retrain_mode, state.e_now)
+            self.target = {"high-energy": n, "low-energy": max(n - 1, 1)}.get(mode)
+            self.retrain_idx = -1
+            if self.target is not None:
+                self.retrain_idx = self.retrain_cursor % self.target
+                self.retrain_cursor += 1
+        if self.target is None:
+            return self.cfg.policy.decide(state)
+        return 1 if state.l < self.target else 0
 
-        x = sx[sample_idx]
-        label = int(sy[sample_idx])
-        if mode != "off":
-            retrain_idx = retrain_cursor % target
-            retrain_cursor += 1
-        else:
-            retrain_idx = -1
-        probs = []
-        outcome = SERVED
-        retrain_this = -1
-        l = 0
-        while l < n:
-            state = tracker.observe(device, l=l, r=1 if l == 0 else 0)
-            if target is None:
-                if cfg.policy.decide(state) == 0:
-                    break
-            elif l >= target:
-                break
-            if not device.draw(costs[l]):
-                if l == 0:
-                    outcome = MISS_BROWNOUT
-                break
-            row["inference_energy"] += costs[l]
-            if l == retrain_idx:
-                # shared forward pass: prediction uses the pre-update outputs
-                increment = env.cost_model.fc_retrain_energy_fraction * costs[l]
-                if device.draw(increment):
-                    updated, pre_probs = train_fc_only(
-                        learners[l], x[None], [label], [1.0],
-                        cfg.retrain_learning_rate)
-                    probs.append(pre_probs[0])
-                    learners[l] = updated
-                    row["retrain_energy"] += increment
-                    retrain_events += 1
-                    retrain_this = l
-                else:
-                    probs.append(forward(learners[l], x))
-            else:
-                probs.append(forward(learners[l], x))
-            l += 1
+    def ran(self, l):
+        row = self.row
+        row["inference_energy"] += self.costs[l]
+        if l == self.retrain_idx:
+            # shared forward pass: prediction uses the pre-update outputs
+            increment = self.cfg.env.cost_model.fc_retrain_energy_fraction * self.costs[l]
+            if self.device.draw(increment):
+                self.learners[l], probs = train_fc_only(
+                    self.learners[l], self.x[None], [self.label], [1.0],
+                    self.cfg.retrain_learning_rate)
+                self.probs.append(probs[0])
+                row["retrain_energy"] += increment
+                row["retrained_learner"] = l
+                return
+        self.probs.append(forward(self.learners[l], self.x))
+
+    def done(self, l, end):
+        row = self.row
         row["learners_run"] = l
-        histogram[l] = histogram.get(l, 0) + 1
         if l == 0:
-            if outcome == SERVED:
-                outcome = MISS_DECLINED
-            failures += 1
+            row["event"] = _MISSES[end]
         else:
-            tracker.record_post_inference(device)
-            pred, _ = weighted_vote(np.stack(probs), model.vote_weights[:l])
+            pred, _ = weighted_vote(np.stack(self.probs),
+                                    self.cfg.ensemble.vote_weights[:l])
             row["predicted"] = pred
-            row["correct"] = int(pred == label)
-            correct += row["correct"]
-        row["retrained_learner"] = retrain_this
-        row["event"] = outcome
-        events.append(row)
-    device.advance(cfg.duration)
+            row["correct"] = int(pred == self.label)
+        self.events.append(row)
+
+
+def _serve(cfg: SimConfig):
+    server = _Server(cfg)
+    replay(cfg.env, server.device, server.costs, cfg.duration, server)
+    events, device = server.events, server.device
     report = SimReport(
         policy=getattr(cfg.policy, "name", cfg.retrain_mode),
-        total_requests=len(req_times),
-        failures=failures,
-        correct=correct,
+        total_requests=len(events),
+        failures=sum(row["event"] != SERVED for row in events),
+        correct=sum(row["correct"] for row in events),
         events=events,
-        learners_histogram=histogram,
-        retrain_events=retrain_events,
-        initial_energy=initial_energy,
+        learners_histogram=Counter(row["learners_run"] for row in events
+                                   if row["event"] != MISS_OFF),
+        retrain_events=sum(row["retrained_learner"] >= 0 for row in events),
+        initial_energy=cfg.env.capacitor.energy,
         harvested_energy=device.harvested,
         consumed_energy=device.consumed,
-        final_energy=device.cap.energy,
+        final_energy=device.energy,
         seed=cfg.seed,
     )
-    return report, learners
+    return report, server.learners
 
 
 # ---------------------------------------------------------------------------

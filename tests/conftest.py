@@ -9,6 +9,7 @@ import pytest
 from enboost import boost, config, ensemble
 from enboost.data import synth_dataset
 from enboost.nn import NetworkSpec, TensorShape, avgpool, conv, fc, softmax_layer
+from enboost.qsched import Agent
 
 
 def tiny_spec(input_shape=(2, 8, 8), classes=3, filters=(4, 6)):
@@ -19,6 +20,18 @@ def tiny_spec(input_shape=(2, 8, 8), classes=3, filters=(4, 6)):
                 conv(filters[1], kernel=3, padding=1), avgpool(2),
                 fc(classes), softmax_layer()),
         class_count=classes)
+
+
+class PolicyAgent(Agent):
+    """Drives `qsched.replay` with a bare decision function and records the
+    learners run per request."""
+
+    def __init__(self, decide):
+        self.decide = decide
+        self.runs = []
+
+    def done(self, l, end):
+        self.runs.append(l)
 
 
 @pytest.fixture(scope="session")

@@ -130,6 +130,28 @@ def test_simulate_rerun_byte_identical(workspace, qtable_path, sim_out):
                 (sim_out / "fixed-1" / rel).read_bytes())
 
 
+@pytest.mark.parametrize("mode", ["off", "high-energy"])
+def test_simulate_applies_retrain_mode(workspace, qtable_path, tmp_path, mode):
+    doc = dict(LIGHT_CONFIG, simulation=dict(LIGHT_CONFIG["simulation"],
+                                             retrain_mode=mode))
+    (workspace / f"retrain-{mode}.json").write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(workspace / f"retrain-{mode}.json"),
+                 "--ensemble", str(workspace / "build"),
+                 "--policy", f"qtable:{qtable_path}", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "qtable" / "report.json").read_text())
+    assert (report["retrain_events"] > 0) == (mode != "off")
+
+
+def test_simulate_rejects_non_finite_trace(workspace, tmp_path, capsys):
+    trace = tmp_path / "nan.csv"
+    trace.write_text("timestamp_s,power_W\n0.0,0.001\n1.0,nan\n")
+    rc = main(["simulate", "--config", str(workspace / "config.json"),
+               "--ensemble", str(workspace / "build"), "--policy", "all",
+               "--trace", str(trace), "--out", str(tmp_path / "sims")])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_simulate_rejects_unknown_policy(workspace, capsys):
     rc = main(["simulate", "--config", str(workspace / "config.json"),
                "--ensemble", str(workspace / "build"),

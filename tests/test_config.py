@@ -1,6 +1,7 @@
 """Config schema validation and builders."""
 import json
 
+import numpy as np
 import pytest
 
 from enboost import config
@@ -15,7 +16,6 @@ def test_default_config_is_valid():
     assert cfg["energy"]["cost_model"]["energy_per_mac"] == 1e-9
     assert cfg["energy"]["cost_model"]["per_inference_overhead"] == 1e-4
     assert cfg["energy"]["cost_model"]["sleep_power"] == 5e-6
-    assert cfg["energy"]["cost_model"]["active_idle_power"] == 1e-3
 
 
 def test_unknown_keys_rejected():
@@ -23,6 +23,8 @@ def test_unknown_keys_rejected():
         config.validate_config({"pool": {"pool_sise": 6}})
     with pytest.raises(ConfigError, match="unknown keys"):
         config.validate_config({"extra": {}})
+    with pytest.raises(ConfigError, match="unknown keys"):
+        config.validate_config({"energy": {"cost_model": {"active_idle_power": 1e-3}}})
 
 
 def test_type_errors_are_reported_with_path():
@@ -73,6 +75,15 @@ def test_make_env_defaults():
     assert env.requests.horizon == env.trace.horizon
     t1, t2 = env.power_thresholds
     assert 0 < t1 < t2
+
+
+def test_harvester_efficiency_scales_synthetic_trace():
+    full = config.make_trace(config.default_config())
+    half = config.make_trace(config.validate_config(
+        {"energy": {"harvester_efficiency": 0.5}}))
+    assert full.power.any()
+    assert np.array_equal(half.times, full.times)
+    assert np.array_equal(half.power, 0.5 * full.power)
 
 
 def test_make_dataset_csv_requires_path():

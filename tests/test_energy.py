@@ -3,9 +3,9 @@ scheduler-state discretizers."""
 import numpy as np
 import pytest
 
+from enboost import config
 from enboost.energy import (Capacitor, CostModel, Device, PowerTrace,
-                            RequestPattern, discretize_energy,
-                            discretize_energy_fraction, discretize_power,
+                            RequestPattern, discretize_energy, discretize_power,
                             inference_cost, load_trace, power_terciles, step,
                             synth_trace)
 from enboost.errors import ConfigError, TraceError
@@ -21,26 +21,28 @@ def test_stored_energy_half_c_v_squared():
 
 
 def test_usable_energy_above_cutoff():
-    cap = Capacitor(capacitance=0.47, v_max=4.2, v_cutoff=1.7, voltage=3.6)
-    assert abs(cap.usable_energy - 2.36645) < 1e-12
-    assert cap.is_on
+    dev = make_device(voltage=3.6)
+    assert abs(dev.usable_energy - 2.36645) < 1e-12
+    assert dev.is_on
 
 
 def test_usable_energy_floors_at_zero_below_cutoff():
-    cap = Capacitor(voltage=1.0)
-    assert cap.usable_energy == 0.0
-    assert not cap.is_on
+    dev = make_device(voltage=1.0)
+    assert dev.usable_energy == 0.0
+    assert not dev.is_on
 
 
 def test_with_energy_round_trip():
-    cap = Capacitor(voltage=2.5)
-    assert abs(cap.with_energy(cap.energy).voltage - 2.5) < 1e-12
+    dev = make_device(voltage=2.5)
+    assert abs(dev.voltage - 2.5) < 1e-12
 
 
 def test_with_energy_clamps():
-    cap = Capacitor()
-    assert cap.with_energy(-1.0).voltage == 0.0
-    assert abs(cap.with_energy(1e9).voltage - cap.v_max) < 1e-12
+    dev = make_device(voltage=2.5, power=1.0)
+    dev.advance(100.0)
+    assert abs(dev.voltage - dev.cap.v_max) < 1e-12
+    dev.advance(200.0, load_power=10.0)
+    assert dev.voltage == 0.0
 
 
 def test_capacitor_validation():
@@ -56,36 +58,28 @@ def test_capacitor_validation():
 
 def test_step_balanced_power_is_identity():
     cap = Capacitor(voltage=3.0)
-    out, deficit = step(cap, harvested_power=0.01, load_power=0.01, dt=50.0)
-    assert abs(out.energy - cap.energy) < 1e-12
-    assert not deficit
+    out = step(cap, cap.energy, harvested_power=0.01, load_power=0.01, dt=50.0)
+    assert abs(out - cap.energy) < 1e-12
 
 
 def test_step_net_harvest_adds_energy():
     cap = Capacitor(voltage=3.0)
-    out, _ = step(cap, 0.02, 0.0, dt=10.0)
-    assert abs(out.energy - (cap.energy + 0.2)) < 1e-12
+    out = step(cap, cap.energy, 0.02, 0.0, dt=10.0)
+    assert abs(out - (cap.energy + 0.2)) < 1e-12
 
 
 def test_step_clamps_at_full_and_empty():
     cap = Capacitor(voltage=4.2)
-    out, deficit = step(cap, 1.0, 0.0, dt=1e6)
-    assert abs(out.energy - cap.max_energy) < 1e-12
-    assert not deficit
-    out, deficit = step(Capacitor(voltage=2.0), 0.0, 1.0, dt=1e6)
-    assert out.energy == 0.0
-    assert deficit
-
-
-def test_step_efficiency_scales_harvest():
-    cap = Capacitor(voltage=3.0)
-    out, _ = step(cap, 0.02, 0.0, dt=10.0, eta=0.5)
-    assert abs(out.energy - (cap.energy + 0.1)) < 1e-12
+    out = step(cap, cap.energy, 1.0, 0.0, dt=1e6)
+    assert abs(out - cap.max_energy) < 1e-12
+    cap = Capacitor(voltage=2.0)
+    out = step(cap, cap.energy, 0.0, 1.0, dt=1e6)
+    assert out == 0.0
 
 
 def test_step_rejects_nonpositive_dt():
     with pytest.raises(ConfigError):
-        step(Capacitor(), 0.0, 0.0, dt=0.0)
+        step(Capacitor(), 0.0, 0.0, 0.0, dt=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +97,9 @@ def test_load_trace_volt_ampere_schema(tmp_path):
 def test_load_trace_power_schema_with_efficiency(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("timestamp_s,power_W\n0.0,0.01\n2.0,0.02\n")
-    trace = load_trace(p, harvester_efficiency=0.5)
+    cfg = config.validate_config({"energy": {"trace": {"csv": str(p)},
+                                             "harvester_efficiency": 0.5}})
+    trace = config.make_trace(cfg)
     assert np.allclose(trace.power, [0.005, 0.01])
 
 
@@ -121,11 +117,21 @@ def test_load_trace_errors(tmp_path):
     p.write_text("timestamp_s,power_W\n0.0,0.01\n1.0,oops\n")
     with pytest.raises(TraceError, match=":3:"):
         load_trace(p)
+    p.write_text("timestamp_s,power_W\n0.0,0.01\n1.0,nan\n")
+    with pytest.raises(TraceError, match="finite"):
+        load_trace(p)
 
 
 def test_power_trace_rejects_negative_power():
     with pytest.raises(TraceError):
         PowerTrace(times=np.array([0.0, 1.0]), power=np.array([0.1, -0.1]))
+
+
+def test_power_trace_rejects_non_finite():
+    with pytest.raises(TraceError, match="finite"):
+        PowerTrace(times=[0.0, np.nan, 2.0], power=[1.0, np.nan, 0.0])
+    with pytest.raises(TraceError, match="finite"):
+        PowerTrace(times=[0.0, 1.0], power=[1.0, np.inf])
 
 
 def test_power_at_holds_last_sample():
@@ -197,24 +203,19 @@ def test_request_pattern_validation():
 def test_discretize_energy_bins():
     cap = Capacitor(capacitance=0.47, v_max=4.2, v_cutoff=1.7)
     cost = 1e-3
-    full = cap.with_energy(cap.max_energy)
-    assert discretize_energy(full, cost) == 3
-    below = cap.with_energy(cap.cutoff_energy + 0.5 * cost)
-    assert discretize_energy(below, cost) == 0
-    low = cap.with_energy(cap.cutoff_energy + 0.3 * cap.max_usable_energy)
-    assert discretize_energy(low, cost) == 1
-    high = cap.with_energy(cap.cutoff_energy + 0.6 * cap.max_usable_energy)
-    assert discretize_energy(high, cost) == 2
+    assert discretize_energy(cap.max_usable_energy, cap, cost) == 3
+    assert discretize_energy(0.5 * cost, cap, cost) == 0
+    assert discretize_energy(0.3 * cap.max_usable_energy, cap, cost) == 1
+    assert discretize_energy(0.6 * cap.max_usable_energy, cap, cost) == 2
 
 
 def test_discretize_energy_fraction_matches_energy():
     cap = Capacitor(capacitance=0.47, v_max=4.2, v_cutoff=1.7)
     cost = 1e-3
     for frac in (0.0, 0.2, 0.5, 0.8, 1.0):
-        direct = discretize_energy(
-            cap.with_energy(cap.cutoff_energy + frac * cap.max_usable_energy),
-            cost)
-        assert discretize_energy_fraction(frac, cap, cost) == direct
+        stored = cap.cutoff_energy + frac * cap.max_usable_energy
+        direct = discretize_energy(stored - cap.cutoff_energy, cap, cost)
+        assert discretize_energy(frac * cap.max_usable_energy, cap, cost) == direct
 
 
 def test_discretize_power_bins():
@@ -259,11 +260,11 @@ def make_device(voltage=3.0, power=0.002):
 
 def test_device_energy_closure():
     dev = make_device()
-    e0 = dev.cap.energy
+    e0 = dev.energy
     dev.advance(100.0)
     assert dev.draw(0.5)
     dev.advance(400.0, load_power=0.01)
-    assert abs(dev.cap.energy - (e0 + dev.harvested - dev.consumed)) < 1e-9
+    assert abs(dev.energy - (e0 + dev.harvested - dev.consumed)) < 1e-9
 
 
 def test_device_closure_across_clamps():
@@ -272,21 +273,21 @@ def test_device_closure_across_clamps():
                         high_power=0.05)
     dev = Device(cap=Capacitor(voltage=4.0), trace=trace,
                  cost_model=CostModel())
-    e0 = dev.cap.energy
+    e0 = dev.energy
     dev.advance(1000.0)                    # charges to full, clamp on top
-    assert abs(dev.cap.energy - dev.cap.max_energy) < 1e-9
+    assert abs(dev.energy - dev.cap.max_energy) < 1e-9
     dev.advance(4000.0, load_power=0.05)   # discharges to empty, clamp at 0
-    assert dev.cap.energy == 0.0
-    assert abs(dev.cap.energy - (e0 + dev.harvested - dev.consumed)) < 1e-9
+    assert dev.energy == 0.0
+    assert abs(dev.energy - (e0 + dev.harvested - dev.consumed)) < 1e-9
 
 
 def test_device_draw_semantics():
     dev = make_device(voltage=3.0, power=0.0)
-    usable = dev.cap.usable_energy
+    usable = dev.usable_energy
     assert not dev.draw(usable + 1e-6)
     assert dev.consumed == 0.0            # failed draw deducts nothing
     assert dev.draw(usable)
-    assert dev.cap.usable_energy < 1e-9
+    assert dev.usable_energy < 1e-9
     with pytest.raises(ConfigError):
         dev.draw(-1.0)
 

@@ -5,13 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import PolicyAgent
 from enboost.energy import Capacitor, CostModel, RequestPattern, synth_trace
 from enboost.errors import ConfigError, TableLoadError
 from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams,
-                            SchedulerState, StateTracker, act, decode_state,
-                            encode_state, inference_cost, load_qtable,
-                            q_update, reward, save_qtable, state_space_size,
-                            train_offline)
+                            SchedulerState, act, decode_state, encode_state,
+                            inference_cost, load_qtable, q_update, replay,
+                            reward, save_qtable, state_space_size,
+                            train_offline, _make_device)
 
 
 def st(e_now=2, e_last=2, p_harv=1, l=0, r=0):
@@ -260,28 +261,10 @@ def test_train_offline_zero_episodes():
 def greedy_executions(table, env, ens):
     """Replay the trace with the greedy policy; returns learners run per
     request."""
-    from enboost.qsched import _make_device
     costs = [inference_cost(l.macs, env.cost_model) for l in ens.learners]
-    device = _make_device(env)
-    tracker = StateTracker(ens.size, env.capacitor, max(costs),
-                           env.power_thresholds)
-    runs = []
-    for t_req in np.arange(env.requests.period, env.requests.horizon + 1e-9,
-                           env.requests.period):
-        device.advance(float(t_req))
-        if not device.cap.is_on:
-            runs.append(0)
-            continue
-        l = 0
-        while l < ens.size:
-            s = tracker.observe(device, l=l, r=1 if l == 0 else 0)
-            if act(table, s) == 0 or not device.draw(costs[l]):
-                break
-            l += 1
-        if l > 0:
-            tracker.record_post_inference(device)
-        runs.append(l)
-    return runs
+    agent = PolicyAgent(lambda s: act(table, s))
+    replay(env, _make_device(env), costs, env.requests.horizon, agent)
+    return agent.runs
 
 
 def test_abundant_power_policy_runs_full_ensemble():

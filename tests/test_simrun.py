@@ -3,14 +3,15 @@ FC retraining, and report rendering."""
 import numpy as np
 import pytest
 
-from conftest import tiny_spec
+from conftest import PolicyAgent, tiny_spec
 from enboost.boost import PoolConfig, build_pool
 from enboost.data import synth_dataset
-from enboost.energy import Capacitor, CostModel, RequestPattern, synth_trace
+from enboost.energy import (Capacitor, CostModel, RequestPattern,
+                            inference_cost, synth_trace)
 from enboost.ensemble import backfit_select
 from enboost.errors import ConfigError
 from enboost.prune import PruneSchedule
-from enboost.qsched import EnvConfig, QTable, RewardParams
+from enboost.qsched import EnvConfig, QTable, RewardParams, replay, _make_device
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
                             QPolicy, SimConfig, events_csv,
                             failure_rate_reduction, render_report, run,
@@ -91,6 +92,25 @@ def test_failure_count_monotone_in_request_rate(small_model):
         failures.append(report.failures)
     assert failures[0] <= failures[1] <= failures[2]
     assert failures[-1] > 0
+
+
+def test_run_matches_bare_stepper(small_model):
+    model, ds = small_model
+    trace = synth_trace(0, "day-night", duration=800.0, period=200.0,
+                        high_power=5e-5)
+    env = make_env(model, trace, period=2.0, horizon=800.0,
+                   cap=Capacitor(capacitance=2e-3, voltage=2.5))
+    costs = [inference_cost(l.macs, env.cost_model) for l in model.learners]
+    for k in (1, model.size):
+        policy = FixedKPolicy(k, model.size)
+        cfg = SimConfig(env=env, ensemble=model, dataset=ds, policy=policy)
+        report = run(cfg)
+        device = _make_device(env)
+        agent = PolicyAgent(policy.decide)
+        replay(env, device, costs, cfg.duration, agent)
+        assert [e["learners_run"] for e in report.events] == agent.runs
+        assert report.final_energy == device.energy
+        assert report.failures > 0
 
 
 def test_empty_request_log(small_model):
