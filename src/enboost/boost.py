@@ -6,12 +6,12 @@ multiplier p_true^(-alpha), then mean-normalized back to 1.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .errors import ConfigError
 from .nn import (NetworkSpec, WeakLearner, flatten_params, forward,
                  unflatten_params, train)
@@ -122,24 +122,22 @@ def save_pool(pool, out_dir):
         entries.append({"id": learner.id, "macs": learner.macs,
                         "eval_accuracy": learner.eval_accuracy,
                         "generation": i, "spec": spec_file, "params": param_file})
-    manifest = {"version": 1, "learners": entries}
-    with open(out / "pool.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    artifacts.write_json(out / "pool.json", {"version": 1, "learners": entries})
 
 
 def load_pool(pool_dir):
     root = Path(pool_dir)
-    with open(root / "pool.json") as f:
-        manifest = json.load(f)
-    if manifest.get("version") != 1:
-        raise ConfigError(f"unsupported pool manifest version in {pool_dir}")
-    pool = []
-    for entry in manifest["learners"]:
-        spec = NetworkSpec.load(root / entry["spec"])
-        flat = np.load(root / entry["params"])
-        pool.append(WeakLearner(spec=spec, params=unflatten_params(spec, flat),
-                                macs=entry["macs"],
-                                eval_accuracy=entry["eval_accuracy"],
-                                id=entry["id"]))
-    return pool
+
+    def decode(manifest):
+        pool = []
+        for entry in manifest["learners"]:
+            spec = NetworkSpec.load(root / entry["spec"])
+            with artifacts.reading(root / entry["params"]):
+                params = unflatten_params(spec, np.load(root / entry["params"]))
+            pool.append(WeakLearner(spec=spec, params=params,
+                                    macs=entry["macs"],
+                                    eval_accuracy=entry["eval_accuracy"],
+                                    id=entry["id"]))
+        return pool
+
+    return artifacts.read_json(root / "pool.json", decode, version=1)

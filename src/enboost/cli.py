@@ -6,24 +6,13 @@ Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from . import boost, config as cfgmod, ensemble as ens, qsched, simrun
+from . import artifacts, boost, config as cfgmod, ensemble as ens, qsched, simrun
 from .errors import ConfigError, EnboostError
 from .nn import count_macs, count_params
-
-
-def _write_json(path, doc):
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def cmd_build_ensemble(args) -> int:
@@ -54,7 +43,7 @@ def cmd_build_ensemble(args) -> int:
         "acc_profile": model.acc_profile,
         "delta_acc": model.delta_acc,
     }
-    _write_json(out / "build_summary.json", summary)
+    artifacts.write_json(out / "build_summary.json", summary)
     print(f"built pool of {len(pool)} and ensemble of {model.size} "
           f"({model.total_macs} MACs vs baseline {baseline_macs}) in {out}")
     return 0
@@ -78,12 +67,8 @@ def cmd_train_scheduler(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     qsched.save_qtable(table, out)
     curve_path = out.with_suffix(out.suffix + ".curve.csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["episode", "cumulative_reward"])
-    for i, r in enumerate(curve):
-        writer.writerow([i, repr(r)])
-    curve_path.write_text(buf.getvalue())
+    curve_path.write_text(artifacts.csv_text(["episode", "cumulative_reward"],
+                                             enumerate(curve)))
     print(f"trained {episodes} episodes -> {out}")
     return 0
 
@@ -143,7 +128,7 @@ def cmd_simulate(args) -> int:
         doc["baseline_failure_rate"] = baseline_report.failure_rate
         doc["failure_rate_reduction_vs_baseline"] = simrun.failure_rate_reduction(
             report, baseline_report)
-        _write_json(run_dir / "report.json", doc)
+        artifacts.write_json(run_dir / "report.json", doc)
         (run_dir / "events.csv").write_text(simrun.events_csv(report))
         print(simrun.render_report(report, args.format, baseline=baseline_report))
     return 0
@@ -155,28 +140,20 @@ def cmd_report(args) -> int:
         path = Path(run_dir) / "report.json"
         if not path.exists():
             raise ConfigError(f"missing report file: {path}")
-        with open(path) as f:
-            doc = json.load(f)
-        rows.append({
+        rows.append(artifacts.read_json(path, lambda doc: {
             "run": str(run_dir),
             "policy": doc["policy"],
             "mean_accuracy": doc["mean_accuracy"],
             "failure_rate": doc["failure_rate"],
             "failure_rate_reduction": doc.get("failure_rate_reduction_vs_baseline"),
-        })
+        }))
     rows.sort(key=lambda r: (-(r["failure_rate_reduction"] or float("-inf")),
                              r["run"]))
     fields = ["run", "policy", "mean_accuracy", "failure_rate",
               "failure_rate_reduction"]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        for r in rows:
-            writer.writerow(["n/a" if r[k] is None else
-                             (repr(r[k]) if isinstance(r[k], float) else r[k])
-                             for k in fields])
-        print(buf.getvalue(), end="")
+        print(artifacts.csv_text(fields, ([r[k] for k in fields] for r in rows)),
+              end="")
     else:
         for r in rows:
             print("  ".join(f"{k}={'n/a' if r[k] is None else r[k]}" for k in fields))
@@ -224,15 +201,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (EnboostError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EnboostError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
 
 
 if __name__ == "__main__":

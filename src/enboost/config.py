@@ -157,6 +157,9 @@ def validate_config(doc: dict) -> dict:
         raise ConfigError("pool.pool_size must exceed ensemble.size")
     if not 2 <= cfg["ensemble"]["size"]:
         raise ConfigError("ensemble.size must be >= 2")
+    eff = cfg["energy"]["harvester_efficiency"]
+    if eff is None or not 0.0 < eff <= 1.0:
+        raise ConfigError(f"energy.harvester_efficiency must be in (0, 1], got {eff}")
     return cfg
 
 
@@ -181,8 +184,7 @@ def load_config(path) -> dict:
 
 def baseline_network() -> NetworkSpec:
     """The bundled desk-scale baseline: three conv stages over 3x12x12."""
-    with resources.files("enboost.assets").joinpath("baseline_net.json").open() as f:
-        return NetworkSpec.from_dict(json.load(f))
+    return NetworkSpec.load(resources.files("enboost.assets") / "baseline_net.json")
 
 
 def make_network(cfg: dict, config_dir=".") -> NetworkSpec:

@@ -4,13 +4,13 @@ a_m = 0.5*log((1-e_m)/e_m), and measure the accuracy-vs-prefix profile the
 runtime scheduler consumes."""
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .errors import ConfigError
 from .nn import forward
 
@@ -174,29 +174,26 @@ def save_ensemble(model: EnsembleModel, path, pool_dir="."):
         "delta_acc": model.delta_acc,
         "total_macs": model.total_macs,
     }
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    artifacts.write_json(path, manifest)
 
 
-def load_ensemble(path, pool=None) -> EnsembleModel:
+def load_ensemble(path) -> EnsembleModel:
     from .boost import load_pool
     path = Path(path)
-    with open(path) as f:
-        manifest = json.load(f)
-    if manifest.get("version") != 1:
-        raise ConfigError(f"unsupported ensemble manifest version in {path}")
-    if "delta_acc" not in manifest or not manifest["delta_acc"]:
-        raise ConfigError(f"{path}: manifest lacks delta_acc; rebuild the ensemble")
-    if pool is None:
-        pool = load_pool(path.parent / manifest["pool_dir"])
-    by_id = {l.id: l for l in pool}
-    try:
-        learners = [by_id[i] for i in manifest["learners"]]
-    except KeyError as exc:
-        raise ConfigError(f"{path}: learner {exc} missing from pool") from exc
-    return EnsembleModel(learners=learners,
-                         vote_weights=list(manifest["vote_weights"]),
-                         acc_profile=list(manifest["acc_profile"]),
-                         delta_acc=list(manifest["delta_acc"]),
-                         class_count=manifest["class_count"])
+
+    def decode(manifest):
+        if not manifest.get("delta_acc"):
+            raise ValueError("manifest lacks delta_acc; rebuild the ensemble")
+        ids = manifest["learners"]
+        by_id = {l.id: l for l in load_pool(path.parent / manifest["pool_dir"])}
+        try:
+            learners = [by_id[i] for i in ids]
+        except KeyError as exc:
+            raise ValueError(f"learner {exc} missing from pool") from exc
+        return EnsembleModel(learners=learners,
+                             vote_weights=list(manifest["vote_weights"]),
+                             acc_profile=list(manifest["acc_profile"]),
+                             delta_acc=list(manifest["delta_acc"]),
+                             class_count=manifest["class_count"])
+
+    return artifacts.read_json(path, decode, version=1)

@@ -35,5 +35,8 @@ class TraceError(EnboostError):
     """Malformed or inconsistent power trace."""
 
 
-class TableLoadError(EnboostError):
-    """Q-table file is corrupt, versioned wrong, or sized for a different ensemble."""
+class ArtifactError(EnboostError):
+    """A spec, pool, manifest, q-table or report file is missing or corrupt."""
+
+
+TableLoadError = ArtifactError  # the old name, still caught by callers

@@ -8,11 +8,11 @@ Everything runs in float64 on numpy. All randomness goes through seeded
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import artifacts
 from .errors import ShapeError, TrainingDivergedError
 
 CONV = "conv"
@@ -164,14 +164,11 @@ class NetworkSpec:
         )
 
     def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        artifacts.write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "NetworkSpec":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return artifacts.read_json(path, cls.from_dict)
 
 
 def count_macs(spec: NetworkSpec) -> int:
@@ -192,13 +189,8 @@ def count_macs(spec: NetworkSpec) -> int:
 
 
 def count_params(spec: NetworkSpec) -> int:
-    total = 0
-    for shapes in param_shapes(spec):
-        if shapes is None:
-            continue
-        w_shape, b_shape = shapes
-        total += int(np.prod(w_shape)) + int(np.prod(b_shape))
-    return total
+    return sum(int(np.prod(w_shape)) + int(np.prod(b_shape))
+               for w_shape, b_shape in filter(None, param_shapes(spec)))
 
 
 def param_shapes(spec: NetworkSpec):
@@ -302,7 +294,9 @@ class WeakLearner:
 def _im2col(x, k, s, p):
     b, c, h, w = x.shape
     if p:
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p:p + h, p:p + w] = x
+        x = xp
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
     cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
@@ -313,16 +307,16 @@ def _im2col(x, k, s, p):
 
 
 def _col2im(dcols, x_shape, k, s, p):
+    """Sum patch gradients (b, ho, wo, c, k, k) onto the (b, c, h, w) input."""
     b, c, h, w = x_shape
-    hp, wp = h + 2 * p, w + 2 * p
-    dx = np.zeros((b, c, hp, wp), dtype=dcols.dtype)
-    ho, wo = dcols.shape[4], dcols.shape[5]
+    ho, wo = dcols.shape[1], dcols.shape[2]
+    acc = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=dcols.dtype)
     for i in range(k):
         for j in range(k):
-            dx[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
-    if p:
-        dx = dx[:, :, p:-p, p:-p]
-    return dx
+            acc[:, i:i + s * ho:s, j:j + s * wo:s] += dcols[..., i, j]
+    dx = np.empty((b, c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
+    dx[...] = acc.transpose(0, 3, 1, 2)
+    return dx[:, :, p:p + h, p:p + w]
 
 
 def _softmax(z):
@@ -339,12 +333,13 @@ def _forward_cache(spec: NetworkSpec, params, x):
         if layer.kind == CONV:
             w, b = params[idx]
             cols, ho, wo = _im2col(cur, layer.kernel, layer.stride, layer.padding)
-            z = np.einsum("fckl,bcklhw->bfhw", w, cols, optimize=True)
+            # conv products here and in _backward are the GEMMs, with the operand
+            # layouts, that np.einsum(optimize=True) plans: same bits, no planning
+            z = (cols.transpose(0, 4, 5, 1, 2, 3).reshape(-1, w[0].size)
+                 @ w.reshape(w.shape[0], -1).T)
+            z = z.reshape(cur.shape[0], ho, wo, -1).transpose(0, 3, 1, 2)
             z += b[None, :, None, None]
-            if layer.activation == "relu":
-                out = np.maximum(z, 0.0)
-            else:
-                out = z
+            out = np.maximum(z, 0.0) if layer.activation == "relu" else z
             cache.append(("conv", cur.shape, cols, z, layer))
             cur = out
         elif layer.kind == AVGPOOL:
@@ -357,10 +352,7 @@ def _forward_cache(spec: NetworkSpec, params, x):
             w, b = params[idx]
             flat = cur.reshape(cur.shape[0], -1)
             z = flat @ w.T + b
-            if layer.activation == "relu":
-                out = np.maximum(z, 0.0)
-            else:
-                out = z
+            out = np.maximum(z, 0.0) if layer.activation == "relu" else z
             cache.append(("fc", cur.shape, flat, z, layer))
             cur = out.reshape(cur.shape[0], layer.units, 1, 1)
         else:  # softmax
@@ -401,11 +393,15 @@ def _backward(spec: NetworkSpec, params, cache, dlogits):
             if layer.activation == "relu":
                 dz = dz * (z > 0)
             w, _ = params[idx]
-            dw = np.einsum("bfhw,bcklhw->fckl", dz, cols, optimize=True)
-            db = dz.sum(axis=(0, 2, 3))
-            grads[idx] = (dw, db)
-            dcols = np.einsum("fckl,bfhw->bcklhw", w, dz, optimize=True)
-            dcur = _col2im(dcols, in_shape, layer.kernel, layer.stride, layer.padding)
+            f, c, k, _ = w.shape
+            b_, _, ho, wo = z.shape
+            dz_rows = dz.transpose(0, 2, 3, 1).reshape(-1, f)
+            dw = cols.transpose(1, 2, 3, 0, 4, 5).reshape(c * k * k, -1) @ dz_rows
+            grads[idx] = (dw.reshape(c, k, k, f).transpose(3, 0, 1, 2),
+                          dz.sum(axis=(0, 2, 3)))
+            if idx:  # the network input needs no gradient
+                dcols = (dz_rows @ w.reshape(f, -1)).reshape(b_, ho, wo, c, k, k)
+                dcur = _col2im(dcols, in_shape, k, layer.stride, layer.padding)
     return grads
 
 

@@ -4,13 +4,13 @@ slices of the next parameterized layer, so memory shrinks faster than MACs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BudgetInfeasibleError, ShapeError
-from .nn import (CONV, FC, NetworkSpec, LayerSpec, WeakLearner, copy_params,
-                 count_macs, evaluate, train)
+from .nn import (CONV, FC, NetworkSpec, WeakLearner, copy_params, count_macs,
+                 evaluate, train)
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,6 @@ class PruneSchedule:
             raise ShapeError("filters_removed_per_step must be >= 1")
         if self.retrain_epochs_per_step < 0:
             raise ShapeError("retrain_epochs_per_step must be >= 0")
-
-    def to_dict(self):
-        return {"target_mac_fraction": self.target_mac_fraction,
-                "filters_removed_per_step": self.filters_removed_per_step,
-                "retrain_epochs_per_step": self.retrain_epochs_per_step}
 
 
 def conv_layer_indices(spec: NetworkSpec):
@@ -82,9 +77,7 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
             raise ShapeError(f"victim index out of range in layer {idx}")
         w, b = params[idx]
         params[idx] = (w[keep], b[keep])
-        layers[idx] = LayerSpec(kind=CONV, filters=int(keep.size), kernel=layer.kernel,
-                                stride=layer.stride, padding=layer.padding,
-                                activation=layer.activation)
+        layers[idx] = replace(layer, filters=int(keep.size))
         nxt = _next_param_layer(spec, idx)
         if nxt is not None:
             nw, nb = params[nxt]
@@ -103,30 +96,12 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
                        eval_accuracy=0.0, id=learner.id)
 
 
-def _single_filter_mac_cost(spec: NetworkSpec, idx) -> int:
-    """MACs freed by removing one filter from conv layer idx (own layer plus
-    the downstream channel slice)."""
-    layers = list(spec.layers)
-    layer = layers[idx]
-    if layer.filters == 1:
-        return 0
-    layers[idx] = LayerSpec(kind=CONV, filters=layer.filters - 1, kernel=layer.kernel,
-                            stride=layer.stride, padding=layer.padding,
-                            activation=layer.activation)
-    reduced = NetworkSpec(input_shape=spec.input_shape, layers=tuple(layers),
-                          class_count=spec.class_count)
-    return count_macs(spec) - count_macs(reduced)
-
-
 def max_single_filter_macs(spec: NetworkSpec) -> int:
     """Largest MAC contribution of any single prunable filter (budget slack)."""
     best = 0
     for idx in conv_layer_indices(spec):
-        layer = spec.layers[idx]
         layers = list(spec.layers)
-        layers[idx] = LayerSpec(kind=CONV, filters=layer.filters + 1, kernel=layer.kernel,
-                                stride=layer.stride, padding=layer.padding,
-                                activation=layer.activation)
+        layers[idx] = replace(layers[idx], filters=layers[idx].filters + 1)
         grown = NetworkSpec(input_shape=spec.input_shape, layers=tuple(layers),
                             class_count=spec.class_count)
         best = max(best, count_macs(grown) - count_macs(spec))
@@ -152,9 +127,8 @@ def prune_to_budget(learner: WeakLearner, dataset, sample_weights,
                 candidates.append((norm, idx, f))
         candidates.sort(key=lambda t: (t[0], t[1], t[2]))
         if not candidates:
-            blocking = max(conv_layer_indices(current.spec),
-                           key=lambda i: _single_filter_mac_cost(current.spec, i))
-            raise BudgetInfeasibleError(blocking)
+            # every conv layer is down to one filter
+            raise BudgetInfeasibleError(conv_layer_indices(current.spec)[0])
         victims = {}
         remaining = {idx: len(entries) for idx, entries in ranked.items()}
         for norm, idx, f in candidates:

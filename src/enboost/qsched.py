@@ -12,16 +12,15 @@ l=0 decision point of a request and 0 afterwards.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .energy import (Capacitor, CostModel, Device, PowerTrace, RequestPattern,
                      discretize_energy, discretize_power, inference_cost,
                      power_terciles, ENERGY_LEVELS, POWER_LEVELS)
-from .errors import ConfigError, TableLoadError
+from .errors import ConfigError, TableLoadError  # noqa: F401 (old name, re-exported)
 
 QTABLE_VERSION = 1
 E_LAST_WINDOW = 10  # trailing requests feeding the mean-energy feature
@@ -319,24 +318,18 @@ def save_qtable(table: QTable, path):
         "hyperparameters": asdict(table.hyper),
         "values": [[float(v) for v in row] for row in table.values],
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    artifacts.write_json(path, doc)
 
 
 def load_qtable(path, expected_n=None) -> QTable:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise TableLoadError(f"cannot read q-table {path}: {exc}") from exc
-    if doc.get("version") != QTABLE_VERSION:
-        raise TableLoadError(f"{path}: unsupported q-table version {doc.get('version')}")
-    n = doc.get("n")
-    if expected_n is not None and n != expected_n:
-        raise TableLoadError(f"{path}: table trained for N={n}, expected N={expected_n}")
-    values = np.asarray(doc["values"], dtype=np.float64)
-    if values.shape != (state_space_size(n), 2):
-        raise TableLoadError(f"{path}: value array shape {values.shape} wrong for N={n}")
-    return QTable(values=values, n=n,
-                  hyper=QHyperParams(**doc["hyperparameters"]))
+    def decode(doc):
+        n = doc["n"]
+        if expected_n is not None and n != expected_n:
+            raise ValueError(f"table trained for N={n}, expected N={expected_n}")
+        values = np.asarray(doc["values"], dtype=np.float64)
+        if values.shape != (state_space_size(n), 2):
+            raise ValueError(f"value array shape {values.shape} wrong for N={n}")
+        return QTable(values=values, n=n,
+                      hyper=QHyperParams(**doc["hyperparameters"]))
+
+    return artifacts.read_json(path, decode, version=QTABLE_VERSION)

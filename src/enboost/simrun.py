@@ -12,14 +12,12 @@ parallelism.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import artifacts
 from .data import Dataset
 from .energy import inference_cost
 from .ensemble import EnsembleModel, weighted_vote
@@ -279,19 +277,9 @@ EVENT_FIELDS = ["time", "event", "voltage", "p_harv", "sample_index",
                 "inference_energy", "retrain_energy"]
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def events_csv(report: SimReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EVENT_FIELDS)
-    for row in report.events:
-        writer.writerow([_fmt(row[k]) for k in EVENT_FIELDS])
-    return buf.getvalue()
+    return artifacts.csv_text(EVENT_FIELDS,
+                              ([row[k] for k in EVENT_FIELDS] for row in report.events))
 
 
 def failure_rate_reduction(report: SimReport, baseline: SimReport):
@@ -306,14 +294,10 @@ def render_report(report: SimReport, fmt="text", baseline: SimReport = None) -> 
         d["baseline_policy"] = baseline.policy
         d["failure_rate_reduction_vs_baseline"] = failure_rate_reduction(report, baseline)
     if fmt == "json":
-        return json.dumps(d, indent=2, sort_keys=True) + "\n"
+        return artifacts.json_text(d)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         keys = sorted(k for k in d if k != "learners_histogram")
-        writer.writerow(keys)
-        writer.writerow([_fmt(d[k]) if d[k] is not None else "n/a" for k in keys])
-        return buf.getvalue()
+        return artifacts.csv_text(keys, [[d[k] for k in keys]])
     if fmt == "text":
         lines = [f"policy: {d['policy']} (seed {d['seed']})",
                  f"requests: {d['total_requests']}  failures: {d['failures']}",

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline on a small self-contained workspace."""
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -150,6 +151,52 @@ def test_simulate_rejects_non_finite_trace(workspace, tmp_path, capsys):
                "--trace", str(trace), "--out", str(tmp_path / "sims")])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+def _edit_json(edit):
+    def corrupt(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return corrupt
+
+
+# case: (file under a copy of the build dir plus q.json, how it is corrupted)
+CORRUPT_ARTIFACTS = {
+    "npy-header-cut": ("pool/learner-00.params.npy",
+                       lambda p: p.write_bytes(p.read_bytes()[:20])),
+    "npy-empty": ("pool/learner-00.params.npy", lambda p: p.write_bytes(b"")),
+    "npy-values-cut": ("pool/learner-00.params.npy",
+                       lambda p: np.save(p, np.load(p)[:-3])),
+    "manifest-no-vote-weights": ("ensemble.json",
+                                 _edit_json(lambda d: d.pop("vote_weights"))),
+    "manifest-bad-json": ("ensemble.json", lambda p: p.write_text("{bad")),
+    "pool-entry-no-macs": ("pool/pool.json",
+                           _edit_json(lambda d: d["learners"][0].pop("macs"))),
+    "manifest-version": ("ensemble.json", _edit_json(lambda d: d.update(version=9))),
+    "spec-no-shape": ("pool/learner-00.spec.json",
+                      lambda p: p.write_text('{"layers": []}')),
+    "qtable-unknown-hyper": ("q.json", _edit_json(
+        lambda d: d["hyperparameters"].update(bogus=1))),
+    "qtable-no-values": ("q.json", _edit_json(lambda d: d.pop("values"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_ARTIFACTS))
+def test_simulate_corrupt_artifact_exits_2(workspace, qtable_path, tmp_path,
+                                           capsys, case):
+    rel, corrupt = CORRUPT_ARTIFACTS[case]
+    shutil.copytree(workspace / "build", tmp_path, dirs_exist_ok=True)
+    shutil.copy(qtable_path, tmp_path / "q.json")
+    corrupt(tmp_path / rel)
+    rc = main(["simulate", "--config", str(workspace / "config.json"),
+               "--ensemble", str(tmp_path), "--policy", f"qtable:{tmp_path / 'q.json'}",
+               "--out", str(tmp_path / "sims")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / rel) in err
+    assert "Traceback" not in err
 
 
 def test_simulate_rejects_unknown_policy(workspace, capsys):

@@ -86,6 +86,12 @@ def test_harvester_efficiency_scales_synthetic_trace():
     assert np.array_equal(half.power, 0.5 * full.power)
 
 
+@pytest.mark.parametrize("eff", [-0.5, 0.0, 2.0])
+def test_harvester_efficiency_out_of_range_rejected(eff):
+    with pytest.raises(ConfigError, match="harvester_efficiency"):
+        config.validate_config({"energy": {"harvester_efficiency": eff}})
+
+
 def test_make_dataset_csv_requires_path():
     with pytest.raises(ConfigError, match="dataset.csv.path"):
         config.validate_config({"dataset": {"csv": {"classes": 2,

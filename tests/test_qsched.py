@@ -7,7 +7,7 @@ import pytest
 
 from conftest import PolicyAgent
 from enboost.energy import Capacitor, CostModel, RequestPattern, synth_trace
-from enboost.errors import ConfigError, TableLoadError
+from enboost.errors import ArtifactError, ConfigError
 from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams,
                             SchedulerState, act, decode_state, encode_state,
                             inference_cost, load_qtable, q_update, replay,
@@ -209,13 +209,16 @@ def test_qtable_round_trip_bit_exact(tmp_path):
 def test_qtable_load_errors(tmp_path):
     path = tmp_path / "q.json"
     save_qtable(QTable.zeros(3), path)
-    with pytest.raises(TableLoadError, match="trained for N=3"):
+    with pytest.raises(ArtifactError, match="trained for N=3"):
         load_qtable(path, expected_n=4)
     path.write_text("{not json")
-    with pytest.raises(TableLoadError):
+    with pytest.raises(ArtifactError):
         load_qtable(path)
     path.write_text('{"version": 99}')
-    with pytest.raises(TableLoadError, match="version"):
+    with pytest.raises(ArtifactError, match="version"):
+        load_qtable(path)
+    path.write_text("[]")
+    with pytest.raises(ArtifactError, match="JSON object"):
         load_qtable(path)
 
 
