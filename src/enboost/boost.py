@@ -13,7 +13,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import ConfigError
-from .nn import (NetworkSpec, WeakLearner, flatten_params, forward,
+from .nn import (NetworkSpec, WeakLearner, evaluate, flatten_params, forward,
                  unflatten_params, train)
 from .prune import PruneSchedule, prune_to_budget
 
@@ -49,6 +49,10 @@ class PoolConfig:
             raise ConfigError("pool_size must exceed ensemble_size")
         if self.boost_learning_rate <= 0:
             raise ConfigError("boost_learning_rate must be > 0")
+        if self.train_epochs < 0:
+            raise ConfigError("train_epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if self.prune is None:
             object.__setattr__(self, "prune",
                                PruneSchedule(target_mac_fraction=1.0 / self.ensemble_size))
@@ -86,7 +90,8 @@ def update_weights(w: SampleWeights, learner: WeakLearner, dataset,
 
 def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
     """Train, prune, and boost M weak learners. Learner m trains from a fresh
-    seed (cfg.seed + m) under the weights left by learner m-1."""
+    seed (cfg.seed + m) under the weights left by learner m-1; each pruned
+    learner is evaluated once, on the eval split."""
     weights = init_weights(dataset.split_size("train"))
     pool = []
     for m in range(cfg.pool_size):
@@ -100,6 +105,7 @@ def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
                                   seed=cfg.seed + m,
                                   learning_rate=cfg.learning_rate,
                                   batch_size=cfg.batch_size)
+        learner.eval_accuracy = evaluate(learner, *dataset.split("eval"))
         pool.append(learner)
         weights = update_weights(weights, learner, dataset,
                                  cfg.boost_learning_rate)

@@ -60,9 +60,7 @@ def cmd_train_scheduler(args) -> int:
     if episodes == 0:
         print("warning: episodes = 0, writing an untrained all-zero table",
               file=sys.stderr)
-        table, curve = qsched.QTable.zeros(model.size, hyper), []
-    else:
-        table, curve = qsched.train_offline(env, model, episodes, seed, hyper)
+    table, curve = qsched.train_offline(env, model, episodes, seed, hyper)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     qsched.save_qtable(table, out)

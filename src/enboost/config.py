@@ -21,7 +21,7 @@ from .nn import NetworkSpec, TensorShape
 from .prune import PruneSchedule
 from .qsched import EnvConfig, QHyperParams, RewardParams
 
-# schema: {key: (type or nested schema, default)}; None default means required
+# schema: {key: (type or nested schema, default)}; only a None default allows null
 _NUM = (int, float)
 
 _SCHEMA = {
@@ -123,43 +123,42 @@ def _validate(doc, schema, path):
         raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
     for key, (kind, default) in schema.items():
         here = f"{path}.{key}" if path else key
-        if key in doc:
-            value = doc[key]
-            if isinstance(kind, dict):
-                if value is None:
-                    out[key] = None
-                else:
-                    out[key] = _validate(value, kind, here)
-            else:
-                if value is None:
-                    out[key] = None
-                elif kind is _NUM:
-                    if isinstance(value, bool) or not isinstance(value, _NUM):
-                        raise ConfigError(f"{here}: expected a number")
-                    out[key] = float(value)
-                elif not isinstance(value, kind) or isinstance(value, bool):
-                    raise ConfigError(f"{here}: expected {getattr(kind, '__name__', kind)}")
-                else:
-                    out[key] = value
+        value = doc.get(key, default)
+        if value is None:
+            if default is not None:
+                raise ConfigError(f"{here}: must not be null")
+            out[key] = None
+        elif isinstance(kind, dict):
+            out[key] = _validate(value, kind, here)
+        elif kind is _NUM:
+            if isinstance(value, bool) or not isinstance(value, _NUM):
+                raise ConfigError(f"{here}: expected a number")
+            out[key] = float(value)
+        elif not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigError(f"{here}: expected {getattr(kind, '__name__', kind)}")
         else:
-            if isinstance(kind, dict):
-                out[key] = None if default is None else _validate(default, kind, here)
-            else:
-                out[key] = copy.deepcopy(default)
+            out[key] = copy.deepcopy(value)
     return out
 
 
 def validate_config(doc: dict) -> dict:
     cfg = _validate(doc, _SCHEMA, "")
-    if cfg["dataset"]["csv"] is not None and cfg["dataset"]["csv"]["path"] is None:
-        raise ConfigError("dataset.csv.path is required when dataset.csv is set")
+    csv_cfg = cfg["dataset"]["csv"]
+    for key in ("path", "classes", "shape"):
+        if csv_cfg is not None and csv_cfg[key] is None:
+            raise ConfigError(f"dataset.csv.{key} is required when dataset.csv is set")
     if cfg["pool"]["pool_size"] <= cfg["ensemble"]["size"]:
         raise ConfigError("pool.pool_size must exceed ensemble.size")
     if not 2 <= cfg["ensemble"]["size"]:
         raise ConfigError("ensemble.size must be >= 2")
     eff = cfg["energy"]["harvester_efficiency"]
-    if eff is None or not 0.0 < eff <= 1.0:
+    if not 0.0 < eff <= 1.0:
         raise ConfigError(f"energy.harvester_efficiency must be in (0, 1], got {eff}")
+    t = cfg["energy"]["power_thresholds"]
+    if t is not None and not (len(t) == 2 and all(type(v) in _NUM for v in t)
+                              and t[0] < t[1]):
+        raise ConfigError("energy.power_thresholds must be null or two numbers "
+                          f"t1 < t2, got {t}")
     return cfg
 
 

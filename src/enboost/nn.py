@@ -456,10 +456,11 @@ def evaluate(learner: WeakLearner, x, y) -> float:
 
 def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
           seed, batch_size=32):
-    """Weighted-loss SGD over the train split; refreshes eval_accuracy.
+    """Weighted-loss SGD over the train split.
 
     Per-sample weights multiply each sample's cross-entropy before the batch
-    mean. Returns (trained learner, per-epoch mean loss history).
+    mean. Returns (trained learner, per-epoch mean loss history); the learner
+    is not evaluated, so its eval_accuracy is 0.0.
     """
     x, y = dataset.split("train")
     weights = np.asarray(sample_weights, dtype=np.float64)
@@ -485,11 +486,8 @@ def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
             _sgd_step(params, grads, learning_rate)
             total += loss * len(sel)
         history.append(total / n)
-    out = WeakLearner(spec=spec, params=params, macs=learner.macs,
-                      eval_accuracy=0.0, id=learner.id)
-    ex, ey = dataset.split("eval")
-    out.eval_accuracy = evaluate(out, ex, ey)
-    return out, history
+    return WeakLearner(spec=spec, params=params, macs=learner.macs,
+                       eval_accuracy=0.0, id=learner.id), history
 
 
 def train_fc_only(learner: WeakLearner, batch_x, batch_y, sample_weights,
@@ -510,11 +508,8 @@ def train_fc_only(learner: WeakLearner, batch_x, batch_y, sample_weights,
     params = copy_params(learner.params)
     y_onehot = _one_hot(y, spec.class_count)
     _, grads, probs = _loss_and_grads(spec, params, x, y_onehot, weights)
-    for idx, layer in enumerate(spec.layers):
-        if layer.kind == FC and grads[idx] is not None:
-            w, b = params[idx]
-            params[idx] = (w - learning_rate * grads[idx][0],
-                           b - learning_rate * grads[idx][1])
+    _sgd_step(params, [g if layer.kind == FC else None
+                       for layer, g in zip(spec.layers, grads)], learning_rate)
     out = WeakLearner(spec=spec, params=params, macs=learner.macs,
                       eval_accuracy=learner.eval_accuracy, id=learner.id)
     return out, probs

@@ -8,9 +8,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, ShapeError
+from .errors import BudgetInfeasibleError, ConfigError, ShapeError
 from .nn import (CONV, FC, NetworkSpec, WeakLearner, copy_params, count_macs,
-                 evaluate, train)
+                 train)
 
 
 @dataclass(frozen=True)
@@ -21,12 +21,12 @@ class PruneSchedule:
 
     def __post_init__(self):
         if not 0.0 < self.target_mac_fraction <= 1.0:
-            raise ShapeError(
+            raise ConfigError(
                 f"target_mac_fraction must be in (0, 1], got {self.target_mac_fraction}")
         if self.filters_removed_per_step < 1:
-            raise ShapeError("filters_removed_per_step must be >= 1")
+            raise ConfigError("filters_removed_per_step must be >= 1")
         if self.retrain_epochs_per_step < 0:
-            raise ShapeError("retrain_epochs_per_step must be >= 0")
+            raise ConfigError("retrain_epochs_per_step must be >= 0")
 
 
 def conv_layer_indices(spec: NetworkSpec):
@@ -112,39 +112,23 @@ def prune_to_budget(learner: WeakLearner, dataset, sample_weights,
                     schedule: PruneSchedule, seed, learning_rate=0.1,
                     batch_size=32) -> WeakLearner:
     """Prune globally-lowest-L2 filters until count_macs <= ceil(fraction *
-    original), retraining between steps and after the final one."""
-    if schedule.target_mac_fraction == 1.0:
-        return learner.copy()
+    original), retraining after every step. The result is not evaluated."""
     target = math.ceil(schedule.target_mac_fraction * learner.macs)
     current = learner
     while current.macs > target:
-        ranked = rank_filters(current)
-        # global candidate list, each layer may lose all but one filter
-        candidates = []
-        for idx, entries in ranked.items():
-            budget = len(entries) - 1
-            for f, norm in entries[:budget]:
-                candidates.append((norm, idx, f))
-        candidates.sort(key=lambda t: (t[0], t[1], t[2]))
+        # global candidate list: each layer may lose all but one filter, so
+        # no prefix of it can empty a layer
+        candidates = sorted((norm, idx, f)
+                            for idx, entries in rank_filters(current).items()
+                            for f, norm in entries[:-1])
         if not candidates:
             # every conv layer is down to one filter
             raise BudgetInfeasibleError(conv_layer_indices(current.spec)[0])
         victims = {}
-        remaining = {idx: len(entries) for idx, entries in ranked.items()}
-        for norm, idx, f in candidates:
-            if len([v for vs in victims.values() for v in vs]) >= schedule.filters_removed_per_step:
-                break
-            if remaining[idx] <= 1:
-                continue
+        for _, idx, f in candidates[:schedule.filters_removed_per_step]:
             victims.setdefault(idx, []).append(f)
-            remaining[idx] -= 1
-        current = prune_step(current, victims)
-        if schedule.retrain_epochs_per_step > 0:
-            current, _ = train(current, dataset, sample_weights,
-                               epochs=schedule.retrain_epochs_per_step,
-                               learning_rate=learning_rate, seed=seed,
-                               batch_size=batch_size)
-    ex, ey = dataset.split("eval")
-    current = current.copy()
-    current.eval_accuracy = evaluate(current, ex, ey)
+        current, _ = train(prune_step(current, victims), dataset, sample_weights,
+                           epochs=schedule.retrain_epochs_per_step,
+                           learning_rate=learning_rate, seed=seed,
+                           batch_size=batch_size)
     return current

@@ -285,8 +285,11 @@ def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
 
     Each episode replays the trace from the start. Misses that happen while
     the device is off are charged (as -p_miss) to the reward of the previous
-    action. Returns (QTable, per-episode cumulative reward list).
+    action. Returns (QTable, per-episode cumulative reward list); 0 episodes
+    give the all-zero table.
     """
+    if episodes < 0:
+        raise ConfigError(f"episodes must be >= 0, got {episodes}")
     params = replace(env.reward, delta_acc=tuple(ensemble_model.delta_acc))
     hyper = hyper or QHyperParams()
     table = QTable.zeros(ensemble_model.size, hyper)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import tiny_spec
-from enboost import boost
+from enboost import boost, nn, prune
 from enboost.boost import (PoolConfig, SampleWeights, build_pool, init_weights,
                            load_pool, normalize, save_pool, update_weights,
                            weight_multipliers)
 from enboost.data import synth_dataset
 from enboost.errors import ConfigError
-from enboost.nn import WeakLearner, forward, train
+from enboost.nn import WeakLearner, evaluate, forward, train
 from enboost.prune import PruneSchedule, prune_to_budget
 
 
@@ -94,6 +94,10 @@ def test_pool_config_validation():
         PoolConfig(pool_size=3, ensemble_size=1)
     with pytest.raises(ConfigError):
         PoolConfig(pool_size=3, ensemble_size=2, boost_learning_rate=0.0)
+    with pytest.raises(ConfigError):
+        PoolConfig(pool_size=3, ensemble_size=2, batch_size=0)
+    with pytest.raises(ConfigError):
+        PoolConfig(pool_size=3, ensemble_size=2, train_epochs=-1)
 
 
 def test_build_pool_shape_and_budget():
@@ -127,6 +131,21 @@ def test_first_pool_learner_equals_standalone_train_prune():
                             learning_rate=cfg.learning_rate,
                             batch_size=cfg.batch_size)
     assert pool[0].checksum() == fresh.checksum()
+    assert pool[0].eval_accuracy == evaluate(fresh, *ds.split("eval"))
+
+
+def test_build_pool_evaluates_each_learner_once(monkeypatch):
+    spec, ds, cfg = small_pool_setup()
+    evaluated = []
+
+    def counting_evaluate(learner, x, y, real=nn.evaluate):
+        evaluated.append(learner.id)
+        return real(learner, x, y)
+
+    for module in (nn, prune, boost):
+        monkeypatch.setattr(module, "evaluate", counting_evaluate, raising=False)
+    build_pool(spec, ds, cfg)
+    assert evaluated == [f"learner-{m:02d}" for m in range(cfg.pool_size)]
 
 
 def test_successive_learners_disagree():

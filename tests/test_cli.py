@@ -44,14 +44,35 @@ def test_build_summary_respects_budget(workspace):
     assert (workspace / "build" / "pool").is_dir()
 
 
-def test_invalid_config_exits_1_without_output(tmp_path, capsys):
-    bad = dict(LIGHT_CONFIG, pool={"pool_size": 2}, ensemble={"size": 2})
-    (tmp_path / "config.json").write_text(json.dumps(bad))
-    rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
-               "--out", str(tmp_path / "build")])
+# case: (command, sections replacing LIGHT_CONFIG's, extra flags)
+BAD_CONFIGS = {
+    "pool-size": ("build-ensemble", {"pool": {"pool_size": 2}, "ensemble": {"size": 2}}, []),
+    "train-epochs-null": ("build-ensemble", {"pool": {"train_epochs": None}}, []),
+    "generator-null": ("build-ensemble", {"dataset": {"generator": None}}, []),
+    "batch-size-0": ("build-ensemble", {"pool": {"batch_size": 0}}, []),
+    "train-epochs-negative": ("build-ensemble", {"pool": {"train_epochs": -1}}, []),
+    "filters-per-step-0": ("build-ensemble",
+                           {"pool": {"prune": {"filters_removed_per_step": 0}}}, []),
+    "episodes-null": ("train-scheduler", {"scheduler": {"episodes": None}}, []),
+    "episodes-negative": ("train-scheduler", {"scheduler": {"episodes": -3}}, []),
+    "episodes-flag-negative": ("train-scheduler", {}, ["--episodes", "-3"]),
+    "power-thresholds-short": ("train-scheduler",
+                               {"energy": {"power_thresholds": [1]}}, []),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_invalid_config_exits_1_without_output(case, workspace, tmp_path, capsys):
+    command, sections, flags = BAD_CONFIGS[case]
+    (tmp_path / "config.json").write_text(json.dumps(dict(LIGHT_CONFIG, **sections)))
+    if command == "train-scheduler":
+        flags = ["--ensemble", str(workspace / "build"), *flags]
+    rc = main([command, "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out"), *flags])
+    err = capsys.readouterr().err
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "build").exists()
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_reruns_byte_identical(workspace, tmp_path):

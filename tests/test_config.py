@@ -34,6 +34,29 @@ def test_type_errors_are_reported_with_path():
         config.validate_config({"energy": {"capacitor": {"capacitance": True}}})
 
 
+def test_null_only_where_the_default_is_null():
+    cfg = config.validate_config({"dataset": {"csv": None},
+                                  "energy": {"power_thresholds": None,
+                                             "initial_voltage": None}})
+    assert cfg["dataset"]["csv"] is None
+    assert cfg["energy"]["power_thresholds"] is None
+    with pytest.raises(ConfigError, match="pool.train_epochs: must not be null"):
+        config.validate_config({"pool": {"train_epochs": None}})
+    with pytest.raises(ConfigError, match="dataset.generator: must not be null"):
+        config.validate_config({"dataset": {"generator": None}})
+    shape = config.default_config()["dataset"]["generator"]["shape"]
+    shape.append(9)
+    assert config.default_config()["dataset"]["generator"]["shape"] == [3, 12, 12]
+
+
+@pytest.mark.parametrize("thresholds", [[], [1e-4], [2e-4, 1e-4], [1e-4, True],
+                                        [1e-4, 2e-4, 3e-4]],
+                         ids=["empty", "one", "decreasing", "bool", "three"])
+def test_power_thresholds_must_be_two_increasing_numbers(thresholds):
+    with pytest.raises(ConfigError, match="power_thresholds"):
+        config.validate_config({"energy": {"power_thresholds": thresholds}})
+
+
 def test_pool_must_exceed_ensemble():
     with pytest.raises(ConfigError, match="must exceed"):
         config.validate_config({"pool": {"pool_size": 4},
@@ -96,6 +119,11 @@ def test_make_dataset_csv_requires_path():
     with pytest.raises(ConfigError, match="dataset.csv.path"):
         config.validate_config({"dataset": {"csv": {"classes": 2,
                                                     "shape": [1, 2, 2]}}})
+    with pytest.raises(ConfigError, match="dataset.csv.classes"):
+        config.validate_config({"dataset": {"csv": {"path": "d.csv",
+                                                    "shape": [1, 2, 2]}}})
+    with pytest.raises(ConfigError, match="dataset.csv.shape"):
+        config.validate_config({"dataset": {"csv": {"path": "d.csv", "classes": 2}}})
 
 
 def test_make_network_custom_spec(tmp_path):

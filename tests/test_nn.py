@@ -7,9 +7,9 @@ from conftest import tiny_spec
 from enboost.data import synth_dataset
 from enboost.errors import ShapeError, TrainingDivergedError
 from enboost.nn import (NetworkSpec, TensorShape, WeakLearner, avgpool, conv,
-                        count_macs, count_params, fc, flatten_params, forward,
-                        gradient_check, params_checksum, softmax_layer, train,
-                        train_fc_only, unflatten_params)
+                        count_macs, count_params, evaluate, fc, flatten_params,
+                        forward, gradient_check, params_checksum, softmax_layer,
+                        train, train_fc_only, unflatten_params)
 
 
 def fc_net(inputs, units, classes=None):
@@ -138,7 +138,7 @@ def test_separable_two_class_set_reaches_95_percent():
     learner = WeakLearner.initialize(tiny_spec(classes=2), seed=0, learner_id="t")
     learner, _ = train(learner, ds, np.ones(ds.split_size("train")),
                        epochs=50, learning_rate=0.05, seed=0)
-    assert learner.eval_accuracy >= 0.95
+    assert evaluate(learner, *ds.split("eval")) >= 0.95
 
 
 def test_training_diverges_on_non_finite_loss():
