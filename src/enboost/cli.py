@@ -108,13 +108,18 @@ def cmd_simulate(args) -> int:
                                 if policy.name != "all" else "off",
                                 retrain_learning_rate=cfg["simulation"]["retrain_learning_rate"])
 
-    jobs = [sim_config(baseline_policy)] + [sim_config(p) for p in policies]
+    # a policy named "all" has the baseline's SimConfig, so it takes the
+    # baseline's report instead of running again
+    runs = [p for p in policies if p.name != "all"]
+    jobs = [sim_config(baseline_policy)] + [sim_config(p) for p in runs]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(simrun.run, jobs))
     else:
         reports = [simrun.run(c) for c in jobs]
-    baseline_report, policy_reports = reports[0], reports[1:]
+    baseline_report, rest = reports[0], iter(reports[1:])
+    policy_reports = [baseline_report if p.name == "all" else next(rest)
+                      for p in policies]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -147,6 +147,12 @@ def validate_config(doc: dict) -> dict:
     for key in ("path", "classes", "shape"):
         if csv_cfg is not None and csv_cfg[key] is None:
             raise ConfigError(f"dataset.csv.{key} is required when dataset.csv is set")
+    for name in ("generator", "csv"):
+        shape = (cfg["dataset"][name] or {}).get("shape")
+        if shape is not None and not (len(shape) == 3 and all(
+                type(v) is int and v > 0 for v in shape)):
+            raise ConfigError(f"dataset.{name}.shape must be three positive "
+                              f"integers, got {shape}")
     if cfg["pool"]["pool_size"] <= cfg["ensemble"]["size"]:
         raise ConfigError("pool.pool_size must exceed ensemble.size")
     if not 2 <= cfg["ensemble"]["size"]:

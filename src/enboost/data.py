@@ -2,6 +2,7 @@
 label-shifted drift variant used to exercise on-device retraining."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,8 @@ def load_csv(path, input_shape, class_count, split_fractions=(0.6, 0.2, 0.2),
                 rows.append([float(v) for v in parts[1:]])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise ConfigError(f"{path}:{lineno}: non-finite value")
     if not rows:
         raise ConfigError(f"{path}: no samples")
     x = np.asarray(rows).reshape(len(rows), *shape)

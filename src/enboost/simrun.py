@@ -9,6 +9,9 @@ module supplies its decision and its forward, retrain and vote hooks.
 Service is instantaneous in simulated time; "concurrent inference and
 training" means one learner's forward pass is reused for both, not thread
 parallelism.
+
+Requests cycle through the sample split, so a run memoizes each learner's
+batch-1 forward per sample and reuses it until that learner is retrained.
 """
 from __future__ import annotations
 
@@ -172,7 +175,11 @@ def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):
 class _Server(Agent):
     """The simulator's decision and hooks on `replay`: the policy or the
     retrain target decides, each learner that runs does a forward pass (one
-    of them also retrains), and the vote fills one events row per request."""
+    of them also retrains), and the vote fills one events row per request.
+
+    Forwards are memoized per (learner, sample) until the learner is
+    retrained.  The memo stores the batch-1 `forward` itself: a batched
+    forward over the split gives other bits."""
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -180,6 +187,7 @@ class _Server(Agent):
         self.costs = [inference_cost(l.macs, cfg.env.cost_model)
                       for l in cfg.ensemble.learners]
         self.learners = [l.copy() for l in cfg.ensemble.learners]
+        self.memo = [{} for _ in self.learners]   # sample index -> probabilities
         self.sx, self.sy = cfg.dataset.split(cfg.sample_split)
         self.retrain_cursor = 0
         self.events = []
@@ -228,11 +236,15 @@ class _Server(Agent):
                 self.learners[l], probs = train_fc_only(
                     self.learners[l], self.x[None], [self.label], [1.0],
                     self.cfg.retrain_learning_rate)
+                self.memo[l].clear()
                 self.probs.append(probs[0])
                 row["retrain_energy"] += increment
                 row["retrained_learner"] = l
                 return
-        self.probs.append(forward(self.learners[l], self.x))
+        memo, i = self.memo[l], row["sample_index"]
+        if i not in memo:
+            memo[i] = forward(self.learners[l], self.x)
+        self.probs.append(memo[i])
 
     def done(self, l, end):
         row = self.row

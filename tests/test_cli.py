@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_spec
+from enboost import simrun
 from enboost.cli import main
 from enboost.qsched import load_qtable
 
@@ -58,6 +59,12 @@ BAD_CONFIGS = {
     "episodes-flag-negative": ("train-scheduler", {}, ["--episodes", "-3"]),
     "power-thresholds-short": ("train-scheduler",
                                {"energy": {"power_thresholds": [1]}}, []),
+    "generator-shape-short": ("build-ensemble",
+                              {"dataset": {"generator": {"shape": [3, 12]}}}, []),
+    "generator-shape-str": ("build-ensemble",
+                            {"dataset": {"generator": {"shape": ["a", 12, 12]}}}, []),
+    "generator-shape-zero": ("build-ensemble",
+                             {"dataset": {"generator": {"shape": [3, 0, 12]}}}, []),
 }
 
 
@@ -72,6 +79,23 @@ def test_invalid_config_exits_1_without_output(case, workspace, tmp_path, capsys
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("error:") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_rejects_non_finite_csv(tmp_path, capsys):
+    tiny_spec().save(tmp_path / "net.json")
+    rng = np.random.default_rng(0)
+    rows = [[i % 3, *rng.standard_normal(2 * 8 * 8)] for i in range(30)]
+    rows[7][5], rows[20][9] = float("nan"), float("inf")
+    (tmp_path / "d.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    doc = dict(LIGHT_CONFIG, dataset={"csv": {"path": "d.csv", "classes": 3,
+                                              "shape": [2, 8, 8]}})
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {tmp_path / 'd.csv'}:8: non-finite value\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -150,6 +174,43 @@ def test_simulate_rerun_byte_identical(workspace, qtable_path, sim_out):
     for rel in ("report.json", "events.csv"):
         assert ((out2 / "fixed-1" / rel).read_bytes() ==
                 (sim_out / "fixed-1" / rel).read_bytes())
+
+
+@pytest.mark.parametrize("policies, runs", [(["all", "fixed:1"], 2), (["fixed:9"], 1)],
+                         ids=["all-fixed-1", "fixed-9"])
+def test_simulate_runs_the_all_baseline_once(workspace, sim_out, tmp_path,
+                                            monkeypatch, policies, runs):
+    # fixed:k with k >= N is the all-N policy too
+    names = []
+    real_run = simrun.run
+
+    def counted(cfg):
+        names.append(cfg.policy.name)
+        return real_run(cfg)
+
+    monkeypatch.setattr(simrun, "run", counted)
+    argv = ["simulate", "--config", str(workspace / "config.json"),
+            "--ensemble", str(workspace / "build"), "--out", str(tmp_path)]
+    for policy in policies:
+        argv += ["--policy", policy]
+    assert main(argv) == 0
+    assert len(names) == runs and names.count("all") == 1
+    for rel in ("report.json", "events.csv"):
+        assert (tmp_path / "all" / rel).read_bytes() == (sim_out / "all" / rel).read_bytes()
+
+
+def test_simulate_jobs_write_identical_trees(workspace, qtable_path, tmp_path, capsys):
+    outputs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs-{jobs}"
+        assert main(["simulate", "--config", str(workspace / "config.json"),
+                     "--ensemble", str(workspace / "build"),
+                     "--policy", f"qtable:{qtable_path}", "--policy", "fixed:1",
+                     "--policy", "all", "--jobs", str(jobs), "--out", str(out)]) == 0
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        outputs.append((files, capsys.readouterr().out))
+    assert len(outputs[0][0]) == 6
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("mode", ["off", "high-energy"])

@@ -57,6 +57,17 @@ def test_power_thresholds_must_be_two_increasing_numbers(thresholds):
         config.validate_config({"energy": {"power_thresholds": thresholds}})
 
 
+@pytest.mark.parametrize("section", ["generator", "csv"])
+@pytest.mark.parametrize("shape", [[3, 12], [3, 12, 12, 1], ["a", 12, 12],
+                                   [3, 0, 12], [3, True, 12], [3.0, 12, 12]],
+                         ids=["two", "four", "str", "zero", "bool", "float"])
+def test_dataset_shape_must_be_three_positive_ints(section, shape):
+    doc = {"generator": {"shape": shape}} if section == "generator" else \
+        {"csv": {"path": "d.csv", "classes": 3, "shape": shape}}
+    with pytest.raises(ConfigError, match=f"dataset.{section}.shape"):
+        config.validate_config({"dataset": doc})
+
+
 def test_pool_must_exceed_ensemble():
     with pytest.raises(ConfigError, match="must exceed"):
         config.validate_config({"pool": {"pool_size": 4},

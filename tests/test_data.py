@@ -67,6 +67,10 @@ def test_load_csv_errors(tmp_path):
     path.write_text("0,1.0,2.0,3.0,oops\n")
     with pytest.raises(ConfigError, match=":1:"):
         load_csv(path, TensorShape(1, 2, 2), class_count=2)
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"0,1.0,2.0,3.0,4.0\n1,1.0,{bad},3.0,4.0\n")
+        with pytest.raises(ConfigError, match=":2: non-finite value"):
+            load_csv(path, TensorShape(1, 2, 2), class_count=2)
     path.write_text("# only comments\n")
     with pytest.raises(ConfigError, match="no samples"):
         load_csv(path, TensorShape(1, 2, 2), class_count=2)

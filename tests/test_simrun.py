@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import PolicyAgent, tiny_spec
+from enboost import simrun
 from enboost.boost import PoolConfig, build_pool
-from enboost.data import synth_dataset
+from enboost.data import drift_dataset, synth_dataset
 from enboost.energy import (Capacitor, CostModel, RequestPattern,
                             inference_cost, synth_trace)
-from enboost.ensemble import backfit_select
+from enboost.ensemble import backfit_select, weighted_vote
 from enboost.errors import ConfigError
+from enboost.nn import forward, train_fc_only
 from enboost.prune import PruneSchedule
 from enboost.qsched import EnvConfig, QTable, RewardParams, replay, _make_device
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
@@ -111,6 +113,46 @@ def test_run_matches_bare_stepper(small_model):
         assert [e["learners_run"] for e in report.events] == agent.runs
         assert report.final_energy == device.energy
         assert report.failures > 0
+
+
+def test_run_forwards_each_learner_sample_once(small_model, monkeypatch):
+    model, ds = small_model
+    split = ds.split_size("test")
+    calls = []
+
+    def counted(learner, x):
+        calls.append(learner.id)
+        return forward(learner, x)
+
+    monkeypatch.setattr(simrun, "forward", counted)
+    report = run(SimConfig(env=abundant(model, requests=3 * split), ensemble=model,
+                           dataset=ds, policy=FixedKPolicy(model.size, model.size)))
+    assert report.learners_histogram == {model.size: 3 * split}
+    assert len(calls) == model.size * split
+
+
+def test_retrained_learner_is_forwarded_again(small_model):
+    # samples come back after their learners were rewritten; every prediction
+    # must come from the learners' parameters at that request
+    model, ds = small_model
+    drift = drift_dataset(ds)
+    split = ds.split_size("test")
+    cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
+                    dataset=ds, policy=FixedKPolicy(model.size, model.size),
+                    retrain_mode="high-energy", retrain_learning_rate=0.5)
+    report, _, _ = run_concurrent_training(cfg, drift)
+    assert report.retrain_events == report.total_requests == 4 * split
+    shadow = [l.copy() for l in model.learners]
+    sx, sy = drift.split("test")
+    for event in report.events:
+        k = event["learners_run"]
+        x = sx[event["sample_index"]]
+        pred, _ = weighted_vote(np.stack([forward(l, x) for l in shadow[:k]]),
+                                model.vote_weights[:k])
+        assert pred == event["predicted"]
+        r = event["retrained_learner"]
+        shadow[r], _ = train_fc_only(shadow[r], x[None],
+                                     [int(sy[event["sample_index"]])], [1.0], 0.5)
 
 
 def test_empty_request_log(small_model):
