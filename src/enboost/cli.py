@@ -20,7 +20,7 @@ def cmd_build_ensemble(args) -> int:
     config_dir = Path(args.config).parent
     pool_cfg = cfgmod.make_pool_config(cfg, seed=args.seed)
     base_spec = cfgmod.make_network(cfg, config_dir)
-    dataset = cfgmod.make_dataset(cfg, config_dir)
+    dataset = cfgmod.make_dataset(cfg, config_dir, base_spec.input_shape)
 
     pool, _ = boost.build_pool(base_spec, dataset, pool_cfg)
     eval_x, eval_y = dataset.split("eval")
@@ -95,10 +95,15 @@ def cmd_simulate(args) -> int:
     if args.trace is not None:
         cfg["energy"]["trace"]["csv"] = str(Path(args.trace).resolve())
     env = cfgmod.make_env(cfg, config_dir)
-    dataset = cfgmod.make_dataset(cfg, config_dir)
     model = ens.load_ensemble(Path(args.ensemble) / "ensemble.json")
+    dataset = cfgmod.make_dataset(cfg, config_dir, model.learners[0].spec.input_shape)
     seed = cfg["simulation"]["seed"] if args.seed is None else args.seed
     policies = [_parse_policy(tok, model) for tok in args.policy]
+    names = [p.name for p in policies]
+    for name in names:
+        if names.count(name) > 1:   # each name writes one run directory
+            tokens = [tok for tok, n in zip(args.policy, names) if n == name]
+            raise ConfigError(f"--policy values {tokens} are all named {name!r}")
     baseline_policy = simrun.FixedKPolicy(model.size, model.size)
 
     def sim_config(policy):

@@ -199,10 +199,15 @@ def make_network(cfg: dict, config_dir=".") -> NetworkSpec:
     return NetworkSpec.load(Path(config_dir) / spec_path)
 
 
-def make_dataset(cfg: dict, config_dir=".") -> Dataset:
+def make_dataset(cfg: dict, config_dir=".", input_shape=None) -> Dataset:
+    """The configured dataset, checked against `input_shape` when given."""
     csv_cfg = cfg["dataset"]["csv"]
+    name = "generator" if csv_cfg is None else "csv"
+    shape = TensorShape(*cfg["dataset"][name]["shape"])
+    if input_shape is not None and shape != input_shape:
+        raise ConfigError(f"dataset.{name}.shape {shape.to_list()} differs from "
+                          f"the network's input shape {input_shape.to_list()}")
     if csv_cfg is not None:
-        shape = TensorShape(*csv_cfg["shape"])
         return load_csv(Path(config_dir) / csv_cfg["path"], shape,
                         csv_cfg["classes"], seed=csv_cfg["seed"])
     g = cfg["dataset"]["generator"]

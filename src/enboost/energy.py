@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +32,16 @@ class Capacitor:
     def energy(self) -> float:
         return 0.5 * self.capacitance * self.voltage ** 2
 
-    @property
+    # the fields are frozen, so the derived energies are computed once
+    @cached_property
     def max_energy(self) -> float:
         return 0.5 * self.capacitance * self.v_max ** 2
 
-    @property
+    @cached_property
     def cutoff_energy(self) -> float:
         return 0.5 * self.capacitance * self.v_cutoff ** 2
 
-    @property
+    @cached_property
     def max_usable_energy(self) -> float:
         return self.max_energy - self.cutoff_energy
 
@@ -224,7 +226,8 @@ def power_terciles(trace: PowerTrace):
 @dataclass
 class Device:
     """Live state of one run: the stored charge `energy` in joules, starting
-    at the capacitor's initial charge, and the harvest/load ledger."""
+    at the capacitor's initial charge, and the harvest/load ledger. Time only
+    moves forward, so a cursor `_idx` walks the trace samples."""
     cap: Capacitor
     trace: PowerTrace
     cost_model: CostModel
@@ -235,6 +238,19 @@ class Device:
 
     def __post_init__(self):
         self.energy = self.cap.energy
+        self._times = self.trace.times.tolist()
+        self._power = self.trace.power.tolist()
+        self._idx = 0
+        self._seek(self.t)
+
+    def _seek(self, t: float) -> int:
+        """Move the cursor past every sample at or before t; the sample in
+        force at t is the one before it (the first, before the trace)."""
+        times, i = self._times, self._idx
+        while i < len(times) and times[i] <= t:
+            i += 1
+        self._idx = i
+        return i
 
     @property
     def usable_energy(self) -> float:
@@ -258,21 +274,27 @@ class Device:
         splitting at trace sample boundaries for exact bookkeeping."""
         if load_power is None:
             load_power = self.cost_model.sleep_power
-        times = self.trace.times
-        while self.t < until - 1e-12:
-            idx = int(np.searchsorted(times, self.t, side="right"))
-            seg_end = min(until, float(times[idx])) if idx < times.size else until
-            dt = seg_end - self.t
-            if dt <= 0:
-                break
-            p_harv = float(self.trace.power[max(idx - 1, 0)])
-            before = self.energy
-            self.energy = step(self.cap, before, p_harv, load_power, dt)
+        times, power, cap = self._times, self._power, self.cap
+        t, energy = self.t, self.energy
+        harvested, consumed = self.harvested, self.consumed
+        i, n = self._seek(t), len(times)
+        while t < until - 1e-12:
+            p_harv = power[i - 1] if i else power[0]
+            if i < n and times[i] < until:   # the segment ends at a sample
+                seg_end, i = times[i], i + 1
+            else:
+                seg_end = until
+            dt = seg_end - t
+            before = energy
+            energy = step(cap, before, p_harv, load_power, dt)
             # attribute the clamped delta: absorbed harvest vs served load
             served_load = min(load_power * dt, before + p_harv * dt)
-            self.harvested += self.energy - before + served_load
-            self.consumed += served_load
-            self.t = seg_end
+            harvested += energy - before + served_load
+            consumed += served_load
+            t = seg_end
+        self.t, self.energy = t, energy
+        self.harvested, self.consumed = harvested, consumed
+        self._idx = i
 
     def draw(self, joules: float) -> bool:
         """Instantaneous usable-energy spend; False if the store cannot cover
@@ -287,4 +309,6 @@ class Device:
 
     @property
     def p_harv(self) -> float:
-        return self.trace.power_at(self.t)
+        """Harvested power in force at `t` (`PowerTrace.power_at`)."""
+        i = self._seek(self.t)
+        return self._power[i - 1] if i else self._power[0]

@@ -146,19 +146,6 @@ def profile_accuracy(model: EnsembleModel, eval_x, eval_y):
     return acc_profile, delta
 
 
-def brute_force_select(pool, n, eval_x, eval_y):
-    """Exhaustive best subset (test oracle for small pools)."""
-    from itertools import combinations
-    labels = np.asarray(eval_y)
-    probs = pool_eval_probs(pool, eval_x)
-    best, best_acc = None, -1.0
-    for combo in combinations(range(len(pool)), n):
-        acc = subset_accuracy(probs[list(combo)], _weights_for(pool, combo), labels)
-        if acc > best_acc:
-            best, best_acc = list(combo), acc
-    return best, best_acc
-
-
 # ---------------------------------------------------------------------------
 # manifest persistence (learner files live in the pool directory)
 

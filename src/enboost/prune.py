@@ -96,18 +96,6 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
                        eval_accuracy=0.0, id=learner.id)
 
 
-def max_single_filter_macs(spec: NetworkSpec) -> int:
-    """Largest MAC contribution of any single prunable filter (budget slack)."""
-    best = 0
-    for idx in conv_layer_indices(spec):
-        layers = list(spec.layers)
-        layers[idx] = replace(layers[idx], filters=layers[idx].filters + 1)
-        grown = NetworkSpec(input_shape=spec.input_shape, layers=tuple(layers),
-                            class_count=spec.class_count)
-        best = max(best, count_macs(grown) - count_macs(spec))
-    return best
-
-
 def prune_to_budget(learner: WeakLearner, dataset, sample_weights,
                     schedule: PruneSchedule, seed, learning_rate=0.1,
                     batch_size=32) -> WeakLearner:

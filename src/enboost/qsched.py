@@ -52,16 +52,6 @@ def encode_state(s: SchedulerState, n: int) -> int:
     return idx
 
 
-def decode_state(index: int, n: int) -> SchedulerState:
-    if not 0 <= index < state_space_size(n):
-        raise ConfigError(f"state index {index} out of range")
-    index, r = divmod(index, 2)
-    index, l = divmod(index, n + 1)
-    index, p_harv = divmod(index, POWER_LEVELS)
-    e_now, e_last = divmod(index, ENERGY_LEVELS)
-    return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p_harv, l=l, r=r)
-
-
 @dataclass(frozen=True)
 class RewardParams:
     beta: float = 0.05
@@ -157,20 +147,18 @@ class EnvConfig:
 class StateTracker:
     """Builds SchedulerState observations for one simulated run, including the
     trailing mean battery level over the last 10 served requests (running mean
-    until 10 exist)."""
+    until 10 exist; the current level until a request is served)."""
 
     def __init__(self, one_learner_cost, power_thresholds):
         self.one_learner_cost = one_learner_cost
         self.power_thresholds = power_thresholds
         self.history = []
+        self.mean_frac = None   # changes only when a request is served
 
     def observe(self, device: Device, l: int, r: int) -> SchedulerState:
         cap = device.cap
         e_now = discretize_energy(device.usable_energy, cap, self.one_learner_cost)
-        if self.history:
-            mean_frac = float(np.mean(self.history[-E_LAST_WINDOW:]))
-        else:
-            mean_frac = device.usable_fraction
+        mean_frac = device.usable_fraction if self.mean_frac is None else self.mean_frac
         e_last = discretize_energy(mean_frac * cap.max_usable_energy, cap,
                                    self.one_learner_cost)
         p = discretize_power(device.p_harv, self.power_thresholds)
@@ -178,6 +166,7 @@ class StateTracker:
 
     def record_post_inference(self, device: Device):
         self.history.append(device.usable_fraction)
+        self.mean_frac = float(np.mean(self.history[-E_LAST_WINDOW:]))
 
 
 def _make_device(env: EnvConfig) -> Device:

@@ -7,18 +7,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import tiny_spec
+from conftest import brute_force_select, max_single_filter_macs, tiny_spec
 from enboost import boost, config, ensemble as ens, qsched, simrun
 from enboost.boost import (PoolConfig, build_pool, init_weights,
                            update_weights, weight_multipliers)
 from enboost.data import drift_dataset, synth_dataset
 from enboost.energy import (Capacitor, CostModel, RequestPattern,
                             inference_cost, synth_trace)
-from enboost.ensemble import backfit_select, brute_force_select, pool_eval_probs, subset_accuracy
+from enboost.ensemble import backfit_select, pool_eval_probs, subset_accuracy
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs,
                         count_params, evaluate, fc, forward, gradient_check,
                         params_checksum, softmax_layer, train_fc_only)
-from enboost.prune import PruneSchedule, max_single_filter_macs
+from enboost.prune import PruneSchedule
 from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams,
                             SchedulerState, act, load_qtable, q_update,
                             save_qtable, train_offline)

@@ -99,6 +99,24 @@ def test_build_rejects_non_finite_csv(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["generator", "csv"])
+def test_build_rejects_dataset_shape_unlike_network(source, tmp_path, capsys):
+    # LIGHT_CONFIG's 2x8x8 samples against the bundled 3x12x12 network
+    rows = [[i % 3, *np.zeros(2 * 8 * 8)] for i in range(30)]
+    (tmp_path / "d.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    dataset = ({"csv": {"path": "d.csv", "classes": 3, "shape": [2, 8, 8]}}
+               if source == "csv" else LIGHT_CONFIG["dataset"])
+    doc = dict(LIGHT_CONFIG, network={}, dataset=dataset)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: dataset.{source}.shape [2, 8, 8] differs from the "
+                   "network's input shape [3, 12, 12]\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_reruns_byte_identical(workspace, tmp_path):
     assert main(["build-ensemble", "--config", str(workspace / "config.json"),
                  "--out", str(tmp_path / "b2")]) == 0
@@ -279,6 +297,39 @@ def test_simulate_corrupt_artifact_exits_2(workspace, qtable_path, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path / rel) in err
     assert "Traceback" not in err
+
+
+def test_simulate_rejects_dataset_shape_unlike_ensemble(workspace, tmp_path, capsys):
+    doc = dict(LIGHT_CONFIG, dataset={"generator": dict(
+        LIGHT_CONFIG["dataset"]["generator"], shape=[3, 12, 12])})
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    rc = main(["simulate", "--config", str(tmp_path / "config.json"),
+               "--ensemble", str(workspace / "build"), "--policy", "all",
+               "--out", str(tmp_path / "sims")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: dataset.generator.shape [3, 12, 12] "
+                                       "differs from the network's input shape "
+                                       "[2, 8, 8]\n")
+    assert not (tmp_path / "sims").exists()
+
+
+@pytest.mark.parametrize("policies, name", [(["qtable:{q}", "fixed:1", "qtable:{q2}"],
+                                             "qtable"),
+                                            (["all", "fixed:2"], "all")],
+                         ids=["two-qtables", "all-and-fixed-N"])
+def test_simulate_rejects_duplicate_policy_names(workspace, qtable_path, tmp_path,
+                                                 capsys, policies, name):
+    shutil.copy(qtable_path, tmp_path / "q2.json")
+    argv = ["simulate", "--config", str(workspace / "config.json"),
+            "--ensemble", str(workspace / "build"), "--out", str(tmp_path / "sims")]
+    for policy in policies:
+        argv += ["--policy", policy.format(q=qtable_path, q2=tmp_path / "q2.json")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"are all named {name!r}\n")
+    assert not (tmp_path / "sims").exists()
 
 
 def test_simulate_rejects_unknown_policy(workspace, capsys):

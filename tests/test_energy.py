@@ -3,6 +3,7 @@ scheduler-state discretizers."""
 import numpy as np
 import pytest
 
+from conftest import SearchsortedDevice
 from enboost import config
 from enboost.energy import (Capacitor, CostModel, Device, PowerTrace,
                             RequestPattern, discretize_energy, discretize_power,
@@ -298,3 +299,44 @@ def test_device_advance_is_time_monotone():
     assert dev.t == 50.0
     dev.advance(10.0)   # no-op: already past
     assert dev.t == 50.0
+
+
+# trace samples at irregular times; the capacitor fills in a few seconds at
+# 0.05 W, so runs hit both clamps
+CURSOR_TRACE = PowerTrace(times=[0.0, 1.0, 2.5, 3.0, 7.0, 7.5, 12.0, 20.0],
+                          power=[0.01, 0.0, 0.05, 0.003, 0.0, 0.02, 0.05, 0.001])
+# ("advance", until, load_power) or ("draw", joules): integer, non-integer,
+# repeated, past and beyond-the-horizon times, sample times, load overrides
+CURSOR_OPS = [("advance", 2.0, None), ("advance", 2.0, None), ("draw", 0.01),
+              ("advance", 2.75, 0.0), ("advance", 2.75 + 1e-13, None),
+              ("advance", 1.0, None), ("advance", 7.0, 0.04), ("draw", 1.0),
+              ("advance", 7.2, None), ("draw", 0.0), ("advance", 11.999, 0.2),
+              ("advance", 12.0, None), ("draw", 0.02), ("advance", 19.5, 0.001),
+              ("advance", 25, None), ("advance", 25.5, 0.0), ("advance", 30, 0.01),
+              ("advance", 3.0, None)]
+
+
+def device_state(dev):
+    return dev.t, dev.energy, dev.harvested, dev.consumed, dev.p_harv
+
+
+@pytest.mark.parametrize("t0", [0.0, 2.7, 7.0, -1.5, 21.0])
+@pytest.mark.parametrize("trace", ["irregular", "bursty"])
+def test_cursor_matches_searchsorted_stepper(t0, trace):
+    rng = np.random.default_rng(int(t0 * 10) % 7)
+    if trace == "irregular":
+        tr, ops = CURSOR_TRACE, CURSOR_OPS
+    else:
+        tr = synth_trace(3, "bursty", duration=60.0, high_power=0.05,
+                         burst_rate=0.3)
+        ops = []
+        for until in np.sort(rng.uniform(-5.0, 70.0, size=40)).tolist():
+            ops.append(("advance", until, rng.choice([None, 0.0, 0.01, 0.1])))
+            ops.append(("draw", float(rng.uniform(0.0, 0.03))))
+    kwargs = dict(cap=Capacitor(capacitance=0.01, voltage=3.0), trace=tr,
+                  cost_model=CostModel(), t=t0)
+    dev, ref = Device(**kwargs), SearchsortedDevice(**kwargs)
+    assert device_state(dev) == device_state(ref)
+    for op, *args in ops:
+        assert getattr(dev, op)(*args) == getattr(ref, op)(*args)
+        assert device_state(dev) == device_state(ref)

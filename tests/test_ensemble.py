@@ -3,11 +3,11 @@ profile."""
 import numpy as np
 import pytest
 
-from conftest import tiny_spec
+from conftest import brute_force_select, tiny_spec
 from enboost.boost import PoolConfig, build_pool
 from enboost.data import synth_dataset
 from enboost.ensemble import (ERROR_CLAMP, EnsembleModel, backfit_select,
-                              brute_force_select, greedy_select,
+                              greedy_select,
                               learner_weight, load_ensemble, pool_eval_probs,
                               profile_accuracy, save_ensemble,
                               subset_accuracy, weighted_vote)

@@ -8,7 +8,7 @@ from enboost.errors import BudgetInfeasibleError, ConfigError, ShapeError
 from enboost.nn import (NetworkSpec, TensorShape, WeakLearner, conv,
                         count_macs, count_params, fc, softmax_layer, train)
 from enboost.prune import (PruneSchedule, conv_layer_indices,
-                           max_single_filter_macs, prune_step, prune_to_budget,
+                           prune_step, prune_to_budget,
                            rank_filters)
 
 

@@ -5,11 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import PolicyAgent
-from enboost.energy import Capacitor, CostModel, RequestPattern, synth_trace
+from conftest import PolicyAgent, SearchsortedDevice
+from enboost import qsched
+from enboost.energy import (ENERGY_LEVELS, POWER_LEVELS, Capacitor, CostModel,
+                            RequestPattern, discretize_energy, discretize_power,
+                            synth_trace)
 from enboost.errors import ArtifactError, ConfigError
 from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams,
-                            SchedulerState, act, decode_state, encode_state,
+                            SchedulerState, act, encode_state,
                             inference_cost, load_qtable, q_update, replay,
                             reward, save_qtable, state_space_size,
                             train_offline, _make_device)
@@ -21,6 +24,17 @@ def st(e_now=2, e_last=2, p_harv=1, l=0, r=0):
 
 # ---------------------------------------------------------------------------
 # state encoding
+
+
+def decode_state(index: int, n: int) -> SchedulerState:
+    """Inverse of `encode_state`."""
+    if not 0 <= index < state_space_size(n):
+        raise ConfigError(f"state index {index} out of range")
+    index, r = divmod(index, 2)
+    index, l = divmod(index, n + 1)
+    index, p_harv = divmod(index, POWER_LEVELS)
+    e_now, e_last = divmod(index, ENERGY_LEVELS)
+    return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p_harv, l=l, r=r)
 
 
 def test_state_space_size():
@@ -259,6 +273,42 @@ def test_train_offline_zero_episodes():
                                  seed=0)
     assert curve == []
     assert not table.values.any()
+
+
+class ObserveMeanTracker(qsched.StateTracker):
+    """Takes the trailing mean at every observation: the reference for
+    `StateTracker`, which takes it once per served request."""
+
+    def observe(self, device, l, r):
+        cap = device.cap
+        e_now = discretize_energy(device.usable_energy, cap, self.one_learner_cost)
+        if self.history:
+            mean_frac = float(np.mean(self.history[-qsched.E_LAST_WINDOW:]))
+        else:
+            mean_frac = device.usable_fraction
+        e_last = discretize_energy(mean_frac * cap.max_usable_energy, cap,
+                                   self.one_learner_cost)
+        p = discretize_power(device.p_harv, self.power_thresholds)
+        return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p, l=l, r=r)
+
+
+def test_train_offline_matches_reference_stepper(monkeypatch):
+    # requests every 2.5 s on a 1-s trace; nights drain the store below the
+    # cutoff, so requests stop, brown out and find the device off
+    trace = synth_trace(1, "day-night", duration=600.0, period=120.0,
+                        high_power=0.03)
+    env = EnvConfig(capacitor=Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7),
+                    trace=trace, cost_model=CostModel(sleep_power=1e-3),
+                    requests=RequestPattern(period=2.5, horizon=600.0),
+                    reward=RewardParams(beta=0.05, p_miss=0.5))
+    ens = stub_ensemble(macs=8_000_000)
+    table, curve = train_offline(env, ens, episodes=6, seed=2)
+    monkeypatch.setattr(qsched, "_make_device", lambda env: SearchsortedDevice(
+        cap=env.capacitor, trace=env.trace, cost_model=env.cost_model))
+    monkeypatch.setattr(qsched, "StateTracker", ObserveMeanTracker)
+    ref_table, ref_curve = train_offline(env, ens, episodes=6, seed=2)
+    assert np.array_equal(table.values, ref_table.values)
+    assert curve == ref_curve
 
 
 def greedy_executions(table, env, ens):
