@@ -6,7 +6,7 @@ multiplier p_true^(-alpha), then mean-normalized back to 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +18,6 @@ from .nn import (NetworkSpec, WeakLearner, evaluate, flatten_params, forward,
 from .prune import PruneSchedule, prune_to_budget
 
 PROB_FLOOR = 1e-6  # clamp inside log: the update is singular at p_true = 0
-
-
-@dataclass
-class SampleWeights:
-    weights: np.ndarray
-    generation: int = 0
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
-            raise ConfigError("sample weights must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -58,10 +47,10 @@ class PoolConfig:
                                PruneSchedule(target_mac_fraction=1.0 / self.ensemble_size))
 
 
-def init_weights(train_size: int) -> SampleWeights:
+def init_weights(train_size: int) -> np.ndarray:
     if train_size < 1:
         raise ConfigError("train_size must be >= 1")
-    return SampleWeights(weights=np.ones(train_size), generation=0)
+    return np.ones(train_size)
 
 
 def normalize(weights: np.ndarray) -> np.ndarray:
@@ -77,15 +66,14 @@ def weight_multipliers(p_true, alpha: float) -> np.ndarray:
     return np.exp(-alpha * np.log(p))
 
 
-def update_weights(w: SampleWeights, learner: WeakLearner, dataset,
-                   alpha: float) -> SampleWeights:
+def update_weights(weights: np.ndarray, learner: WeakLearner, dataset,
+                   alpha: float) -> np.ndarray:
     """Multiply each weight by p_true^(-alpha) on the train split, then
     mean-normalize. Misclassified (low p_true) samples gain weight."""
     x, y = dataset.split("train")
     probs = forward(learner, x)
     p_true = probs[np.arange(len(y)), y]
-    updated = w.weights * weight_multipliers(p_true, alpha)
-    return SampleWeights(weights=normalize(updated), generation=w.generation + 1)
+    return normalize(weights * weight_multipliers(p_true, alpha))
 
 
 def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
@@ -97,11 +85,11 @@ def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
     for m in range(cfg.pool_size):
         learner = WeakLearner.initialize(base_spec, seed=cfg.seed + m,
                                          learner_id=f"learner-{m:02d}")
-        learner, _ = train(learner, dataset, weights.weights,
+        learner, _ = train(learner, dataset, weights,
                            epochs=cfg.train_epochs,
                            learning_rate=cfg.learning_rate,
                            seed=cfg.seed + m, batch_size=cfg.batch_size)
-        learner = prune_to_budget(learner, dataset, weights.weights, cfg.prune,
+        learner = prune_to_budget(learner, dataset, weights, cfg.prune,
                                   seed=cfg.seed + m,
                                   learning_rate=cfg.learning_rate,
                                   batch_size=cfg.batch_size)

@@ -131,12 +131,8 @@ def cmd_simulate(args) -> int:
     for policy, report in zip(policies, policy_reports):
         run_dir = out / policy.name.replace(":", "-")
         run_dir.mkdir(parents=True, exist_ok=True)
-        doc = report.to_dict()
-        doc["baseline_policy"] = baseline_report.policy
-        doc["baseline_failure_rate"] = baseline_report.failure_rate
-        doc["failure_rate_reduction_vs_baseline"] = simrun.failure_rate_reduction(
-            report, baseline_report)
-        artifacts.write_json(run_dir / "report.json", doc)
+        artifacts.write_json(run_dir / "report.json",
+                             simrun.report_document(report, baseline_report))
         (run_dir / "events.csv").write_text(simrun.events_csv(report))
         print(simrun.render_report(report, args.format, baseline=baseline_report))
     return 0

@@ -252,6 +252,9 @@ def make_env(cfg: dict, config_dir=".") -> EnvConfig:
     trace = make_trace(cfg, config_dir)
     sim = cfg["simulation"]
     duration = sim["duration"] if sim["duration"] is not None else trace.horizon
+    if duration > trace.horizon:
+        raise ConfigError(f"simulation.duration {duration:.10g} s is past the "
+                          f"trace's last sample at {trace.horizon:.10g} s")
     requests = RequestPattern(period=sim["request_period"], horizon=duration)
     r = cfg["scheduler"]["reward"]
     thresholds = cfg["energy"]["power_thresholds"]

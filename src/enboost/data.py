@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigError
 from .nn import TensorShape
 
-SPLITS = ("train", "eval", "test")
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)  # of the samples: train, eval, test
 
 
 @dataclass
@@ -38,10 +38,10 @@ class Dataset:
         return len(self.splits[name])
 
 
-def _make_splits(n, fractions, rng):
+def _make_splits(n, rng):
     order = rng.permutation(n)
-    n_train = int(round(fractions[0] * n))
-    n_eval = int(round(fractions[1] * n))
+    n_train = int(round(SPLIT_FRACTIONS[0] * n))
+    n_eval = int(round(SPLIT_FRACTIONS[1] * n))
     return {
         "train": np.sort(order[:n_train]),
         "eval": np.sort(order[n_train:n_train + n_eval]),
@@ -69,7 +69,7 @@ def _class_patterns(rng, classes, shape):
 
 
 def synth_dataset(seed, classes=6, samples_per_class=100, shape=(3, 12, 12),
-                  noise=2.5, split_fractions=(0.6, 0.2, 0.2)) -> Dataset:
+                  noise=2.5) -> Dataset:
     """Gaussian-blob image classification set; deterministic given seed."""
     if not 2 <= classes:
         raise ConfigError("need >= 2 classes")
@@ -84,24 +84,19 @@ def synth_dataset(seed, classes=6, samples_per_class=100, shape=(3, 12, 12),
             patterns[k][None] + noise * rng.standard_normal((samples_per_class, *shape)))
         y[lo:lo + samples_per_class] = k
     return Dataset(x=x, y=y, class_count=classes,
-                   splits=_make_splits(n, split_fractions, rng))
+                   splits=_make_splits(n, rng))
 
 
-def drift_dataset(ds: Dataset, seed=0, mode="label-shift") -> Dataset:
-    """Shifted variant of a dataset for retraining experiments.
-
-    label-shift: cyclic relabeling (class k becomes (k+1) mod C), which an
-    FC-only retraining pass can fully correct.
-    """
-    if mode != "label-shift":
-        raise ConfigError(f"unknown drift mode {mode!r}")
+def drift_dataset(ds: Dataset, seed=0) -> Dataset:
+    """Label-shifted variant of a dataset for retraining experiments: cyclic
+    relabeling (class k becomes (k+1) mod C), which an FC-only retraining
+    pass can fully correct. `seed` is not used."""
     y = (ds.y + 1) % ds.class_count
     return Dataset(x=ds.x.copy(), y=y, class_count=ds.class_count,
                    splits={k: v.copy() for k, v in ds.splits.items()})
 
 
-def load_csv(path, input_shape, class_count, split_fractions=(0.6, 0.2, 0.2),
-             seed=0) -> Dataset:
+def load_csv(path, input_shape, class_count, seed=0) -> Dataset:
     """One row per sample: label, then channel-major flattened pixels."""
     shape = (input_shape.channels, input_shape.height, input_shape.width)
     size = shape[0] * shape[1] * shape[2]
@@ -129,4 +124,4 @@ def load_csv(path, input_shape, class_count, split_fractions=(0.6, 0.2, 0.2),
     y = np.asarray(labels, dtype=int)
     rng = np.random.default_rng(seed)
     return Dataset(x=x, y=y, class_count=class_count,
-                   splits=_make_splits(len(rows), split_fractions, rng))
+                   splits=_make_splits(len(rows), rng))

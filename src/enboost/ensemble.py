@@ -17,10 +17,10 @@ from .nn import forward
 ERROR_CLAMP = 1e-4  # a_m diverges at e_m in {0, 1}
 
 
-def learner_weight(error_rate: float, clamp: float = ERROR_CLAMP) -> float:
+def learner_weight(error_rate: float) -> float:
     if not 0.0 <= error_rate <= 1.0:
         raise ConfigError(f"error rate must be in [0,1], got {error_rate}")
-    e = min(max(error_rate, clamp), 1.0 - clamp)
+    e = min(max(error_rate, ERROR_CLAMP), 1.0 - ERROR_CLAMP)
     return 0.5 * float(np.log((1.0 - e) / e))
 
 

@@ -12,19 +12,18 @@ class ShapeError(EnboostError):
 class TrainingDivergedError(EnboostError):
     """Loss became non-finite during training."""
 
-    def __init__(self, epoch, message=None):
+    def __init__(self, epoch):
         self.epoch = epoch
-        super().__init__(message or f"non-finite loss at epoch {epoch}")
+        super().__init__(f"non-finite loss at epoch {epoch}")
 
 
 class BudgetInfeasibleError(EnboostError):
     """A MAC budget cannot be met without emptying a conv layer."""
 
-    def __init__(self, layer_index, message=None):
+    def __init__(self, layer_index):
         self.layer_index = layer_index
         super().__init__(
-            message or f"budget infeasible: conv layer {layer_index} cannot lose more filters"
-        )
+            f"budget infeasible: conv layer {layer_index} cannot lose more filters")
 
 
 class ConfigError(EnboostError):

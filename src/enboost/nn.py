@@ -8,7 +8,7 @@ Everything runs in float64 on numpy. All randomness goes through seeded
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,13 +228,7 @@ def copy_params(params):
 
 
 def params_checksum(params) -> str:
-    h = hashlib.sha256()
-    for p in params:
-        if p is None:
-            continue
-        h.update(np.ascontiguousarray(p[0]).tobytes())
-        h.update(np.ascontiguousarray(p[1]).tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(flatten_params(params).tobytes()).hexdigest()
 
 
 def flatten_params(params) -> np.ndarray:

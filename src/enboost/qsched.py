@@ -97,12 +97,6 @@ class QTable:
         return cls(values=np.zeros((state_space_size(n), 2)), n=n,
                    hyper=hyper or QHyperParams())
 
-    def masked_max(self, s: SchedulerState) -> float:
-        idx = encode_state(s, self.n)
-        if s.l >= self.n:
-            return float(self.values[idx, 0])
-        return float(self.values[idx].max())
-
 
 def act(table: QTable, s: SchedulerState) -> int:
     """Greedy action; a=1 is masked at l=N and exact ties resolve to a=0."""
@@ -113,18 +107,21 @@ def act(table: QTable, s: SchedulerState) -> int:
 
 
 def q_update(table: QTable, s: SchedulerState, a: int, r: float,
-             s_next, terminal=False, discount=None):
-    """One-step Q-learning update in place; terminal transitions bootstrap 0.
+             s_next, discount=None):
+    """One-step Q-learning update in place. A terminal transition (s_next
+    None) bootstraps 0; otherwise from the best legal action at s_next,
+    which is a=0 alone at l=N.
 
     discount overrides the table's gamma for this transition; the offline
     trainer passes 1.0 for decision points inside a single request, so that
     gamma measures request-to-request time, not prefix depth."""
     idx = encode_state(s, table.n)
-    if terminal:
+    if s_next is None:
         bootstrap = 0.0
     else:
         gamma = table.hyper.discount if discount is None else discount
-        bootstrap = gamma * table.masked_max(s_next)
+        q0, q1 = table.values[encode_state(s_next, table.n)].tolist()
+        bootstrap = gamma * (q0 if s_next.l >= table.n else max(q0, q1))
     q = table.values[idx, a]
     table.values[idx, a] = q + table.hyper.learning_rate * (r + bootstrap - q)
     return table
@@ -142,6 +139,11 @@ class EnvConfig:
     def __post_init__(self):
         if self.power_thresholds is None:
             self.power_thresholds = power_terciles(self.trace)
+
+    @property
+    def horizon(self) -> float:
+        """Simulated seconds of a run: requests stop at the trace's end."""
+        return min(self.requests.horizon, self.trace.horizon)
 
 
 class StateTracker:
@@ -196,9 +198,9 @@ class Agent:
         """The request ended (OFF, STOP or BROWNOUT) after l learners ran."""
 
 
-def replay(env: EnvConfig, device: Device, costs, horizon, agent: Agent):
-    """Serve the periodic requests up to `horizon` on `device`, then advance
-    it to `horizon`. costs[l] is the energy learner l draws per run.
+def replay(env: EnvConfig, device: Device, costs, agent: Agent):
+    """Serve the periodic requests up to `env.horizon` on `device`, then
+    advance it to that time. costs[l] is the energy learner l draws per run.
 
     Per request: advance to its time; if the device is off, miss it.
     Otherwise, for l = 0, 1, ... observe the state and ask the agent; stop
@@ -206,7 +208,7 @@ def replay(env: EnvConfig, device: Device, costs, horizon, agent: Agent):
     that ran any learner feeds the trailing-energy feature.
     """
     tracker = StateTracker(max(costs), env.power_thresholds)
-    period = env.requests.period
+    period, horizon = env.requests.period, env.horizon
     for i, t in enumerate(np.arange(period, horizon + 1e-9, period).tolist()):
         device.advance(t)
         agent.arrive(i, t)
@@ -283,7 +285,6 @@ def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
     hyper = hyper or QHyperParams()
     table = QTable.zeros(ensemble_model.size, hyper)
     costs = [inference_cost(l.macs, env.cost_model) for l in ensemble_model.learners]
-    horizon = min(env.requests.horizon, env.trace.horizon)
     rng = np.random.default_rng(seed)
     curve = []
     anneal_len = max(1, int(episodes * hyper.anneal_fraction))
@@ -292,9 +293,9 @@ def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
         epsilon = hyper.epsilon_start + frac * (hyper.epsilon_end - hyper.epsilon_start)
         device = _make_device(env)
         learner = _QLearner(table, params, device, rng, epsilon)
-        replay(env, device, costs, horizon, learner)
+        replay(env, device, costs, learner)
         if learner.pending is not None:
-            q_update(table, *learner.pending, None, terminal=True)
+            q_update(table, *learner.pending, None)
         curve.append(learner.total_reward)
     return table, curve
 

@@ -10,13 +10,13 @@ Service is instantaneous in simulated time; "concurrent inference and
 training" means one learner's forward pass is reused for both, not thread
 parallelism.
 
-Requests cycle through the sample split, so a run memoizes each learner's
+Requests cycle through the test split, so a run memoizes each learner's
 batch-1 forward per sample and reuses it until that learner is retrained.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,19 +68,13 @@ class SimConfig:
     ensemble: EnsembleModel
     dataset: Dataset
     policy: object
-    duration: float = None          # defaults to request horizon
     seed: int = 0
     retrain_mode: str = "off"
     retrain_learning_rate: float = 0.05
-    sample_split: str = "test"
 
     def __post_init__(self):
         if self.retrain_mode not in RETRAIN_MODES:
             raise ConfigError(f"unknown retrain mode {self.retrain_mode!r}")
-        if self.duration is None:
-            self.duration = min(self.env.requests.horizon, self.env.trace.horizon)
-        if self.duration > self.env.trace.horizon + 1e-9:
-            raise ConfigError("duration exceeds trace horizon")
 
 
 @dataclass
@@ -150,7 +144,7 @@ def _round_robin_mode(mode, e_now):
 
 def run(cfg: SimConfig) -> SimReport:
     """Policy-driven inference, with FC-only retraining per cfg.retrain_mode
-    on the samples of cfg.dataset."""
+    on the test split of cfg.dataset."""
     return _serve(cfg)[0]
 
 
@@ -188,7 +182,7 @@ class _Server(Agent):
                       for l in cfg.ensemble.learners]
         self.learners = [l.copy() for l in cfg.ensemble.learners]
         self.memo = [{} for _ in self.learners]   # sample index -> probabilities
-        self.sx, self.sy = cfg.dataset.split(cfg.sample_split)
+        self.sx, self.sy = cfg.dataset.split("test")
         self.retrain_cursor = 0
         self.events = []
 
@@ -261,7 +255,7 @@ class _Server(Agent):
 
 def _serve(cfg: SimConfig):
     server = _Server(cfg)
-    replay(cfg.env, server.device, server.costs, cfg.duration, server)
+    replay(cfg.env, server.device, server.costs, server)
     events, device = server.events, server.device
     report = SimReport(
         policy=getattr(cfg.policy, "name", cfg.retrain_mode),
@@ -300,15 +294,25 @@ def failure_rate_reduction(report: SimReport, baseline: SimReport):
     return 1.0 - report.failure_rate / baseline.failure_rate
 
 
-def render_report(report: SimReport, fmt="text", baseline: SimReport = None) -> str:
+def report_document(report: SimReport, baseline: SimReport = None) -> dict:
+    """What `report.json` holds: the report, and against a baseline run,
+    the baseline's policy and failure rate and the reduction from it."""
     d = report.to_dict()
     if baseline is not None:
         d["baseline_policy"] = baseline.policy
+        d["baseline_failure_rate"] = baseline.failure_rate
         d["failure_rate_reduction_vs_baseline"] = failure_rate_reduction(report, baseline)
+    return d
+
+
+def render_report(report: SimReport, fmt="text", baseline: SimReport = None) -> str:
+    d = report_document(report, baseline)
     if fmt == "json":
         return artifacts.json_text(d)
     if fmt == "csv":
-        keys = sorted(k for k in d if k != "learners_histogram")
+        # no nested dict, and no baseline rate column: it is one row per policy
+        keys = sorted(k for k in d if k not in ("learners_histogram",
+                                                "baseline_failure_rate"))
         return artifacts.csv_text(keys, [[d[k] for k in keys]])
     if fmt == "text":
         lines = [f"policy: {d['policy']} (seed {d['seed']})",

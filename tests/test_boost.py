@@ -5,20 +5,19 @@ import pytest
 
 from conftest import tiny_spec
 from enboost import boost, nn, prune
-from enboost.boost import (PoolConfig, SampleWeights, build_pool, init_weights,
-                           load_pool, normalize, save_pool, update_weights,
+from enboost.boost import (PoolConfig, build_pool, init_weights, load_pool,
+                           normalize, save_pool, update_weights,
                            weight_multipliers)
 from enboost.data import synth_dataset
-from enboost.errors import ConfigError
+from enboost.errors import ConfigError, ShapeError
 from enboost.nn import WeakLearner, evaluate, forward, train
 from enboost.prune import PruneSchedule, prune_to_budget
 
 
 def test_init_weights_examples():
-    assert np.array_equal(init_weights(5).weights, np.ones(5))
-    assert np.array_equal(init_weights(1).weights, np.ones(1))
-    assert init_weights(7).weights.mean() == 1.0
-    assert init_weights(3).generation == 0
+    assert np.array_equal(init_weights(5), np.ones(5))
+    assert np.array_equal(init_weights(1), np.ones(1))
+    assert init_weights(7).mean() == 1.0
     with pytest.raises(ConfigError):
         init_weights(0)
 
@@ -52,10 +51,16 @@ def test_normalize_mean_one():
 
 
 def test_sample_weights_validation():
-    with pytest.raises(ConfigError):
-        SampleWeights(weights=np.array([1.0, 0.0]))
-    with pytest.raises(ConfigError):
-        SampleWeights(weights=np.array([1.0, np.inf]))
+    # Sample weights are plain arrays; the boosting loop's training step
+    # rejects a weight that is not positive and finite.
+    spec, ds, cfg = small_pool_setup()
+    learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
+    for value in (0.0, np.inf):
+        w = init_weights(ds.split_size("train"))
+        w[0] = value
+        with pytest.raises(ShapeError):
+            train(learner, ds, w, epochs=1, learning_rate=cfg.learning_rate,
+                  seed=cfg.seed)
 
 
 def small_pool_setup():
@@ -76,15 +81,15 @@ def test_update_weights_contract():
                        epochs=3, learning_rate=0.05, seed=0)
     w0 = init_weights(ds.split_size("train"))
     w1 = update_weights(w0, learner, ds, alpha=0.5)
-    assert w1.generation == 1
-    assert np.all(w1.weights > 0)
-    assert abs(w1.weights.mean() - 1.0) < 1e-9
+    assert w1.shape == w0.shape
+    assert np.all(w1 > 0)
+    assert abs(w1.mean() - 1.0) < 1e-9
     # misclassified samples gained weight relative to pre-normalization
     x, y = ds.split("train")
     probs = forward(learner, x)
     p_true = probs[np.arange(len(y)), y]
-    raw = w0.weights * weight_multipliers(p_true, 0.5)
-    assert np.all(raw[p_true < 1.0] > w0.weights[p_true < 1.0])
+    raw = w0 * weight_multipliers(p_true, 0.5)
+    assert np.all(raw[p_true < 1.0] > w0[p_true < 1.0])
 
 
 def test_pool_config_validation():
@@ -104,7 +109,8 @@ def test_build_pool_shape_and_budget():
     spec, ds, cfg = small_pool_setup()
     pool, weights = build_pool(spec, ds, cfg)
     assert len(pool) == cfg.pool_size
-    assert weights.generation == cfg.pool_size
+    assert weights.shape == (ds.split_size("train"),)
+    assert abs(weights.mean() - 1.0) < 1e-9
     from enboost.nn import count_macs
     budget = int(np.ceil(count_macs(spec) * cfg.prune.target_mac_fraction))
     for learner in pool:
@@ -116,14 +122,14 @@ def test_build_pool_deterministic():
     pool_a, wa = build_pool(spec, ds, cfg)
     pool_b, wb = build_pool(spec, ds, cfg)
     assert [l.checksum() for l in pool_a] == [l.checksum() for l in pool_b]
-    assert np.array_equal(wa.weights, wb.weights)
+    assert np.array_equal(wa, wb)
 
 
 def test_first_pool_learner_equals_standalone_train_prune():
     spec, ds, cfg = small_pool_setup()
     pool, _ = build_pool(spec, ds, cfg)
     fresh = WeakLearner.initialize(spec, seed=cfg.seed, learner_id="learner-00")
-    w = init_weights(ds.split_size("train")).weights
+    w = init_weights(ds.split_size("train"))
     fresh, _ = train(fresh, ds, w, epochs=cfg.train_epochs,
                      learning_rate=cfg.learning_rate, seed=cfg.seed,
                      batch_size=cfg.batch_size)

@@ -243,6 +243,44 @@ def test_simulate_applies_retrain_mode(workspace, qtable_path, tmp_path, mode):
     assert (report["retrain_events"] > 0) == (mode != "off")
 
 
+def test_simulate_json_stdout_is_each_report(workspace, qtable_path, tmp_path, capsys):
+    out = tmp_path / "sims"
+    assert main(["simulate", "--config", str(workspace / "config.json"),
+                 "--ensemble", str(workspace / "build"),
+                 "--policy", f"qtable:{qtable_path}", "--policy", "fixed:1",
+                 "--policy", "all", "--format", "json", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    reports = [(out / name / "report.json").read_text()
+               for name in ("qtable", "fixed-1", "all")]
+    assert printed == "".join(doc + "\n" for doc in reports)
+    assert all("baseline_failure_rate" in doc for doc in reports)
+
+
+# LIGHT_CONFIG's trace has its last sample at 399 s
+@pytest.mark.parametrize("command, duration, trace_end, last", [
+    ("train-scheduler", 99999, None, "399"),
+    ("simulate", 99999, None, "399"),
+    ("simulate", 300, 100, "100"),
+], ids=["train-scheduler", "simulate", "simulate-short-trace"])
+def test_duration_past_trace_exits_1(command, duration, trace_end, last, workspace,
+                                     qtable_path, tmp_path, capsys):
+    doc = dict(LIGHT_CONFIG, simulation={"duration": duration})
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    argv = [command, "--config", str(tmp_path / "config.json"),
+            "--ensemble", str(workspace / "build"), "--out", str(tmp_path / "out")]
+    if command == "simulate":
+        argv += ["--policy", f"qtable:{qtable_path}"]
+    if trace_end is not None:
+        trace = tmp_path / "short.csv"
+        trace.write_text("timestamp_s,power_W\n" + "".join(
+            f"{t},0.0001\n" for t in range(trace_end + 1)))
+        argv += ["--trace", str(trace)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: simulation.duration {duration} s is "
+                                       f"past the trace's last sample at {last} s\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rejects_non_finite_trace(workspace, tmp_path, capsys):
     trace = tmp_path / "nan.csv"
     trace.write_text("timestamp_s,power_W\n0.0,0.001\n1.0,nan\n")

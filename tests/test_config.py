@@ -106,9 +106,19 @@ def test_make_env_defaults():
     env = config.make_env(cfg)
     assert env.capacitor.voltage == env.capacitor.v_max
     assert env.requests.period == 10.0
-    assert env.requests.horizon == env.trace.horizon
+    assert env.requests.horizon == env.trace.horizon == env.horizon
     t1, t2 = env.power_thresholds
     assert 0 < t1 < t2
+
+
+def test_make_env_rejects_duration_past_trace():
+    cfg = config.default_config()
+    cfg["simulation"]["duration"] = 3199.0   # the default trace's last sample
+    env = config.make_env(cfg)
+    assert env.horizon == env.requests.horizon == 3199.0
+    cfg["simulation"]["duration"] = 99999.0
+    with pytest.raises(ConfigError, match=r"duration 99999 s .* sample at 3199 s"):
+        config.make_env(cfg)
 
 
 def test_harvester_efficiency_scales_synthetic_trace():

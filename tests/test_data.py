@@ -40,12 +40,10 @@ def test_synth_validation():
 
 def test_drift_cyclic_relabel():
     ds = synth_dataset(seed=2, classes=3, samples_per_class=5, shape=(1, 4, 4))
-    shifted = drift_dataset(ds, mode="label-shift")
+    shifted = drift_dataset(ds)
     assert np.array_equal(shifted.y, (ds.y + 1) % 3)
     assert np.array_equal(shifted.x, ds.x)
     assert shifted.x is not ds.x
-    with pytest.raises(ConfigError):
-        drift_dataset(ds, mode="feature-noise")
 
 
 def test_load_csv_round_trip(tmp_path):

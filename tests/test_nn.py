@@ -156,10 +156,11 @@ def test_train_rejects_bad_weights():
     learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     with pytest.raises(ShapeError):
         train(learner, ds, np.ones(3), epochs=1, learning_rate=0.05, seed=0)
-    bad = np.ones(ds.split_size("train"))
-    bad[0] = -1.0
-    with pytest.raises(ShapeError):
-        train(learner, ds, bad, epochs=1, learning_rate=0.05, seed=0)
+    for value in (-1.0, 0.0, np.inf, np.nan):
+        bad = np.ones(ds.split_size("train"))
+        bad[0] = value
+        with pytest.raises(ShapeError):
+            train(learner, ds, bad, epochs=1, learning_rate=0.05, seed=0)
 
 
 # ---------------------------------------------------------------------------

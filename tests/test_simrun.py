@@ -9,7 +9,7 @@ from enboost.boost import PoolConfig, build_pool
 from enboost.data import drift_dataset, synth_dataset
 from enboost.energy import (Capacitor, CostModel, RequestPattern,
                             inference_cost, synth_trace)
-from enboost.ensemble import backfit_select, weighted_vote
+from enboost.ensemble import backfit_select, subset_accuracy, weighted_vote
 from enboost.errors import ConfigError
 from enboost.nn import forward, train_fc_only
 from enboost.prune import PruneSchedule
@@ -51,17 +51,18 @@ def abundant(model, requests, period=1.0):
 
 def test_unconstrained_run_reproduces_split_accuracy(small_model):
     model, ds = small_model
-    eval_n = ds.split_size("eval")
-    env = abundant(model, requests=2 * eval_n)
+    tx, ty = ds.split("test")
+    env = abundant(model, requests=2 * len(ty))
     cfg = SimConfig(env=env, ensemble=model, dataset=ds,
-                    policy=FixedKPolicy(model.size, model.size),
-                    sample_split="eval")
+                    policy=FixedKPolicy(model.size, model.size))
     report = run(cfg)
-    assert report.total_requests == 2 * eval_n
+    assert report.total_requests == 2 * len(ty)
     assert report.failures == 0
-    assert report.learners_histogram == {model.size: 2 * eval_n}
-    # every eval sample served exactly twice with the full vote
-    assert abs(report.mean_accuracy - model.acc_profile[-1]) < 1e-12
+    assert report.learners_histogram == {model.size: 2 * len(ty)}
+    # every test sample served exactly twice with the full vote
+    probs = np.stack([forward(l, tx) for l in model.learners])
+    offline = subset_accuracy(probs, model.vote_weights, ty)
+    assert abs(report.mean_accuracy - offline) < 1e-12
     assert report.energy_closure_error() < 1e-6
 
 
@@ -109,7 +110,7 @@ def test_run_matches_bare_stepper(small_model):
         report = run(cfg)
         device = _make_device(env)
         agent = PolicyAgent(policy.decide)
-        replay(env, device, costs, cfg.duration, agent)
+        replay(env, device, costs, agent)
         assert [e["learners_run"] for e in report.events] == agent.runs
         assert report.final_energy == device.energy
         assert report.failures > 0
@@ -254,9 +255,6 @@ def test_sim_config_validation(small_model):
     with pytest.raises(ConfigError):
         SimConfig(env=env, ensemble=model, dataset=ds,
                   policy=FixedKPolicy(1, 2), retrain_mode="sometimes")
-    with pytest.raises(ConfigError):
-        SimConfig(env=env, ensemble=model, dataset=ds,
-                  policy=FixedKPolicy(1, 2), duration=1e9)
 
 
 def test_events_csv_shape(small_model):
