@@ -69,11 +69,17 @@ def weight_multipliers(p_true, alpha: float) -> np.ndarray:
 def update_weights(weights: np.ndarray, learner: WeakLearner, dataset,
                    alpha: float) -> np.ndarray:
     """Multiply each weight by p_true^(-alpha) on the train split, then
-    mean-normalize. Misclassified (low p_true) samples gain weight."""
+    mean-normalize. Misclassified (low p_true) samples gain weight. An alpha
+    so large that the weights overflow is a configuration error."""
     x, y = dataset.split("train")
     probs = forward(learner, x)
     p_true = probs[np.arange(len(y)), y]
-    return normalize(weights * weight_multipliers(p_true, alpha))
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = normalize(weights * weight_multipliers(p_true, alpha))
+    if not (np.isfinite(new).all() and (new > 0).all()):
+        raise ConfigError(f"pool.boost_learning_rate {alpha} overflows the sample "
+                          f"weights after {learner.id}; use a smaller rate")
+    return new
 
 
 def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):

@@ -72,20 +72,17 @@ def pool_eval_probs(pool, eval_x):
     return np.stack([forward(l, eval_x) for l in pool])
 
 
-def _weights_for(pool, indices):
-    return [learner_weight(1.0 - pool[i].eval_accuracy) for i in indices]
-
-
-def greedy_select(pool, n, probs, labels):
-    """Forward-greedy subset growth; ties resolve to the lower pool index."""
+def greedy_select(weights, n, probs, labels):
+    """Forward-greedy subset growth by pool index, given each pool learner's
+    vote weight; ties resolve to the lower pool index."""
     selected = []
     for _ in range(n):
         best_idx, best_acc = None, -1.0
-        for cand in range(len(pool)):
+        for cand in range(len(weights)):
             if cand in selected:
                 continue
             trial = selected + [cand]
-            acc = subset_accuracy(probs[trial], _weights_for(pool, trial), labels)
+            acc = subset_accuracy(probs[trial], [weights[i] for i in trial], labels)
             if acc > best_acc:
                 best_idx, best_acc = cand, acc
         selected.append(best_idx)
@@ -100,8 +97,9 @@ def backfit_select(pool, n, eval_x, eval_y) -> EnsembleModel:
         raise ConfigError(f"pool of {m} cannot fill ensemble of {n}")
     labels = np.asarray(eval_y)
     probs = pool_eval_probs(pool, eval_x)
-    selected = greedy_select(pool, n, probs, labels)
-    best_acc = subset_accuracy(probs[selected], _weights_for(pool, selected), labels)
+    weights = [learner_weight(1.0 - l.eval_accuracy) for l in pool]
+    selected = greedy_select(weights, n, probs, labels)
+    best_acc = subset_accuracy(probs[selected], [weights[i] for i in selected], labels)
     for _ in range(m * n):
         improved = False
         for pos in range(len(selected)):
@@ -110,7 +108,7 @@ def backfit_select(pool, n, eval_x, eval_y) -> EnsembleModel:
                     continue
                 trial = list(selected)
                 trial[pos] = cand
-                acc = subset_accuracy(probs[trial], _weights_for(pool, trial), labels)
+                acc = subset_accuracy(probs[trial], [weights[i] for i in trial], labels)
                 if acc > best_acc:
                     selected, best_acc = trial, acc
                     improved = True
@@ -118,32 +116,22 @@ def backfit_select(pool, n, eval_x, eval_y) -> EnsembleModel:
             break
     # order by descending individual eval accuracy (stable on pool index)
     order = sorted(selected, key=lambda i: (-pool[i].eval_accuracy, i))
-    learners = [pool[i] for i in order]
-    model = EnsembleModel(
-        learners=learners,
-        vote_weights=[learner_weight(1.0 - l.eval_accuracy) for l in learners],
-        acc_profile=[], delta_acc=[],
-        class_count=learners[0].spec.class_count,
-    )
-    model.acc_profile, model.delta_acc = profile_accuracy(model, eval_x, eval_y)
-    return model
+    vote_weights = [weights[i] for i in order]
+    class_count = pool[order[0]].spec.class_count
+    acc_profile, delta_acc = profile_accuracy(probs[order], vote_weights, labels,
+                                              class_count)
+    return EnsembleModel(learners=[pool[i] for i in order], vote_weights=vote_weights,
+                         acc_profile=acc_profile, delta_acc=delta_acc,
+                         class_count=class_count)
 
 
-def profile_accuracy(model: EnsembleModel, eval_x, eval_y):
-    """acc(k) = weighted-vote accuracy of the first k learners; delta_acc(k)
-    telescopes from acc(0) = chance level and may be negative."""
-    labels = np.asarray(eval_y)
-    probs = np.stack([forward(l, eval_x) for l in model.learners])
-    acc_profile = []
-    for k in range(1, model.size + 1):
-        acc_profile.append(subset_accuracy(probs[:k], model.vote_weights[:k], labels))
-    chance = 1.0 / model.class_count
-    prev = chance
-    delta = []
-    for acc in acc_profile:
-        delta.append(acc - prev)
-        prev = acc
-    return acc_profile, delta
+def profile_accuracy(prob_stack, vote_weights, labels, class_count):
+    """acc(k) = weighted-vote accuracy of the first k rows of prob_stack
+    (k, n, C); delta_acc(k) telescopes from acc(0) = chance level and may be
+    negative."""
+    acc = [subset_accuracy(prob_stack[:k], vote_weights[:k], labels)
+           for k in range(1, len(vote_weights) + 1)]
+    return acc, [b - a for a, b in zip([1.0 / class_count] + acc, acc)]
 
 
 # ---------------------------------------------------------------------------

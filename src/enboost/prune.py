@@ -86,7 +86,7 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
             else:
                 # fc consumes channel-major flattened input: channel c owns
                 # columns [c*hw, (c+1)*hw) where hw is the spatial size at fc.
-                fc_in = shapes[nxt - 1] if nxt > 0 else spec.input_shape
+                fc_in = shapes[nxt - 1]
                 hw = fc_in.height * fc_in.width
                 cols = np.concatenate([np.arange(c * hw, (c + 1) * hw) for c in keep])
                 params[nxt] = (nw[:, cols], nb)

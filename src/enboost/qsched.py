@@ -5,10 +5,13 @@ next weak learner (a=1) or stops and aggregates (a=0).
 trainer steps it with an epsilon-greedy Q-learning `Agent`, and `simrun` with
 its policy, forward, retrain and vote hooks.
 
+State (e_now, e_last, p_harv, l): binned usable energy now and its trailing
+mean, binned harvest power, and the learners already run for this request.
+
 Reward: a=1 pays delta_acc(l+1) minus beta * (1 - usable-energy fraction);
-declining an unserved request (r=1, a=0) pays -p_miss. The r flag marks a
-request that has not produced any learner execution yet, so it is 1 at the
-l=0 decision point of a request and 0 afterwards.
+declining an unserved request (l=0, a=0) pays -p_miss. Gamma discounts only
+a successor at l=0, the next request's first decision, so it measures
+request-to-request time, not prefix depth.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from .energy import (Capacitor, CostModel, Device, PowerTrace, RequestPattern,
                      power_terciles, ENERGY_LEVELS, POWER_LEVELS)
 from .errors import ConfigError, TableLoadError  # noqa: F401 (old name, re-exported)
 
-QTABLE_VERSION = 1
+QTABLE_VERSION = 2
 E_LAST_WINDOW = 10  # trailing requests feeding the mean-energy feature
 
 
@@ -32,24 +35,21 @@ class SchedulerState:
     e_last: int  # 0..3
     p_harv: int  # 0..2
     l: int       # 0..N learners already executed this request
-    r: int       # active-request flag
 
 
 def state_space_size(n: int) -> int:
-    return ENERGY_LEVELS * ENERGY_LEVELS * POWER_LEVELS * (n + 1) * 2
+    return ENERGY_LEVELS * ENERGY_LEVELS * POWER_LEVELS * (n + 1)
 
 
 def encode_state(s: SchedulerState, n: int) -> int:
-    """Mixed-radix index over (e_now, e_last, p_harv, l, r)."""
+    """Mixed-radix index over (e_now, e_last, p_harv, l)."""
     if not (0 <= s.e_now < ENERGY_LEVELS and 0 <= s.e_last < ENERGY_LEVELS
-            and 0 <= s.p_harv < POWER_LEVELS and 0 <= s.l <= n and s.r in (0, 1)):
+            and 0 <= s.p_harv < POWER_LEVELS and 0 <= s.l <= n):
         raise ConfigError(f"state field out of range: {s}")
     idx = s.e_now
     idx = idx * ENERGY_LEVELS + s.e_last
     idx = idx * POWER_LEVELS + s.p_harv
-    idx = idx * (n + 1) + s.l
-    idx = idx * 2 + s.r
-    return idx
+    return idx * (n + 1) + s.l
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def reward(s: SchedulerState, a: int, params: RewardParams,
         if s.l >= len(params.delta_acc):
             raise ConfigError("action 1 is masked when all learners have run")
         return params.delta_acc[s.l] - params.beta * (1.0 - energy_fraction)
-    if s.r == 1:
+    if s.l == 0:
         return -params.p_miss
     return 0.0
 
@@ -106,20 +106,16 @@ def act(table: QTable, s: SchedulerState) -> int:
     return 1 if q1 > q0 else 0
 
 
-def q_update(table: QTable, s: SchedulerState, a: int, r: float,
-             s_next, discount=None):
+def q_update(table: QTable, s: SchedulerState, a: int, r: float, s_next):
     """One-step Q-learning update in place. A terminal transition (s_next
     None) bootstraps 0; otherwise from the best legal action at s_next,
-    which is a=0 alone at l=N.
-
-    discount overrides the table's gamma for this transition; the offline
-    trainer passes 1.0 for decision points inside a single request, so that
-    gamma measures request-to-request time, not prefix depth."""
+    which is a=0 alone at l=N, discounted by the table's gamma only when
+    s_next starts the next request (l = 0)."""
     idx = encode_state(s, table.n)
     if s_next is None:
         bootstrap = 0.0
     else:
-        gamma = table.hyper.discount if discount is None else discount
+        gamma = table.hyper.discount if s_next.l == 0 else 1.0
         q0, q1 = table.values[encode_state(s_next, table.n)].tolist()
         bootstrap = gamma * (q0 if s_next.l >= table.n else max(q0, q1))
     q = table.values[idx, a]
@@ -157,14 +153,14 @@ class StateTracker:
         self.history = []
         self.mean_frac = None   # changes only when a request is served
 
-    def observe(self, device: Device, l: int, r: int) -> SchedulerState:
+    def observe(self, device: Device, l: int) -> SchedulerState:
         cap = device.cap
         e_now = discretize_energy(device.usable_energy, cap, self.one_learner_cost)
         mean_frac = device.usable_fraction if self.mean_frac is None else self.mean_frac
         e_last = discretize_energy(mean_frac * cap.max_usable_energy, cap,
                                    self.one_learner_cost)
         p = discretize_power(device.p_harv, self.power_thresholds)
-        return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p, l=l, r=r)
+        return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p, l=l)
 
     def record_post_inference(self, device: Device):
         self.history.append(device.usable_fraction)
@@ -216,7 +212,7 @@ def replay(env: EnvConfig, device: Device, costs, agent: Agent):
             agent.done(0, OFF)
             continue
         l, end = 0, STOP
-        while agent.decide(tracker.observe(device, l=l, r=1 if l == 0 else 0)):
+        while agent.decide(tracker.observe(device, l=l)):
             if not device.draw(costs[l]):
                 end = BROWNOUT
                 break
@@ -243,10 +239,7 @@ class _QLearner(Agent):
 
     def decide(self, s):
         if self.pending is not None:
-            # a successor with l > 0 is in the same request: gamma discounts
-            # request-to-request steps, not prefix depth
-            q_update(self.table, *self.pending, s,
-                     discount=1.0 if s.l > 0 else None)
+            q_update(self.table, *self.pending, s)
         if s.l < self.table.n and self.rng.random() < self.epsilon:
             a = int(self.rng.integers(0, 2))
         else:

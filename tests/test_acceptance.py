@@ -127,8 +127,9 @@ def test_backfit_tracks_brute_force(baseline_spec, bundled_dataset):
         model = backfit_select(pool, 3, ex, ey)
         _, best = brute_force_select(pool, 3, ex, ey)
         probs = pool_eval_probs(pool, ex)
-        g = ens.greedy_select(pool, 3, probs, labels)
-        greedy_acc = subset_accuracy(probs[g], ens._weights_for(pool, g), labels)
+        weights = [ens.learner_weight(1.0 - l.eval_accuracy) for l in pool]
+        g = ens.greedy_select(weights, 3, probs, labels)
+        greedy_acc = subset_accuracy(probs[g], [weights[i] for i in g], labels)
         backfit_acc = model.acc_profile[-1]
         close += backfit_acc >= best - 0.005 - 1e-12
         greedy_ok += backfit_acc >= greedy_acc - 1e-12
@@ -174,8 +175,8 @@ def test_ensemble_beats_individuals(pool4, model4, bundled_cfg,
 
 
 def _chain_states():
-    return (SchedulerState(2, 2, 1, 0, 1), SchedulerState(2, 2, 1, 1, 0),
-            SchedulerState(2, 2, 1, 2, 0))
+    return (SchedulerState(2, 2, 1, 0), SchedulerState(2, 2, 1, 1),
+            SchedulerState(2, 2, 1, 2))
 
 
 def _chain_step(s, a, s0, s1, s2):

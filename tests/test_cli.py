@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a small self-contained workspace."""
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,23 @@ def test_invalid_config_exits_1_without_output(case, workspace, tmp_path, capsys
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("error:") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_boost_rate_overflow_exits_1(tmp_path, capsys):
+    # p_true^(-1000) overflows for any p_true below 0.49
+    tiny_spec().save(tmp_path / "net.json")
+    doc = dict(LIGHT_CONFIG, pool=dict(LIGHT_CONFIG["pool"], boost_learning_rate=1000))
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: pool.boost_learning_rate 1000.0 overflows the "
+                          "sample weights after learner-0")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -299,6 +317,15 @@ def _edit_json(edit):
     return corrupt
 
 
+def _as_version_1(doc):
+    # version 1 had a second radix for a flag equal to l == 0: the reachable
+    # rows of a v2 table, interleaved with all-zero rows
+    rows = []
+    for i, row in enumerate(doc["values"]):
+        rows += [[0.0, 0.0], row] if i % (doc["n"] + 1) == 0 else [row, [0.0, 0.0]]
+    doc.update(version=1, values=rows)
+
+
 # case: (file under a copy of the build dir plus q.json, how it is corrupted)
 CORRUPT_ARTIFACTS = {
     "npy-header-cut": ("pool/learner-00.params.npy",
@@ -317,6 +344,7 @@ CORRUPT_ARTIFACTS = {
     "qtable-unknown-hyper": ("q.json", _edit_json(
         lambda d: d["hyperparameters"].update(bogus=1))),
     "qtable-no-values": ("q.json", _edit_json(lambda d: d.pop("values"))),
+    "qtable-version-1": ("q.json", _edit_json(_as_version_1)),
 }
 
 

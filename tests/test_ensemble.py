@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_select, tiny_spec
+from enboost import ensemble
 from enboost.boost import PoolConfig, build_pool
 from enboost.data import synth_dataset
 from enboost.ensemble import (ERROR_CLAMP, EnsembleModel, backfit_select,
@@ -13,6 +14,10 @@ from enboost.ensemble import (ERROR_CLAMP, EnsembleModel, backfit_select,
                               subset_accuracy, weighted_vote)
 from enboost.errors import ConfigError
 from enboost.prune import PruneSchedule
+
+
+def pool_weights(pool):
+    return [learner_weight(1.0 - l.eval_accuracy) for l in pool]
 
 
 def test_learner_weight_examples():
@@ -91,10 +96,10 @@ def test_backfit_single_learner(small_pool):
     assert model.size == 1
     # best single learner under the weighted vote (negative vote weights can
     # flip a weak learner's predictions, so this is not raw eval accuracy)
-    from enboost.ensemble import _weights_for
     probs = pool_eval_probs(pool, ex)
     labels = np.asarray(ey)
-    best = max(subset_accuracy(probs[[i]], _weights_for(pool, [i]), labels)
+    weights = pool_weights(pool)
+    best = max(subset_accuracy(probs[[i]], [weights[i]], labels)
                for i in range(len(pool)))
     assert abs(model.acc_profile[0] - best) < 1e-12
 
@@ -111,13 +116,29 @@ def test_backfit_at_least_greedy_and_ordered(small_pool):
     ex, ey = ds.split("eval")
     labels = np.asarray(ey)
     probs = pool_eval_probs(pool, ex)
-    greedy = greedy_select(pool, 3, probs, labels)
-    from enboost.ensemble import _weights_for
-    greedy_acc = subset_accuracy(probs[greedy], _weights_for(pool, greedy), labels)
+    weights = pool_weights(pool)
+    greedy = greedy_select(weights, 3, probs, labels)
+    greedy_acc = subset_accuracy(probs[greedy], [weights[i] for i in greedy], labels)
     model = backfit_select(pool, 3, ex, ey)
     assert model.acc_profile[-1] >= greedy_acc
     evals = [l.eval_accuracy for l in model.learners]
     assert evals == sorted(evals, reverse=True)
+
+
+def test_backfit_forwards_and_weighs_each_pool_learner_once(small_pool, monkeypatch):
+    pool, ds = small_pool
+    ex, ey = ds.split("eval")
+    expected = backfit_select(pool, 3, ex, ey)
+    forwarded, weighed = [], []
+    forward, weight = ensemble.forward, ensemble.learner_weight
+    monkeypatch.setattr(ensemble, "forward",
+                        lambda l, x: forwarded.append(l.id) or forward(l, x))
+    monkeypatch.setattr(ensemble, "learner_weight",
+                        lambda e: weighed.append(e) or weight(e))
+    model = backfit_select(pool, 3, ex, ey)
+    assert forwarded == [l.id for l in pool]
+    assert len(weighed) == len(pool)
+    assert model == expected
 
 
 def test_full_vote_order_independent(small_pool):
@@ -137,7 +158,10 @@ def test_profile_telescoping(small_pool):
     pool, ds = small_pool
     ex, ey = ds.split("eval")
     model = backfit_select(pool, 3, ex, ey)
-    acc, delta = profile_accuracy(model, ex, ey)
+    acc, delta = profile_accuracy(pool_eval_probs(model.learners, ex),
+                                  model.vote_weights, np.asarray(ey),
+                                  model.class_count)
+    assert (acc, delta) == (model.acc_profile, model.delta_acc)
     assert len(acc) == len(delta) == 3
     assert abs(sum(delta) - (acc[-1] - 1.0 / model.class_count)) < 1e-12
     assert all(0.0 <= a <= 1.0 for a in acc)

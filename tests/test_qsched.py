@@ -1,5 +1,6 @@
 """Scheduler state encoding, rewards, Q-learning updates, persistence, and
 offline training behavior."""
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,8 +19,8 @@ from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams,
                             train_offline, _make_device)
 
 
-def st(e_now=2, e_last=2, p_harv=1, l=0, r=0):
-    return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p_harv, l=l, r=r)
+def st(e_now=2, e_last=2, p_harv=1, l=0):
+    return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p_harv, l=l)
 
 
 # ---------------------------------------------------------------------------
@@ -30,20 +31,19 @@ def decode_state(index: int, n: int) -> SchedulerState:
     """Inverse of `encode_state`."""
     if not 0 <= index < state_space_size(n):
         raise ConfigError(f"state index {index} out of range")
-    index, r = divmod(index, 2)
     index, l = divmod(index, n + 1)
     index, p_harv = divmod(index, POWER_LEVELS)
     e_now, e_last = divmod(index, ENERGY_LEVELS)
-    return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p_harv, l=l, r=r)
+    return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p_harv, l=l)
 
 
 def test_state_space_size():
-    assert state_space_size(4) == 4 * 4 * 3 * 5 * 2 == 480
-    assert state_space_size(2) == 288
+    assert state_space_size(4) == 4 * 4 * 3 * 5 == 240
+    assert state_space_size(2) == 144
 
 
 def test_zero_state_encodes_to_zero():
-    assert encode_state(st(0, 0, 0, 0, 0), n=4) == 0
+    assert encode_state(st(0, 0, 0, 0), n=4) == 0
 
 
 def test_encode_decode_bijection():
@@ -62,7 +62,7 @@ def test_encode_rejects_out_of_range():
     with pytest.raises(ConfigError):
         encode_state(st(l=5), n=4)
     with pytest.raises(ConfigError):
-        decode_state(480, 4)
+        decode_state(240, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +74,22 @@ def params(delta=(0.3, 0.1), beta=0.05, p_miss=0.5):
 
 
 def test_reward_declining_unserved_request():
-    assert reward(st(l=0, r=1), 0, params(), 1.0) == -0.5
+    assert reward(st(l=0), 0, params(), 1.0) == -0.5
 
 
 def test_reward_stop_after_serving_is_free():
-    assert reward(st(l=1, r=0), 0, params(), 0.1) == 0.0
+    assert reward(st(l=1), 0, params(), 0.1) == 0.0
 
 
 def test_reward_full_battery_pays_delta_exactly():
-    assert reward(st(l=0, r=1), 1, params(), 1.0) == 0.3
+    assert reward(st(l=0), 1, params(), 1.0) == 0.3
     assert reward(st(l=1), 1, params(), 1.0) == 0.1
 
 
 def test_reward_energy_penalty_example():
     # 0.02 - 0.05 * (1 - 0.6) = 0
     p = params(delta=(0.02,), beta=0.05)
-    assert abs(reward(st(l=0, r=1), 1, p, 0.6)) < 1e-15
+    assert abs(reward(st(l=0), 1, p, 0.6)) < 1e-15
 
 
 def test_reward_masked_action_raises():
@@ -129,17 +129,19 @@ def test_q_update_terminal_ignores_successor():
     assert table.values[encode_state(s, 2), 0] == 1.0
 
 
-def test_q_update_discount_override():
+def test_q_update_discounts_only_the_next_request():
+    # gamma measures request-to-request time: a successor with l > 0 is in
+    # the same request and is not discounted, one at l = 0 is
     hyper = QHyperParams(learning_rate=1.0, discount=0.9)
-    s, s_next = st(l=0), st(l=1)
+    s, same_request, next_request = st(l=1), st(l=2), st(l=0, e_now=1)
     table = QTable.zeros(2, hyper)
-    table.values[encode_state(s_next, 2), 0] = 2.0
-    q_update(table, s, 1, 0.0, s_next)
-    assert abs(table.values[encode_state(s, 2), 1] - 1.8) < 1e-12
+    table.values[encode_state(same_request, 2), 0] = 2.0
+    q_update(table, s, 1, 0.0, same_request)
+    assert table.values[encode_state(s, 2), 1] == 2.0
     table = QTable.zeros(2, hyper)
-    table.values[encode_state(s_next, 2), 0] = 2.0
-    q_update(table, s, 1, 0.0, s_next, discount=1.0)
-    assert abs(table.values[encode_state(s, 2), 1] - 2.0) < 1e-12
+    table.values[encode_state(next_request, 2), 0] = 2.0
+    q_update(table, s, 0, 0.0, next_request)
+    assert abs(table.values[encode_state(s, 2), 0] - 1.8) < 1e-12
 
 
 def test_masked_max_at_full_prefix_uses_stop_only():
@@ -147,10 +149,10 @@ def test_masked_max_at_full_prefix_uses_stop_only():
     table = QTable.zeros(2, QHyperParams(learning_rate=1.0))
     s, full = st(l=1), st(l=2)
     table.values[encode_state(full, 2)] = [0.5, 9.0]  # a=1 illegal at l=N
-    q_update(table, s, 1, 0.0, full, discount=1.0)
+    q_update(table, s, 1, 0.0, full)
     assert table.values[encode_state(s, 2), 1] == 0.5
     table.values[encode_state(s, 2)] = [0.25, 3.0]
-    q_update(table, st(l=0), 1, 0.0, s, discount=1.0)
+    q_update(table, st(l=0), 1, 0.0, s)
     assert table.values[encode_state(st(l=0), 2), 1] == 3.0
 
 
@@ -169,7 +171,7 @@ def test_act_greedy_mask_and_ties():
 # toy chain MDP: run-then-stop is optimal and learnable
 
 def chain_states():
-    return st(l=0, r=1), st(l=1), st(l=2)
+    return st(l=0), st(l=1), st(l=2)
 
 
 def chain_step(s, a, s0, s1, s2):
@@ -236,6 +238,11 @@ def test_qtable_load_errors(tmp_path):
     path.write_text('{"version": 99}')
     with pytest.raises(ArtifactError, match="version"):
         load_qtable(path)
+    # a version-1 table also held the unreachable rows of a flag r != (l == 0)
+    path.write_text(json.dumps({"version": 1, "n": 3, "hyperparameters": {},
+                                "values": [[0.0, 0.0]] * 2 * state_space_size(3)}))
+    with pytest.raises(ArtifactError, match="unsupported version 1, expected 2"):
+        load_qtable(path)
     path.write_text("[]")
     with pytest.raises(ArtifactError, match="JSON object"):
         load_qtable(path)
@@ -284,7 +291,7 @@ class ObserveMeanTracker(qsched.StateTracker):
     """Takes the trailing mean at every observation: the reference for
     `StateTracker`, which takes it once per served request."""
 
-    def observe(self, device, l, r):
+    def observe(self, device, l):
         cap = device.cap
         e_now = discretize_energy(device.usable_energy, cap, self.one_learner_cost)
         if self.history:
@@ -294,7 +301,7 @@ class ObserveMeanTracker(qsched.StateTracker):
         e_last = discretize_energy(mean_frac * cap.max_usable_energy, cap,
                                    self.one_learner_cost)
         p = discretize_power(device.p_harv, self.power_thresholds)
-        return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p, l=l, r=r)
+        return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p, l=l)
 
 
 def test_train_offline_matches_reference_stepper(monkeypatch):
