@@ -85,10 +85,15 @@ def update_weights(weights: np.ndarray, learner: WeakLearner, dataset,
 def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
     """Train, prune, and boost M weak learners. Learner m trains from a fresh
     seed (cfg.seed + m) under the weights left by learner m-1; each pruned
-    learner is evaluated once, on the eval split."""
+    learner is evaluated once, on the eval split. Returns (pool, the weights
+    the last learner trained under): no learner follows the last, so its
+    weight update is not run."""
     weights = init_weights(dataset.split_size("train"))
     pool = []
     for m in range(cfg.pool_size):
+        if pool:
+            weights = update_weights(weights, pool[-1], dataset,
+                                     cfg.boost_learning_rate)
         learner = WeakLearner.initialize(base_spec, seed=cfg.seed + m,
                                          learner_id=f"learner-{m:02d}")
         learner, _ = train(learner, dataset, weights,
@@ -101,8 +106,6 @@ def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
                                   batch_size=cfg.batch_size)
         learner.eval_accuracy = evaluate(learner, *dataset.split("eval"))
         pool.append(learner)
-        weights = update_weights(weights, learner, dataset,
-                                 cfg.boost_learning_rate)
     return pool, weights
 
 

@@ -7,6 +7,7 @@ Everything runs in float64 on numpy. All randomness goes through seeded
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -147,6 +148,21 @@ class NetworkSpec:
             cur = _layer_out_shape(layer, cur)
             out.append(cur)
         return out
+
+    @functools.cached_property
+    def head_start(self) -> int:
+        """Index of the first FC layer, the lowest one FC-only retraining
+        reaches; with no FC layer, the final softmax.  The layers before it
+        are the trunk, the rest the head."""
+        return next((i for i, l in enumerate(self.layers) if l.kind == FC),
+                    len(self.layers) - 1)
+
+    @functools.cached_property
+    def head_input(self) -> tuple:
+        """Per-sample shape of the activations entering the head."""
+        start = self.head_start
+        shape = self.shapes()[start - 1] if start else self.input_shape
+        return (shape.channels, shape.height, shape.width)
 
     def to_dict(self) -> dict:
         return {
@@ -319,11 +335,13 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward_cache(spec: NetworkSpec, params, x):
-    """Run the network on a batch, recording what backward needs."""
+def _forward_cache(spec: NetworkSpec, params, x, start=0, stop=None):
+    """Run layers [start, stop) on a batch entering layer `start`, recording
+    what backward needs; returns the batch leaving layer stop - 1."""
     cache = []
     cur = x
-    for idx, layer in enumerate(spec.layers):
+    for idx in range(start, len(spec.layers) if stop is None else stop):
+        layer = spec.layers[idx]
         if layer.kind == CONV:
             w, b = params[idx]
             cols, ho, wo = _im2col(cur, layer.kernel, layer.stride, layer.padding)
@@ -354,15 +372,16 @@ def _forward_cache(spec: NetworkSpec, params, x):
             out = _softmax(flat)
             cache.append(("softmax", cur.shape))
             cur = out.reshape(cur.shape[0], -1, 1, 1)
-    return cur.reshape(cur.shape[0], -1), cache
+    return cur, cache
 
 
-def _backward(spec: NetworkSpec, params, cache, dlogits):
-    """Backprop from d(loss)/d(softmax logits); returns per-layer grads."""
+def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
+    """Backprop from d(loss)/d(softmax logits) down to layer `start`, whose
+    forward `cache` holds; returns per-layer grads, None below `start`."""
     grads = [None] * len(spec.layers)
     dcur = dlogits
-    for idx in range(len(spec.layers) - 1, -1, -1):
-        entry = cache[idx]
+    for idx in range(len(spec.layers) - 1, start - 1, -1):
+        entry = cache[idx - start]
         kind = entry[0]
         if kind == "softmax":
             in_shape = entry[1]
@@ -374,7 +393,8 @@ def _backward(spec: NetworkSpec, params, cache, dlogits):
                 dz = dz * (z > 0)
             w, _ = params[idx]
             grads[idx] = (dz.T @ flat, dz.sum(axis=0))
-            dcur = (dz @ w).reshape(in_shape)
+            if idx > start:  # the range's input needs no gradient
+                dcur = (dz @ w).reshape(in_shape)
         elif kind == "avgpool":
             _, in_shape, layer = entry
             b_, c, h, w_ = in_shape
@@ -393,7 +413,7 @@ def _backward(spec: NetworkSpec, params, cache, dlogits):
             dw = cols.transpose(1, 2, 3, 0, 4, 5).reshape(c * k * k, -1) @ dz_rows
             grads[idx] = (dw.reshape(c, k, k, f).transpose(3, 0, 1, 2),
                           dz.sum(axis=(0, 2, 3)))
-            if idx:  # the network input needs no gradient
+            if idx > start:
                 dcols = (dz_rows @ w.reshape(f, -1)).reshape(b_, ho, wo, c, k, k)
                 dcur = _col2im(dcols, in_shape, k, layer.stride, layer.padding)
     return grads
@@ -409,12 +429,39 @@ def _as_batch(spec: NetworkSpec, x):
     return x
 
 
+def _as_head_batch(spec: NetworkSpec, acts):
+    acts = np.asarray(acts, dtype=np.float64)
+    if acts.ndim != 4 or acts.shape[1:] != spec.head_input:
+        raise ShapeError(f"activations of shape {acts.shape} do not enter a head "
+                         f"that takes {spec.head_input}")
+    return acts
+
+
 def forward(learner: WeakLearner, x) -> np.ndarray:
     """Class-probability vector(s) for one sample or a batch."""
     single = np.asarray(x).ndim == 3
     batch = _as_batch(learner.spec, x)
     probs, _ = _forward_cache(learner.spec, learner.params, batch)
+    probs = probs.reshape(batch.shape[0], -1)
     return probs[0] if single else probs
+
+
+def trunk(learner: WeakLearner, x) -> np.ndarray:
+    """The batch of activations entering the head (`NetworkSpec.head_start`)
+    for one sample or a batch: what FC-only retraining never changes."""
+    spec = learner.spec
+    acts, _ = _forward_cache(spec, learner.params, _as_batch(spec, x),
+                             stop=spec.head_start)
+    return acts
+
+
+def head(learner: WeakLearner, acts) -> np.ndarray:
+    """Class probabilities of a batch of `trunk` activations; at equal batch
+    size, head(l, trunk(l, x)) is forward(l, x) bit for bit."""
+    spec = learner.spec
+    acts = _as_head_batch(spec, acts)
+    probs, _ = _forward_cache(spec, learner.params, acts, start=spec.head_start)
+    return probs.reshape(acts.shape[0], -1)
 
 
 def _one_hot(y, class_count):
@@ -424,13 +471,14 @@ def _one_hot(y, class_count):
     return oh
 
 
-def _loss_and_grads(spec, params, x, y_onehot, weights):
-    probs, cache = _forward_cache(spec, params, x)
+def _loss_and_grads(spec, params, x, y_onehot, weights, start=0):
+    probs, cache = _forward_cache(spec, params, x, start)
     n = x.shape[0]
+    probs = probs.reshape(n, -1)
     p_true = np.clip((probs * y_onehot).sum(axis=1), 1e-300, None)
     loss = float(np.mean(weights * -np.log(p_true)))
     dlogits = weights[:, None] * (probs - y_onehot) / n
-    grads = _backward(spec, params, cache, dlogits)
+    grads = _backward(spec, params, cache, dlogits, start)
     return loss, grads, probs
 
 
@@ -484,24 +532,26 @@ def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
                        eval_accuracy=0.0, id=learner.id), history
 
 
-def train_fc_only(learner: WeakLearner, batch_x, batch_y, sample_weights,
+def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,
                   learning_rate):
-    """One weighted SGD step on fully-connected layers only.
+    """One weighted SGD step on fully-connected layers only, from the batch's
+    `trunk` activations: forward and backward run over the head alone.
 
-    Convolutional parameters are untouched. Returns (updated learner,
+    The trunk's parameters are untouched. Returns (updated learner,
     pre-update forward probabilities for the batch): the forward pass that
     feeds the update is the same one whose outputs are returned, so callers
     can reuse it as the inference result.
     """
-    x = _as_batch(learner.spec, batch_x)
-    if x.shape[0] == 0:
+    spec = learner.spec
+    acts = _as_head_batch(spec, acts)
+    if acts.shape[0] == 0:
         raise ShapeError("train_fc_only requires a non-empty batch")
     y = np.atleast_1d(np.asarray(batch_y, dtype=int))
     weights = np.asarray(sample_weights, dtype=np.float64)
-    spec = learner.spec
     params = copy_params(learner.params)
     y_onehot = _one_hot(y, spec.class_count)
-    _, grads, probs = _loss_and_grads(spec, params, x, y_onehot, weights)
+    _, grads, probs = _loss_and_grads(spec, params, acts, y_onehot, weights,
+                                      spec.head_start)
     _sgd_step(params, [g if layer.kind == FC else None
                        for layer, g in zip(spec.layers, grads)], learning_rate)
     out = WeakLearner(spec=spec, params=params, macs=learner.macs,

@@ -10,8 +10,11 @@ Service is instantaneous in simulated time; "concurrent inference and
 training" means one learner's forward pass is reused for both, not thread
 parallelism.
 
-Requests cycle through the test split, so a run memoizes each learner's
-batch-1 forward per sample and reuses it until that learner is retrained.
+Requests cycle through the test split, so a run keeps two memos per
+learner and sample, both computed at batch 1: the `trunk` activations
+entering the learner's head, kept for the whole run because an FC-only
+write never reaches them, and the probabilities, kept until that learner is
+retrained.  A retrain or a probability miss runs only the head.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .data import Dataset
 from .energy import inference_cost
 from .ensemble import EnsembleModel, weighted_vote
 from .errors import ConfigError
-from .nn import evaluate, forward, train_fc_only
+from .nn import evaluate, head, train_fc_only, trunk
 from .qsched import (BROWNOUT, OFF, STOP, Agent, EnvConfig, QTable, act,
                      replay, _make_device)
 
@@ -171,9 +174,10 @@ class _Server(Agent):
     retrain target decides, each learner that runs does a forward pass (one
     of them also retrains), and the vote fills one events row per request.
 
-    Forwards are memoized per (learner, sample) until the learner is
-    retrained.  The memo stores the batch-1 `forward` itself: a batched
-    forward over the split gives other bits."""
+    Per learner, `trunk` maps a sample index to its batch-1 trunk
+    activations for the whole run, and `memo` maps it to the probabilities
+    until the learner is retrained; a batched forward over the split would
+    give other bits."""
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -181,6 +185,7 @@ class _Server(Agent):
         self.costs = [inference_cost(l.macs, cfg.env.cost_model)
                       for l in cfg.ensemble.learners]
         self.learners = [l.copy() for l in cfg.ensemble.learners]
+        self.trunk = [{} for _ in self.learners]  # sample index -> activations
         self.memo = [{} for _ in self.learners]   # sample index -> probabilities
         self.sx, self.sy = cfg.dataset.split("test")
         self.retrain_cursor = 0
@@ -221,23 +226,26 @@ class _Server(Agent):
         return 1 if state.l < self.target else 0
 
     def ran(self, l):
-        row = self.row
+        row, i = self.row, self.row["sample_index"]
         row["inference_energy"] += self.costs[l]
+        acts = self.trunk[l].get(i)
+        if acts is None:
+            acts = self.trunk[l][i] = trunk(self.learners[l], self.x)
         if l == self.retrain_idx:
             # shared forward pass: prediction uses the pre-update outputs
             increment = self.cfg.env.cost_model.fc_retrain_energy_fraction * self.costs[l]
             if self.device.draw(increment):
                 self.learners[l], probs = train_fc_only(
-                    self.learners[l], self.x[None], [self.label], [1.0],
+                    self.learners[l], acts, [self.label], [1.0],
                     self.cfg.retrain_learning_rate)
                 self.memo[l].clear()
                 self.probs.append(probs[0])
                 row["retrain_energy"] += increment
                 row["retrained_learner"] = l
                 return
-        memo, i = self.memo[l], row["sample_index"]
+        memo = self.memo[l]
         if i not in memo:
-            memo[i] = forward(self.learners[l], self.x)
+            memo[i] = head(self.learners[l], acts)[0]
         self.probs.append(memo[i])
 
     def done(self, l, end):

@@ -17,7 +17,7 @@ from enboost.energy import (Capacitor, CostModel, RequestPattern,
 from enboost.ensemble import backfit_select, pool_eval_probs, subset_accuracy
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs,
                         count_params, evaluate, fc, forward, gradient_check,
-                        params_checksum, softmax_layer, train_fc_only)
+                        params_checksum, softmax_layer, train_fc_only, trunk)
 from enboost.prune import PruneSchedule
 from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams,
                             SchedulerState, act, load_qtable, q_update,
@@ -281,7 +281,8 @@ def test_fc_retraining_preserves_conv_parameters(model4):
     shape = learner.spec.input_shape
     x = np.random.default_rng(0).standard_normal(
         (2, shape.channels, shape.height, shape.width))
-    updated, _ = train_fc_only(learner, x, [0, 1], [1.0, 1.0], 0.1)
+    updated, _ = train_fc_only(learner, trunk(learner, x), [0, 1], [1.0, 1.0],
+                               0.1)
     after = params_checksum([updated.params[i] for i in conv_idx])
     assert before == after
     print("[criterion 10a] conv parameters bit-identical under FC retraining: PASS")
@@ -341,7 +342,7 @@ def test_forward_reuse_predictions_bit_exact(model4, bundled_dataset):
         assert pred == event["predicted"]
         r = event["retrained_learner"]
         if r >= 0:
-            shadow[r], _ = train_fc_only(shadow[r], x[None],
+            shadow[r], _ = train_fc_only(shadow[r], trunk(shadow[r], x[None]),
                                          [int(sy[event["sample_index"]])],
                                          [1.0], 0.05)
     assert sum(e["retrained_learner"] >= 0 for e in report.events) == 30

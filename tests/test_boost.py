@@ -154,6 +154,26 @@ def test_build_pool_evaluates_each_learner_once(monkeypatch):
     assert evaluated == [f"learner-{m:02d}" for m in range(cfg.pool_size)]
 
 
+def test_build_pool_updates_weights_between_learners_only(monkeypatch):
+    spec, ds, cfg = small_pool_setup()
+    updated, trained_under = [], []
+
+    def counting_update(weights, learner, dataset, alpha, real=update_weights):
+        updated.append(learner.id)
+        return real(weights, learner, dataset, alpha)
+
+    def recording_train(learner, dataset, weights, **kw):
+        trained_under.append(weights)
+        return nn.train(learner, dataset, weights, **kw)
+
+    monkeypatch.setattr(boost, "update_weights", counting_update)
+    monkeypatch.setattr(boost, "train", recording_train)
+    _, weights = build_pool(spec, ds, cfg)
+    assert updated == [f"learner-{m:02d}" for m in range(cfg.pool_size - 1)]
+    # the returned weights are the ones the last learner trained under
+    assert weights is trained_under[-1]
+
+
 def test_successive_learners_disagree():
     spec, ds, cfg = small_pool_setup()
     pool, _ = build_pool(spec, ds, cfg)

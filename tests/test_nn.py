@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import tiny_spec
+from enboost.config import baseline_network
 from enboost.data import synth_dataset
 from enboost.errors import ShapeError, TrainingDivergedError
 from enboost.nn import (NetworkSpec, TensorShape, WeakLearner, avgpool, conv,
                         count_macs, count_params, evaluate, fc, flatten_params,
-                        forward, gradient_check, params_checksum, softmax_layer,
-                        train, train_fc_only, unflatten_params)
+                        forward, gradient_check, head, params_checksum,
+                        softmax_layer, train, train_fc_only, trunk,
+                        unflatten_params)
 
 
 def fc_net(inputs, units, classes=None):
@@ -170,7 +172,8 @@ def test_train_rejects_bad_weights():
 def test_fc_only_zero_learning_rate_is_identity():
     learner = WeakLearner.initialize(tiny_spec(), seed=2, learner_id="t")
     x = np.random.default_rng(0).standard_normal((1, 2, 8, 8))
-    updated, probs = train_fc_only(learner, x, [1], [1.0], learning_rate=0.0)
+    updated, probs = train_fc_only(learner, trunk(learner, x), [1], [1.0],
+                                   learning_rate=0.0)
     assert updated.checksum() == learner.checksum()
     assert np.array_equal(probs, forward(learner, x))
 
@@ -181,10 +184,18 @@ def test_fc_only_preserves_conv_parameters():
     conv_idx = [i for i, l in enumerate(spec.layers) if l.kind == "conv"]
     before = params_checksum([learner.params[i] for i in conv_idx])
     x = np.random.default_rng(0).standard_normal((3, 2, 8, 8))
-    updated, probs = train_fc_only(learner, x, [0, 1, 2], [1.0, 0.5, 2.0],
-                                   learning_rate=0.1)
+    updated, probs = train_fc_only(learner, trunk(learner, x), [0, 1, 2],
+                                   [1.0, 0.5, 2.0], learning_rate=0.1)
     after = params_checksum([updated.params[i] for i in conv_idx])
     assert before == after
+    # every layer below the head is bitwise unchanged, so is its output
+    for idx in range(spec.head_start):
+        old, new = learner.params[idx], updated.params[idx]
+        assert (old is None) == (new is None)
+        if old is not None:
+            assert old[0].tobytes() == new[0].tobytes()
+            assert old[1].tobytes() == new[1].tobytes()
+    assert trunk(updated, x).tobytes() == trunk(learner, x).tobytes()
     assert updated.checksum() != learner.checksum()
     # returned outputs come from the pre-update parameters
     assert np.array_equal(probs, forward(learner, x))
@@ -210,7 +221,8 @@ def test_fc_only_matches_finite_difference_gradient():
         hi[i] += step
         lo[i] -= step
         numeric[i] = (loss_at(hi) - loss_at(lo)) / (2 * step)
-    updated, _ = train_fc_only(learner, x, [label], [weight], learning_rate=lr)
+    updated, _ = train_fc_only(learner, trunk(learner, x), [label], [weight],
+                               learning_rate=lr)
     delta = flatten_params(updated.params) - flat
     assert np.allclose(delta, -lr * numeric, atol=1e-6)
 
@@ -221,7 +233,8 @@ def test_fc_only_zero_net_bias_gradient():
     learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
     learner.params[0] = (np.zeros((3, 3)), np.zeros(3))
     x = np.zeros((1, 1, 3))
-    updated, probs = train_fc_only(learner, x, [0], [1.0], learning_rate=1.0)
+    updated, probs = train_fc_only(learner, trunk(learner, x), [0], [1.0],
+                                   learning_rate=1.0)
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
     w, b = updated.params[0]
     onehot = np.array([1.0, 0.0, 0.0])
@@ -232,7 +245,56 @@ def test_fc_only_zero_net_bias_gradient():
 def test_fc_only_rejects_empty_batch():
     learner = WeakLearner.initialize(fc_net(2, 2), seed=0, learner_id="t")
     with pytest.raises(ShapeError):
-        train_fc_only(learner, np.zeros((0, 1, 1, 2)), [], [], 0.1)
+        train_fc_only(learner, trunk(learner, np.zeros((0, 1, 1, 2))), [], [], 0.1)
+
+
+def test_fc_only_rejects_activations_of_the_wrong_shape():
+    learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
+    x = np.random.default_rng(0).standard_normal((2, 2, 8, 8))
+    acts = trunk(learner, x)
+    for bad in (x, acts[0], acts.reshape(2, -1), acts[:, :-1]):
+        with pytest.raises(ShapeError):
+            train_fc_only(learner, bad, [0, 1], [1.0, 1.0], 0.1)
+        with pytest.raises(ShapeError):
+            head(learner, bad)
+
+
+# ---------------------------------------------------------------------------
+# trunk / head split
+
+
+def two_fc_net():
+    return NetworkSpec(input_shape=TensorShape(2, 6, 6),
+                       layers=(conv(3, kernel=3, padding=1), avgpool(2),
+                               fc(5, activation="relu"), fc(4), softmax_layer()),
+                       class_count=4)
+
+
+def no_fc_net():
+    return NetworkSpec(input_shape=TensorShape(2, 6, 6),
+                       layers=(conv(3, kernel=3, padding=1), avgpool(2),
+                               conv(4, kernel=3), softmax_layer()),
+                       class_count=4)
+
+
+@pytest.mark.parametrize("make, start", [
+    (baseline_network, 5),
+    (tiny_spec, 4),
+    (lambda: fc_net(5, 3), 0),
+    (two_fc_net, 2),
+    (no_fc_net, 3),
+], ids=["baseline", "tiny", "fc-only", "two-fc", "no-fc"])
+def test_head_of_trunk_is_forward_bitwise(make, start):
+    spec = make()
+    assert spec.head_start == start
+    learner = WeakLearner.initialize(spec, seed=7, learner_id="t")
+    ish = spec.input_shape
+    x = np.random.default_rng(3).standard_normal(
+        (32, ish.channels, ish.height, ish.width))
+    for batch in (x[:1], x):
+        acts = trunk(learner, batch)
+        assert acts.shape == (len(batch),) + spec.head_input
+        assert head(learner, acts).tobytes() == forward(learner, batch).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from enboost.energy import (Capacitor, CostModel, RequestPattern,
                             inference_cost, synth_trace)
 from enboost.ensemble import backfit_select, subset_accuracy, weighted_vote
 from enboost.errors import ConfigError
-from enboost.nn import forward, train_fc_only
+from enboost.nn import forward, train_fc_only, trunk
 from enboost.prune import PruneSchedule
 from enboost.qsched import EnvConfig, QTable, RewardParams, replay, _make_device
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
@@ -116,19 +116,39 @@ def test_run_matches_bare_stepper(small_model):
         assert report.failures > 0
 
 
-def test_run_forwards_each_learner_sample_once(small_model, monkeypatch):
-    model, ds = small_model
-    split = ds.split_size("test")
+def counted_trunk(monkeypatch):
     calls = []
 
     def counted(learner, x):
         calls.append(learner.id)
-        return forward(learner, x)
+        return trunk(learner, x)
 
-    monkeypatch.setattr(simrun, "forward", counted)
+    monkeypatch.setattr(simrun, "trunk", counted)
+    return calls
+
+
+def test_run_forwards_each_learner_sample_once(small_model, monkeypatch):
+    model, ds = small_model
+    split = ds.split_size("test")
+    calls = counted_trunk(monkeypatch)
     report = run(SimConfig(env=abundant(model, requests=3 * split), ensemble=model,
                            dataset=ds, policy=FixedKPolicy(model.size, model.size)))
     assert report.learners_histogram == {model.size: 3 * split}
+    assert len(calls) == model.size * split
+
+
+def test_retraining_runs_each_learner_trunk_once_per_sample(small_model, monkeypatch):
+    # an FC-only write never reaches the trunk, so its activations outlive
+    # every retrain; test_retrained_learner_is_forwarded_again checks the bits
+    model, ds = small_model
+    drift = drift_dataset(ds)
+    split = ds.split_size("test")
+    calls = counted_trunk(monkeypatch)
+    cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
+                    dataset=ds, policy=FixedKPolicy(model.size, model.size),
+                    retrain_mode="high-energy", retrain_learning_rate=0.5)
+    report, _, _ = run_concurrent_training(cfg, drift)
+    assert report.retrain_events == report.total_requests == 4 * split
     assert len(calls) == model.size * split
 
 
@@ -152,7 +172,7 @@ def test_retrained_learner_is_forwarded_again(small_model):
                                 model.vote_weights[:k])
         assert pred == event["predicted"]
         r = event["retrained_learner"]
-        shadow[r], _ = train_fc_only(shadow[r], x[None],
+        shadow[r], _ = train_fc_only(shadow[r], trunk(shadow[r], x[None]),
                                      [int(sy[event["sample_index"]])], [1.0], 0.5)
 
 
