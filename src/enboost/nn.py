@@ -4,6 +4,35 @@ per-sample weighted cross-entropy training, and exact MAC accounting.
 Everything runs in float64 on numpy. All randomness goes through seeded
 `numpy.random.default_rng` instances, so training is bit-reproducible given
 (seed, data, weights, hyperparameters).
+
+Memory layout. Callers see (b, c, h, w) batches. Inside the engine a conv
+output is its GEMM result (b*ho*wo, f) viewed as (b, f, ho, wo), so it lives
+channels-last, and so do the pools above it and the gradients flowing back
+through them. `_im2col` builds the (c*k*k, b*ho*wo) patch matrix once, which
+is the weight-gradient operand as it stands. Weights keep their (f, c, k, k)
+order. The engine must give the bits the NCHW engine before it gave
+(`tests/conftest.py` keeps that engine), and numpy and OpenBLAS pick their
+rounding from the memory layout, so a change here must keep three rules:
+
+1. OpenBLAS rounds a transposed operand differently: `A.T @ B` and
+   `np.ascontiguousarray(A.T) @ B` differed in 15 of 80 engine-sized
+   shapes. Every GEMM keeps the operand layouts it had: the forward patch
+   operand is a C-order copy, except at batch 1, where it is the F-order
+   view, and so is `dz_rows` (from NCHW `dz`); for a 1x1 output map the
+   weight-gradient operand is the F-order view of the C-order copy.
+2. `mean(axis=(3, 5))` over a window view sums in an order set by the
+   layout. Channels-last input with more than one channel is summed term by
+   term, row-major. Otherwise each window row is a pairwise run and the rows
+   are added in turn, unless the window spans the whole row: then the window
+   is one pairwise run, 8-way unrolled from 8 terms, so window 3 sums
+   ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) and then a8. The sum starts at +0.0,
+   so a window of -0.0 averages to +0.0. `_avgpool` does exactly this.
+3. The bias gradient `dz.sum(axis=(0, 2, 3))` must run on the layout the
+   old engine summed: numpy sums each contiguous h*w plane pairwise, but
+   each row on its own when rows are padded, and channels innermost term by
+   term. So a channels-last `dz` below a pool is copied to C-order NCHW for
+   this sum, a conv or FC layer below a conv gets its gradient in padded
+   NCHW rows, and a one-window pool passes a broadcast view.
 """
 from __future__ import annotations
 
@@ -302,6 +331,8 @@ class WeakLearner:
 
 
 def _im2col(x, k, s, p):
+    """Patch matrix (c*k*k, b*ho*wo) of a (b, c, h, w) batch: row (c, i, j)
+    holds input channel c at kernel offset (i, j) for every output pixel."""
     b, c, h, w = x.shape
     if p:
         xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
@@ -309,24 +340,60 @@ def _im2col(x, k, s, p):
         x = xp
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
-    cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
+    cols = np.empty((c, k, k, b, ho, wo), dtype=x.dtype)
+    x = x.transpose(1, 0, 2, 3)
     for i in range(k):
         for j in range(k):
-            cols[:, :, i, j] = x[:, :, i:i + s * ho:s, j:j + s * wo:s]
-    return cols, ho, wo
+            cols[:, i, j] = x[:, :, i:i + s * ho:s, j:j + s * wo:s]
+    return cols.reshape(c * k * k, -1), ho, wo
 
 
 def _col2im(dcols, x_shape, k, s, p):
-    """Sum patch gradients (b, ho, wo, c, k, k) onto the (b, c, h, w) input."""
+    """Sum patch gradients (b, ho, wo, c, k, k) onto the (b, c, h, w) input
+    padded by p; returns a (b, c, h + 2p, w + 2p) view of channels-last sums."""
     b, c, h, w = x_shape
     ho, wo = dcols.shape[1], dcols.shape[2]
     acc = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=dcols.dtype)
     for i in range(k):
         for j in range(k):
             acc[:, i:i + s * ho:s, j:j + s * wo:s] += dcols[..., i, j]
-    dx = np.empty((b, c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
-    dx[...] = acc.transpose(0, 3, 1, 2)
-    return dx[:, :, p:p + h, p:p + w]
+    return acc.transpose(0, 3, 1, 2)
+
+
+def _pairwise(terms):
+    """Sum a list of equal-shape arrays in the order numpy's `add.reduce`
+    sums a run of len(terms) values: 8-way unrolled, halved above 128."""
+    n = len(terms)
+    if n < 8:
+        return functools.reduce(np.add, terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(terms[:half]) + _pairwise(terms[half:])
+    r = list(terms[:8])
+    for i in range(8, n - n % 8, 8):
+        r = [a + t for a, t in zip(r, terms[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(np.add, terms[n - n % 8:], total)
+
+
+def _avgpool(x, win):
+    """Mean over win x win windows, bit for bit numpy's
+    x.reshape(b, c, h // win, win, w // win, win).mean(axis=(3, 5)), whose
+    summation order follows x's memory layout."""
+    terms = [x[:, :, i::win, j::win] for i in range(win) for j in range(win)]
+    if x.shape[1] > 1 and x.strides[1] == x.itemsize:
+        # channels innermost: each window is summed term by term
+        total = functools.reduce(np.add, terms)
+    elif x.shape[3] == win:
+        # one window per row: the window's rows merge into one pairwise run
+        total = _pairwise(terms)
+    else:
+        # row by row, each row a pairwise run
+        total = functools.reduce(np.add, (_pairwise(terms[i:i + win])
+                                          for i in range(0, win * win, win)))
+    total = total + 0.0  # the reduction starts at +0.0, so -0.0 sums to +0.0
+    total /= win * win
+    return total
 
 
 def _softmax(z):
@@ -345,19 +412,19 @@ def _forward_cache(spec: NetworkSpec, params, x, start=0, stop=None):
         if layer.kind == CONV:
             w, b = params[idx]
             cols, ho, wo = _im2col(cur, layer.kernel, layer.stride, layer.padding)
-            # conv products here and in _backward are the GEMMs, with the operand
-            # layouts, that np.einsum(optimize=True) plans: same bits, no planning
-            z = (cols.transpose(0, 4, 5, 1, 2, 3).reshape(-1, w[0].size)
-                 @ w.reshape(w.shape[0], -1).T)
+            # rule 1: a batch of one keeps the F-order patch operand
+            rows = cols.T if cur.shape[0] == 1 else np.ascontiguousarray(cols.T)
+            z = rows @ w.reshape(w.shape[0], -1).T
+            if ho * wo == 1:  # rule 1: dW takes the F-order view of rows
+                cols = rows.T
+            del rows  # free the copy before the layers above allocate theirs
             z = z.reshape(cur.shape[0], ho, wo, -1).transpose(0, 3, 1, 2)
             z += b[None, :, None, None]
             out = np.maximum(z, 0.0) if layer.activation == "relu" else z
             cache.append(("conv", cur.shape, cols, z, layer))
             cur = out
         elif layer.kind == AVGPOOL:
-            b_, c, h, w_ = cur.shape
-            win = layer.window
-            out = cur.reshape(b_, c, h // win, win, w_ // win, win).mean(axis=(3, 5))
+            out = _avgpool(cur, layer.window)
             cache.append(("avgpool", cur.shape, layer))
             cur = out
         elif layer.kind == FC:
@@ -397,10 +464,15 @@ def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
                 dcur = (dz @ w).reshape(in_shape)
         elif kind == "avgpool":
             _, in_shape, layer = entry
-            b_, c, h, w_ = in_shape
             win = layer.window
-            d = dcur.reshape(b_, c, h // win, 1, w_ // win, 1) / (win * win)
-            dcur = np.broadcast_to(d, (b_, c, h // win, win, w_ // win, win)).reshape(in_shape)
+            d = dcur / (win * win)
+            if in_shape[2] == in_shape[3] == win:
+                dcur = np.broadcast_to(d, in_shape)  # rule 3
+            else:
+                dcur = np.empty_like(d, shape=in_shape)
+                for i in range(win):
+                    for j in range(win):
+                        dcur[:, :, i::win, j::win] = d
         else:  # conv
             _, in_shape, cols, z, layer = entry
             dz = dcur.reshape(z.shape)
@@ -409,13 +481,23 @@ def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
             w, _ = params[idx]
             f, c, k, _ = w.shape
             b_, _, ho, wo = z.shape
-            dz_rows = dz.transpose(0, 2, 3, 1).reshape(-1, f)
-            dw = cols.transpose(1, 2, 3, 0, 4, 5).reshape(c * k * k, -1) @ dz_rows
+            # rule 3: dz as the old engine laid it out. A pool's gradient
+            # comes channels-last but was C-order NCHW there; the others
+            # arrive as they did.
+            above = spec.layers[idx + 1]
+            pooled = above.kind == AVGPOOL and z.shape[2:] != (above.window,) * 2
+            nchw = np.ascontiguousarray(dz) if pooled else dz
+            dz_rows = (dz if b_ > 1 else nchw).transpose(0, 2, 3, 1).reshape(-1, f)
+            dw = cols @ dz_rows
             grads[idx] = (dw.reshape(c, k, k, f).transpose(3, 0, 1, 2),
-                          dz.sum(axis=(0, 2, 3)))
+                          nchw.sum(axis=(0, 2, 3)))
             if idx > start:
+                p = layer.padding
                 dcols = (dz_rows @ w.reshape(f, -1)).reshape(b_, ho, wo, c, k, k)
-                dcur = _col2im(dcols, in_shape, k, layer.stride, layer.padding)
+                dx = _col2im(dcols, in_shape, k, layer.stride, p)
+                if spec.layers[idx - 1].kind != AVGPOOL:
+                    dx = dx.copy()  # rule 3: conv and fc read padded NCHW rows
+                dcur = dx[:, :, p:p + in_shape[2], p:p + in_shape[3]]
     return grads
 
 
@@ -537,7 +619,8 @@ def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,
     """One weighted SGD step on fully-connected layers only, from the batch's
     `trunk` activations: forward and backward run over the head alone.
 
-    The trunk's parameters are untouched. Returns (updated learner,
+    The trunk's parameters are untouched: the updated learner shares them,
+    and the step gives each FC layer new arrays. Returns (updated learner,
     pre-update forward probabilities for the batch): the forward pass that
     feeds the update is the same one whose outputs are returned, so callers
     can reuse it as the inference result.
@@ -548,7 +631,7 @@ def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,
         raise ShapeError("train_fc_only requires a non-empty batch")
     y = np.atleast_1d(np.asarray(batch_y, dtype=int))
     weights = np.asarray(sample_weights, dtype=np.float64)
-    params = copy_params(learner.params)
+    params = list(learner.params)
     y_onehot = _one_hot(y, spec.class_count)
     _, grads, probs = _loss_and_grads(spec, params, acts, y_onehot, weights,
                                       spec.head_start)

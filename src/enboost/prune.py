@@ -70,10 +70,11 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
         layer = layers[idx]
         if layer.kind != CONV:
             raise ShapeError(f"layer {idx} is not conv")
-        keep = np.array([f for f in range(layer.filters) if f not in set(filter_ids)])
+        drop = set(filter_ids)
+        keep = np.array([f for f in range(layer.filters) if f not in drop])
         if keep.size == 0:
             raise BudgetInfeasibleError(idx)
-        if keep.size + len(set(filter_ids)) != layer.filters:
+        if keep.size + len(drop) != layer.filters:
             raise ShapeError(f"victim index out of range in layer {idx}")
         w, b = params[idx]
         params[idx] = (w[keep], b[keep])
@@ -88,7 +89,7 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
                 # columns [c*hw, (c+1)*hw) where hw is the spatial size at fc.
                 fc_in = shapes[nxt - 1]
                 hw = fc_in.height * fc_in.width
-                cols = np.concatenate([np.arange(c * hw, (c + 1) * hw) for c in keep])
+                cols = (keep[:, None] * hw + np.arange(hw)).ravel()
                 params[nxt] = (nw[:, cols], nb)
     new_spec = NetworkSpec(input_shape=spec.input_shape, layers=tuple(layers),
                            class_count=spec.class_count)

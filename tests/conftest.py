@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from enboost import boost, config, ensemble
+from enboost import boost, config, ensemble, nn
 from enboost.data import synth_dataset
 from enboost.energy import Device
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs, fc,
@@ -81,6 +81,124 @@ class SearchsortedDevice(Device):
     @property
     def p_harv(self):
         return self.trace.power_at(self.t)
+
+
+# ---------------------------------------------------------------------------
+# The conv engine as it was before activations moved to channels-last memory:
+# `nn`'s private engine must match it bit for bit, signed zeros included
+# (test_nn::test_engine_matches_parent_bitwise). Frozen; do not optimize.
+
+
+def parent_im2col(x, k, s, p):
+    b, c, h, w = x.shape
+    if p:
+        xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p:p + h, p:p + w] = x
+        x = xp
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = x[:, :, i:i + s * ho:s, j:j + s * wo:s]
+    return cols, ho, wo
+
+
+def parent_col2im(dcols, x_shape, k, s, p):
+    """Sum patch gradients (b, ho, wo, c, k, k) onto the (b, c, h, w) input."""
+    b, c, h, w = x_shape
+    ho, wo = dcols.shape[1], dcols.shape[2]
+    acc = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=dcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            acc[:, i:i + s * ho:s, j:j + s * wo:s] += dcols[..., i, j]
+    dx = np.empty((b, c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
+    dx[...] = acc.transpose(0, 3, 1, 2)
+    return dx[:, :, p:p + h, p:p + w]
+
+
+def parent_forward_cache(spec, params, x, start=0, stop=None):
+    """Run layers [start, stop) on a batch entering layer `start`, recording
+    what backward needs; returns the batch leaving layer stop - 1."""
+    cache = []
+    cur = x
+    for idx in range(start, len(spec.layers) if stop is None else stop):
+        layer = spec.layers[idx]
+        if layer.kind == nn.CONV:
+            w, b = params[idx]
+            cols, ho, wo = parent_im2col(cur, layer.kernel, layer.stride, layer.padding)
+            # conv products here and in parent_backward are the GEMMs, with the operand
+            # layouts, that np.einsum(optimize=True) plans: same bits, no planning
+            z = (cols.transpose(0, 4, 5, 1, 2, 3).reshape(-1, w[0].size)
+                 @ w.reshape(w.shape[0], -1).T)
+            z = z.reshape(cur.shape[0], ho, wo, -1).transpose(0, 3, 1, 2)
+            z += b[None, :, None, None]
+            out = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            cache.append(("conv", cur.shape, cols, z, layer))
+            cur = out
+        elif layer.kind == nn.AVGPOOL:
+            b_, c, h, w_ = cur.shape
+            win = layer.window
+            out = cur.reshape(b_, c, h // win, win, w_ // win, win).mean(axis=(3, 5))
+            cache.append(("avgpool", cur.shape, layer))
+            cur = out
+        elif layer.kind == nn.FC:
+            w, b = params[idx]
+            flat = cur.reshape(cur.shape[0], -1)
+            z = flat @ w.T + b
+            out = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            cache.append(("fc", cur.shape, flat, z, layer))
+            cur = out.reshape(cur.shape[0], layer.units, 1, 1)
+        else:  # softmax
+            flat = cur.reshape(cur.shape[0], -1)
+            out = nn._softmax(flat)
+            cache.append(("softmax", cur.shape))
+            cur = out.reshape(cur.shape[0], -1, 1, 1)
+    return cur, cache
+
+
+def parent_backward(spec, params, cache, dlogits, start=0):
+    """Backprop from d(loss)/d(softmax logits) down to layer `start`, whose
+    forward `cache` holds; returns per-layer grads, None below `start`."""
+    grads = [None] * len(spec.layers)
+    dcur = dlogits
+    for idx in range(len(spec.layers) - 1, start - 1, -1):
+        entry = cache[idx - start]
+        kind = entry[0]
+        if kind == "softmax":
+            in_shape = entry[1]
+            dcur = dcur.reshape(in_shape)
+        elif kind == "fc":
+            _, in_shape, flat, z, layer = entry
+            dz = dcur.reshape(z.shape)
+            if layer.activation == "relu":
+                dz = dz * (z > 0)
+            w, _ = params[idx]
+            grads[idx] = (dz.T @ flat, dz.sum(axis=0))
+            if idx > start:  # the range's input needs no gradient
+                dcur = (dz @ w).reshape(in_shape)
+        elif kind == "avgpool":
+            _, in_shape, layer = entry
+            b_, c, h, w_ = in_shape
+            win = layer.window
+            d = dcur.reshape(b_, c, h // win, 1, w_ // win, 1) / (win * win)
+            dcur = np.broadcast_to(d, (b_, c, h // win, win, w_ // win, win)).reshape(in_shape)
+        else:  # conv
+            _, in_shape, cols, z, layer = entry
+            dz = dcur.reshape(z.shape)
+            if layer.activation == "relu":
+                dz = dz * (z > 0)
+            w, _ = params[idx]
+            f, c, k, _ = w.shape
+            b_, _, ho, wo = z.shape
+            dz_rows = dz.transpose(0, 2, 3, 1).reshape(-1, f)
+            dw = cols.transpose(1, 2, 3, 0, 4, 5).reshape(c * k * k, -1) @ dz_rows
+            grads[idx] = (dw.reshape(c, k, k, f).transpose(3, 0, 1, 2),
+                          dz.sum(axis=(0, 2, 3)))
+            if idx > start:
+                dcols = (dz_rows @ w.reshape(f, -1)).reshape(b_, ho, wo, c, k, k)
+                dcur = parent_col2im(dcols, in_shape, k, layer.stride, layer.padding)
+    return grads
 
 
 class PolicyAgent(Agent):

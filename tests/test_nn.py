@@ -3,7 +3,8 @@ FC-only updates, and the finite-difference gradient oracle."""
 import numpy as np
 import pytest
 
-from conftest import tiny_spec
+from conftest import parent_backward, parent_forward_cache, tiny_spec
+from enboost import nn
 from enboost.config import baseline_network
 from enboost.data import synth_dataset
 from enboost.errors import ShapeError, TrainingDivergedError
@@ -201,6 +202,22 @@ def test_fc_only_preserves_conv_parameters():
     assert np.array_equal(probs, forward(learner, x))
 
 
+def test_fc_only_shares_the_trunk_and_leaves_the_input_learner_alone():
+    spec = two_fc_net()
+    learner = WeakLearner.initialize(spec, seed=2, learner_id="t")
+    fc_idx = [i for i, l in enumerate(spec.layers) if l.kind == "fc"]
+    fc_before = params_checksum([learner.params[i] for i in fc_idx])
+    x = np.random.default_rng(0).standard_normal((3, 2, 6, 6))
+    updated, _ = train_fc_only(learner, trunk(learner, x), [0, 1, 2],
+                               [1.0, 0.5, 2.0], learning_rate=0.1)
+    for idx in range(spec.head_start):
+        if learner.params[idx] is not None:
+            assert updated.params[idx][0] is learner.params[idx][0]
+            assert updated.params[idx][1] is learner.params[idx][1]
+    assert params_checksum([learner.params[i] for i in fc_idx]) == fc_before
+    assert params_checksum([updated.params[i] for i in fc_idx]) != fc_before
+
+
 def test_fc_only_matches_finite_difference_gradient():
     spec = fc_net(2, 2)
     learner = WeakLearner.initialize(spec, seed=4, learner_id="t")
@@ -295,6 +312,114 @@ def test_head_of_trunk_is_forward_bitwise(make, start):
         acts = trunk(learner, batch)
         assert acts.shape == (len(batch),) + spec.head_input
         assert head(learner, acts).tobytes() == forward(learner, batch).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# parent-engine oracle
+
+
+@pytest.mark.parametrize("win", range(1, 13))
+def test_avgpool_sums_in_numpys_order(win):
+    # numpy's window mean, whose summation order follows the memory layout
+    rng = np.random.default_rng(win)
+    for b, c, ho, wo in ((1, 1, 1, 1), (2, 1, 2, 3), (3, 4, 1, 1), (2, 3, 2, 2)):
+        h, w = ho * win, wo * win
+        x = rng.standard_normal((b, c, h, w))
+        x[rng.random(x.shape) < 0.3] = -0.0
+        x[0, 0, :win, :win] = -0.0
+        # laid out as a conv output: GEMM rows (b*h*w, c) seen as (b, c, h, w)
+        conv_out = (x.transpose(0, 2, 3, 1).reshape(-1, c)
+                    .reshape(b, h, w, c).transpose(0, 3, 1, 2))
+        for batch in (x, conv_out):
+            want = batch.reshape(b, c, ho, win, wo, win).mean(axis=(3, 5))
+            got = nn._avgpool(batch, win)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def net(input_shape, *layers):
+    """A spec whose classes are the outputs of the layer below softmax."""
+    shape = TensorShape(*input_shape)
+    for layer in layers[:-1]:
+        shape = nn._layer_out_shape(layer, shape)
+    return NetworkSpec(input_shape=TensorShape(*input_shape), layers=layers,
+                       class_count=shape.size)
+
+
+ORACLE_NETS = {
+    # k3 s1 p1 relu convs; window 2 on channels-last input of > 1 channel
+    "baseline": baseline_network,
+    # 1-channel input and 1-filter convs; windows 2 and 3 on 1 channel, the
+    # last one window wide
+    "one-channel": lambda: net(
+        (1, 12, 12), conv(1, kernel=3, padding=1), avgpool(2),
+        conv(1, kernel=1, activation="none"), avgpool(2), avgpool(3),
+        fc(3), softmax_layer()),
+    # conv above conv: k5/k3/k1, strides 2 and 1, padding 0 and 1 above an
+    # activation-free conv; a 1x1-filter conv; two FC layers
+    "conv-stack": lambda: net(
+        (2, 11, 11), conv(4, kernel=5, stride=2, padding=1, activation="none"),
+        conv(2, kernel=3, padding=1), conv(1, kernel=1, activation="none"),
+        conv(3, kernel=3, stride=2), fc(5, activation="relu"), fc(4),
+        softmax_layer()),
+    # no FC layer: window 3 on > 1 channel, then a one-window pool
+    "no-fc": lambda: net(
+        (3, 6, 6), conv(3, kernel=3, padding=1), avgpool(3),
+        conv(4, kernel=1), avgpool(2), softmax_layer()),
+    # an FC layer below a padded conv
+    "fc-below-conv": lambda: net(
+        (2, 4, 4), fc(3), conv(2, kernel=3, padding=1), fc(4),
+        softmax_layer()),
+    # pooling the raw input; a conv whose output is one pixel
+    "pool-first": lambda: net(
+        (2, 9, 9), avgpool(3), conv(4, kernel=5, stride=2, padding=1), fc(3),
+        softmax_layer()),
+}
+
+
+def _engine_outputs(learner, x, y, w):
+    """Every array the engine's callers see, as a flat list."""
+    spec = learner.spec
+    onehot = nn._one_hot(y, spec.class_count)
+    loss, grads, probs = nn._loss_and_grads(spec, learner.params, x, onehot, w)
+    acts = trunk(learner, x)
+    head_loss, head_grads, _ = nn._loss_and_grads(spec, learner.params, acts,
+                                                  onehot, w, spec.head_start)
+    updated, fc_probs = train_fc_only(learner, acts, y, w, 0.1)
+    out = [np.array(loss), probs, acts, head(learner, acts), forward(learner, x),
+           np.array(head_loss), fc_probs]
+    out.extend(nn._forward_cache(spec, learner.params, x, stop=stop)[0]
+               for stop in range(1, len(spec.layers)))
+    for g in list(grads) + list(head_grads) + list(updated.params):
+        out.extend([] if g is None else g)
+    return out
+
+
+@pytest.mark.parametrize("name", ORACLE_NETS)
+def test_engine_matches_parent_bitwise(name, monkeypatch):
+    spec = ORACLE_NETS[name]()
+    rng = np.random.default_rng(11)
+    learner = WeakLearner.initialize(spec, seed=5, learner_id="t")
+    learner.params = [None if p is None else
+                      (p[0], rng.standard_normal(p[1].shape) * 0.1)
+                      for p in learner.params]
+    ish = spec.input_shape
+    for batch in (1, 2, 31, 32):
+        x = rng.standard_normal((batch, ish.channels, ish.height, ish.width))
+        # signed zeros must match too, also where a whole window is -0.0
+        x[rng.random(x.shape) < 0.1] = -0.0
+        x[::2, :, :3] = -0.0
+        y = rng.integers(0, spec.class_count, size=batch)
+        w = rng.uniform(0.5, 1.5, size=batch)
+        got = _engine_outputs(learner, x, y, w)
+        with monkeypatch.context() as m:
+            m.setattr(nn, "_forward_cache", parent_forward_cache)
+            m.setattr(nn, "_backward", parent_backward)
+            want = _engine_outputs(learner, x, y, w)
+        assert len(got) == len(want)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape, (batch, i)
+            assert np.array_equal(np.ascontiguousarray(a).view(np.int64),
+                                  np.ascontiguousarray(b).view(np.int64)), (batch, i)
 
 
 # ---------------------------------------------------------------------------
