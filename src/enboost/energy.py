@@ -46,14 +46,6 @@ class Capacitor:
         return self.max_energy - self.cutoff_energy
 
 
-def step(cap: Capacitor, energy: float, harvested_power, load_power, dt) -> float:
-    """Stored energy after (P_harv - P_load)*dt, clamped to [0, full]."""
-    if dt <= 0:
-        raise ConfigError("dt must be > 0")
-    e = energy + (harvested_power - load_power) * dt
-    return min(max(e, 0.0), cap.max_energy)
-
-
 @dataclass(frozen=True)
 class PowerTrace:
     times: np.ndarray     # seconds, strictly increasing
@@ -247,7 +239,8 @@ class Device:
         """Move the cursor past every sample at or before t; the sample in
         force at t is the one before it (the first, before the trace)."""
         times, i = self._times, self._idx
-        while i < len(times) and times[i] <= t:
+        n = len(times)
+        while i < n and times[i] <= t:
             i += 1
         self._idx = i
         return i
@@ -255,7 +248,8 @@ class Device:
     @property
     def usable_energy(self) -> float:
         """Energy stored above the cutoff voltage; what the device can spend."""
-        return max(0.0, self.energy - self.cap.cutoff_energy)
+        usable = self.energy - self.cap.cutoff_energy
+        return usable if usable > 0.0 else 0.0   # max(0.0, usable)
 
     @property
     def usable_fraction(self) -> float:
@@ -271,14 +265,16 @@ class Device:
 
     def advance(self, until: float, load_power=None):
         """Integrate harvest minus a constant load power up to time `until`,
-        splitting at trace sample boundaries for exact bookkeeping."""
+        splitting at trace sample boundaries for exact bookkeeping. Each
+        segment adds (P_harv - P_load)*dt to the store, clamped to [0, full]."""
         if load_power is None:
             load_power = self.cost_model.sleep_power
-        times, power, cap = self._times, self._power, self.cap
+        times, power, full = self._times, self._power, self.cap.max_energy
         t, energy = self.t, self.energy
         harvested, consumed = self.harvested, self.consumed
         i, n = self._seek(t), len(times)
-        while t < until - 1e-12:
+        stop = until - 1e-12
+        while t < stop:
             p_harv = power[i - 1] if i else power[0]
             if i < n and times[i] < until:   # the segment ends at a sample
                 seg_end, i = times[i], i + 1
@@ -286,9 +282,18 @@ class Device:
                 seg_end = until
             dt = seg_end - t
             before = energy
-            energy = step(cap, before, p_harv, load_power, dt)
+            # min(max(e, 0.0), full) and min(load, available) without the
+            # builtin calls: the same comparisons pick the same operands
+            energy = before + (p_harv - load_power) * dt
+            if energy < 0.0:
+                energy = 0.0
+            elif energy > full:
+                energy = full
             # attribute the clamped delta: absorbed harvest vs served load
-            served_load = min(load_power * dt, before + p_harv * dt)
+            served_load = load_power * dt
+            available = before + p_harv * dt
+            if available < served_load:
+                served_load = available
             harvested += energy - before + served_load
             consumed += served_load
             t = seg_end

@@ -10,11 +10,14 @@ class ShapeError(EnboostError):
 
 
 class TrainingDivergedError(EnboostError):
-    """Loss became non-finite during training."""
+    """Loss became non-finite while training a learner; `stage` is "train"
+    or "prune retrain"."""
 
-    def __init__(self, epoch):
+    def __init__(self, epoch, learner, stage):
         self.epoch = epoch
-        super().__init__(f"non-finite loss at epoch {epoch}")
+        self.learner = learner
+        self.stage = stage
+        super().__init__(f"{learner}: non-finite loss at epoch {epoch} of {stage}")
 
 
 class BudgetInfeasibleError(EnboostError):

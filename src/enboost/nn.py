@@ -593,23 +593,33 @@ def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
     if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
         raise ShapeError("sample weights must be positive and finite")
     spec = learner.spec
-    params = copy_params(learner.params)
+    n = x.shape[0]
+    if epochs > 0 and n > 0:
+        # the first SGD step gives every layer new arrays, so copy only what
+        # is not C-ordered: the GEMMs round by their operands' layout, and
+        # `prune_step`'s channel slices are not
+        params = [None if p is None else tuple(map(np.ascontiguousarray, p))
+                  for p in learner.params]
+    else:  # no step: hand back copies, never the input learner's arrays
+        params = copy_params(learner.params)
     y_onehot = _one_hot(y, spec.class_count)
     rng = np.random.default_rng(seed)
-    n = x.shape[0]
     history = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            sel = order[start:start + batch_size]
-            loss, grads, _ = _loss_and_grads(spec, params, x[sel], y_onehot[sel],
-                                             weights[sel])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            _sgd_step(params, grads, learning_rate)
-            total += loss * len(sel)
-        history.append(total / n)
+    # a diverging step overflows before its loss is checked: raise the error,
+    # not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, batch_size):
+                sel = order[start:start + batch_size]
+                loss, grads, _ = _loss_and_grads(spec, params, x[sel], y_onehot[sel],
+                                                 weights[sel])
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(epoch, learner.id, "train")
+                _sgd_step(params, grads, learning_rate)
+                total += loss * len(sel)
+            history.append(total / n)
     return WeakLearner(spec=spec, params=params, macs=learner.macs,
                        eval_accuracy=0.0, id=learner.id), history
 

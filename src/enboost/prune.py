@@ -8,9 +8,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, ConfigError, ShapeError
-from .nn import (CONV, FC, NetworkSpec, WeakLearner, copy_params, count_macs,
-                 train)
+from .errors import (BudgetInfeasibleError, ConfigError, ShapeError,
+                     TrainingDivergedError)
+from .nn import CONV, FC, NetworkSpec, WeakLearner, count_macs, train
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
     spec = learner.spec
     shapes = spec.shapes()
     layers = list(spec.layers)
-    params = copy_params(learner.params)
+    params = list(learner.params)
     for idx, filter_ids in sorted(victims.items()):
         if not filter_ids:
             continue
@@ -91,6 +91,10 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
                 hw = fc_in.height * fc_in.width
                 cols = (keep[:, None] * hw + np.arange(hw)).ravel()
                 params[nxt] = (nw[:, cols], nb)
+    # fancy indexing copied what it sliced; copy the arrays it did not touch
+    own = {id(a) for p in learner.params if p is not None for a in p}
+    params = [None if p is None else tuple(a.copy() if id(a) in own else a for a in p)
+              for p in params]
     new_spec = NetworkSpec(input_shape=spec.input_shape, layers=tuple(layers),
                            class_count=spec.class_count)
     return WeakLearner(spec=new_spec, params=params, macs=count_macs(new_spec),
@@ -116,8 +120,11 @@ def prune_to_budget(learner: WeakLearner, dataset, sample_weights,
         victims = {}
         for _, idx, f in candidates[:schedule.filters_removed_per_step]:
             victims.setdefault(idx, []).append(f)
-        current, _ = train(prune_step(current, victims), dataset, sample_weights,
-                           epochs=schedule.retrain_epochs_per_step,
-                           learning_rate=learning_rate, seed=seed,
-                           batch_size=batch_size)
+        try:
+            current, _ = train(prune_step(current, victims), dataset, sample_weights,
+                               epochs=schedule.retrain_epochs_per_step,
+                               learning_rate=learning_rate, seed=seed,
+                               batch_size=batch_size)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(exc.epoch, exc.learner, "prune retrain") from None
     return current

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import artifacts
 from .energy import (Capacitor, CostModel, Device, PowerTrace, RequestPattern,
-                     discretize_energy, discretize_power, inference_cost,
-                     power_terciles, ENERGY_LEVELS, POWER_LEVELS)
+                     inference_cost, power_terciles, ENERGY_LEVELS, POWER_LEVELS,
+                     _FULL_TOLERANCE)
 from .errors import ConfigError, TableLoadError  # noqa: F401 (old name, re-exported)
 
 QTABLE_VERSION = 2
@@ -68,11 +68,15 @@ def reward(s: SchedulerState, a: int, params: RewardParams,
            energy_fraction: float) -> float:
     """energy_fraction is the continuous usable-energy fraction at s (the
     discretized e_now bin is too coarse for the penalty magnitude)."""
+    return _reward(s.l, a, params, energy_fraction)
+
+
+def _reward(l, a, params, energy_fraction):
     if a == 1:
-        if s.l >= len(params.delta_acc):
+        if l >= len(params.delta_acc):
             raise ConfigError("action 1 is masked when all learners have run")
-        return params.delta_acc[s.l] - params.beta * (1.0 - energy_fraction)
-    if s.l == 0:
+        return params.delta_acc[l] - params.beta * (1.0 - energy_fraction)
+    if l == 0:
         return -params.p_miss
     return 0.0
 
@@ -100,10 +104,7 @@ class QTable:
 
 def act(table: QTable, s: SchedulerState) -> int:
     """Greedy action; a=1 is masked at l=N and exact ties resolve to a=0."""
-    if s.l >= table.n:
-        return 0
-    q0, q1 = table.values[encode_state(s, table.n)]
-    return 1 if q1 > q0 else 0
+    return _greedy(table.values, table.n + 1, encode_state(s, table.n))
 
 
 def q_update(table: QTable, s: SchedulerState, a: int, r: float, s_next):
@@ -111,16 +112,32 @@ def q_update(table: QTable, s: SchedulerState, a: int, r: float, s_next):
     None) bootstraps 0; otherwise from the best legal action at s_next,
     which is a=0 alone at l=N, discounted by the table's gamma only when
     s_next starts the next request (l = 0)."""
-    idx = encode_state(s, table.n)
+    _update(table.values, table.n + 1, table.hyper, encode_state(s, table.n), a, r,
+            None if s_next is None else encode_state(s_next, table.n))
+    return table
+
+
+# `act` and `q_update` on state indices, over a table's rows (the value
+# array, or its rows as lists of floats); l = s % (N + 1)
+
+def _greedy(rows, n1, s):
+    if s % n1 == n1 - 1:
+        return 0
+    q0, q1 = rows[s]
+    return 1 if q1 > q0 else 0
+
+
+def _update(rows, n1, hyper, s, a, r, s_next):
     if s_next is None:
         bootstrap = 0.0
     else:
-        gamma = table.hyper.discount if s_next.l == 0 else 1.0
-        q0, q1 = table.values[encode_state(s_next, table.n)].tolist()
-        bootstrap = gamma * (q0 if s_next.l >= table.n else max(q0, q1))
-    q = table.values[idx, a]
-    table.values[idx, a] = q + table.hyper.learning_rate * (r + bootstrap - q)
-    return table
+        l_next = s_next % n1
+        gamma = hyper.discount if l_next == 0 else 1.0
+        q0, q1 = rows[s_next]
+        bootstrap = gamma * (q0 if l_next == n1 - 1 else max(q0, q1))
+    row = rows[s]
+    q = row[a]
+    row[a] = q + hyper.learning_rate * (r + bootstrap - q)
 
 
 @dataclass
@@ -143,28 +160,65 @@ class EnvConfig:
 
 
 class StateTracker:
-    """Builds SchedulerState observations for one simulated run, including the
-    trailing mean battery level over the last 10 served requests (running mean
-    until 10 exist; the current level until a request is served)."""
+    """Observes one simulated run as state indices, the value `encode_state`
+    gives. Energies fall in `discretize_energy`'s bins and the harvest power
+    in `discretize_power`'s. The trailing level is the mean usable fraction
+    over the last `E_LAST_WINDOW` served requests (fewer until that many
+    exist; the current level until a request is served)."""
 
-    def __init__(self, one_learner_cost, power_thresholds):
+    def __init__(self, cap: Capacitor, one_learner_cost, power_thresholds, n):
+        t1, t2 = power_thresholds
+        if not t1 < t2:
+            raise ConfigError(f"need t1 < t2, got {power_thresholds}")
         self.one_learner_cost = one_learner_cost
         self.power_thresholds = power_thresholds
-        self.history = []
-        self.mean_frac = None   # changes only when a request is served
+        self.n = n
+        self.max_usable = cap.max_usable_energy
+        self.full = cap.max_usable_energy - _FULL_TOLERANCE
+        self.half = 0.5 * cap.max_usable_energy
+        self.history = []      # the usable fractions of the window
+        self.e_last = None     # changes only when a request is served
 
-    def observe(self, device: Device, l: int) -> SchedulerState:
-        cap = device.cap
-        e_now = discretize_energy(device.usable_energy, cap, self.one_learner_cost)
-        mean_frac = device.usable_fraction if self.mean_frac is None else self.mean_frac
-        e_last = discretize_energy(mean_frac * cap.max_usable_energy, cap,
-                                   self.one_learner_cost)
-        p = discretize_power(device.p_harv, self.power_thresholds)
-        return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p, l=l)
+    def _bin(self, usable: float) -> int:
+        if usable < self.one_learner_cost:
+            return 0
+        if usable >= self.full:
+            return 3
+        return 1 if usable < self.half else 2
+
+    def observe(self, device: Device, l: int) -> int:
+        usable = device.usable_energy
+        e_now = self._bin(usable)
+        e_last = self.e_last
+        if e_last is None:
+            e_last = self._bin(usable / self.max_usable * self.max_usable)
+        p = device.p_harv
+        t1, t2 = self.power_thresholds
+        p = 0 if p < t1 else 1 if p < t2 else 2
+        return ((e_now * ENERGY_LEVELS + e_last) * POWER_LEVELS + p) * (self.n + 1) + l
 
     def record_post_inference(self, device: Device):
-        self.history.append(device.usable_fraction)
-        self.mean_frac = float(np.mean(self.history[-E_LAST_WINDOW:]))
+        history = self.history
+        history.append(device.usable_fraction)
+        if len(history) > E_LAST_WINDOW:
+            del history[0]
+        self.e_last = self._bin(_mean(history) * self.max_usable)
+
+
+def _mean(values) -> float:
+    """`float(np.mean(values))` of 1 to 15 floats, bit for bit: numpy adds
+    its pairwise sum to +0.0, and that sum adds fewer than 8 values in a
+    loop, and more from 8 partial sums, which start at the first 8 values
+    when there are fewer than 16."""
+    n = len(values)
+    total, rest = 0.0, values
+    if n >= 8:
+        r = values
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = values[8:]
+    for v in rest:
+        total += v
+    return total / n
 
 
 def _make_device(env: EnvConfig) -> Device:
@@ -183,8 +237,10 @@ class Agent:
     def arrive(self, i: int, t: float):
         """Request i arrives; the device has advanced to its time t."""
 
-    def decide(self, state: SchedulerState) -> int:
-        """1 runs learner state.l, 0 stops; must be 0 at l = N."""
+    def decide(self, s: int) -> int:
+        """1 runs the next learner, 0 stops; must be 0 at l = N. s is the
+        state's `encode_state` index: l = s % (N + 1) learners have run this
+        request, and e_now = s // (12 * (N + 1)) is the energy bin now."""
         raise NotImplementedError
 
     def ran(self, l: int):
@@ -203,7 +259,7 @@ def replay(env: EnvConfig, device: Device, costs, agent: Agent):
     on a=0, else draw learner l's cost, stopping on a brownout. A request
     that ran any learner feeds the trailing-energy feature.
     """
-    tracker = StateTracker(max(costs), env.power_thresholds)
+    tracker = StateTracker(device.cap, max(costs), env.power_thresholds, len(costs))
     period, horizon = env.requests.period, env.horizon
     for i, t in enumerate(np.arange(period, horizon + 1e-9, period).tolist()):
         device.advance(t)
@@ -212,7 +268,7 @@ def replay(env: EnvConfig, device: Device, costs, agent: Agent):
             agent.done(0, OFF)
             continue
         l, end = 0, STOP
-        while agent.decide(tracker.observe(device, l=l)):
+        while agent.decide(tracker.observe(device, l)):
             if not device.draw(costs[l]):
                 end = BROWNOUT
                 break
@@ -225,11 +281,14 @@ def replay(env: EnvConfig, device: Device, costs, agent: Agent):
 
 
 class _QLearner(Agent):
-    """Epsilon-greedy exploration with one-step Q-updates for one episode."""
+    """Epsilon-greedy exploration with one-step Q-updates for one episode,
+    on the table's rows as lists of floats."""
 
-    def __init__(self, table: QTable, params: RewardParams, device: Device,
-                 rng, epsilon):
-        self.table = table
+    def __init__(self, rows, n, hyper: QHyperParams, params: RewardParams,
+                 device: Device, rng, epsilon):
+        self.rows = rows
+        self.n = n
+        self.hyper = hyper
         self.params = params
         self.device = device
         self.rng = rng
@@ -238,13 +297,15 @@ class _QLearner(Agent):
         self.pending = None  # (s, a, reward) awaiting its successor state
 
     def decide(self, s):
+        n1 = self.n + 1
         if self.pending is not None:
-            q_update(self.table, *self.pending, s)
-        if s.l < self.table.n and self.rng.random() < self.epsilon:
+            _update(self.rows, n1, self.hyper, *self.pending, s)
+        l = s % n1
+        if l < self.n and self.rng.random() < self.epsilon:
             a = int(self.rng.integers(0, 2))
         else:
-            a = act(self.table, s)  # a=0 at l = N
-        r = reward(s, a, self.params, self.device.usable_fraction)
+            a = _greedy(self.rows, n1, s)  # a=0 at l = N
+        r = _reward(l, a, self.params, self.device.usable_fraction)
         self.total_reward += r
         self.pending = (s, a, r)
         return a
@@ -276,7 +337,9 @@ def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
         raise ConfigError(f"episodes must be >= 0, got {episodes}")
     params = replace(env.reward, delta_acc=tuple(ensemble_model.delta_acc))
     hyper = hyper or QHyperParams()
-    table = QTable.zeros(ensemble_model.size, hyper)
+    n = ensemble_model.size
+    table = QTable.zeros(n, hyper)
+    rows = table.values.tolist()
     costs = [inference_cost(l.macs, env.cost_model) for l in ensemble_model.learners]
     rng = np.random.default_rng(seed)
     curve = []
@@ -285,11 +348,12 @@ def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
         frac = min(1.0, episode / anneal_len)
         epsilon = hyper.epsilon_start + frac * (hyper.epsilon_end - hyper.epsilon_start)
         device = _make_device(env)
-        learner = _QLearner(table, params, device, rng, epsilon)
+        learner = _QLearner(rows, n, hyper, params, device, rng, epsilon)
         replay(env, device, costs, learner)
         if learner.pending is not None:
-            q_update(table, *learner.pending, None)
+            _update(rows, n + 1, hyper, *learner.pending, None)
         curve.append(learner.total_reward)
+    table.values[:] = rows
     return table, curve
 
 

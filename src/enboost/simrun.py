@@ -25,12 +25,12 @@ import numpy as np
 
 from . import artifacts
 from .data import Dataset
-from .energy import inference_cost
+from .energy import ENERGY_LEVELS, POWER_LEVELS, inference_cost
 from .ensemble import EnsembleModel, weighted_vote
 from .errors import ConfigError
 from .nn import evaluate, head, train_fc_only, trunk
-from .qsched import (BROWNOUT, OFF, STOP, Agent, EnvConfig, QTable, act,
-                     replay, _make_device)
+from .qsched import (BROWNOUT, OFF, STOP, Agent, EnvConfig, QTable, replay,
+                     _greedy, _make_device)
 
 RETRAIN_MODES = ("off", "high-energy", "low-energy", "auto")
 
@@ -50,8 +50,8 @@ class QPolicy:
         self.table = table
         self.name = "qtable"
 
-    def decide(self, state) -> int:
-        return act(self.table, state)
+    def decide(self, s: int) -> int:
+        return _greedy(self.table.values, self.table.n + 1, s)
 
 
 class FixedKPolicy:
@@ -59,10 +59,11 @@ class FixedKPolicy:
 
     def __init__(self, k: int, n: int):
         self.k = min(k, n)
+        self.n = n
         self.name = "all" if self.k >= n else f"fixed:{k}"
 
-    def decide(self, state) -> int:
-        return 1 if state.l < self.k else 0
+    def decide(self, s: int) -> int:
+        return 1 if s % (self.n + 1) < self.k else 0
 
 
 @dataclass
@@ -212,18 +213,20 @@ class _Server(Agent):
         self.label = int(self.sy[sample_idx])
         self.probs = []
 
-    def decide(self, state):
-        if state.l == 0:
-            n = len(self.costs)
-            mode = _round_robin_mode(self.cfg.retrain_mode, state.e_now)
+    def decide(self, s):
+        n = len(self.costs)
+        l = s % (n + 1)
+        if l == 0:
+            e_now = s // (ENERGY_LEVELS * POWER_LEVELS * (n + 1))
+            mode = _round_robin_mode(self.cfg.retrain_mode, e_now)
             self.target = {"high-energy": n, "low-energy": max(n - 1, 1)}.get(mode)
             self.retrain_idx = -1
             if self.target is not None:
                 self.retrain_idx = self.retrain_cursor % self.target
                 self.retrain_cursor += 1
         if self.target is None:
-            return self.cfg.policy.decide(state)
-        return 1 if state.l < self.target else 0
+            return self.cfg.policy.decide(s)
+        return 1 if l < self.target else 0
 
     def ran(self, l):
         row, i = self.row, self.row["sample_index"]

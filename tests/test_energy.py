@@ -7,7 +7,7 @@ from conftest import SearchsortedDevice
 from enboost import config
 from enboost.energy import (Capacitor, CostModel, Device, PowerTrace,
                             RequestPattern, discretize_energy, discretize_power,
-                            inference_cost, load_trace, power_terciles, step,
+                            inference_cost, load_trace, power_terciles,
                             synth_trace)
 from enboost.errors import ConfigError, TraceError
 
@@ -54,33 +54,42 @@ def test_capacitor_validation():
 
 
 # ---------------------------------------------------------------------------
-# step
+# one integration step: a `Device.advance` over a single trace segment
+
+
+def one_segment_device(voltage, power, t=0.0):
+    trace = PowerTrace(times=[0.0], power=[power])
+    return Device(cap=Capacitor(voltage=voltage), trace=trace,
+                  cost_model=CostModel(), t=t)
 
 
 def test_step_balanced_power_is_identity():
-    cap = Capacitor(voltage=3.0)
-    out = step(cap, cap.energy, harvested_power=0.01, load_power=0.01, dt=50.0)
-    assert abs(out - cap.energy) < 1e-12
+    dev = one_segment_device(voltage=3.0, power=0.01)
+    dev.advance(50.0, load_power=0.01)
+    assert abs(dev.energy - dev.cap.energy) < 1e-12
 
 
 def test_step_net_harvest_adds_energy():
-    cap = Capacitor(voltage=3.0)
-    out = step(cap, cap.energy, 0.02, 0.0, dt=10.0)
-    assert abs(out - (cap.energy + 0.2)) < 1e-12
+    dev = one_segment_device(voltage=3.0, power=0.02)
+    dev.advance(10.0, load_power=0.0)
+    assert abs(dev.energy - (dev.cap.energy + 0.2)) < 1e-12
 
 
 def test_step_clamps_at_full_and_empty():
-    cap = Capacitor(voltage=4.2)
-    out = step(cap, cap.energy, 1.0, 0.0, dt=1e6)
-    assert abs(out - cap.max_energy) < 1e-12
-    cap = Capacitor(voltage=2.0)
-    out = step(cap, cap.energy, 0.0, 1.0, dt=1e6)
-    assert out == 0.0
+    dev = one_segment_device(voltage=4.2, power=1.0)
+    dev.advance(1e6, load_power=0.0)
+    assert abs(dev.energy - dev.cap.max_energy) < 1e-12
+    dev = one_segment_device(voltage=2.0, power=0.0)
+    dev.advance(1e6, load_power=1.0)
+    assert dev.energy == 0.0
 
 
-def test_step_rejects_nonpositive_dt():
-    with pytest.raises(ConfigError):
-        step(Capacitor(), 0.0, 0.0, 0.0, dt=0.0)
+def test_advance_to_a_time_not_after_t_changes_nothing():
+    dev = one_segment_device(voltage=3.0, power=0.02, t=5.0)
+    before = (dev.t, dev.energy, dev.harvested, dev.consumed)
+    for until in (5.0, 3.0, -1.0):
+        dev.advance(until, load_power=1.0)
+        assert (dev.t, dev.energy, dev.harvested, dev.consumed) == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Engine-level contracts: forward math, MAC accounting, weighted training,
 FC-only updates, and the finite-difference gradient oracle."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,11 +149,31 @@ def test_separable_two_class_set_reaches_95_percent():
 def test_training_diverges_on_non_finite_loss():
     ds = small_dataset()
     ds.x[0] = np.inf  # poison one train sample
-    learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
-    with pytest.raises(TrainingDivergedError) as err:
-        train(learner, ds, np.ones(ds.split_size("train")), epochs=1,
-              learning_rate=0.05, seed=0, batch_size=len(ds.y))
+    learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="learner-07")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingDivergedError) as err:
+            train(learner, ds, np.ones(ds.split_size("train")), epochs=1,
+                  learning_rate=0.05, seed=0, batch_size=len(ds.y))
     assert err.value.epoch == 0
+    assert [str(w.message) for w in caught] == []
+    assert (err.value.learner, err.value.stage) == ("learner-07", "train")
+    assert "learner-07" in str(err.value) and "train" in str(err.value)
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_train_shares_no_array_with_its_input(epochs):
+    ds = small_dataset()
+    learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
+    before = nn.copy_params(learner.params)
+    trained, _ = train(learner, ds, np.ones(ds.split_size("train")), epochs=epochs,
+                       learning_rate=0.05, seed=0)
+    for p, q, r in zip(trained.params, learner.params, before):
+        if p is None:
+            continue
+        for a, b, c in zip(p, q, r):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(b, c)
 
 
 def test_train_rejects_bad_weights():

@@ -1,10 +1,14 @@
 """Filter ranking, structural pruning, and the MAC-budget loop."""
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import tiny_spec
+from enboost import nn
 from enboost.data import synth_dataset
-from enboost.errors import BudgetInfeasibleError, ConfigError, ShapeError
+from enboost.errors import (BudgetInfeasibleError, ConfigError, ShapeError,
+                            TrainingDivergedError)
 from enboost.nn import (NetworkSpec, TensorShape, WeakLearner, conv,
                         count_macs, count_params, fc, softmax_layer, train)
 from enboost.prune import (PruneSchedule, conv_layer_indices,
@@ -78,6 +82,31 @@ def test_prune_step_downstream_conv_channels():
     assert pruned.macs < learner.macs
 
 
+def test_prune_step_shares_no_array_with_its_input():
+    learner = WeakLearner.initialize(tiny_spec(), seed=1, learner_id="t")
+    before = nn.copy_params(learner.params)
+    pruned = prune_step(learner, {0: [2]})
+    for p, q, r in zip(pruned.params, learner.params, before):
+        if p is None:
+            continue
+        for a, b, c in zip(p, q, r):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(b, c)
+
+
+def test_retraining_a_pruned_learner_does_not_depend_on_its_layout():
+    # channel slices come out of prune_step in F order; the GEMMs round by
+    # their operands' layout, so `train` must give the bits of C-order copies
+    ds = small_dataset()
+    learner = WeakLearner.initialize(tiny_spec(), seed=1, learner_id="t")
+    pruned = prune_step(learner, {0: [2], 2: [1]})
+    assert not all(a.flags.c_contiguous for p in pruned.params if p for a in p)
+    w = np.ones(ds.split_size("train"))
+    a, _ = train(pruned, ds, w, epochs=1, learning_rate=0.05, seed=0)
+    b, _ = train(pruned.copy(), ds, w, epochs=1, learning_rate=0.05, seed=0)
+    assert a.checksum() == b.checksum()
+
+
 def small_dataset():
     return synth_dataset(seed=5, classes=3, samples_per_class=12,
                          shape=(2, 8, 8), noise=1.0)
@@ -128,6 +157,19 @@ def test_prune_to_budget_infeasible_names_layer():
                         PruneSchedule(target_mac_fraction=0.001,
                                       retrain_epochs_per_step=0), seed=0)
     assert err.value.layer_index in (0, 2)
+
+
+def test_prune_retrain_divergence_names_learner_and_stage():
+    learner, ds = trained_tiny()
+    ds.x[0] = np.inf  # poison one train sample after training
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingDivergedError) as err:
+            prune_to_budget(learner, ds, np.ones(ds.split_size("train")),
+                            PruneSchedule(target_mac_fraction=0.5), seed=0)
+    assert [str(w.message) for w in caught] == []
+    assert (err.value.learner, err.value.stage) == ("t", "prune retrain")
+    assert str(err.value).startswith("t: ") and "prune retrain" in str(err.value)
 
 
 def test_bundled_baseline_quarter_params(pool4, baseline_spec):

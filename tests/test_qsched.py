@@ -9,8 +9,8 @@ import pytest
 from conftest import PolicyAgent, SearchsortedDevice
 from enboost import qsched
 from enboost.energy import (ENERGY_LEVELS, POWER_LEVELS, Capacitor, CostModel,
-                            RequestPattern, discretize_energy, discretize_power,
-                            synth_trace)
+                            Device, PowerTrace, RequestPattern, discretize_energy,
+                            discretize_power, synth_trace)
 from enboost.errors import ArtifactError, ConfigError
 from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams,
                             SchedulerState, act, encode_state,
@@ -288,8 +288,9 @@ def test_train_offline_zero_episodes():
 
 
 class ObserveMeanTracker(qsched.StateTracker):
-    """Takes the trailing mean at every observation: the reference for
-    `StateTracker`, which takes it once per served request."""
+    """Takes the trailing mean with `np.mean` at every observation and
+    encodes a `SchedulerState`: the reference for `StateTracker`, which
+    bins inline and takes the mean once per served request."""
 
     def observe(self, device, l):
         cap = device.cap
@@ -301,7 +302,8 @@ class ObserveMeanTracker(qsched.StateTracker):
         e_last = discretize_energy(mean_frac * cap.max_usable_energy, cap,
                                    self.one_learner_cost)
         p = discretize_power(device.p_harv, self.power_thresholds)
-        return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p, l=l)
+        return encode_state(SchedulerState(e_now=e_now, e_last=e_last, p_harv=p, l=l),
+                            self.n)
 
 
 def test_train_offline_matches_reference_stepper(monkeypatch):
@@ -327,7 +329,7 @@ def greedy_executions(table, env, ens):
     """Replay the trace with the greedy policy; returns learners run per
     request."""
     costs = [inference_cost(l.macs, env.cost_model) for l in ens.learners]
-    agent = PolicyAgent(lambda s: act(table, s))
+    agent = PolicyAgent(lambda s: act(table, decode_state(s, table.n)))
     replay(env, _make_device(env), costs, agent)
     return agent.runs
 
@@ -341,3 +343,101 @@ def test_abundant_power_policy_runs_full_ensemble():
     assert np.mean(np.asarray(runs) == ens.size) >= 0.9
     # learning made the episode reward climb
     assert np.mean(curve[-10:]) >= np.mean(curve[:10])
+
+
+# ---------------------------------------------------------------------------
+# the tracker's trailing mean and state index
+
+
+@pytest.mark.parametrize("n", range(1, qsched.E_LAST_WINDOW + 1))
+def test_mean_matches_numpy_bitwise(n):
+    rng = np.random.default_rng(n)
+    windows = rng.random((10_000, n))
+    # fractions in [0, 1], some at the bounds, signed zeros, and a few
+    # wider magnitudes
+    windows[rng.random(windows.shape) < 0.05] = 0.0
+    windows[rng.random(windows.shape) < 0.05] = 1.0
+    windows[::7] *= 10.0 ** rng.integers(-6, 7, size=(windows[::7].shape[0], n))
+    windows[::11] = -0.0
+    windows[1::11] *= -1.0
+    ours = np.array([qsched._mean(w) for w in windows.tolist()])
+    ref = np.array([float(np.mean(w)) for w in windows.tolist()])
+    assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
+def test_observe_bins_match_the_discretizers_at_their_edges():
+    cap = Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7)
+    one_learner_cost, thresholds = 3e-3, (0.01, 0.02)
+    power = []
+    for edge in thresholds:
+        power += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    trace = PowerTrace(times=np.arange(len(power), dtype=float), power=power)
+    device = Device(cap=cap, trace=trace, cost_model=CostModel())
+    tracker = qsched.StateTracker(cap, one_learner_cost, thresholds, n=2)
+    edges = (one_learner_cost, 0.5 * cap.max_usable_energy,
+             cap.max_usable_energy - 1e-9, cap.max_usable_energy)
+    energies = []
+    for edge in edges:
+        e = cap.cutoff_energy + edge
+        for _ in range(3):
+            e = np.nextafter(e, 0.0)
+        for _ in range(7):
+            energies.append(float(e))
+            e = np.nextafter(e, np.inf)
+    seen = set()
+    for t in range(len(power)):
+        device.t = float(t)
+        for energy in energies:
+            device.energy = energy
+            ref = SchedulerState(
+                e_now=discretize_energy(device.usable_energy, cap, one_learner_cost),
+                e_last=discretize_energy(device.usable_fraction * cap.max_usable_energy,
+                                         cap, one_learner_cost),
+                p_harv=discretize_power(device.p_harv, thresholds), l=1)
+            assert tracker.observe(device, 1) == encode_state(ref, 2)
+            seen.add((ref.e_now, ref.p_harv))
+    assert seen == {(e, p) for e in range(ENERGY_LEVELS) for p in range(POWER_LEVELS)}
+
+
+def test_observe_index_matches_reference_state(monkeypatch):
+    # nights drain the store below the cutoff, so requests brown out and
+    # find the device off; random decisions visit many states
+    trace = synth_trace(1, "day-night", duration=900.0, period=150.0,
+                        high_power=0.03)
+    env = EnvConfig(capacitor=Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7),
+                    trace=trace, cost_model=CostModel(sleep_power=1e-3),
+                    requests=RequestPattern(period=2.5, horizon=900.0),
+                    reward=RewardParams())
+    ens = stub_ensemble(delta=(0.3, 0.15, 0.05, 0.02), macs=8_000_000)
+    n = ens.size
+    pairs = []
+    tracker = qsched.StateTracker
+
+    class CheckedTracker(ObserveMeanTracker):
+        def observe(self, device, l):
+            s = tracker.observe(self, device, l)
+            pairs.append((s, super().observe(device, l)))
+            return s
+
+    class Recorder(qsched.Agent):
+        def __init__(self):
+            self.rng = np.random.default_rng(0)
+            self.ends = []
+
+        def decide(self, s):
+            return int(s % (n + 1) < n and self.rng.random() < 0.8)
+
+        def done(self, l, end):
+            self.ends.append(end)
+
+    monkeypatch.setattr(qsched, "StateTracker", CheckedTracker)
+    agent = Recorder()
+    costs = [inference_cost(l.macs, env.cost_model) for l in ens.learners]
+    replay(env, _make_device(env), costs, agent)
+    assert {qsched.OFF, qsched.BROWNOUT, qsched.STOP} <= set(agent.ends)
+    assert all(s == ref for s, ref in pairs)
+    states = {decode_state(s, n) for s, _ in pairs}
+    assert {st.e_now for st in states} == set(range(ENERGY_LEVELS))
+    assert {st.e_last for st in states} == set(range(ENERGY_LEVELS))
+    assert {st.p_harv for st in states} >= {0, 2}
+    assert {st.l for st in states} == set(range(n + 1))
