@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -23,6 +24,12 @@ from .qsched import EnvConfig, QHyperParams, RewardParams
 
 # schema: {key: (type or nested schema, default)}; only a None default allows null
 _NUM = (int, float)
+
+
+def _finite(v) -> bool:
+    """False for NaN, +-inf (which `json` parses) and ints past float range."""
+    return abs(v) <= sys.float_info.max
+
 
 _SCHEMA = {
     "dataset": ({
@@ -133,6 +140,8 @@ def _validate(doc, schema, path):
         elif kind is _NUM:
             if isinstance(value, bool) or not isinstance(value, _NUM):
                 raise ConfigError(f"{here}: expected a number")
+            if not _finite(value):
+                raise ConfigError(f"{here}: expected a finite number")
             out[key] = float(value)
         elif not isinstance(value, kind) or isinstance(value, bool):
             raise ConfigError(f"{here}: expected {getattr(kind, '__name__', kind)}")
@@ -161,10 +170,10 @@ def validate_config(doc: dict) -> dict:
     if not 0.0 < eff <= 1.0:
         raise ConfigError(f"energy.harvester_efficiency must be in (0, 1], got {eff}")
     t = cfg["energy"]["power_thresholds"]
-    if t is not None and not (len(t) == 2 and all(type(v) in _NUM for v in t)
-                              and t[0] < t[1]):
-        raise ConfigError("energy.power_thresholds must be null or two numbers "
-                          f"t1 < t2, got {t}")
+    if t is not None and not (len(t) == 2 and all(type(v) in _NUM and _finite(v)
+                                                  for v in t) and t[0] < t[1]):
+        raise ConfigError("energy.power_thresholds must be null or two finite "
+                          f"numbers t1 < t2, got {t}")
     return cfg
 
 

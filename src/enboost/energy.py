@@ -1,7 +1,6 @@
 """Harvesting-powered device model: supercapacitor charge dynamics, power
 traces (CSV replay or synthetic), the per-learner energy cost model, and the
-discretizers that turn continuous energy/power readings into scheduler state
-bins."""
+live device state that the request loop advances and draws from."""
 from __future__ import annotations
 
 import csv
@@ -166,49 +165,6 @@ class RequestPattern:
             raise ConfigError("request period must be > 0")
         if self.horizon <= 0:
             raise ConfigError("horizon must be > 0")
-
-
-# ---------------------------------------------------------------------------
-# scheduler-state discretizers (Table-style bins)
-
-ENERGY_LEVELS = 4   # 0 depleted / 1 low / 2 high / 3 full
-POWER_LEVELS = 3    # 0 low / 1 mid / 2 high
-
-_FULL_TOLERANCE = 1e-9
-
-
-def discretize_energy(usable: float, cap: Capacitor, one_learner_cost: float) -> int:
-    """Bin usable joules: 0 if they cannot cover one learner; 3 at full
-    charge; else 1 below half of max usable, 2 at or above."""
-    if usable < one_learner_cost:
-        return 0
-    if usable >= cap.max_usable_energy - _FULL_TOLERANCE:
-        return 3
-    return 1 if usable < 0.5 * cap.max_usable_energy else 2
-
-
-def discretize_power(p_harv: float, thresholds) -> int:
-    """0 below t1, 1 in [t1, t2), 2 at or above t2 (right-closed top bin)."""
-    t1, t2 = thresholds
-    if not t1 < t2:
-        raise ConfigError(f"need t1 < t2, got {thresholds}")
-    if p_harv < t1:
-        return 0
-    return 1 if p_harv < t2 else 2
-
-
-def power_terciles(trace: PowerTrace):
-    """Default power-level thresholds: terciles of the training trace."""
-    q1, q2 = np.quantile(trace.power, [1.0 / 3.0, 2.0 / 3.0])
-    t1, t2 = float(q1), float(q2)
-    pos = trace.power[trace.power > 0]
-    if t1 <= 0:
-        # traces with long zero stretches: keep zero harvest in the low bin
-        t1 = float(pos.min()) / 2.0 if pos.size else 1e-9
-    if t2 <= t1:
-        top = float(trace.power.max())
-        t2 = (t1 + top) / 2.0 if top > t1 else 2.0 * t1
-    return (t1, t2)
 
 
 # ---------------------------------------------------------------------------

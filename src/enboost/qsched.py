@@ -7,6 +7,7 @@ its policy, forward, retrain and vote hooks.
 
 State (e_now, e_last, p_harv, l): binned usable energy now and its trailing
 mean, binned harvest power, and the learners already run for this request.
+`StateTracker` bins it; agents see only its index into the q-table.
 
 Reward: a=1 pays delta_acc(l+1) minus beta * (1 - usable-energy fraction);
 declining an unserved request (l=0, a=0) pays -p_miss. Gamma discounts only
@@ -21,35 +22,38 @@ import numpy as np
 
 from . import artifacts
 from .energy import (Capacitor, CostModel, Device, PowerTrace, RequestPattern,
-                     inference_cost, power_terciles, ENERGY_LEVELS, POWER_LEVELS,
-                     _FULL_TOLERANCE)
+                     inference_cost)
 from .errors import ConfigError, TableLoadError  # noqa: F401 (old name, re-exported)
 
 QTABLE_VERSION = 2
 E_LAST_WINDOW = 10  # trailing requests feeding the mean-energy feature
 
+# ---------------------------------------------------------------------------
+# the state: its bins, and its mixed-radix index into the q-table,
+# ((e_now * ENERGY_LEVELS + e_last) * POWER_LEVELS + p_harv) * (N + 1) + l
 
-@dataclass(frozen=True)
-class SchedulerState:
-    e_now: int   # 0..3
-    e_last: int  # 0..3
-    p_harv: int  # 0..2
-    l: int       # 0..N learners already executed this request
+ENERGY_LEVELS = 4   # 0 depleted / 1 low / 2 high / 3 full
+POWER_LEVELS = 3    # 0 low / 1 mid / 2 high
+
+FULL_TOLERANCE = 1e-9   # joules short of max usable energy that still bin as full
 
 
 def state_space_size(n: int) -> int:
     return ENERGY_LEVELS * ENERGY_LEVELS * POWER_LEVELS * (n + 1)
 
 
-def encode_state(s: SchedulerState, n: int) -> int:
-    """Mixed-radix index over (e_now, e_last, p_harv, l)."""
-    if not (0 <= s.e_now < ENERGY_LEVELS and 0 <= s.e_last < ENERGY_LEVELS
-            and 0 <= s.p_harv < POWER_LEVELS and 0 <= s.l <= n):
-        raise ConfigError(f"state field out of range: {s}")
-    idx = s.e_now
-    idx = idx * ENERGY_LEVELS + s.e_last
-    idx = idx * POWER_LEVELS + s.p_harv
-    return idx * (n + 1) + s.l
+def power_terciles(trace: PowerTrace):
+    """Default power-level thresholds: terciles of the training trace."""
+    q1, q2 = np.quantile(trace.power, [1.0 / 3.0, 2.0 / 3.0])
+    t1, t2 = float(q1), float(q2)
+    pos = trace.power[trace.power > 0]
+    if t1 <= 0:
+        # traces with long zero stretches: keep zero harvest in the low bin
+        t1 = float(pos.min()) / 2.0 if pos.size else 1e-9
+    if t2 <= t1:
+        top = float(trace.power.max())
+        t2 = (t1 + top) / 2.0 if top > t1 else 2.0 * t1
+    return (t1, t2)
 
 
 @dataclass(frozen=True)
@@ -64,14 +68,10 @@ class RewardParams:
         object.__setattr__(self, "delta_acc", tuple(self.delta_acc))
 
 
-def reward(s: SchedulerState, a: int, params: RewardParams,
-           energy_fraction: float) -> float:
-    """energy_fraction is the continuous usable-energy fraction at s (the
-    discretized e_now bin is too coarse for the penalty magnitude)."""
-    return _reward(s.l, a, params, energy_fraction)
-
-
-def _reward(l, a, params, energy_fraction):
+def reward(l, a, params: RewardParams, energy_fraction) -> float:
+    """Reward of action a after l learners ran this request. energy_fraction
+    is the continuous usable-energy fraction at the state (the discretized
+    e_now bin is too coarse for the penalty magnitude)."""
     if a == 1:
         if l >= len(params.delta_acc):
             raise ConfigError("action 1 is masked when all learners have run")
@@ -102,32 +102,22 @@ class QTable:
                    hyper=hyper or QHyperParams())
 
 
-def act(table: QTable, s: SchedulerState) -> int:
+# `act` and `q_update` take a table's rows (the value array, or its rows as
+# lists of floats), n1 = N + 1 and state indices s, whose l = s % n1
+
+def act(rows, n1, s) -> int:
     """Greedy action; a=1 is masked at l=N and exact ties resolve to a=0."""
-    return _greedy(table.values, table.n + 1, encode_state(s, table.n))
-
-
-def q_update(table: QTable, s: SchedulerState, a: int, r: float, s_next):
-    """One-step Q-learning update in place. A terminal transition (s_next
-    None) bootstraps 0; otherwise from the best legal action at s_next,
-    which is a=0 alone at l=N, discounted by the table's gamma only when
-    s_next starts the next request (l = 0)."""
-    _update(table.values, table.n + 1, table.hyper, encode_state(s, table.n), a, r,
-            None if s_next is None else encode_state(s_next, table.n))
-    return table
-
-
-# `act` and `q_update` on state indices, over a table's rows (the value
-# array, or its rows as lists of floats); l = s % (N + 1)
-
-def _greedy(rows, n1, s):
     if s % n1 == n1 - 1:
         return 0
     q0, q1 = rows[s]
     return 1 if q1 > q0 else 0
 
 
-def _update(rows, n1, hyper, s, a, r, s_next):
+def q_update(rows, n1, hyper: QHyperParams, s, a, r, s_next):
+    """One-step Q-learning update of rows[s][a] in place. A terminal
+    transition (s_next None) bootstraps 0; otherwise from the best legal
+    action at s_next, which is a=0 alone at l=N, discounted by gamma only
+    when s_next starts the next request (l = 0)."""
     if s_next is None:
         bootstrap = 0.0
     else:
@@ -160,11 +150,13 @@ class EnvConfig:
 
 
 class StateTracker:
-    """Observes one simulated run as state indices, the value `encode_state`
-    gives. Energies fall in `discretize_energy`'s bins and the harvest power
-    in `discretize_power`'s. The trailing level is the mean usable fraction
-    over the last `E_LAST_WINDOW` served requests (fewer until that many
-    exist; the current level until a request is served)."""
+    """The one discretizer: observes one simulated run as state indices.
+    Usable energy bins to 0 if it cannot cover one learner, 3 at full charge
+    (within FULL_TOLERANCE), else 1 below half of max usable and 2 at or
+    above; the harvest power to 0 below t1, 1 in [t1, t2), 2 at or above t2.
+    The trailing level is the mean usable fraction over the last
+    `E_LAST_WINDOW` served requests (fewer until that many exist; the
+    current level until a request is served)."""
 
     def __init__(self, cap: Capacitor, one_learner_cost, power_thresholds, n):
         t1, t2 = power_thresholds
@@ -174,7 +166,7 @@ class StateTracker:
         self.power_thresholds = power_thresholds
         self.n = n
         self.max_usable = cap.max_usable_energy
-        self.full = cap.max_usable_energy - _FULL_TOLERANCE
+        self.full = cap.max_usable_energy - FULL_TOLERANCE
         self.half = 0.5 * cap.max_usable_energy
         self.history = []      # the usable fractions of the window
         self.e_last = None     # changes only when a request is served
@@ -221,7 +213,7 @@ def _mean(values) -> float:
     return total / n
 
 
-def _make_device(env: EnvConfig) -> Device:
+def make_device(env: EnvConfig) -> Device:
     return Device(cap=env.capacitor, trace=env.trace, cost_model=env.cost_model)
 
 
@@ -239,8 +231,8 @@ class Agent:
 
     def decide(self, s: int) -> int:
         """1 runs the next learner, 0 stops; must be 0 at l = N. s is the
-        state's `encode_state` index: l = s % (N + 1) learners have run this
-        request, and e_now = s // (12 * (N + 1)) is the energy bin now."""
+        state index from `StateTracker.observe`: l = s % (N + 1) learners have
+        run this request, and e_now = s // (12 * (N + 1)) is the energy bin now."""
         raise NotImplementedError
 
     def ran(self, l: int):
@@ -299,13 +291,13 @@ class _QLearner(Agent):
     def decide(self, s):
         n1 = self.n + 1
         if self.pending is not None:
-            _update(self.rows, n1, self.hyper, *self.pending, s)
+            q_update(self.rows, n1, self.hyper, *self.pending, s)
         l = s % n1
         if l < self.n and self.rng.random() < self.epsilon:
             a = int(self.rng.integers(0, 2))
         else:
-            a = _greedy(self.rows, n1, s)  # a=0 at l = N
-        r = _reward(l, a, self.params, self.device.usable_fraction)
+            a = act(self.rows, n1, s)  # a=0 at l = N
+        r = reward(l, a, self.params, self.device.usable_fraction)
         self.total_reward += r
         self.pending = (s, a, r)
         return a
@@ -347,11 +339,11 @@ def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
     for episode in range(episodes):
         frac = min(1.0, episode / anneal_len)
         epsilon = hyper.epsilon_start + frac * (hyper.epsilon_end - hyper.epsilon_start)
-        device = _make_device(env)
+        device = make_device(env)
         learner = _QLearner(rows, n, hyper, params, device, rng, epsilon)
         replay(env, device, costs, learner)
         if learner.pending is not None:
-            _update(rows, n + 1, hyper, *learner.pending, None)
+            q_update(rows, n + 1, hyper, *learner.pending, None)
         curve.append(learner.total_reward)
     table.values[:] = rows
     return table, curve
@@ -379,6 +371,8 @@ def load_qtable(path, expected_n=None) -> QTable:
         values = np.asarray(doc["values"], dtype=np.float64)
         if values.shape != (state_space_size(n), 2):
             raise ValueError(f"value array shape {values.shape} wrong for N={n}")
+        if not np.isfinite(values).all():
+            raise ValueError("q-values must be finite")
         return QTable(values=values, n=n,
                       hyper=QHyperParams(**doc["hyperparameters"]))
 

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import artifacts
 from .data import Dataset
-from .energy import ENERGY_LEVELS, POWER_LEVELS, inference_cost
+from .energy import inference_cost
 from .ensemble import EnsembleModel, weighted_vote
 from .errors import ConfigError
 from .nn import evaluate, head, train_fc_only, trunk
-from .qsched import (BROWNOUT, OFF, STOP, Agent, EnvConfig, QTable, replay,
-                     _greedy, _make_device)
+from .qsched import (BROWNOUT, ENERGY_LEVELS, OFF, POWER_LEVELS, STOP, Agent,
+                     EnvConfig, QTable, act, make_device, replay)
 
 RETRAIN_MODES = ("off", "high-energy", "low-energy", "auto")
 
@@ -51,7 +51,7 @@ class QPolicy:
         self.name = "qtable"
 
     def decide(self, s: int) -> int:
-        return _greedy(self.table.values, self.table.n + 1, s)
+        return act(self.table.values, self.table.n + 1, s)
 
 
 class FixedKPolicy:
@@ -182,7 +182,7 @@ class _Server(Agent):
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.device = _make_device(cfg.env)
+        self.device = make_device(cfg.env)
         self.costs = [inference_cost(l.macs, cfg.env.cost_model)
                       for l in cfg.ensemble.learners]
         self.learners = [l.copy() for l in cfg.ensemble.learners]

@@ -3,7 +3,7 @@
 Session-scoped fixtures hold the expensive artifacts (the bundled pool and
 ensemble) so the acceptance tests can share one build.
 """
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -11,11 +11,12 @@ import pytest
 
 from enboost import boost, config, ensemble, nn
 from enboost.data import synth_dataset
-from enboost.energy import Device
+from enboost.energy import Capacitor, Device
+from enboost.errors import ConfigError
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs, fc,
                         softmax_layer)
 from enboost.prune import conv_layer_indices
-from enboost.qsched import Agent
+from enboost.qsched import ENERGY_LEVELS, POWER_LEVELS, Agent
 
 
 def tiny_spec(input_shape=(2, 8, 8), classes=3, filters=(4, 6)):
@@ -81,6 +82,54 @@ class SearchsortedDevice(Device):
     @property
     def p_harv(self):
         return self.trace.power_at(self.t)
+
+
+# ---------------------------------------------------------------------------
+# The scheduler state as a value, and the discretizers, as they were before
+# `qsched.StateTracker` became the one discretizer: its state index must
+# match `encode_state` of these bins (test_qsched::ObserveMeanTracker and the
+# `observe` tests). Frozen; do not optimize.
+
+_FULL_TOLERANCE = 1e-9
+
+
+@dataclass(frozen=True)
+class SchedulerState:
+    e_now: int   # 0..3
+    e_last: int  # 0..3
+    p_harv: int  # 0..2
+    l: int       # 0..N learners already executed this request
+
+
+def encode_state(s: SchedulerState, n: int) -> int:
+    """Mixed-radix index over (e_now, e_last, p_harv, l)."""
+    if not (0 <= s.e_now < ENERGY_LEVELS and 0 <= s.e_last < ENERGY_LEVELS
+            and 0 <= s.p_harv < POWER_LEVELS and 0 <= s.l <= n):
+        raise ConfigError(f"state field out of range: {s}")
+    idx = s.e_now
+    idx = idx * ENERGY_LEVELS + s.e_last
+    idx = idx * POWER_LEVELS + s.p_harv
+    return idx * (n + 1) + s.l
+
+
+def discretize_energy(usable: float, cap: Capacitor, one_learner_cost: float) -> int:
+    """Bin usable joules: 0 if they cannot cover one learner; 3 at full
+    charge; else 1 below half of max usable, 2 at or above."""
+    if usable < one_learner_cost:
+        return 0
+    if usable >= cap.max_usable_energy - _FULL_TOLERANCE:
+        return 3
+    return 1 if usable < 0.5 * cap.max_usable_energy else 2
+
+
+def discretize_power(p_harv: float, thresholds) -> int:
+    """0 below t1, 1 in [t1, t2), 2 at or above t2 (right-closed top bin)."""
+    t1, t2 = thresholds
+    if not t1 < t2:
+        raise ConfigError(f"need t1 < t2, got {thresholds}")
+    if p_harv < t1:
+        return 0
+    return 1 if p_harv < t2 else 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_select, max_single_filter_macs, tiny_spec
+from conftest import (SchedulerState, brute_force_select, encode_state,
+                      max_single_filter_macs, tiny_spec)
 from enboost import boost, config, ensemble as ens, qsched, simrun
 from enboost.boost import (PoolConfig, build_pool, init_weights,
                            update_weights, weight_multipliers)
@@ -19,9 +20,8 @@ from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs,
                         count_params, evaluate, fc, forward, gradient_check,
                         params_checksum, softmax_layer, train_fc_only, trunk)
 from enboost.prune import PruneSchedule
-from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams,
-                            SchedulerState, act, load_qtable, q_update,
-                            save_qtable, train_offline)
+from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams, act,
+                            load_qtable, q_update, save_qtable, train_offline)
 from enboost.simrun import (FixedKPolicy, QPolicy, SimConfig, run,
                             run_concurrent_training)
 
@@ -175,8 +175,8 @@ def test_ensemble_beats_individuals(pool4, model4, bundled_cfg,
 
 
 def _chain_states():
-    return (SchedulerState(2, 2, 1, 0), SchedulerState(2, 2, 1, 1),
-            SchedulerState(2, 2, 1, 2))
+    """The q-table rows of (e_now, e_last, p_harv, l) = (2, 2, 1, l) at N=2."""
+    return tuple(encode_state(SchedulerState(2, 2, 1, l), 2) for l in range(3))
 
 
 def _chain_step(s, a, s0, s1, s2):
@@ -198,16 +198,16 @@ def test_toy_mdp_recovers_optimal_policy():
         while done < 10_000:
             s = s0
             while s is not None and done < 10_000:
-                if rng.random() < 0.2 and s.l < 2:
+                if rng.random() < 0.2 and s % 3 < 2:
                     a = int(rng.integers(0, 2))
                 else:
-                    a = act(table, s)
+                    a = act(table.values, 3, s)
                 r, s_next = _chain_step(s, a, s0, s1, s2)
-                q_update(table, s, a, r, s_next)
+                q_update(table.values, 3, table.hyper, s, a, r, s_next)
                 done += 1
                 s = s_next
-        assert act(table, s0) == 1
-        assert act(table, s1) == 0
+        assert act(table.values, 3, s0) == 1
+        assert act(table.values, 3, s1) == 0
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"[criterion 7] toy-MDP optimal policy 5/5 seeds in {elapsed:.1f}s: PASS")

@@ -50,8 +50,8 @@ def test_null_only_where_the_default_is_null():
 
 
 @pytest.mark.parametrize("thresholds", [[], [1e-4], [2e-4, 1e-4], [1e-4, True],
-                                        [1e-4, 2e-4, 3e-4]],
-                         ids=["empty", "one", "decreasing", "bool", "three"])
+                                        [1e-4, 2e-4, 3e-4], [1e-4, float("inf")]],
+                         ids=["empty", "one", "decreasing", "bool", "three", "inf"])
 def test_power_thresholds_must_be_two_increasing_numbers(thresholds):
     with pytest.raises(ConfigError, match="power_thresholds"):
         config.validate_config({"energy": {"power_thresholds": thresholds}})
@@ -84,6 +84,26 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="invalid JSON"):
         config.load_config(bad)
+
+
+@pytest.mark.parametrize("key,token", [
+    ("simulation.request_period", "NaN"),
+    ("scheduler.reward.beta", "Infinity"),
+    ("scheduler.q.learning_rate", "NaN"),
+    ("energy.capacitor.capacitance", "NaN"),
+    ("energy.cost_model.sleep_power", "-Infinity"),
+    ("pool.learning_rate", "1" + "0" * 400),   # an int past float range
+])
+def test_non_finite_numbers_rejected(tmp_path, key, token):
+    # `json` parses NaN and +-Infinity; every numeric key must be finite
+    *sections, leaf = key.split(".")
+    text = f'"{leaf}": {token}'
+    for section in reversed(sections):
+        text = f'"{section}": {{{text}}}'
+    path = tmp_path / "config.json"
+    path.write_text("{" + text + "}")
+    with pytest.raises(ConfigError, match=rf"^{key}: expected a finite number$"):
+        config.load_config(path)
 
 
 def test_baseline_network_accounting():

@@ -1,15 +1,16 @@
 """Supercapacitor dynamics, power traces, the energy cost model, and the
-scheduler-state discretizers."""
+scheduler-state bins of device readings."""
 import numpy as np
 import pytest
 
 from conftest import SearchsortedDevice
 from enboost import config
 from enboost.energy import (Capacitor, CostModel, Device, PowerTrace,
-                            RequestPattern, discretize_energy, discretize_power,
-                            inference_cost, load_trace, power_terciles,
+                            RequestPattern, inference_cost, load_trace,
                             synth_trace)
 from enboost.errors import ConfigError, TraceError
+from enboost.qsched import (ENERGY_LEVELS, POWER_LEVELS, StateTracker,
+                            power_terciles)
 
 
 # ---------------------------------------------------------------------------
@@ -207,36 +208,63 @@ def test_request_pattern_validation():
 
 
 # ---------------------------------------------------------------------------
-# discretizers
+# scheduler-state bins, as `qsched.StateTracker`, the one discretizer, gives
+# them
+
+
+def observed_bins(device, cost=1e-3, thresholds=(1e-3, 1e-2)):
+    """(e_now, e_last, p_harv) of a fresh tracker's first observation of
+    `device`, whose e_last bins the device's usable fraction."""
+    s = StateTracker(device.cap, cost, thresholds, n=1).observe(device, 0) // 2
+    s, p_harv = divmod(s, POWER_LEVELS)
+    e_now, e_last = divmod(s, ENERGY_LEVELS)
+    return e_now, e_last, p_harv
+
+
+def device_holding(cap, stored=None, power=(0.0,)):
+    """A device at t = 0 storing `stored` joules (the capacitor's initial
+    charge by default) on a trace with one sample of each `power` per
+    second."""
+    trace = PowerTrace(times=np.arange(len(power), dtype=np.float64), power=power)
+    device = Device(cap=cap, trace=trace, cost_model=CostModel())
+    if stored is not None:
+        device.energy = stored
+    return device
 
 
 def test_discretize_energy_bins():
     cap = Capacitor(capacitance=0.47, v_max=4.2, v_cutoff=1.7)
     cost = 1e-3
-    assert discretize_energy(cap.max_usable_energy, cap, cost) == 3
-    assert discretize_energy(0.5 * cost, cap, cost) == 0
-    assert discretize_energy(0.3 * cap.max_usable_energy, cap, cost) == 1
-    assert discretize_energy(0.6 * cap.max_usable_energy, cap, cost) == 2
+    for usable, level in ((cap.max_usable_energy, 3), (0.5 * cost, 0),
+                          (0.3 * cap.max_usable_energy, 1),
+                          (0.6 * cap.max_usable_energy, 2)):
+        device = device_holding(cap, cap.cutoff_energy + usable)
+        assert observed_bins(device, cost)[0] == level
 
 
 def test_discretize_energy_fraction_matches_energy():
     cap = Capacitor(capacitance=0.47, v_max=4.2, v_cutoff=1.7)
     cost = 1e-3
+    levels = set()
     for frac in (0.0, 0.2, 0.5, 0.8, 1.0):
         stored = cap.cutoff_energy + frac * cap.max_usable_energy
-        direct = discretize_energy(stored - cap.cutoff_energy, cap, cost)
-        assert discretize_energy(frac * cap.max_usable_energy, cap, cost) == direct
+        e_now, e_last, _ = observed_bins(device_holding(cap, stored), cost)
+        assert e_last == e_now
+        levels.add(e_now)
+    assert levels == set(range(ENERGY_LEVELS))
 
 
 def test_discretize_power_bins():
     th = (0.001, 0.01)
-    assert discretize_power(0.0, th) == 0
-    assert discretize_power(0.001, th) == 1
-    assert discretize_power(0.005, th) == 1
-    assert discretize_power(0.01, th) == 2
-    assert discretize_power(5.0, th) == 2
+    power = (0.0, 0.001, 0.005, 0.01, 5.0)
+    device = device_holding(Capacitor(), power=power)
+    bins = []
+    for t in range(len(power)):
+        device.t = float(t)
+        bins.append(observed_bins(device, thresholds=th)[2])
+    assert bins == [0, 1, 1, 2, 2]
     with pytest.raises(ConfigError):
-        discretize_power(0.0, (0.01, 0.01))
+        observed_bins(device, thresholds=(0.01, 0.01))
 
 
 def test_power_terciles_uniform_trace():
@@ -244,9 +272,13 @@ def test_power_terciles_uniform_trace():
     trace = PowerTrace(times=np.arange(30000, dtype=np.float64),
                        power=rng.uniform(0.0, 0.03, size=30000))
     t1, t2 = power_terciles(trace)
-    bins = np.array([discretize_power(p, (t1, t2)) for p in trace.power])
+    device = device_holding(Capacitor(), power=trace.power)
+    bins = []
+    for t in trace.times.tolist():
+        device.t = t
+        bins.append(observed_bins(device, thresholds=(t1, t2))[2])
     for level in range(3):
-        assert abs(np.mean(bins == level) - 1.0 / 3.0) < 0.02
+        assert abs(np.mean(np.asarray(bins) == level) - 1.0 / 3.0) < 0.02
 
 
 def test_power_terciles_zero_heavy_fallback():
@@ -254,8 +286,10 @@ def test_power_terciles_zero_heavy_fallback():
     trace = PowerTrace(times=np.arange(100, dtype=np.float64), power=power)
     t1, t2 = power_terciles(trace)
     assert 0.0 < t1 < t2
-    assert discretize_power(0.0, (t1, t2)) == 0
-    assert discretize_power(0.02, (t1, t2)) == 2
+    device = device_holding(Capacitor(), power=(0.0, 0.02))
+    assert observed_bins(device, thresholds=(t1, t2))[2] == 0
+    device.t = 1.0
+    assert observed_bins(device, thresholds=(t1, t2))[2] == 2
 
 
 # ---------------------------------------------------------------------------

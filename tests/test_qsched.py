@@ -1,26 +1,31 @@
 """Scheduler state encoding, rewards, Q-learning updates, persistence, and
 offline training behavior."""
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import PolicyAgent, SearchsortedDevice
+from conftest import (PolicyAgent, SchedulerState, SearchsortedDevice,
+                      discretize_energy, discretize_power, encode_state)
 from enboost import qsched
-from enboost.energy import (ENERGY_LEVELS, POWER_LEVELS, Capacitor, CostModel,
-                            Device, PowerTrace, RequestPattern, discretize_energy,
-                            discretize_power, synth_trace)
+from enboost.energy import (Capacitor, CostModel, Device, PowerTrace,
+                            RequestPattern, synth_trace)
 from enboost.errors import ArtifactError, ConfigError
-from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams,
-                            SchedulerState, act, encode_state,
-                            inference_cost, load_qtable, q_update, replay,
-                            reward, save_qtable, state_space_size,
-                            train_offline, _make_device)
+from enboost.qsched import (ENERGY_LEVELS, POWER_LEVELS, EnvConfig, QHyperParams,
+                            QTable, RewardParams, act, inference_cost,
+                            load_qtable, make_device, q_update, replay, reward,
+                            save_qtable, state_space_size, train_offline)
 
 
 def st(e_now=2, e_last=2, p_harv=1, l=0):
     return SchedulerState(e_now=e_now, e_last=e_last, p_harv=p_harv, l=l)
+
+
+def si(e_now=2, e_last=2, p_harv=1, l=0):
+    """The state's q-table row at N=2."""
+    return encode_state(st(e_now, e_last, p_harv, l), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -74,27 +79,27 @@ def params(delta=(0.3, 0.1), beta=0.05, p_miss=0.5):
 
 
 def test_reward_declining_unserved_request():
-    assert reward(st(l=0), 0, params(), 1.0) == -0.5
+    assert reward(0, 0, params(), 1.0) == -0.5
 
 
 def test_reward_stop_after_serving_is_free():
-    assert reward(st(l=1), 0, params(), 0.1) == 0.0
+    assert reward(1, 0, params(), 0.1) == 0.0
 
 
 def test_reward_full_battery_pays_delta_exactly():
-    assert reward(st(l=0), 1, params(), 1.0) == 0.3
-    assert reward(st(l=1), 1, params(), 1.0) == 0.1
+    assert reward(0, 1, params(), 1.0) == 0.3
+    assert reward(1, 1, params(), 1.0) == 0.1
 
 
 def test_reward_energy_penalty_example():
     # 0.02 - 0.05 * (1 - 0.6) = 0
     p = params(delta=(0.02,), beta=0.05)
-    assert abs(reward(st(l=0), 1, p, 0.6)) < 1e-15
+    assert abs(reward(0, 1, p, 0.6)) < 1e-15
 
 
 def test_reward_masked_action_raises():
     with pytest.raises(ConfigError):
-        reward(st(l=2), 1, params(), 1.0)
+        reward(2, 1, params(), 1.0)
 
 
 def test_reward_params_validation():
@@ -105,81 +110,81 @@ def test_reward_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# q_update / act
+# q_update / act, on the rows of an N=2 table (n1 = 3)
 
 
 def test_q_update_zero_learning_rate_is_identity():
     table = QTable.zeros(2, QHyperParams(learning_rate=0.0))
     before = table.values.copy()
-    q_update(table, st(l=0), 1, 5.0, st(l=1))
+    q_update(table.values, 3, table.hyper, si(l=0), 1, 5.0, si(l=1))
     assert np.array_equal(table.values, before)
 
 
 def test_q_update_from_zero_table():
     table = QTable.zeros(2, QHyperParams(learning_rate=0.1, discount=0.0))
-    s = st(l=0)
-    q_update(table, s, 1, 2.0, st(l=1))
-    assert abs(table.values[encode_state(s, 2), 1] - 0.2) < 1e-12
+    s = si(l=0)
+    q_update(table.values, 3, table.hyper, s, 1, 2.0, si(l=1))
+    assert abs(table.values[s, 1] - 0.2) < 1e-12
 
 
 def test_q_update_terminal_ignores_successor():
     table = QTable.zeros(2, QHyperParams(learning_rate=1.0, discount=0.9))
-    s = st(l=0)
-    q_update(table, s, 0, 1.0, None)
-    assert table.values[encode_state(s, 2), 0] == 1.0
+    s = si(l=0)
+    q_update(table.values, 3, table.hyper, s, 0, 1.0, None)
+    assert table.values[s, 0] == 1.0
 
 
 def test_q_update_discounts_only_the_next_request():
     # gamma measures request-to-request time: a successor with l > 0 is in
     # the same request and is not discounted, one at l = 0 is
     hyper = QHyperParams(learning_rate=1.0, discount=0.9)
-    s, same_request, next_request = st(l=1), st(l=2), st(l=0, e_now=1)
+    s, same_request, next_request = si(l=1), si(l=2), si(l=0, e_now=1)
     table = QTable.zeros(2, hyper)
-    table.values[encode_state(same_request, 2), 0] = 2.0
-    q_update(table, s, 1, 0.0, same_request)
-    assert table.values[encode_state(s, 2), 1] == 2.0
+    table.values[same_request, 0] = 2.0
+    q_update(table.values, 3, hyper, s, 1, 0.0, same_request)
+    assert table.values[s, 1] == 2.0
     table = QTable.zeros(2, hyper)
-    table.values[encode_state(next_request, 2), 0] = 2.0
-    q_update(table, s, 0, 0.0, next_request)
-    assert abs(table.values[encode_state(s, 2), 0] - 1.8) < 1e-12
+    table.values[next_request, 0] = 2.0
+    q_update(table.values, 3, hyper, s, 0, 0.0, next_request)
+    assert abs(table.values[s, 0] - 1.8) < 1e-12
 
 
 def test_masked_max_at_full_prefix_uses_stop_only():
     # q_update bootstraps from the best legal action of the successor
     table = QTable.zeros(2, QHyperParams(learning_rate=1.0))
-    s, full = st(l=1), st(l=2)
-    table.values[encode_state(full, 2)] = [0.5, 9.0]  # a=1 illegal at l=N
-    q_update(table, s, 1, 0.0, full)
-    assert table.values[encode_state(s, 2), 1] == 0.5
-    table.values[encode_state(s, 2)] = [0.25, 3.0]
-    q_update(table, st(l=0), 1, 0.0, s)
-    assert table.values[encode_state(st(l=0), 2), 1] == 3.0
+    s, full = si(l=1), si(l=2)
+    table.values[full] = [0.5, 9.0]  # a=1 illegal at l=N
+    q_update(table.values, 3, table.hyper, s, 1, 0.0, full)
+    assert table.values[s, 1] == 0.5
+    table.values[s] = [0.25, 3.0]
+    q_update(table.values, 3, table.hyper, si(l=0), 1, 0.0, s)
+    assert table.values[si(l=0), 1] == 3.0
 
 
 def test_act_greedy_mask_and_ties():
     table = QTable.zeros(2)
-    s = st(l=0)
-    assert act(table, s) == 0                     # tie at 0 resolves to stop
-    table.values[encode_state(s, 2)] = [0.1, 0.4]
-    assert act(table, s) == 1
-    full = st(l=2)
-    table.values[encode_state(full, 2)] = [0.0, 99.0]
-    assert act(table, full) == 0                  # masked at l=N
+    s = si(l=0)
+    assert act(table.values, 3, s) == 0           # tie at 0 resolves to stop
+    table.values[s] = [0.1, 0.4]
+    assert act(table.values, 3, s) == 1
+    full = si(l=2)
+    table.values[full] = [0.0, 99.0]
+    assert act(table.values, 3, full) == 0        # masked at l=N
 
 
 # ---------------------------------------------------------------------------
 # toy chain MDP: run-then-stop is optimal and learnable
 
 def chain_states():
-    return st(l=0), st(l=1), st(l=2)
+    return si(l=0), si(l=1), si(l=2)
 
 
 def chain_step(s, a, s0, s1, s2):
     """Returns (reward, next state or None). Best plan: a=1 at s0 (+0.2),
     then a=0 at s1 (0.0); every alternative is worse."""
-    if s is s0:
+    if s == s0:
         return (0.2, s1) if a == 1 else (-0.5, None)
-    if s is s1:
+    if s == s1:
         return (-0.3, s2) if a == 1 else (0.0, None)
     return (0.0, None)
 
@@ -192,13 +197,13 @@ def run_chain(seed, updates=10_000):
     while done < updates:
         s = s0
         while s is not None and done < updates:
-            legal_run = s.l < 2
+            legal_run = s % 3 < 2
             if rng.random() < 0.2 and legal_run:
                 a = int(rng.integers(0, 2))
             else:
-                a = act(table, s)
+                a = act(table.values, 3, s)
             r, s_next = chain_step(s, a, s0, s1, s2)
-            q_update(table, s, a, r, s_next)
+            q_update(table.values, 3, table.hyper, s, a, r, s_next)
             done += 1
             s = s_next
     return table, (s0, s1, s2)
@@ -206,8 +211,8 @@ def run_chain(seed, updates=10_000):
 
 def test_toy_chain_learns_optimal_policy():
     table, (s0, s1, _) = run_chain(seed=0)
-    assert act(table, s0) == 1
-    assert act(table, s1) == 0
+    assert act(table.values, 3, s0) == 1
+    assert act(table.values, 3, s1) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +251,14 @@ def test_qtable_load_errors(tmp_path):
     path.write_text("[]")
     with pytest.raises(ArtifactError, match="JSON object"):
         load_qtable(path)
+    # `json` reads NaN and Infinity; a greedy lookup would decline silently
+    for bad in (float("nan"), float("inf")):
+        table = QTable.zeros(3)
+        table.values[0, 1] = bad
+        save_qtable(table, path)
+        with pytest.raises(ArtifactError,
+                           match=re.escape(f"{path}: q-values must be finite")):
+            load_qtable(path)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +330,7 @@ def test_train_offline_matches_reference_stepper(monkeypatch):
                     reward=RewardParams(beta=0.05, p_miss=0.5))
     ens = stub_ensemble(macs=8_000_000)
     table, curve = train_offline(env, ens, episodes=6, seed=2)
-    monkeypatch.setattr(qsched, "_make_device", lambda env: SearchsortedDevice(
+    monkeypatch.setattr(qsched, "make_device", lambda env: SearchsortedDevice(
         cap=env.capacitor, trace=env.trace, cost_model=env.cost_model))
     monkeypatch.setattr(qsched, "StateTracker", ObserveMeanTracker)
     ref_table, ref_curve = train_offline(env, ens, episodes=6, seed=2)
@@ -329,8 +342,8 @@ def greedy_executions(table, env, ens):
     """Replay the trace with the greedy policy; returns learners run per
     request."""
     costs = [inference_cost(l.macs, env.cost_model) for l in ens.learners]
-    agent = PolicyAgent(lambda s: act(table, decode_state(s, table.n)))
-    replay(env, _make_device(env), costs, agent)
+    agent = PolicyAgent(lambda s: act(table.values, table.n + 1, s))
+    replay(env, make_device(env), costs, agent)
     return agent.runs
 
 
@@ -433,7 +446,7 @@ def test_observe_index_matches_reference_state(monkeypatch):
     monkeypatch.setattr(qsched, "StateTracker", CheckedTracker)
     agent = Recorder()
     costs = [inference_cost(l.macs, env.cost_model) for l in ens.learners]
-    replay(env, _make_device(env), costs, agent)
+    replay(env, make_device(env), costs, agent)
     assert {qsched.OFF, qsched.BROWNOUT, qsched.STOP} <= set(agent.ends)
     assert all(s == ref for s, ref in pairs)
     states = {decode_state(s, n) for s, _ in pairs}

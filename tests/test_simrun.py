@@ -3,8 +3,8 @@ FC retraining, and report rendering."""
 import numpy as np
 import pytest
 
-from conftest import PolicyAgent, tiny_spec
-from enboost import simrun
+from conftest import PolicyAgent, discretize_energy, tiny_spec
+from enboost import qsched, simrun
 from enboost.boost import PoolConfig, build_pool
 from enboost.data import drift_dataset, synth_dataset
 from enboost.energy import (Capacitor, CostModel, RequestPattern,
@@ -13,7 +13,7 @@ from enboost.ensemble import backfit_select, subset_accuracy, weighted_vote
 from enboost.errors import ConfigError
 from enboost.nn import forward, train_fc_only, trunk
 from enboost.prune import PruneSchedule
-from enboost.qsched import EnvConfig, QTable, RewardParams, replay, _make_device
+from enboost.qsched import EnvConfig, QTable, RewardParams, replay, make_device
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
                             QPolicy, SimConfig, events_csv,
                             failure_rate_reduction, render_report, run,
@@ -108,7 +108,7 @@ def test_run_matches_bare_stepper(small_model):
         policy = FixedKPolicy(k, model.size)
         cfg = SimConfig(env=env, ensemble=model, dataset=ds, policy=policy)
         report = run(cfg)
-        device = _make_device(env)
+        device = make_device(env)
         agent = PolicyAgent(policy.decide)
         replay(env, device, costs, agent)
         assert [e["learners_run"] for e in report.events] == agent.runs
@@ -210,6 +210,45 @@ def test_round_robin_mode_mapping():
     assert _round_robin_mode("auto", 1) == "low-energy"
     assert _round_robin_mode("auto", 0) == "off"
     assert _round_robin_mode("low-energy", 3) == "low-energy"
+
+
+def test_auto_mode_follows_each_requests_energy_bin(small_model, monkeypatch):
+    # the store fills by day and drains by night, so requests see every
+    # energy bin; half the store covers a full prefix, so no request browns
+    # out, and the zero q-table declines whenever the mode leaves it to decide
+    model, ds = small_model
+    n = model.size
+    trace = synth_trace(0, "day-night", duration=800.0, period=200.0,
+                        high_power=1e-3)
+    env = make_env(model, trace, period=1.0, horizon=800.0,
+                   cap=Capacitor(capacitance=1e-3))
+    first_bins = []   # e_now of each request's l = 0 state, by the reference
+    tracker = qsched.StateTracker
+
+    class Spy(tracker):
+        def observe(self, device, l):
+            if l == 0:
+                first_bins.append(discretize_energy(device.usable_energy, device.cap,
+                                                    self.one_learner_cost))
+            return tracker.observe(self, device, l)
+
+    monkeypatch.setattr(qsched, "StateTracker", Spy)
+    report = run(SimConfig(env=env, ensemble=model, dataset=ds,
+                           policy=QPolicy(QTable.zeros(n)), retrain_mode="auto"))
+    rows = [row for row in report.events if row["event"] != MISS_OFF]
+    assert len(rows) == len(first_bins)
+    assert set(first_bins) == {0, 1, 2, 3}
+    cursor = 0
+    for row, e_now in zip(rows, first_bins):
+        # auto: off at bin 0, low-energy (N - 1 learners) at 1, high-energy above
+        target = (0, n - 1, n, n)[e_now]
+        retrained = -1
+        if target:
+            retrained = cursor % target
+            cursor += 1
+        assert row["learners_run"] == target
+        assert row["retrained_learner"] == retrained
+        assert row["event"] == (SERVED if target else MISS_DECLINED)
 
 
 def test_low_energy_mode_drops_one_learner(small_model):
