@@ -117,11 +117,11 @@ def cmd_simulate(args) -> int:
     # baseline's report instead of running again
     runs = [p for p in policies if p.name != "all"]
     jobs = [sim_config(baseline_policy)] + [sim_config(p) for p in runs]
-    if args.jobs > 1:
+    if args.jobs > 1:   # each run in a worker computes its own memos
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(simrun.run, jobs))
-    else:
-        reports = [simrun.run(c) for c in jobs]
+    else:   # the runs share their batch-1 memos
+        reports = simrun.run_many(jobs)
     baseline_report, rest = reports[0], iter(reports[1:])
     policy_reports = [baseline_report if p.name == "all" else next(rest)
                       for p in policies]

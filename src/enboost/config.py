@@ -166,6 +166,9 @@ def validate_config(doc: dict) -> dict:
         raise ConfigError("pool.pool_size must exceed ensemble.size")
     if not 2 <= cfg["ensemble"]["size"]:
         raise ConfigError("ensemble.size must be >= 2")
+    cap = cfg["energy"]["capacitor"]["capacitance"]
+    if not cap > 0.0:
+        raise ConfigError(f"energy.capacitor.capacitance must be > 0, got {cap}")
     eff = cfg["energy"]["harvester_efficiency"]
     if not 0.0 < eff <= 1.0:
         raise ConfigError(f"energy.harvester_efficiency must be in (0, 1], got {eff}")

@@ -4,6 +4,7 @@ live device state that the request loop advances and draws from."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -22,6 +23,8 @@ class Capacitor:
     voltage: float = 4.2
 
     def __post_init__(self):
+        if not self.capacitance > 0.0:
+            raise ConfigError("need capacitance > 0")
         if not 0.0 < self.v_cutoff < self.v_max:
             raise ConfigError("need 0 < v_cutoff < v_max")
         if not 0.0 <= self.voltage <= self.v_max:
@@ -217,7 +220,7 @@ class Device:
 
     @property
     def voltage(self) -> float:
-        return float(np.sqrt(2.0 * self.energy / self.cap.capacitance))
+        return math.sqrt(2.0 * self.energy / self.cap.capacitance)
 
     def advance(self, until: float, load_power=None):
         """Integrate harvest minus a constant load power up to time `until`,

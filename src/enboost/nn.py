@@ -19,7 +19,10 @@ rounding from the memory layout, so a change here must keep three rules:
    shapes. Every GEMM keeps the operand layouts it had: the forward patch
    operand is a C-order copy, except at batch 1, where it is the F-order
    view, and so is `dz_rows` (from NCHW `dz`); for a 1x1 output map the
-   weight-gradient operand is the F-order view of the C-order copy.
+   weight-gradient operand is the F-order view of the C-order copy. At
+   batch 1, `_im2col` gathers the C-order patch matrix with one `take`
+   from a cached index instead of a copy per kernel offset: the same
+   values into the same layout, so the GEMMs see the same operands.
 2. `mean(axis=(3, 5))` over a window view sums in an order set by the
    layout. Channels-last input with more than one channel is summed term by
    term, row-major. Otherwise each window row is a pairwise run and the rows
@@ -330,16 +333,39 @@ class WeakLearner:
 # forward / backward
 
 
+_PAD = np.zeros(1)
+
+
+@functools.lru_cache(maxsize=32)
+def _patch_index(c, h, w, k, s, p):
+    """Read-only (c*k*k, ho*wo) indices into a flattened (c, h, w) map with
+    one value appended: index c*h*w, the padding, reads that value."""
+    padded = np.full((c, h + 2 * p, w + 2 * p), c * h * w)
+    padded[:, p:p + h, p:p + w] = np.arange(c * h * w).reshape(c, h, w)
+    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+    idx = np.ascontiguousarray(win[:, ::s, ::s].transpose(0, 3, 4, 1, 2))
+    idx = idx.reshape(c * k * k, -1)
+    idx.flags.writeable = False
+    return idx
+
+
 def _im2col(x, k, s, p):
     """Patch matrix (c*k*k, b*ho*wo) of a (b, c, h, w) batch: row (c, i, j)
-    holds input channel c at kernel offset (i, j) for every output pixel."""
+    holds input channel c at kernel offset (i, j) for every output pixel.
+
+    A batch of one, the serving path, is one gather from a cached index.
+    Larger batches copy per kernel offset: an index per batch shape would
+    hold one for every (b, c) the build's prune steps make."""
     b, c, h, w = x.shape
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    if b == 1:
+        flat = np.concatenate((x, _PAD), axis=None)
+        return flat.take(_patch_index(c, h, w, k, s, p)), ho, wo
     if p:
         xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
         xp[:, :, p:p + h, p:p + w] = x
         x = xp
-    ho = (h + 2 * p - k) // s + 1
-    wo = (w + 2 * p - k) // s + 1
     cols = np.empty((c, k, k, b, ho, wo), dtype=x.dtype)
     x = x.transpose(1, 0, 2, 3)
     for i in range(k):

@@ -10,11 +10,17 @@ Service is instantaneous in simulated time; "concurrent inference and
 training" means one learner's forward pass is reused for both, not thread
 parallelism.
 
-Requests cycle through the test split, so a run keeps two memos per
-learner and sample, both computed at batch 1: the `trunk` activations
-entering the learner's head, kept for the whole run because an FC-only
-write never reaches them, and the probabilities, kept until that learner is
-retrained.  A retrain or a probability miss runs only the head.
+Requests cycle through the test split, so runs memoize per learner and
+sample, all at batch 1: the `trunk` activations entering the learner's
+head, the probabilities and, per sample and prefix length, the vote
+(`_Memos`).  The memos live for one `run`, `run_many` or
+`run_concurrent_training` call, never longer, and `run_many` shares them
+between its runs: `enboost simulate` computes each trunk once for all its
+policies.  The trunk memo holds in every run, with or without retraining,
+because an FC-only write never reaches it.  The probabilities and votes
+are those of the unretrained learners, so a run that retrains learner l
+moves l, and its votes, to private memos that no other run sees.  A
+retrain or a probability miss runs only the head.
 """
 from __future__ import annotations
 
@@ -149,7 +155,17 @@ def _round_robin_mode(mode, e_now):
 def run(cfg: SimConfig) -> SimReport:
     """Policy-driven inference, with FC-only retraining per cfg.retrain_mode
     on the test split of cfg.dataset."""
-    return _serve(cfg)[0]
+    return run_many([cfg])[0]
+
+
+def run_many(cfgs) -> list:
+    """`run` each config in turn.  Runs on the same ensemble and dataset
+    objects share one `_Memos` for this call, so each batch-1 trunk, and
+    each unretrained learner's probabilities, is computed once for all."""
+    memos = {}
+    return [_serve(cfg, memos.setdefault((id(cfg.ensemble), id(cfg.dataset)),
+                                         _Memos(cfg.ensemble.size)))[0]
+            for cfg in cfgs]
 
 
 def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):
@@ -165,9 +181,23 @@ def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):
     cfg = replace(cfg, dataset=drift_dataset)
     ex, ey = drift_dataset.split("eval")
     before = [evaluate(l, ex, ey) for l in cfg.ensemble.learners]
-    report, learners = _serve(cfg)
+    report, learners = _serve(cfg, _Memos(cfg.ensemble.size))
     after = [evaluate(l, ex, ey) for l in learners]
     return report, before, after
+
+
+class _Memos:
+    """Batch-1 results that runs over one ensemble's learners and one test
+    split can share; a batched forward over the split would give other bits.
+
+    Per learner, `trunk` maps a sample index to the activations entering the
+    head and `probs` maps it to the unretrained learner's probabilities;
+    `votes` maps (sample index, learners run) to the unretrained vote."""
+
+    def __init__(self, n):
+        self.trunk = [{} for _ in range(n)]
+        self.probs = [{} for _ in range(n)]
+        self.votes = {}
 
 
 class _Server(Agent):
@@ -175,19 +205,22 @@ class _Server(Agent):
     retrain target decides, each learner that runs does a forward pass (one
     of them also retrains), and the vote fills one events row per request.
 
-    Per learner, `trunk` maps a sample index to its batch-1 trunk
-    activations for the whole run, and `memo` maps it to the probabilities
-    until the learner is retrained; a batched forward over the split would
-    give other bits."""
+    The trunk memo is shared for the whole run and with the other runs of
+    the command, because an FC-only write never reaches it. The probability
+    and vote memos are shared only while they hold the unretrained learners'
+    outputs: once learner l is retrained, this run gives l a private
+    probability memo, and itself a private vote memo, each emptied at every
+    later retrain, so no other run can see the rewritten learner."""
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, memos: _Memos):
         self.cfg = cfg
         self.device = make_device(cfg.env)
         self.costs = [inference_cost(l.macs, cfg.env.cost_model)
                       for l in cfg.ensemble.learners]
         self.learners = [l.copy() for l in cfg.ensemble.learners]
-        self.trunk = [{} for _ in self.learners]  # sample index -> activations
-        self.memo = [{} for _ in self.learners]   # sample index -> probabilities
+        self.trunk = memos.trunk
+        self.probs = list(memos.probs)
+        self.votes = memos.votes
         self.sx, self.sy = cfg.dataset.split("test")
         self.retrain_cursor = 0
         self.events = []
@@ -209,9 +242,8 @@ class _Server(Agent):
             "inference_energy": 0.0,
             "retrain_energy": 0.0,
         }
-        self.x = self.sx[sample_idx]
         self.label = int(self.sy[sample_idx])
-        self.probs = []
+        self.pre_update = None   # (l, probabilities) of this request's retrain
 
     def decide(self, s):
         n = len(self.costs)
@@ -228,28 +260,38 @@ class _Server(Agent):
             return self.cfg.policy.decide(s)
         return 1 if l < self.target else 0
 
-    def ran(self, l):
-        row, i = self.row, self.row["sample_index"]
-        row["inference_energy"] += self.costs[l]
+    def _trunk(self, l, i):
         acts = self.trunk[l].get(i)
         if acts is None:
-            acts = self.trunk[l][i] = trunk(self.learners[l], self.x)
-        if l == self.retrain_idx:
-            # shared forward pass: prediction uses the pre-update outputs
-            increment = self.cfg.env.cost_model.fc_retrain_energy_fraction * self.costs[l]
-            if self.device.draw(increment):
-                self.learners[l], probs = train_fc_only(
-                    self.learners[l], acts, [self.label], [1.0],
-                    self.cfg.retrain_learning_rate)
-                self.memo[l].clear()
-                self.probs.append(probs[0])
-                row["retrain_energy"] += increment
-                row["retrained_learner"] = l
-                return
-        memo = self.memo[l]
-        if i not in memo:
-            memo[i] = head(self.learners[l], acts)[0]
-        self.probs.append(memo[i])
+            acts = self.trunk[l][i] = trunk(self.learners[l], self.sx[i])
+        return acts
+
+    def _probs(self, l, i):
+        probs = self.probs[l].get(i)
+        if probs is None:
+            probs = self.probs[l][i] = head(self.learners[l], self._trunk(l, i))[0]
+        return probs
+
+    def _vote(self, i, l, r=-1, pre_update=None):
+        probs = [pre_update if j == r else self._probs(j, i) for j in range(l)]
+        return weighted_vote(np.stack(probs), self.cfg.ensemble.vote_weights[:l])[0]
+
+    def ran(self, l):
+        row = self.row
+        row["inference_energy"] += self.costs[l]
+        if l != self.retrain_idx:
+            return
+        increment = self.cfg.env.cost_model.fc_retrain_energy_fraction * self.costs[l]
+        if self.device.draw(increment):
+            # shared forward pass: the vote uses the pre-update outputs
+            self.learners[l], probs = train_fc_only(
+                self.learners[l], self._trunk(l, row["sample_index"]),
+                [self.label], [1.0], self.cfg.retrain_learning_rate)
+            self.pre_update = (l, probs[0])
+            self.probs[l] = {}
+            self.votes = {}
+            row["retrain_energy"] += increment
+            row["retrained_learner"] = l
 
     def done(self, l, end):
         row = self.row
@@ -257,15 +299,20 @@ class _Server(Agent):
         if l == 0:
             row["event"] = _MISSES[end]
         else:
-            pred, _ = weighted_vote(np.stack(self.probs),
-                                    self.cfg.ensemble.vote_weights[:l])
+            i = row["sample_index"]
+            if self.pre_update is None:
+                pred = self.votes.get((i, l))
+                if pred is None:
+                    pred = self.votes[(i, l)] = self._vote(i, l)
+            else:   # a vote on pre-update outputs holds for this request only
+                pred = self._vote(i, l, *self.pre_update)
             row["predicted"] = pred
             row["correct"] = int(pred == self.label)
         self.events.append(row)
 
 
-def _serve(cfg: SimConfig):
-    server = _Server(cfg)
+def _serve(cfg: SimConfig, memos: _Memos):
+    server = _Server(cfg, memos)
     replay(cfg.env, server.device, server.costs, server)
     events, device = server.events, server.device
     report = SimReport(

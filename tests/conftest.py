@@ -250,6 +250,29 @@ def parent_backward(spec, params, cache, dlogits, start=0):
     return grads
 
 
+# ---------------------------------------------------------------------------
+# `nn._im2col` as it was before a batch of one became a gather from a cached
+# index: a copy per kernel offset into a C-order matrix. The gather must give
+# the same bits and layout (test_nn::test_batch1_patch_gather_matches_slices).
+# Frozen; do not optimize.
+
+
+def slice_im2col(x, k, s, p):
+    b, c, h, w = x.shape
+    if p:
+        xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p:p + h, p:p + w] = x
+        x = xp
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    cols = np.empty((c, k, k, b, ho, wo), dtype=x.dtype)
+    x = x.transpose(1, 0, 2, 3)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = x[:, :, i:i + s * ho:s, j:j + s * wo:s]
+    return cols.reshape(c * k * k, -1), ho, wo
+
+
 class PolicyAgent(Agent):
     """Drives `qsched.replay` with a bare decision function and records the
     learners run per request."""

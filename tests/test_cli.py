@@ -2,6 +2,7 @@
 import json
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,10 @@ BAD_CONFIGS = {
                             {"dataset": {"generator": {"shape": ["a", 12, 12]}}}, []),
     "generator-shape-zero": ("build-ensemble",
                              {"dataset": {"generator": {"shape": [3, 0, 12]}}}, []),
+    "capacitance-0": ("train-scheduler",
+                      {"energy": {"capacitor": {"capacitance": 0}}}, []),
+    "capacitance-negative": ("train-scheduler",
+                             {"energy": {"capacitor": {"capacitance": -0.0022}}}, []),
 }
 
 
@@ -218,13 +223,13 @@ def test_simulate_runs_the_all_baseline_once(workspace, sim_out, tmp_path,
                                             monkeypatch, policies, runs):
     # fixed:k with k >= N is the all-N policy too
     names = []
-    real_run = simrun.run
+    real_run_many = simrun.run_many
 
-    def counted(cfg):
-        names.append(cfg.policy.name)
-        return real_run(cfg)
+    def counted(cfgs):
+        names.extend(cfg.policy.name for cfg in cfgs)
+        return real_run_many(cfgs)
 
-    monkeypatch.setattr(simrun, "run", counted)
+    monkeypatch.setattr(simrun, "run_many", counted)
     argv = ["simulate", "--config", str(workspace / "config.json"),
             "--ensemble", str(workspace / "build"), "--out", str(tmp_path)]
     for policy in policies:
@@ -247,6 +252,55 @@ def test_simulate_jobs_write_identical_trees(workspace, qtable_path, tmp_path, c
         outputs.append((files, capsys.readouterr().out))
     assert len(outputs[0][0]) == 6
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode", ["off", "high-energy", "auto"])
+def test_simulate_policies_share_memos_without_seeing_each_other(
+        workspace, qtable_path, tmp_path, monkeypatch, mode):
+    # one command computes each (learner, sample) trunk once, and writes what
+    # one command per policy writes: a run that retrains never leaks its
+    # learners into the memos the other runs read
+    doc = dict(LIGHT_CONFIG, simulation=dict(LIGHT_CONFIG["simulation"],
+                                             retrain_mode=mode))
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    argv = ["simulate", "--config", str(tmp_path / "config.json"),
+            "--ensemble", str(workspace / "build")]
+    policies = [f"qtable:{qtable_path}", "fixed:1", "all"]
+    trunks = []
+    real_trunk = simrun.trunk
+
+    def counted(learner, x):
+        trunks.append((learner.id, x.tobytes()))
+        return real_trunk(learner, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(simrun, "trunk", counted)
+        assert main(argv + [a for p in policies for a in ("--policy", p)]
+                    + ["--out", str(tmp_path / "one")]) == 0
+    assert len(trunks) == len(set(trunks))
+    for policy in policies:
+        assert main(argv + ["--policy", policy, "--out", str(tmp_path / "each")]) == 0
+
+    def tree(out):
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    one = tree(tmp_path / "one")
+    assert len(one) == 6
+    assert one == tree(tmp_path / "each")
+    retrained = json.loads(one[Path("qtable", "report.json")])["retrain_events"]
+    assert (retrained > 0) == (mode != "off")
+
+
+def test_simulate_warns_on_a_degenerate_ensemble(workspace, tmp_path):
+    # votes are memoized, but the first one of a command is still computed
+    shutil.copytree(workspace / "build", tmp_path / "build")
+    manifest = tmp_path / "build" / "ensemble.json"
+    doc = json.loads(manifest.read_text())
+    doc["vote_weights"] = [-abs(a) for a in doc["vote_weights"]]
+    manifest.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="all vote weights <= 0"):
+        assert main(["simulate", "--config", str(workspace / "config.json"),
+                     "--ensemble", str(tmp_path / "build"), "--policy", "fixed:1",
+                     "--out", str(tmp_path / "sims")]) == 0
 
 
 @pytest.mark.parametrize("mode", ["off", "high-energy"])

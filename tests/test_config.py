@@ -150,6 +150,13 @@ def test_harvester_efficiency_scales_synthetic_trace():
     assert np.array_equal(half.power, 0.5 * full.power)
 
 
+@pytest.mark.parametrize("capacitance", [0, -0.0022])
+def test_capacitance_must_be_positive(capacitance):
+    # a negative store learned on negative energies; zero divided by it
+    with pytest.raises(ConfigError, match=r"^energy\.capacitor\.capacitance must be > 0"):
+        config.validate_config({"energy": {"capacitor": {"capacitance": capacitance}}})
+
+
 @pytest.mark.parametrize("eff", [-0.5, 0.0, 2.0])
 def test_harvester_efficiency_out_of_range_rejected(eff):
     with pytest.raises(ConfigError, match="harvester_efficiency"):

@@ -52,6 +52,9 @@ def test_capacitor_validation():
         Capacitor(v_cutoff=5.0, v_max=4.2)
     with pytest.raises(ConfigError):
         Capacitor(voltage=9.0)
+    for capacitance in (0.0, -0.0022):
+        with pytest.raises(ConfigError, match="capacitance > 0"):
+            Capacitor(capacitance=capacitance)
 
 
 # ---------------------------------------------------------------------------

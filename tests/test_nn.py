@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import parent_backward, parent_forward_cache, tiny_spec
+from conftest import (parent_backward, parent_forward_cache, slice_im2col,
+                      tiny_spec)
 from enboost import nn
 from enboost.config import baseline_network
 from enboost.data import synth_dataset
@@ -356,6 +357,44 @@ def test_avgpool_sums_in_numpys_order(win):
             want = batch.reshape(b, c, ho, win, wo, win).mean(axis=(3, 5))
             got = nn._avgpool(batch, win)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_batch1_patch_gather_matches_slices(k, s, p):
+    # a gather only moves data: same bits, signed zeros and C-order layout
+    rng = np.random.default_rng(100 * k + 10 * s + p)
+    for c, h, w in ((1, 5, 5), (3, 12, 12), (4, 6, 7), (2, 1, 1)):
+        if min(h, w) + 2 * p < k:
+            continue
+        x = rng.standard_normal((1, c, h, w))
+        x[rng.random(x.shape) < 0.2] = -0.0
+        # channels-last, as a conv or pool output reaches the next conv
+        channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for view in (x, channels_last):
+            got, ho, wo = nn._im2col(view, k, s, p)
+            want, want_ho, want_wo = slice_im2col(view, k, s, p)
+            assert (ho, wo) == (want_ho, want_wo)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_patch_index_cache_is_bounded_and_read_only():
+    bound = nn._patch_index.cache_info().maxsize
+    assert bound is not None and bound <= 32
+    for width in range(1, bound + 8):
+        nn._im2col(np.zeros((1, 1, 3, width)), 1, 1, 0)
+    info = nn._patch_index.cache_info()
+    assert info.currsize == bound
+    with pytest.raises(ValueError):
+        nn._patch_index(1, 4, 4, 3, 1, 1)[0, 0] = 0
+    # a batch of more than one never enters the cache
+    nn._patch_index.cache_clear()
+    nn._im2col(np.zeros((2, 1, 4, 4)), 3, 1, 1)
+    assert nn._patch_index.cache_info().currsize == 0
+    nn._im2col(np.zeros((1, 1, 4, 4)), 3, 1, 1)
+    assert nn._patch_index.cache_info().currsize == 1
 
 
 def net(input_shape, *layers):

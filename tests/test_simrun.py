@@ -1,5 +1,7 @@
 """Request-serving simulation: outcomes, energy accounting, concurrent
 FC retraining, and report rendering."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from conftest import PolicyAgent, discretize_energy, tiny_spec
 from enboost import qsched, simrun
 from enboost.boost import PoolConfig, build_pool
 from enboost.data import drift_dataset, synth_dataset
-from enboost.energy import (Capacitor, CostModel, RequestPattern,
+from enboost.energy import (Capacitor, CostModel, PowerTrace, RequestPattern,
                             inference_cost, synth_trace)
 from enboost.ensemble import backfit_select, subset_accuracy, weighted_vote
 from enboost.errors import ConfigError
@@ -17,7 +19,8 @@ from enboost.qsched import EnvConfig, QTable, RewardParams, replay, make_device
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
                             QPolicy, SimConfig, events_csv,
                             failure_rate_reduction, render_report, run,
-                            run_concurrent_training, _round_robin_mode)
+                            run_concurrent_training, run_many,
+                            _round_robin_mode)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +153,81 @@ def test_retraining_runs_each_learner_trunk_once_per_sample(small_model, monkeyp
     report, _, _ = run_concurrent_training(cfg, drift)
     assert report.retrain_events == report.total_requests == 4 * split
     assert len(calls) == model.size * split
+
+
+def test_run_many_shares_trunks_and_matches_separate_runs(small_model, monkeypatch):
+    # runs after a retraining run must still read the unretrained learners
+    model, ds = small_model
+    split = ds.split_size("test")
+    env = abundant(model, requests=3 * split)
+    cfgs = [SimConfig(env=env, ensemble=model, dataset=ds,
+                      policy=FixedKPolicy(k, model.size), retrain_mode=mode,
+                      retrain_learning_rate=0.5)
+            for mode in ("off", "high-energy", "off") for k in (1, model.size)]
+    alone = [run(cfg) for cfg in cfgs]
+    calls = counted_trunk(monkeypatch)
+    shared = run_many(cfgs)
+    assert len(calls) == model.size * split
+    assert [r.retrain_events for r in shared] == [0, 0, 3 * split, 3 * split, 0, 0]
+    for a, b in zip(alone, shared):
+        assert a.to_dict() == b.to_dict()
+        assert events_csv(a) == events_csv(b)
+
+
+def test_run_many_keeps_memos_apart_for_other_ensembles_and_datasets(small_model):
+    model, ds = small_model
+    n = model.size
+    reordered = replace(model, learners=model.learners[::-1],
+                        vote_weights=model.vote_weights[::-1])
+    other = synth_dataset(seed=6, classes=3, samples_per_class=24,
+                          shape=(2, 8, 8), noise=0.5)
+    env = abundant(model, requests=2 * ds.split_size("test"))
+    cfgs = [SimConfig(env=env, ensemble=m, dataset=d, policy=FixedKPolicy(k, n))
+            for m, d, k in ((model, ds, n), (model, ds, 1), (reordered, ds, 1),
+                            (model, other, n))]
+    for cfg, report in zip(cfgs, run_many(cfgs)):
+        assert events_csv(run(cfg)) == events_csv(report)
+
+
+def test_memos_hold_across_retrains_and_runs(small_model):
+    # a retrain costs ten learners, so the first run retrains for its first
+    # requests, while the harvest is high, and then only votes, also on
+    # samples it voted on while retraining them.  Its predictions must come
+    # from its learners at each request, and the runs after it, which share
+    # its memos, must see the unretrained learners
+    model, ds = small_model
+    n = model.size
+    trace = PowerTrace(times=[0.0, 10.0, 300.0], power=[1e-3, 2e-4, 2e-4])
+    env = EnvConfig(capacitor=Capacitor(capacitance=1e-3), trace=trace,
+                    cost_model=CostModel(fc_retrain_energy_fraction=10.0),
+                    requests=RequestPattern(period=1.0, horizon=300.0),
+                    reward=RewardParams(delta_acc=tuple(model.delta_acc)))
+    drift = drift_dataset(ds)
+    cfgs = [SimConfig(env=env, ensemble=model, dataset=drift,
+                      policy=FixedKPolicy(k, n), retrain_mode=mode,
+                      retrain_learning_rate=0.5)
+            for mode, k in (("high-energy", n), ("off", n), ("off", 1))]
+    shared = run_many(cfgs)
+    events = shared[0].events
+    retrains = [j for j, row in enumerate(events) if row["retrained_learner"] >= 0]
+    assert len(retrains) > 10
+    assert sum(row["learners_run"] == n for row in events[retrains[-1] + 1:]) > 200
+    shadow = [l.copy() for l in model.learners]
+    sx, sy = drift.split("test")
+    for event in events:
+        k = event["learners_run"]
+        x = sx[event["sample_index"]]
+        pred, _ = weighted_vote(np.stack([forward(l, x) for l in shadow[:k]]),
+                                model.vote_weights[:k])
+        assert pred == event["predicted"]
+        r = event["retrained_learner"]
+        if r >= 0:
+            shadow[r], _ = train_fc_only(shadow[r], trunk(shadow[r], x[None]),
+                                         [int(sy[event["sample_index"]])], [1.0], 0.5)
+    for cfg, report in zip(cfgs, shared):
+        alone = run(cfg)
+        assert alone.to_dict() == report.to_dict()
+        assert events_csv(alone) == events_csv(report)
 
 
 def test_retrained_learner_is_forwarded_again(small_model):
