@@ -15,10 +15,19 @@ from .errors import ConfigError, EnboostError
 from .nn import count_macs, count_params
 
 
+def _seed(args, default: int) -> int:
+    """The --seed flag, an integer >= 0, or `default` without it."""
+    if args.seed is None:
+        return default
+    if not args.seed.isdecimal():
+        raise ConfigError(f"--seed must be an integer >= 0, got {args.seed!r}")
+    return int(args.seed)
+
+
 def cmd_build_ensemble(args) -> int:
     cfg = cfgmod.load_config(args.config)
     config_dir = Path(args.config).parent
-    pool_cfg = cfgmod.make_pool_config(cfg, seed=args.seed)
+    pool_cfg = cfgmod.make_pool_config(cfg, seed=_seed(args, cfg["pool"]["seed"]))
     base_spec = cfgmod.make_network(cfg, config_dir)
     dataset = cfgmod.make_dataset(cfg, config_dir, base_spec.input_shape)
 
@@ -51,10 +60,10 @@ def cmd_build_ensemble(args) -> int:
 
 def cmd_train_scheduler(args) -> int:
     cfg = cfgmod.load_config(args.config)
+    seed = _seed(args, cfg["scheduler"]["seed"])
     config_dir = Path(args.config).parent
     env = cfgmod.make_env(cfg, config_dir)
     model = ens.load_ensemble(Path(args.ensemble) / "ensemble.json")
-    seed = cfg["scheduler"]["seed"] if args.seed is None else args.seed
     episodes = cfg["scheduler"]["episodes"] if args.episodes is None else args.episodes
     hyper = cfgmod.make_qhyper(cfg)
     if episodes == 0:
@@ -91,13 +100,13 @@ def _parse_policy(token, model):
 
 def cmd_simulate(args) -> int:
     cfg = cfgmod.load_config(args.config)
+    seed = _seed(args, cfg["simulation"]["seed"])
     config_dir = Path(args.config).parent
     if args.trace is not None:
         cfg["energy"]["trace"]["csv"] = str(Path(args.trace).resolve())
     env = cfgmod.make_env(cfg, config_dir)
     model = ens.load_ensemble(Path(args.ensemble) / "ensemble.json")
     dataset = cfgmod.make_dataset(cfg, config_dir, model.learners[0].spec.input_shape)
-    seed = cfg["simulation"]["seed"] if args.seed is None else args.seed
     policies = [_parse_policy(tok, model) for tok in args.policy]
     names = [p.name for p in policies]
     for name in names:
@@ -171,14 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-ensemble", help="train, prune, boost, and select")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None, help="an integer >= 0")
     p.set_defaults(func=cmd_build_ensemble)
 
     p = sub.add_parser("train-scheduler", help="offline Q-learning on the energy env")
     p.add_argument("--config", required=True)
     p.add_argument("--ensemble", required=True, help="build-ensemble output dir")
     p.add_argument("--out", required=True, help="q-table file path")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None, help="an integer >= 0")
     p.add_argument("--episodes", type=int, default=None)
     p.set_defaults(func=cmd_train_scheduler)
 
@@ -188,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", action="append", required=True,
                    help="all, fixed:k, or qtable:PATH (repeatable)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None, help="an integer >= 0")
     p.add_argument("--trace", default=None, help="override trace CSV")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")

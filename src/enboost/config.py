@@ -145,6 +145,8 @@ def _validate(doc, schema, path):
             out[key] = float(value)
         elif not isinstance(value, kind) or isinstance(value, bool):
             raise ConfigError(f"{here}: expected {getattr(kind, '__name__', kind)}")
+        elif key == "seed" and value < 0:   # numpy seeds only from integers >= 0
+            raise ConfigError(f"{here}: must be an integer >= 0, got {value}")
         else:
             out[key] = copy.deepcopy(value)
     return out

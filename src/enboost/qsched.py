@@ -272,9 +272,46 @@ def replay(env: EnvConfig, device: Device, costs, agent: Agent):
     device.advance(horizon)
 
 
+RAW_BLOCK = 256   # PCG64 words `_Draws` reads per `random_raw` call
+
+
+class _Draws:
+    """`np.random.default_rng(seed)`'s `random()` and `integers(0, 2)`, bit
+    for bit, decoded in Python from the PCG64 words, which it reads in
+    blocks of `RAW_BLOCK`; the words past the last draw go unused.
+
+    `random()` is the top 53 bits of a word over 2**53. A 32-bit draw takes
+    the low half of a fresh word and keeps the high half for the next one;
+    `random()` leaves the kept half alone. `integers(0, 2)` is Lemire's
+    multiply-shift on a 32-bit draw u, (2 * u) >> 32, which never rejects
+    on range 2: the top bit of u."""
+
+    def __init__(self, seed):
+        self._word = self._words(np.random.PCG64(seed)).__next__
+        self._kept = None   # the top bit of the kept high half
+
+    @staticmethod
+    def _words(bits):
+        while True:
+            yield from bits.random_raw(RAW_BLOCK).tolist()
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def coin(self) -> int:
+        """`int(integers(0, 2))`."""
+        bit = self._kept
+        if bit is None:
+            word = self._word()
+            self._kept = word >> 63
+            return (word >> 31) & 1
+        self._kept = None
+        return bit
+
+
 class _QLearner(Agent):
     """Epsilon-greedy exploration with one-step Q-updates for one episode,
-    on the table's rows as lists of floats."""
+    on the table's rows as lists of floats; rng is a `_Draws`."""
 
     def __init__(self, rows, n, hyper: QHyperParams, params: RewardParams,
                  device: Device, rng, epsilon):
@@ -294,7 +331,7 @@ class _QLearner(Agent):
             q_update(self.rows, n1, self.hyper, *self.pending, s)
         l = s % n1
         if l < self.n and self.rng.random() < self.epsilon:
-            a = int(self.rng.integers(0, 2))
+            a = self.rng.coin()
         else:
             a = act(self.rows, n1, s)  # a=0 at l = N
         r = reward(l, a, self.params, self.device.usable_fraction)
@@ -333,7 +370,7 @@ def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
     table = QTable.zeros(n, hyper)
     rows = table.values.tolist()
     costs = [inference_cost(l.macs, env.cost_model) for l in ensemble_model.learners]
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     curve = []
     anneal_len = max(1, int(episodes * hyper.anneal_fraction))
     for episode in range(episodes):

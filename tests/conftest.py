@@ -9,14 +9,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from enboost import boost, config, ensemble, nn
+from enboost import boost, config, ensemble, nn, qsched
 from enboost.data import synth_dataset
 from enboost.energy import Capacitor, Device
 from enboost.errors import ConfigError
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs, fc,
                         softmax_layer)
 from enboost.prune import conv_layer_indices
-from enboost.qsched import ENERGY_LEVELS, POWER_LEVELS, Agent
+from enboost.qsched import ENERGY_LEVELS, POWER_LEVELS, Agent, act, q_update, reward
 
 
 def tiny_spec(input_shape=(2, 8, 8), classes=3, filters=(4, 6)):
@@ -271,6 +271,32 @@ def slice_im2col(x, k, s, p):
         for j in range(k):
             cols[:, i, j] = x[:, :, i:i + s * ho:s, j:j + s * wo:s]
     return cols.reshape(c * k * k, -1), ho, wo
+
+
+# ---------------------------------------------------------------------------
+# `qsched._QLearner.decide` as it was before the trainer decoded its draws
+# from the raw PCG64 words: it draws from a numpy `Generator` with `random()`
+# and `integers(0, 2)`. `train_offline` with this learner and
+# `np.random.default_rng` for `_Draws` must match the trainer bit for bit
+# (test_qsched::test_train_offline_matches_generator_draws). Frozen; do not
+# optimize.
+
+
+class GeneratorQLearner(qsched._QLearner):
+
+    def decide(self, s):
+        n1 = self.n + 1
+        if self.pending is not None:
+            q_update(self.rows, n1, self.hyper, *self.pending, s)
+        l = s % n1
+        if l < self.n and self.rng.random() < self.epsilon:
+            a = int(self.rng.integers(0, 2))
+        else:
+            a = act(self.rows, n1, s)  # a=0 at l = N
+        r = reward(l, a, self.params, self.device.usable_fraction)
+        self.total_reward += r
+        self.pending = (s, a, r)
+        return a
 
 
 class PolicyAgent(Agent):

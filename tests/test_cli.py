@@ -71,6 +71,14 @@ BAD_CONFIGS = {
                       {"energy": {"capacitor": {"capacitance": 0}}}, []),
     "capacitance-negative": ("train-scheduler",
                              {"energy": {"capacitor": {"capacitance": -0.0022}}}, []),
+    "pool-seed-negative": ("build-ensemble", {"pool": {"seed": -1}}, []),
+    "generator-seed-negative": ("build-ensemble",
+                                {"dataset": {"generator": {"seed": -2}}}, []),
+    "scheduler-seed-negative": ("train-scheduler", {"scheduler": {"seed": -4}}, []),
+    "trace-seed-negative": ("train-scheduler",
+                            {"energy": {"trace": {"synthetic": {"seed": -2}}}}, []),
+    "simulation-seed-negative": ("simulate", {"simulation": {"seed": -1}},
+                                 ["--policy", "all"]),
 }
 
 
@@ -78,13 +86,28 @@ BAD_CONFIGS = {
 def test_invalid_config_exits_1_without_output(case, workspace, tmp_path, capsys):
     command, sections, flags = BAD_CONFIGS[case]
     (tmp_path / "config.json").write_text(json.dumps(dict(LIGHT_CONFIG, **sections)))
-    if command == "train-scheduler":
+    if command != "build-ensemble":
         flags = ["--ensemble", str(workspace / "build"), *flags]
     rc = main([command, "--config", str(tmp_path / "config.json"),
                "--out", str(tmp_path / "out"), *flags])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("error:") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "x7"])
+@pytest.mark.parametrize("command", ["build-ensemble", "train-scheduler", "simulate"])
+def test_bad_seed_flag_exits_1_without_output(command, value, workspace, tmp_path,
+                                              capsys):
+    flags = [] if command == "build-ensemble" else ["--ensemble", str(workspace / "build")]
+    if command == "simulate":
+        flags += ["--policy", "all"]
+    rc = main([command, "--config", str(workspace / "config.json"),
+               "--out", str(tmp_path / "out"), "--seed", value, *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: --seed must be an integer >= 0, got '{value}'\n"
     assert not (tmp_path / "out").exists()
 
 

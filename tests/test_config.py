@@ -1,5 +1,6 @@
 """Config schema validation and builders."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,45 @@ def test_capacitance_must_be_positive(capacitance):
 def test_harvester_efficiency_out_of_range_rejected(eff):
     with pytest.raises(ConfigError, match="harvester_efficiency"):
         config.validate_config({"energy": {"harvester_efficiency": eff}})
+
+
+SEED_KEYS = ["dataset.generator.seed", "dataset.csv.seed", "pool.seed",
+             "energy.trace.synthetic.seed", "scheduler.seed", "simulation.seed"]
+
+
+def schema_keys(schema, path=""):
+    for key, (kind, _) in schema.items():
+        here = f"{path}.{key}" if path else key
+        yield here
+        if isinstance(kind, dict):
+            yield from schema_keys(kind, here)
+
+
+def seed_doc(key, value):
+    """A config setting `key` to `value`, with a complete dataset.csv."""
+    doc = value
+    for part in reversed(key.split(".")):
+        doc = {part: doc}
+    if key.startswith("dataset.csv."):
+        doc["dataset"]["csv"].update(path="d.csv", classes=3, shape=[3, 12, 12])
+    return doc
+
+
+def test_seed_keys_are_every_seed_in_the_schema():
+    assert [k for k in schema_keys(config._SCHEMA) if k.endswith(".seed")] == SEED_KEYS
+
+
+@pytest.mark.parametrize("key", SEED_KEYS)
+def test_seeds_must_be_non_negative_integers(key):
+    # numpy's generators take no negative seed
+    for value in (-1, -4):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be an "
+                                              f"integer >= 0, got {value}$"):
+            config.validate_config(seed_doc(key, value))
+    cfg = config.validate_config(seed_doc(key, 0))
+    for part in key.split("."):
+        cfg = cfg[part]
+    assert cfg == 0
 
 
 def test_make_dataset_csv_requires_path():

@@ -1,5 +1,6 @@
 """Scheduler state encoding, rewards, Q-learning updates, persistence, and
 offline training behavior."""
+import itertools
 import json
 import re
 from types import SimpleNamespace
@@ -7,8 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (PolicyAgent, SchedulerState, SearchsortedDevice,
-                      discretize_energy, discretize_power, encode_state)
+from conftest import (GeneratorQLearner, PolicyAgent, SchedulerState,
+                      SearchsortedDevice, discretize_energy, discretize_power,
+                      encode_state)
 from enboost import qsched
 from enboost.energy import (Capacitor, CostModel, Device, PowerTrace,
                             RequestPattern, synth_trace)
@@ -336,6 +338,97 @@ def test_train_offline_matches_reference_stepper(monkeypatch):
     ref_table, ref_curve = train_offline(env, ens, episodes=6, seed=2)
     assert np.array_equal(table.values, ref_table.values)
     assert curve == ref_curve
+
+
+# ---------------------------------------------------------------------------
+# the trainer's draws: `_Draws` must give `np.random.default_rng`'s
+# `random()` and `integers(0, 2)` bit for bit
+
+RANDOM, COIN = "random", "coin"
+
+
+def generator_draws(seed, kinds):
+    rng = np.random.default_rng(seed)
+    return [rng.random() if k == RANDOM else int(rng.integers(0, 2)) for k in kinds]
+
+
+def decoded_draws(seed, kinds):
+    draws = qsched._Draws(seed)
+    return [draws.random() if k == RANDOM else draws.coin() for k in kinds]
+
+
+def as_bits(values):
+    return [(type(v), np.float64(v).view(np.int64)) for v in values]
+
+
+def test_draws_pin_the_generator_streams():
+    # default_rng(0)'s own values: they move if numpy changes its PCG64,
+    # seeding or bounded-integer streams, and with them every q-table
+    kinds = [RANDOM] * 3 + [COIN] * 7 + [RANDOM]
+    expected = [0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
+                0, 0, 0, 1, 1, 1, 1, 0.7294965609839984]
+    assert as_bits(generator_draws(0, kinds)) == as_bits(expected)
+    assert as_bits(decoded_draws(0, kinds)) == as_bits(expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**40 + 3])
+def test_draws_match_the_generator_on_mixed_sequences(seed):
+    pattern = np.random.default_rng(seed + 1)
+    kinds = [COIN if c else RANDOM for c in pattern.random(5 * qsched.RAW_BLOCK) < 0.4]
+    # runs of an odd number of coins leave a kept half behind
+    for run in (1, 3, 5, 7):
+        kinds += [COIN] * run + [RANDOM] * run
+    assert as_bits(decoded_draws(seed, kinds)) == as_bits(generator_draws(seed, kinds))
+
+
+@pytest.mark.parametrize("before", [0, 1, 2])
+def test_draws_keep_a_half_across_a_block_boundary(before):
+    # the last word of the first block feeds a coin, and its kept half is
+    # drawn after random() has read from the next block
+    block = qsched.RAW_BLOCK
+    kinds = ([RANDOM] * (block - 1 - before) + [COIN] * (2 * before + 1)
+             + [RANDOM] * 3 + [COIN] * 3 + [RANDOM] * block + [COIN])
+    for seed in (3, 11):
+        assert as_bits(decoded_draws(seed, kinds)) == as_bits(generator_draws(seed, kinds))
+
+
+def words_drawn(rng, seed) -> int:
+    """The PCG64 words `rng`, a `default_rng(seed)`, has drawn."""
+    bits = np.random.PCG64(seed)
+    target = rng.bit_generator.state["state"]["state"]
+    for k in itertools.count():
+        if bits.state["state"]["state"] == target:
+            return k
+        bits.random_raw()
+
+
+@pytest.mark.parametrize("epsilon", [(1.0, 1.0), (0.3, 0.01), (0.0, 0.0)],
+                         ids=["explore", "annealed", "greedy"])
+def test_train_offline_matches_generator_draws(monkeypatch, epsilon):
+    # the frozen learner draws from a numpy Generator; the runs span many
+    # blocks, and nights make requests brown out and find the device off
+    trace = synth_trace(1, "day-night", duration=600.0, period=120.0,
+                        high_power=0.03)
+    env = EnvConfig(capacitor=Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7),
+                    trace=trace, cost_model=CostModel(sleep_power=1e-3),
+                    requests=RequestPattern(period=2.5, horizon=600.0),
+                    reward=RewardParams(beta=0.05, p_miss=0.5))
+    ens = stub_ensemble(macs=8_000_000)
+    hyper = QHyperParams(epsilon_start=epsilon[0], epsilon_end=epsilon[1])
+    table, curve = train_offline(env, ens, episodes=8, seed=2, hyper=hyper)
+    generators = []
+
+    def default_rng(seed):
+        generators.append(np.random.default_rng(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(qsched, "_Draws", default_rng)
+    monkeypatch.setattr(qsched, "_QLearner", GeneratorQLearner)
+    ref_table, ref_curve = train_offline(env, ens, episodes=8, seed=2, hyper=hyper)
+    assert words_drawn(generators[0], 2) > 8 * qsched.RAW_BLOCK
+    assert np.array_equal(table.values.view(np.int64), ref_table.values.view(np.int64))
+    assert np.array_equal(np.asarray(curve).view(np.int64),
+                          np.asarray(ref_curve).view(np.int64))
 
 
 def greedy_executions(table, env, ens):
