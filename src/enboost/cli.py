@@ -15,19 +15,21 @@ from .errors import ConfigError, EnboostError
 from .nn import count_macs, count_params
 
 
-def _seed(args, default: int) -> int:
-    """The --seed flag, an integer >= 0, or `default` without it."""
-    if args.seed is None:
+def _int_flag(value, flag: str, minimum: int, default: int) -> int:
+    """An integer flag's string value, which must be >= `minimum`, or
+    `default` without the flag."""
+    if value is None:
         return default
-    if not args.seed.isdecimal():
-        raise ConfigError(f"--seed must be an integer >= 0, got {args.seed!r}")
-    return int(args.seed)
+    if not value.isdecimal() or int(value) < minimum:
+        raise ConfigError(f"{flag} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def cmd_build_ensemble(args) -> int:
     cfg = cfgmod.load_config(args.config)
     config_dir = Path(args.config).parent
-    pool_cfg = cfgmod.make_pool_config(cfg, seed=_seed(args, cfg["pool"]["seed"]))
+    seed = _int_flag(args.seed, "--seed", 0, cfg["pool"]["seed"])
+    pool_cfg = cfgmod.make_pool_config(cfg, seed=seed)
     base_spec = cfgmod.make_network(cfg, config_dir)
     dataset = cfgmod.make_dataset(cfg, config_dir, base_spec.input_shape)
 
@@ -60,11 +62,11 @@ def cmd_build_ensemble(args) -> int:
 
 def cmd_train_scheduler(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    seed = _seed(args, cfg["scheduler"]["seed"])
+    seed = _int_flag(args.seed, "--seed", 0, cfg["scheduler"]["seed"])
+    episodes = _int_flag(args.episodes, "--episodes", 0, cfg["scheduler"]["episodes"])
     config_dir = Path(args.config).parent
     env = cfgmod.make_env(cfg, config_dir)
     model = ens.load_ensemble(Path(args.ensemble) / "ensemble.json")
-    episodes = cfg["scheduler"]["episodes"] if args.episodes is None else args.episodes
     hyper = cfgmod.make_qhyper(cfg)
     if episodes == 0:
         print("warning: episodes = 0, writing an untrained all-zero table",
@@ -100,7 +102,8 @@ def _parse_policy(token, model):
 
 def cmd_simulate(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    seed = _seed(args, cfg["simulation"]["seed"])
+    seed = _int_flag(args.seed, "--seed", 0, cfg["simulation"]["seed"])
+    workers = _int_flag(args.jobs, "--jobs", 1, 1)
     config_dir = Path(args.config).parent
     if args.trace is not None:
         cfg["energy"]["trace"]["csv"] = str(Path(args.trace).resolve())
@@ -126,8 +129,8 @@ def cmd_simulate(args) -> int:
     # baseline's report instead of running again
     runs = [p for p in policies if p.name != "all"]
     jobs = [sim_config(baseline_policy)] + [sim_config(p) for p in runs]
-    if args.jobs > 1:   # each run in a worker computes its own memos
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if workers > 1:   # each run in a worker computes its own memos
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(simrun.run, jobs))
     else:   # the runs share their batch-1 memos
         reports = simrun.run_many(jobs)
@@ -188,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", required=True, help="build-ensemble output dir")
     p.add_argument("--out", required=True, help="q-table file path")
     p.add_argument("--seed", default=None, help="an integer >= 0")
-    p.add_argument("--episodes", type=int, default=None)
+    p.add_argument("--episodes", default=None, help="an integer >= 0")
     p.set_defaults(func=cmd_train_scheduler)
 
     p = sub.add_parser("simulate", help="run policies on the harvesting device")
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", default=None, help="an integer >= 0")
     p.add_argument("--trace", default=None, help="override trace CSV")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", default=None, help="worker processes, an integer >= 1")
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.set_defaults(func=cmd_simulate)
 

@@ -24,17 +24,27 @@ def learner_weight(error_rate: float) -> float:
     return 0.5 * float(np.log((1.0 - e) / e))
 
 
+def checked_vote_weights(vote_weights) -> np.ndarray:
+    """The vote weights a_m as a float64 vector: at least one, and a warning
+    when all are <= 0 (a degenerate ensemble, whose votes are inverted).  A
+    run of votes over one ensemble checks its weights once."""
+    a = np.asarray(vote_weights, dtype=np.float64)
+    if a.ndim != 1 or a.shape[0] < 1:
+        raise ConfigError("need k >= 1 vote weights")
+    if np.all(a <= 0):
+        warnings.warn("all vote weights <= 0: degenerate ensemble", stacklevel=3)
+    return a
+
+
 def weighted_vote(prob_vectors, vote_weights):
     """(argmax class, aggregated score vector) for sum_m a_m * f_m(x).
 
     prob_vectors: (k, C) or list of per-learner vectors; ties break low.
     """
     probs = np.asarray(prob_vectors, dtype=np.float64)
-    a = np.asarray(vote_weights, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[0] != a.shape[0] or a.shape[0] < 1:
+    a = checked_vote_weights(vote_weights)
+    if probs.ndim != 2 or probs.shape[0] != a.shape[0]:
         raise ConfigError("need k >= 1 probability vectors and matching weights")
-    if np.all(a <= 0):
-        warnings.warn("all vote weights <= 0: degenerate ensemble", stacklevel=2)
     scores = a @ probs
     return int(np.argmax(scores)), scores
 

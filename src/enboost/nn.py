@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,11 @@ class NetworkSpec:
         are the trunk, the rest the head."""
         return next((i for i, l in enumerate(self.layers) if l.kind == FC),
                     len(self.layers) - 1)
+
+    @functools.cached_property
+    def fc_layers(self) -> tuple:
+        """Indices of the FC layers: what FC-only retraining writes."""
+        return tuple(i for i, l in enumerate(self.layers) if l.kind == FC)
 
     @functools.cached_property
     def head_input(self) -> tuple:
@@ -430,12 +436,20 @@ def _softmax(z):
 
 def _forward_cache(spec: NetworkSpec, params, x, start=0, stop=None):
     """Run layers [start, stop) on a batch entering layer `start`, recording
-    what backward needs; returns the batch leaving layer stop - 1."""
+    what backward needs; returns the batch leaving layer stop - 1, as
+    (b, c, h, w), or as (b, classes) when the range ends at the final
+    softmax.  FC and softmax outputs stay (b, units) inside the range: only
+    a conv or pool reads one as (b, units, 1, 1)."""
+    layers = spec.layers
+    stop = len(layers) if stop is None else stop
     cache = []
     cur = x
-    for idx in range(start, len(spec.layers) if stop is None else stop):
-        layer = spec.layers[idx]
-        if layer.kind == CONV:
+    for idx in range(start, stop):
+        layer = layers[idx]
+        kind = layer.kind
+        if cur.ndim == 2 and kind in (CONV, AVGPOOL):
+            cur = cur.reshape(cur.shape[0], -1, 1, 1)
+        if kind == CONV:
             w, b = params[idx]
             cols, ho, wo = _im2col(cur, layer.kernel, layer.stride, layer.padding)
             # rule 1: a batch of one keeps the F-order patch operand
@@ -446,25 +460,22 @@ def _forward_cache(spec: NetworkSpec, params, x, start=0, stop=None):
             del rows  # free the copy before the layers above allocate theirs
             z = z.reshape(cur.shape[0], ho, wo, -1).transpose(0, 3, 1, 2)
             z += b[None, :, None, None]
-            out = np.maximum(z, 0.0) if layer.activation == "relu" else z
-            cache.append(("conv", cur.shape, cols, z, layer))
-            cur = out
-        elif layer.kind == AVGPOOL:
-            out = _avgpool(cur, layer.window)
-            cache.append(("avgpool", cur.shape, layer))
-            cur = out
-        elif layer.kind == FC:
+            cache.append((cur.shape, cols, z))
+            cur = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        elif kind == AVGPOOL:
+            cache.append(cur.shape)
+            cur = _avgpool(cur, layer.window)
+        elif kind == FC:
             w, b = params[idx]
             flat = cur.reshape(cur.shape[0], -1)
             z = flat @ w.T + b
-            out = np.maximum(z, 0.0) if layer.activation == "relu" else z
-            cache.append(("fc", cur.shape, flat, z, layer))
-            cur = out.reshape(cur.shape[0], layer.units, 1, 1)
+            cache.append((cur.shape, flat, z))
+            cur = np.maximum(z, 0.0) if layer.activation == "relu" else z
         else:  # softmax
-            flat = cur.reshape(cur.shape[0], -1)
-            out = _softmax(flat)
-            cache.append(("softmax", cur.shape))
-            cur = out.reshape(cur.shape[0], -1, 1, 1)
+            cache.append(cur.shape)
+            cur = _softmax(cur.reshape(cur.shape[0], -1))
+    if cur.ndim == 2 and stop < len(layers):
+        cur = cur.reshape(cur.shape[0], -1, 1, 1)
     return cur, cache
 
 
@@ -474,13 +485,12 @@ def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
     grads = [None] * len(spec.layers)
     dcur = dlogits
     for idx in range(len(spec.layers) - 1, start - 1, -1):
+        layer = spec.layers[idx]
         entry = cache[idx - start]
-        kind = entry[0]
-        if kind == "softmax":
-            in_shape = entry[1]
-            dcur = dcur.reshape(in_shape)
-        elif kind == "fc":
-            _, in_shape, flat, z, layer = entry
+        if layer.kind == SOFTMAX:
+            dcur = dcur.reshape(entry)
+        elif layer.kind == FC:
+            in_shape, flat, z = entry
             dz = dcur.reshape(z.shape)
             if layer.activation == "relu":
                 dz = dz * (z > 0)
@@ -488,9 +498,8 @@ def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
             grads[idx] = (dz.T @ flat, dz.sum(axis=0))
             if idx > start:  # the range's input needs no gradient
                 dcur = (dz @ w).reshape(in_shape)
-        elif kind == "avgpool":
-            _, in_shape, layer = entry
-            win = layer.window
+        elif layer.kind == AVGPOOL:
+            in_shape, win = entry, layer.window
             d = dcur / (win * win)
             if in_shape[2] == in_shape[3] == win:
                 dcur = np.broadcast_to(d, in_shape)  # rule 3
@@ -500,7 +509,7 @@ def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
                     for j in range(win):
                         dcur[:, :, i::win, j::win] = d
         else:  # conv
-            _, in_shape, cols, z, layer = entry
+            in_shape, cols, z = entry
             dz = dcur.reshape(z.shape)
             if layer.activation == "relu":
                 dz = dz * (z > 0)
@@ -579,29 +588,54 @@ def _one_hot(y, class_count):
     return oh
 
 
-def _loss_and_grads(spec, params, x, y_onehot, weights, start=0):
+def _sample_weights(sample_weights, n, what="samples"):
+    """One per-sample loss weight for each of n samples, positive and finite."""
+    weights = np.asarray(sample_weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ShapeError(f"{weights.size} weights for {n} {what}")
+    if not all(0.0 < v < math.inf for v in weights.tolist()):
+        raise ShapeError("sample weights must be positive and finite")
+    return weights
+
+
+def _probs_and_grads(spec, params, x, y_onehot, weights, start=0):
+    """Probabilities of the batch entering layer `start`, and the gradients
+    of the weighted mean cross-entropy down to that layer."""
     probs, cache = _forward_cache(spec, params, x, start)
     n = x.shape[0]
     probs = probs.reshape(n, -1)
-    p_true = np.clip((probs * y_onehot).sum(axis=1), 1e-300, None)
-    loss = float(np.mean(weights * -np.log(p_true)))
     dlogits = weights[:, None] * (probs - y_onehot) / n
-    grads = _backward(spec, params, cache, dlogits, start)
-    return loss, grads, probs
+    return probs, _backward(spec, params, cache, dlogits, start)
 
 
-def _sgd_step(params, grads, lr):
-    for idx, g in enumerate(grads):
+def _loss(probs, y_onehot, weights) -> float:
+    p_true = np.clip((probs * y_onehot).sum(axis=1), 1e-300, None)
+    return float(np.mean(weights * -np.log(p_true)))
+
+
+def _loss_and_grads(spec, params, x, y_onehot, weights, start=0):
+    probs, grads = _probs_and_grads(spec, params, x, y_onehot, weights, start)
+    return _loss(probs, y_onehot, weights), grads, probs
+
+
+def _sgd_step(params, grads, lr, layers):
+    for idx in layers:
+        g = grads[idx]
         if g is None:
             continue
         w, b = params[idx]
         params[idx] = (w - lr * g[0], b - lr * g[1])
 
 
-def evaluate(learner: WeakLearner, x, y) -> float:
-    """Top-1 accuracy (argmax ties resolve to the lowest class index)."""
-    probs = forward(learner, x)
+def accuracy(probs, y) -> float:
+    """Top-1 accuracy of a batch of class probabilities (argmax ties resolve
+    to the lowest class index)."""
     return float(np.mean(probs.argmax(axis=1) == np.asarray(y)))
+
+
+def evaluate(learner: WeakLearner, x, y) -> float:
+    """Top-1 `accuracy` of the learner's forward pass over (x, y)."""
+    return accuracy(forward(learner, x), y)
 
 
 def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
@@ -613,11 +647,7 @@ def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
     is not evaluated, so its eval_accuracy is 0.0.
     """
     x, y = dataset.split("train")
-    weights = np.asarray(sample_weights, dtype=np.float64)
-    if weights.shape[0] != x.shape[0]:
-        raise ShapeError(f"{weights.shape[0]} weights for {x.shape[0]} train samples")
-    if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
-        raise ShapeError("sample weights must be positive and finite")
+    weights = _sample_weights(sample_weights, x.shape[0], "train samples")
     spec = learner.spec
     n = x.shape[0]
     if epochs > 0 and n > 0:
@@ -643,7 +673,7 @@ def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
                                                  weights[sel])
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch, learner.id, "train")
-                _sgd_step(params, grads, learning_rate)
+                _sgd_step(params, grads, learning_rate, range(len(params)))
                 total += loss * len(sel)
             history.append(total / n)
     return WeakLearner(spec=spec, params=params, macs=learner.macs,
@@ -653,26 +683,32 @@ def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
 def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,
                   learning_rate):
     """One weighted SGD step on fully-connected layers only, from the batch's
-    `trunk` activations: forward and backward run over the head alone.
+    `trunk` activations: forward and backward run over the head alone, and
+    the step computes no loss.
 
-    The trunk's parameters are untouched: the updated learner shares them,
-    and the step gives each FC layer new arrays. Returns (updated learner,
-    pre-update forward probabilities for the batch): the forward pass that
-    feeds the update is the same one whose outputs are returned, so callers
-    can reuse it as the inference result.
+    The batch needs one label in [0, class_count) and one positive, finite
+    weight per sample. The trunk's parameters are untouched: the updated
+    learner shares them, and the step gives each FC layer new arrays.
+    Returns (updated learner, pre-update forward probabilities for the
+    batch): the forward pass that feeds the update is the same one whose
+    outputs are returned, so callers can reuse it as the inference result.
     """
     spec = learner.spec
     acts = _as_head_batch(spec, acts)
-    if acts.shape[0] == 0:
+    n = acts.shape[0]
+    if n == 0:
         raise ShapeError("train_fc_only requires a non-empty batch")
-    y = np.atleast_1d(np.asarray(batch_y, dtype=int))
-    weights = np.asarray(sample_weights, dtype=np.float64)
+    y = np.asarray(batch_y, dtype=int)
+    if y.shape != (n,):
+        raise ShapeError(f"{y.size} labels for a batch of {n}")
+    if not all(0 <= v < spec.class_count for v in y.tolist()):
+        raise ShapeError(f"labels must be in [0, {spec.class_count})")
+    weights = _sample_weights(sample_weights, n)
+    probs, grads = _probs_and_grads(spec, learner.params, acts,
+                                    _one_hot(y, spec.class_count), weights,
+                                    spec.head_start)
     params = list(learner.params)
-    y_onehot = _one_hot(y, spec.class_count)
-    _, grads, probs = _loss_and_grads(spec, params, acts, y_onehot, weights,
-                                      spec.head_start)
-    _sgd_step(params, [g if layer.kind == FC else None
-                       for layer, g in zip(spec.layers, grads)], learning_rate)
+    _sgd_step(params, grads, learning_rate, spec.fc_layers)
     out = WeakLearner(spec=spec, params=params, macs=learner.macs,
                       eval_accuracy=learner.eval_accuracy, id=learner.id)
     return out, probs
@@ -691,16 +727,16 @@ def gradient_check(spec: NetworkSpec, seed: int, step=1e-5, batch=2) -> float:
     weights = rng.uniform(0.5, 1.5, size=batch)
     y_onehot = _one_hot(y, spec.class_count)
 
-    _, grads, _ = _loss_and_grads(spec, params, x, y_onehot, weights)
-    analytic = flatten_params([g for g in grads])
+    _, grads = _probs_and_grads(spec, params, x, y_onehot, weights)
+    analytic = flatten_params(grads)
     flat = flatten_params(params)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
         for sign, slot in ((1.0, 0), (-1.0, 1)):
             probe = flat.copy()
             probe[i] += sign * step
-            p = unflatten_params(spec, probe)
-            loss, _, _ = _loss_and_grads(spec, p, x, y_onehot, weights)
+            probs, _ = _forward_cache(spec, unflatten_params(spec, probe), x)
+            loss = _loss(probs, y_onehot, weights)
             if slot == 0:
                 hi = loss
             else:

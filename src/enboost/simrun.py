@@ -20,7 +20,11 @@ policies.  The trunk memo holds in every run, with or without retraining,
 because an FC-only write never reaches it.  The probabilities and votes
 are those of the unretrained learners, so a run that retrains learner l
 moves l, and its votes, to private memos that no other run sees.  A
-retrain or a probability miss runs only the head.
+retrain or a probability miss runs only the head, and an FC-only step
+computes no loss.  A run checks the ensemble's vote weights once, and warns
+once if all are <= 0; each vote is then one product and an argmax.
+`run_concurrent_training` scores the drift accuracies with one batched trunk
+pass per learner over the eval split and a head pass before and after.
 """
 from __future__ import annotations
 
@@ -32,9 +36,9 @@ import numpy as np
 from . import artifacts
 from .data import Dataset
 from .energy import inference_cost
-from .ensemble import EnsembleModel, weighted_vote
+from .ensemble import EnsembleModel, checked_vote_weights
 from .errors import ConfigError
-from .nn import evaluate, head, train_fc_only, trunk
+from .nn import accuracy, head, train_fc_only, trunk
 from .qsched import (BROWNOUT, ENERGY_LEVELS, OFF, POWER_LEVELS, STOP, Agent,
                      EnvConfig, QTable, act, make_device, replay)
 
@@ -180,9 +184,12 @@ def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):
         raise ConfigError("run_concurrent_training requires a retrain mode")
     cfg = replace(cfg, dataset=drift_dataset)
     ex, ey = drift_dataset.split("eval")
-    before = [evaluate(l, ex, ey) for l in cfg.ensemble.learners]
+    # one batch through each trunk, which an FC-only write never reaches;
+    # at equal batch size its head is the batch's forward pass bit for bit
+    acts = [trunk(l, ex) for l in cfg.ensemble.learners]
     report, learners = _serve(cfg, _Memos(cfg.ensemble.size))
-    after = [evaluate(l, ex, ey) for l in learners]
+    before = [accuracy(head(l, a), ey) for l, a in zip(cfg.ensemble.learners, acts)]
+    after = [accuracy(head(l, a), ey) for l, a in zip(learners, acts)]
     return report, before, after
 
 
@@ -217,7 +224,10 @@ class _Server(Agent):
         self.device = make_device(cfg.env)
         self.costs = [inference_cost(l.macs, cfg.env.cost_model)
                       for l in cfg.ensemble.learners]
-        self.learners = [l.copy() for l in cfg.ensemble.learners]
+        # an FC-only step never writes in place: it gives the learner it
+        # returns new FC arrays, so the input learners need no copy
+        self.learners = list(cfg.ensemble.learners)
+        self.vote_weights = checked_vote_weights(cfg.ensemble.vote_weights)
         self.trunk = memos.trunk
         self.probs = list(memos.probs)
         self.votes = memos.votes
@@ -273,8 +283,10 @@ class _Server(Agent):
         return probs
 
     def _vote(self, i, l, r=-1, pre_update=None):
+        # the weighted vote, on weights checked once for the run; np.array
+        # gives the C-order (l, classes) operand np.stack gives, for less
         probs = [pre_update if j == r else self._probs(j, i) for j in range(l)]
-        return weighted_vote(np.stack(probs), self.cfg.ensemble.vote_weights[:l])[0]
+        return int((self.vote_weights[:l] @ np.array(probs)).argmax())
 
     def ran(self, l):
         row = self.row

@@ -111,6 +111,27 @@ def test_bad_seed_flag_exits_1_without_output(command, value, workspace, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flag, value, minimum", [
+    ("train-scheduler", "--episodes", "x", 0),
+    ("train-scheduler", "--episodes", "-3", 0),
+    ("train-scheduler", "--episodes", "2.5", 0),
+    ("simulate", "--jobs", "abc", 1),
+    ("simulate", "--jobs", "-3", 1),
+    ("simulate", "--jobs", "0", 1),
+])
+def test_bad_count_flag_exits_1_without_output(command, flag, value, minimum,
+                                               workspace, tmp_path, capsys):
+    flags = ["--ensemble", str(workspace / "build")]
+    if command == "simulate":
+        flags += ["--policy", "all"]
+    rc = main([command, "--config", str(workspace / "config.json"),
+               "--out", str(tmp_path / "out"), flag, value, *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {flag} must be an integer >= {minimum}, got '{value}'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_boost_rate_overflow_exits_1(tmp_path, capsys):
     # p_true^(-1000) overflows for any p_true below 0.49
     tiny_spec().save(tmp_path / "net.json")

@@ -288,6 +288,40 @@ def test_fc_only_rejects_empty_batch():
         train_fc_only(learner, trunk(learner, np.zeros((0, 1, 1, 2))), [], [], 0.1)
 
 
+def fc_only_batch_of_three():
+    learner = WeakLearner.initialize(baseline_network(), seed=0, learner_id="t")
+    x = np.random.default_rng(0).standard_normal((3, 3, 12, 12))
+    return learner, trunk(learner, x)
+
+
+@pytest.mark.parametrize("labels", [[1], [0, 1], [0, 1, 2, 3], 1])
+def test_fc_only_rejects_a_label_count_other_than_the_batch(labels):
+    learner, acts = fc_only_batch_of_three()
+    with pytest.raises(ShapeError, match="labels for a batch of 3"):
+        train_fc_only(learner, acts, labels, [1.0, 1.0, 1.0], 0.1)
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0], [1.0] * 4, 1.0])
+def test_fc_only_rejects_a_weight_count_other_than_the_batch(weights):
+    learner, acts = fc_only_batch_of_three()
+    with pytest.raises(ShapeError, match="weights for 3 samples"):
+        train_fc_only(learner, acts, [0, 1, 2], weights, 0.1)
+
+
+@pytest.mark.parametrize("label", [-1, 6, 100])
+def test_fc_only_rejects_labels_outside_the_classes(label):
+    learner, acts = fc_only_batch_of_three()
+    with pytest.raises(ShapeError, match=r"labels must be in \[0, 6\)"):
+        train_fc_only(learner, acts, [0, label, 2], [1.0, 1.0, 1.0], 0.1)
+
+
+@pytest.mark.parametrize("weight", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_fc_only_rejects_weights_not_positive_and_finite(weight):
+    learner, acts = fc_only_batch_of_three()
+    with pytest.raises(ShapeError, match="positive and finite"):
+        train_fc_only(learner, acts, [0, 1, 2], [1.0, weight, 1.0], 0.1)
+
+
 def test_fc_only_rejects_activations_of_the_wrong_shape():
     learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     x = np.random.default_rng(0).standard_normal((2, 2, 8, 8))

@@ -1,5 +1,6 @@
 """Request-serving simulation: outcomes, energy accounting, concurrent
 FC retraining, and report rendering."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from enboost.energy import (Capacitor, CostModel, PowerTrace, RequestPattern,
                             inference_cost, synth_trace)
 from enboost.ensemble import backfit_select, subset_accuracy, weighted_vote
 from enboost.errors import ConfigError
-from enboost.nn import forward, train_fc_only, trunk
+from enboost.nn import evaluate, forward, train_fc_only, trunk
 from enboost.prune import PruneSchedule
 from enboost.qsched import EnvConfig, QTable, RewardParams, replay, make_device
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
@@ -120,20 +121,22 @@ def test_run_matches_bare_stepper(small_model):
 
 
 def counted_trunk(monkeypatch):
-    calls = []
+    """Learner ids of the single-sample and of the batched `simrun.trunk`
+    calls."""
+    single, batched = [], []
 
     def counted(learner, x):
-        calls.append(learner.id)
+        (single if np.ndim(x) == 3 else batched).append(learner.id)
         return trunk(learner, x)
 
     monkeypatch.setattr(simrun, "trunk", counted)
-    return calls
+    return single, batched
 
 
 def test_run_forwards_each_learner_sample_once(small_model, monkeypatch):
     model, ds = small_model
     split = ds.split_size("test")
-    calls = counted_trunk(monkeypatch)
+    calls, _ = counted_trunk(monkeypatch)
     report = run(SimConfig(env=abundant(model, requests=3 * split), ensemble=model,
                            dataset=ds, policy=FixedKPolicy(model.size, model.size)))
     assert report.learners_histogram == {model.size: 3 * split}
@@ -146,13 +149,15 @@ def test_retraining_runs_each_learner_trunk_once_per_sample(small_model, monkeyp
     model, ds = small_model
     drift = drift_dataset(ds)
     split = ds.split_size("test")
-    calls = counted_trunk(monkeypatch)
+    calls, batched = counted_trunk(monkeypatch)
     cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
                     dataset=ds, policy=FixedKPolicy(model.size, model.size),
                     retrain_mode="high-energy", retrain_learning_rate=0.5)
     report, _, _ = run_concurrent_training(cfg, drift)
     assert report.retrain_events == report.total_requests == 4 * split
     assert len(calls) == model.size * split
+    # the drift evaluation runs each trunk once, on the whole eval split
+    assert batched == [l.id for l in model.learners]
 
 
 def test_run_many_shares_trunks_and_matches_separate_runs(small_model, monkeypatch):
@@ -165,7 +170,7 @@ def test_run_many_shares_trunks_and_matches_separate_runs(small_model, monkeypat
                       retrain_learning_rate=0.5)
             for mode in ("off", "high-energy", "off") for k in (1, model.size)]
     alone = [run(cfg) for cfg in cfgs]
-    calls = counted_trunk(monkeypatch)
+    calls, _ = counted_trunk(monkeypatch)
     shared = run_many(cfgs)
     assert len(calls) == model.size * split
     assert [r.retrain_events for r in shared] == [0, 0, 3 * split, 3 * split, 0, 0]
@@ -252,6 +257,68 @@ def test_retrained_learner_is_forwarded_again(small_model):
         r = event["retrained_learner"]
         shadow[r], _ = train_fc_only(shadow[r], trunk(shadow[r], x[None]),
                                      [int(sy[event["sample_index"]])], [1.0], 0.5)
+
+
+def shadow_replay(events, learners, vote_weights, dataset, learning_rate):
+    """Replay a run's events on copies of its learners, voting through
+    `weighted_vote` and retraining where the run did; returns the copies.
+    Each event's prediction must be the shadow's."""
+    shadow = [l.copy() for l in learners]
+    sx, sy = dataset.split("test")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # a degenerate vote warns each time
+        for event in events:
+            k = event["learners_run"]
+            x = sx[event["sample_index"]]
+            if k:
+                pred, _ = weighted_vote(np.stack([forward(l, x) for l in shadow[:k]]),
+                                        vote_weights[:k])
+                assert pred == event["predicted"]
+            r = event["retrained_learner"]
+            if r >= 0:
+                shadow[r], _ = train_fc_only(shadow[r], trunk(shadow[r], x[None]),
+                                             [int(sy[event["sample_index"]])], [1.0],
+                                             learning_rate)
+    return shadow
+
+
+def test_drift_accuracies_are_exact(small_model):
+    # one batched trunk per learner, and its head before and after the run,
+    # give each learner's eval-split accuracy exactly
+    model, ds = small_model
+    drift = drift_dataset(ds)
+    cfg = SimConfig(env=abundant(model, requests=4 * ds.split_size("test")),
+                    ensemble=model, dataset=ds,
+                    policy=FixedKPolicy(model.size, model.size),
+                    retrain_mode="high-energy", retrain_learning_rate=0.5)
+    report, before, after = run_concurrent_training(cfg, drift)
+    learners = shadow_replay(report.events, model.learners, model.vote_weights,
+                             drift, 0.5)
+    ex, ey = drift.split("eval")
+    assert before == [evaluate(l, ex, ey) for l in model.learners]
+    assert after == [evaluate(l, ex, ey) for l in learners]
+    assert before != after
+
+
+def test_degenerate_ensemble_warns_once_per_run(small_model):
+    model, ds = small_model
+    negated = replace(model, vote_weights=[-abs(a) for a in model.vote_weights])
+    n, split = model.size, ds.split_size("test")
+    env = abundant(model, requests=3 * split)
+    drift = drift_dataset(ds)
+    for mode in ("off", "high-energy"):
+        cfg = SimConfig(env=env, ensemble=negated, dataset=ds,
+                        policy=FixedKPolicy(n, n), retrain_mode=mode,
+                        retrain_learning_rate=0.5)
+        with pytest.warns(UserWarning) as caught:
+            if mode == "off":
+                report, data = run(cfg), ds
+            else:
+                (report, _, _), data = run_concurrent_training(cfg, drift), drift
+        assert [str(w.message) for w in caught] == [
+            "all vote weights <= 0: degenerate ensemble"]
+        assert report.learners_histogram == {n: 3 * split}
+        shadow_replay(report.events, model.learners, negated.vote_weights, data, 0.5)
 
 
 def test_empty_request_log(small_model):
