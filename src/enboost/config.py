@@ -21,8 +21,11 @@ from .errors import ConfigError
 from .nn import NetworkSpec, TensorShape
 from .prune import PruneSchedule
 from .qsched import EnvConfig, QHyperParams, RewardParams
+from .simrun import RETRAIN_MODES
 
-# schema: {key: (type or nested schema, default)}; only a None default allows null
+# schema: {key: (type or nested schema, default[, range])}; only a None
+# default allows null. A range is (text, test): a value that fails the test
+# is rejected as "<key>: must be <text>, got <value>".
 _NUM = (int, float)
 
 
@@ -31,92 +34,108 @@ def _finite(v) -> bool:
     return abs(v) <= sys.float_info.max
 
 
+def _one_of(*names):
+    return "one of " + ", ".join(map(repr, names)), names.__contains__
+
+
+_SEED = ("an integer >= 0", lambda v: v >= 0)   # numpy seeds only from these
+_AT_LEAST_2 = (">= 2", lambda v: v >= 2)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+_POSITIVE = ("> 0", lambda v: v > 0)
+_FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
+_SHAPE = ("three positive integers",
+          lambda v: len(v) == 3 and all(type(d) is int and d > 0 for d in v))
+_THRESHOLDS = ("two finite numbers t1 < t2", lambda t: len(t) == 2 and all(
+    type(v) in _NUM and _finite(v) for v in t) and t[0] < t[1])
+
+
 _SCHEMA = {
     "dataset": ({
         "generator": ({
-            "seed": (int, 1),
-            "classes": (int, 6),
-            "samples_per_class": (int, 100),
-            "shape": (list, [3, 12, 12]),
-            "noise": (_NUM, 2.5),
+            "seed": (int, 1, _SEED),
+            "classes": (int, 6, _AT_LEAST_2),
+            "samples_per_class": (int, 100, _AT_LEAST_1),
+            "shape": (list, [3, 12, 12], _SHAPE),
+            "noise": (_NUM, 2.5, _NON_NEGATIVE),
         }, {}),
         "csv": ({
             "path": (str, None),
-            "classes": (int, None),
-            "shape": (list, None),
-            "seed": (int, 0),
+            "classes": (int, None, _AT_LEAST_2),
+            "shape": (list, None, _SHAPE),
+            "seed": (int, 0, _SEED),
         }, None),
     }, {}),
     "network": ({
         "spec_path": (str, None),
     }, {}),
     "pool": ({
-        "pool_size": (int, 6),
-        "boost_learning_rate": (_NUM, 0.5),
-        "train_epochs": (int, 12),
-        "learning_rate": (_NUM, 0.1),
-        "batch_size": (int, 32),
-        "seed": (int, 0),
+        "pool_size": (int, 6, _AT_LEAST_1),
+        "boost_learning_rate": (_NUM, 0.5, _POSITIVE),
+        "train_epochs": (int, 12, _NON_NEGATIVE),
+        "learning_rate": (_NUM, 0.1, _POSITIVE),
+        "batch_size": (int, 32, _AT_LEAST_1),
+        "seed": (int, 0, _SEED),
         "prune": ({
-            "filters_removed_per_step": (int, 1),
-            "retrain_epochs_per_step": (int, 4),
+            "filters_removed_per_step": (int, 1, _AT_LEAST_1),
+            "retrain_epochs_per_step": (int, 4, _NON_NEGATIVE),
         }, {}),
     }, {}),
     "ensemble": ({
-        "size": (int, 4),
+        "size": (int, 4, _AT_LEAST_2),
     }, {}),
     "energy": ({
         "capacitor": ({
             # desk-scale store: the bundled ensemble's full execution is a few
             # percent of usable energy, so scheduling decisions matter
-            "capacitance": (_NUM, 2.2e-3),
-            "v_max": (_NUM, 4.2),
-            "v_cutoff": (_NUM, 1.7),
+            "capacitance": (_NUM, 2.2e-3, _POSITIVE),
+            "v_max": (_NUM, 4.2, _POSITIVE),
+            "v_cutoff": (_NUM, 1.7, _POSITIVE),
         }, {}),
         "cost_model": ({
-            "energy_per_mac": (_NUM, 1e-9),
-            "per_inference_overhead": (_NUM, 1e-4),
-            "sleep_power": (_NUM, 5e-6),
-            "fc_retrain_energy_fraction": (_NUM, 0.1),
+            "energy_per_mac": (_NUM, 1e-9, _NON_NEGATIVE),
+            "per_inference_overhead": (_NUM, 1e-4, _NON_NEGATIVE),
+            "sleep_power": (_NUM, 5e-6, _NON_NEGATIVE),
+            "fc_retrain_energy_fraction": (_NUM, 0.1, _NON_NEGATIVE),
         }, {}),
         "trace": ({
             "csv": (str, None),
             "synthetic": ({
-                "seed": (int, 7),
-                "profile": (str, "day-night"),
-                "duration": (_NUM, 3200.0),
-                "period": (_NUM, 800.0),
-                "high_power": (_NUM, 2e-4),
-                "constant_power": (_NUM, None),
-                "burst_rate": (_NUM, 0.02),
-                "sample_interval": (_NUM, 1.0),
+                "seed": (int, 7, _SEED),
+                "profile": (str, "day-night", _one_of("day-night", "bursty", "constant")),
+                "duration": (_NUM, 3200.0, _POSITIVE),
+                "period": (_NUM, 800.0, _POSITIVE),
+                "high_power": (_NUM, 2e-4, _NON_NEGATIVE),
+                "constant_power": (_NUM, None, _NON_NEGATIVE),
+                "burst_rate": (_NUM, 0.02, _FRACTION),
+                "sample_interval": (_NUM, 1.0, _POSITIVE),
             }, {}),
         }, {}),
-        "harvester_efficiency": (_NUM, 1.0),
-        "power_thresholds": (list, None),
-        "initial_voltage": (_NUM, None),
+        "harvester_efficiency": (_NUM, 1.0, ("in (0, 1]", lambda v: 0 < v <= 1)),
+        "power_thresholds": (list, None, _THRESHOLDS),
+        "initial_voltage": (_NUM, None, _NON_NEGATIVE),
     }, {}),
     "scheduler": ({
         "reward": ({
-            "beta": (_NUM, 0.05),
-            "p_miss": (_NUM, 0.5),
+            "beta": (_NUM, 0.05, _NON_NEGATIVE),
+            "p_miss": (_NUM, 0.5, _NON_NEGATIVE),
         }, {}),
         "q": ({
-            "learning_rate": (_NUM, 0.1),
-            "discount": (_NUM, 0.9),
-            "epsilon_start": (_NUM, 0.3),
-            "epsilon_end": (_NUM, 0.01),
-            "anneal_fraction": (_NUM, 0.8),
+            "learning_rate": (_NUM, 0.1, _FRACTION),
+            "discount": (_NUM, 0.9, _FRACTION),
+            "epsilon_start": (_NUM, 0.3, _FRACTION),
+            "epsilon_end": (_NUM, 0.01, _FRACTION),
+            "anneal_fraction": (_NUM, 0.8, _FRACTION),
         }, {}),
-        "episodes": (int, 120),
-        "seed": (int, 0),
+        "episodes": (int, 120, _NON_NEGATIVE),
+        "seed": (int, 0, _SEED),
     }, {}),
     "simulation": ({
-        "request_period": (_NUM, 10.0),
-        "duration": (_NUM, None),
-        "retrain_mode": (str, "off"),
-        "retrain_learning_rate": (_NUM, 0.05),
-        "seed": (int, 0),
+        "request_period": (_NUM, 10.0, _POSITIVE),
+        "duration": (_NUM, None, _POSITIVE),
+        "retrain_mode": (str, "off", _one_of(*RETRAIN_MODES)),
+        "retrain_learning_rate": (_NUM, 0.05, _POSITIVE),
+        "seed": (int, 0, _SEED),
     }, {}),
 }
 
@@ -128,7 +147,7 @@ def _validate(doc, schema, path):
     unknown = set(doc) - set(schema)
     if unknown:
         raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
-    for key, (kind, default) in schema.items():
+    for key, (kind, default, *rule) in schema.items():
         here = f"{path}.{key}" if path else key
         value = doc.get(key, default)
         if value is None:
@@ -137,18 +156,16 @@ def _validate(doc, schema, path):
             out[key] = None
         elif isinstance(kind, dict):
             out[key] = _validate(value, kind, here)
-        elif kind is _NUM:
-            if isinstance(value, bool) or not isinstance(value, _NUM):
-                raise ConfigError(f"{here}: expected a number")
-            if not _finite(value):
-                raise ConfigError(f"{here}: expected a finite number")
-            out[key] = float(value)
         elif not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigError(f"{here}: expected {getattr(kind, '__name__', kind)}")
-        elif key == "seed" and value < 0:   # numpy seeds only from integers >= 0
-            raise ConfigError(f"{here}: must be an integer >= 0, got {value}")
+            raise ConfigError(f"{here}: expected "
+                              f"{'a number' if kind is _NUM else kind.__name__}")
+        elif kind is _NUM and not _finite(value):
+            raise ConfigError(f"{here}: expected a finite number")
         else:
-            out[key] = copy.deepcopy(value)
+            for text, in_range in rule:   # a leaf has at most one range
+                if not in_range(value):
+                    raise ConfigError(f"{here}: must be {text}, got {value!r}")
+            out[key] = float(value) if kind is _NUM else copy.deepcopy(value)
     return out
 
 
@@ -158,27 +175,8 @@ def validate_config(doc: dict) -> dict:
     for key in ("path", "classes", "shape"):
         if csv_cfg is not None and csv_cfg[key] is None:
             raise ConfigError(f"dataset.csv.{key} is required when dataset.csv is set")
-    for name in ("generator", "csv"):
-        shape = (cfg["dataset"][name] or {}).get("shape")
-        if shape is not None and not (len(shape) == 3 and all(
-                type(v) is int and v > 0 for v in shape)):
-            raise ConfigError(f"dataset.{name}.shape must be three positive "
-                              f"integers, got {shape}")
     if cfg["pool"]["pool_size"] <= cfg["ensemble"]["size"]:
         raise ConfigError("pool.pool_size must exceed ensemble.size")
-    if not 2 <= cfg["ensemble"]["size"]:
-        raise ConfigError("ensemble.size must be >= 2")
-    cap = cfg["energy"]["capacitor"]["capacitance"]
-    if not cap > 0.0:
-        raise ConfigError(f"energy.capacitor.capacitance must be > 0, got {cap}")
-    eff = cfg["energy"]["harvester_efficiency"]
-    if not 0.0 < eff <= 1.0:
-        raise ConfigError(f"energy.harvester_efficiency must be in (0, 1], got {eff}")
-    t = cfg["energy"]["power_thresholds"]
-    if t is not None and not (len(t) == 2 and all(type(v) in _NUM and _finite(v)
-                                                  for v in t) and t[0] < t[1]):
-        raise ConfigError("energy.power_thresholds must be null or two finite "
-                          f"numbers t1 < t2, got {t}")
     return cfg
 
 

@@ -42,11 +42,15 @@ def _make_splits(n, rng):
     order = rng.permutation(n)
     n_train = int(round(SPLIT_FRACTIONS[0] * n))
     n_eval = int(round(SPLIT_FRACTIONS[1] * n))
-    return {
+    splits = {
         "train": np.sort(order[:n_train]),
         "eval": np.sort(order[n_train:n_train + n_eval]),
         "test": np.sort(order[n_train + n_eval:]),
     }
+    for name, idx in splits.items():
+        if idx.size == 0:
+            raise ConfigError(f"{n} samples leave the {name} split empty")
+    return splits
 
 
 def _class_patterns(rng, classes, shape):

@@ -686,9 +686,9 @@ def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,
     `trunk` activations: forward and backward run over the head alone, and
     the step computes no loss.
 
-    The batch needs one label in [0, class_count) and one positive, finite
-    weight per sample. The trunk's parameters are untouched: the updated
-    learner shares them, and the step gives each FC layer new arrays.
+    The batch needs one integer label in [0, class_count) and one positive,
+    finite weight per sample. The trunk's parameters are untouched: the
+    updated learner shares them, and the step gives each FC layer new arrays.
     Returns (updated learner, pre-update forward probabilities for the
     batch): the forward pass that feeds the update is the same one whose
     outputs are returned, so callers can reuse it as the inference result.
@@ -698,9 +698,11 @@ def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,
     n = acts.shape[0]
     if n == 0:
         raise ShapeError("train_fc_only requires a non-empty batch")
-    y = np.asarray(batch_y, dtype=int)
+    y = np.asarray(batch_y)
     if y.shape != (n,):
         raise ShapeError(f"{y.size} labels for a batch of {n}")
+    if y.dtype.kind not in "iu":
+        raise ShapeError(f"labels must be integers, got {y.dtype}")
     if not all(0 <= v < spec.class_count for v in y.tolist()):
         raise ShapeError(f"labels must be in [0, {spec.class_count})")
     weights = _sample_weights(sample_weights, n)

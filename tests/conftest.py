@@ -29,6 +29,17 @@ def tiny_spec(input_shape=(2, 8, 8), classes=3, filters=(4, 6)):
         class_count=classes)
 
 
+def schema_leaves(schema=config._SCHEMA, path=""):
+    """(dotted key, type, default, range or None) of every leaf of a config
+    schema, in document order."""
+    for key, (kind, default, *rule) in schema.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(kind, dict):
+            yield from schema_leaves(kind, here)
+        else:
+            yield here, kind, default, rule[0] if rule else None
+
+
 def brute_force_select(pool, n, eval_x, eval_y):
     """Exhaustive best subset of n learners: the oracle for the selection
     heuristics on small pools. Returns (pool indices, accuracy)."""

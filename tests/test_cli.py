@@ -65,6 +65,10 @@ BAD_CONFIGS = {
                               {"dataset": {"generator": {"shape": [3, 12]}}}, []),
     "generator-shape-str": ("build-ensemble",
                             {"dataset": {"generator": {"shape": ["a", 12, 12]}}}, []),
+    "empty-eval-split": ("build-ensemble", {"network": {}, "dataset": {
+        "generator": {"classes": 2, "samples_per_class": 1}}}, []),
+    "empty-test-split": ("build-ensemble", {"network": {}, "dataset": {
+        "generator": {"classes": 3, "samples_per_class": 1}}}, []),
     "generator-shape-zero": ("build-ensemble",
                              {"dataset": {"generator": {"shape": [3, 0, 12]}}}, []),
     "capacitance-0": ("train-scheduler",

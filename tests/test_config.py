@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import schema_leaves
 from enboost import config
 from enboost.errors import ConfigError
 from enboost.nn import count_macs, count_params
@@ -154,7 +155,7 @@ def test_harvester_efficiency_scales_synthetic_trace():
 @pytest.mark.parametrize("capacitance", [0, -0.0022])
 def test_capacitance_must_be_positive(capacitance):
     # a negative store learned on negative energies; zero divided by it
-    with pytest.raises(ConfigError, match=r"^energy\.capacitor\.capacitance must be > 0"):
+    with pytest.raises(ConfigError, match=r"^energy\.capacitor\.capacitance: must be > 0"):
         config.validate_config({"energy": {"capacitor": {"capacitance": capacitance}}})
 
 
@@ -168,14 +169,6 @@ SEED_KEYS = ["dataset.generator.seed", "dataset.csv.seed", "pool.seed",
              "energy.trace.synthetic.seed", "scheduler.seed", "simulation.seed"]
 
 
-def schema_keys(schema, path=""):
-    for key, (kind, _) in schema.items():
-        here = f"{path}.{key}" if path else key
-        yield here
-        if isinstance(kind, dict):
-            yield from schema_keys(kind, here)
-
-
 def seed_doc(key, value):
     """A config setting `key` to `value`, with a complete dataset.csv."""
     doc = value
@@ -187,7 +180,7 @@ def seed_doc(key, value):
 
 
 def test_seed_keys_are_every_seed_in_the_schema():
-    assert [k for k in schema_keys(config._SCHEMA) if k.endswith(".seed")] == SEED_KEYS
+    assert [k for k, *_ in schema_leaves() if k.endswith(".seed")] == SEED_KEYS
 
 
 @pytest.mark.parametrize("key", SEED_KEYS)
@@ -201,6 +194,35 @@ def test_seeds_must_be_non_negative_integers(key):
     for part in key.split("."):
         cfg = cfg[part]
     assert cfg == 0
+
+
+def test_every_numeric_leaf_has_a_range_its_default_satisfies():
+    # a key added without a range would accept any number
+    numeric = [(key, default, rule) for key, kind, default, rule in schema_leaves()
+               if kind in (int, config._NUM)]
+    assert numeric
+    for key, default, rule in numeric:
+        assert rule is not None, key
+        text, ok = rule
+        assert default is None or ok(default), f"{key}: default {default} is not {text}"
+
+
+@pytest.mark.parametrize("key,value,text", [
+    ("pool.learning_rate", -1, "> 0"),
+    ("pool.batch_size", 0, ">= 1"),
+    ("energy.trace.synthetic.period", 0, "> 0"),
+    ("energy.trace.synthetic.burst_rate", 1.5, "in [0, 1]"),
+    ("energy.harvester_efficiency", 0, "in (0, 1]"),
+    ("scheduler.q.epsilon_start", -0.25, "in [0, 1]"),
+    ("energy.trace.synthetic.profile", "sunny",
+     "one of 'day-night', 'bursty', 'constant'"),
+    ("simulation.retrain_mode", "always",
+     "one of 'off', 'high-energy', 'low-energy', 'auto'"),
+])
+def test_out_of_range_value_names_key_range_and_value(key, value, text):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be "
+                                          f"{re.escape(text)}, got {re.escape(repr(value))}$"):
+        config.validate_config(seed_doc(key, value))
 
 
 def test_make_dataset_csv_requires_path():

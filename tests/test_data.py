@@ -38,6 +38,23 @@ def test_synth_validation():
         synth_dataset(seed=0, classes=1)
 
 
+@pytest.mark.parametrize("classes", [2, 3])
+def test_synth_rejects_an_empty_split(classes):
+    # 2 samples leave eval empty and 3 leave test empty
+    with pytest.raises(ConfigError, match=f"^{classes} samples leave the "
+                                          f"{'eval' if classes == 2 else 'test'} split empty$"):
+        synth_dataset(seed=0, classes=classes, samples_per_class=1, shape=(1, 2, 2))
+    assert synth_dataset(seed=0, classes=2, samples_per_class=2,
+                         shape=(1, 2, 2)).split_size("test") == 1
+
+
+def test_load_csv_rejects_an_empty_split(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("0,1.0,2.0,3.0,4.0\n1,5.0,6.0,7.0,8.0\n0,1.5,2.5,3.5,4.5\n")
+    with pytest.raises(ConfigError, match="^3 samples leave the test split empty$"):
+        load_csv(path, TensorShape(1, 2, 2), class_count=2)
+
+
 def test_drift_cyclic_relabel():
     ds = synth_dataset(seed=2, classes=3, samples_per_class=5, shape=(1, 4, 4))
     shifted = drift_dataset(ds)

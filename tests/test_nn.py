@@ -315,6 +315,15 @@ def test_fc_only_rejects_labels_outside_the_classes(label):
         train_fc_only(learner, acts, [0, label, 2], [1.0, 1.0, 1.0], 0.1)
 
 
+@pytest.mark.parametrize("labels", [[0, 1.7, 2], [0.0, 1.0, 2.0], [False, True, True],
+                                    ["0", "1", "2"]])
+def test_fc_only_rejects_labels_that_are_not_integers(labels):
+    # a cast would train 1.7 as class 1
+    learner, acts = fc_only_batch_of_three()
+    with pytest.raises(ShapeError, match="labels must be integers"):
+        train_fc_only(learner, acts, labels, [1.0, 1.0, 1.0], 0.1)
+
+
 @pytest.mark.parametrize("weight", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
 def test_fc_only_rejects_weights_not_positive_and_finite(weight):
     learner, acts = fc_only_batch_of_three()
