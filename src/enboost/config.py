@@ -27,6 +27,9 @@ from .simrun import RETRAIN_MODES
 # default allows null. A range is (text, test): a value that fails the test
 # is rejected as "<key>: must be <text>, got <value>".
 _NUM = (int, float)
+# a synthetic trace longer than this many samples is rejected before any
+# array is allocated: its arrays and the device's lists scale with it
+MAX_TRACE_SAMPLES = 10**7
 
 
 def _finite(v) -> bool:
@@ -177,6 +180,23 @@ def validate_config(doc: dict) -> dict:
             raise ConfigError(f"dataset.csv.{key} is required when dataset.csv is set")
     if cfg["pool"]["pool_size"] <= cfg["ensemble"]["size"]:
         raise ConfigError("pool.pool_size must exceed ensemble.size")
+    e = cfg["energy"]
+    v_max = e["capacitor"]["v_max"]
+    if not e["capacitor"]["v_cutoff"] < v_max:
+        raise ConfigError(f"energy.capacitor.v_cutoff: must be < energy.capacitor.v_max "
+                          f"({v_max!r}), got {e['capacitor']['v_cutoff']!r}")
+    if e["initial_voltage"] is not None and e["initial_voltage"] > v_max:
+        raise ConfigError(f"energy.initial_voltage: must be <= energy.capacitor.v_max "
+                          f"({v_max!r}), got {e['initial_voltage']!r}")
+    synth = e["trace"]["synthetic"]
+    if synth["profile"] == "constant" and synth["constant_power"] is None:
+        raise ConfigError("energy.trace.synthetic.constant_power: required when "
+                          "energy.trace.synthetic.profile is 'constant'")
+    samples = synth["duration"] / synth["sample_interval"]
+    if not samples <= MAX_TRACE_SAMPLES:
+        raise ConfigError("energy.trace.synthetic.duration / energy.trace.synthetic."
+                          f"sample_interval: must be at most {MAX_TRACE_SAMPLES} "
+                          f"samples, got {samples:.10g}")
     return cfg
 
 

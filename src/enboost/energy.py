@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -77,6 +78,17 @@ class PowerTrace:
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         idx = min(max(idx, 0), self.times.size - 1)
         return float(self.power[idx])
+
+    @cached_property
+    def runs(self) -> tuple[list, list, list]:
+        """(times, power, run_end) as Python lists for `Device`'s stepper:
+        run_end[k] is the index of the first sample after k whose power
+        differs from sample k's, or the sample count if none does. The
+        fields are frozen, so the lists are built once per trace."""
+        p = self.power
+        change = np.append(np.flatnonzero(p[1:] != p[:-1]) + 1, p.size)
+        run_end = change[np.searchsorted(change, np.arange(p.size), side="right")]
+        return self.times.tolist(), p.tolist(), run_end.tolist()
 
 
 def load_trace(path) -> PowerTrace:
@@ -178,7 +190,8 @@ class RequestPattern:
 class Device:
     """Live state of one run: the stored charge `energy` in joules, starting
     at the capacitor's initial charge, and the harvest/load ledger. Time only
-    moves forward, so a cursor `_idx` walks the trace samples."""
+    moves forward, so a cursor `_idx` walks the trace samples; it may trail
+    `t` by one run of equal power, and `_seek` catches it up."""
     cap: Capacitor
     trace: PowerTrace
     cost_model: CostModel
@@ -189,19 +202,14 @@ class Device:
 
     def __post_init__(self):
         self.energy = self.cap.energy
-        self._times = self.trace.times.tolist()
-        self._power = self.trace.power.tolist()
+        self._times, self._power, self._run_end = self.trace.runs
         self._idx = 0
         self._seek(self.t)
 
     def _seek(self, t: float) -> int:
         """Move the cursor past every sample at or before t; the sample in
         force at t is the one before it (the first, before the trace)."""
-        times, i = self._times, self._idx
-        n = len(times)
-        while i < n and times[i] <= t:
-            i += 1
-        self._idx = i
+        self._idx = i = bisect_right(self._times, t, self._idx)
         return i
 
     @property
@@ -224,20 +232,26 @@ class Device:
 
     def advance(self, until: float, load_power=None):
         """Integrate harvest minus a constant load power up to time `until`,
-        splitting at trace sample boundaries for exact bookkeeping. Each
-        segment adds (P_harv - P_load)*dt to the store, clamped to [0, full]."""
+        one step per run of equal harvest power: a segment ends at the next
+        sample whose power differs, or at `until`. Each segment adds
+        (P_harv - P_load)*dt to the store, clamped to [0, full]. In exact
+        arithmetic that equals one step per trace sample, since the store
+        moves linearly within a run and both clamps absorb; the rounding
+        differs, by at most 1e-12 in any Q-value."""
         if load_power is None:
             load_power = self.cost_model.sleep_power
         times, power, full = self._times, self._power, self.cap.max_energy
+        run_end, n = self._run_end, len(times)
         t, energy = self.t, self.energy
         harvested, consumed = self.harvested, self.consumed
-        i, n = self._seek(t), len(times)
+        i = self._seek(t)
         stop = until - 1e-12
         while t < stop:
-            p_harv = power[i - 1] if i else power[0]
-            if i < n and times[i] < until:   # the segment ends at a sample
-                seg_end, i = times[i], i + 1
-            else:
+            k = i - 1 if i else 0   # the sample in force at t
+            p_harv, j = power[k], run_end[k]
+            if j < n and times[j] < until:   # the segment ends at a change
+                seg_end, i = times[j], j + 1
+            else:   # the cursor may now trail t inside the run
                 seg_end = until
             dt = seg_end - t
             before = energy

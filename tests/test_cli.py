@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_spec
-from enboost import simrun
+from enboost import config, simrun
 from enboost.cli import main
 from enboost.qsched import load_qtable
 
@@ -83,6 +83,14 @@ BAD_CONFIGS = {
                             {"energy": {"trace": {"synthetic": {"seed": -2}}}}, []),
     "simulation-seed-negative": ("simulate", {"simulation": {"seed": -1}},
                                  ["--policy", "all"]),
+    "v-cutoff-at-v-max": ("train-scheduler",
+                          {"energy": {"capacitor": {"v_cutoff": 4.2}}}, []),
+    "v-cutoff-above-v-max": ("train-scheduler",
+                             {"energy": {"capacitor": {"v_cutoff": 5.0}}}, []),
+    "initial-voltage-above-v-max": ("train-scheduler",
+                                    {"energy": {"initial_voltage": 9.0}}, []),
+    "constant-without-power": ("train-scheduler", {"energy": {"trace": {
+        "synthetic": {"profile": "constant"}}}}, []),
 }
 
 
@@ -97,6 +105,28 @@ def test_invalid_config_exits_1_without_output(case, workspace, tmp_path, capsys
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("error:") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("interval", [1e-300, 1e-6])
+def test_trace_sample_bound_exits_1_before_building_the_trace(interval, workspace,
+                                                              tmp_path, capsys,
+                                                              monkeypatch):
+    # 1e-6 would ask for 3.2e9 samples; nothing may build the trace
+    def no_trace(**kwargs):
+        raise AssertionError("trace built")
+
+    monkeypatch.setattr(config, "synth_trace", no_trace)
+    (tmp_path / "config.json").write_text(json.dumps({"energy": {"trace": {
+        "synthetic": {"duration": 3200.0, "sample_interval": interval}}}}))
+    rc = main(["train-scheduler", "--config", str(tmp_path / "config.json"),
+               "--ensemble", str(workspace / "build"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: energy.trace.synthetic.duration / "
+                          "energy.trace.synthetic.sample_interval: must be at most "
+                          f"{config.MAX_TRACE_SAMPLES} samples, got ")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

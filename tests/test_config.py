@@ -79,6 +79,35 @@ def test_pool_must_exceed_ensemble():
                                 "ensemble": {"size": 1}})
 
 
+@pytest.mark.parametrize("energy, message", [
+    ({"capacitor": {"v_cutoff": 5.0}},
+     r"energy\.capacitor\.v_cutoff: must be < energy\.capacitor\.v_max \(4\.2\), got 5\.0"),
+    ({"capacitor": {"v_max": 1.5}},
+     r"energy\.capacitor\.v_cutoff: must be < energy\.capacitor\.v_max \(1\.5\), got 1\.7"),
+    ({"initial_voltage": 9},
+     r"energy\.initial_voltage: must be <= energy\.capacitor\.v_max \(4\.2\), got 9\.0"),
+    ({"trace": {"synthetic": {"profile": "constant"}}},
+     r"energy\.trace\.synthetic\.constant_power: required when "
+     r"energy\.trace\.synthetic\.profile is 'constant'"),
+    ({"trace": {"synthetic": {"duration": 1e7 + 1, "sample_interval": 1.0}}},
+     r"energy\.trace\.synthetic\.duration / energy\.trace\.synthetic\.sample_interval: "
+     r"must be at most 10000000 samples, got 10000001"),
+    ({"trace": {"synthetic": {"sample_interval": 1e-300}}},
+     r"energy\.trace\.synthetic\.duration / .* got 3\.2e\+303"),
+])
+def test_cross_key_device_rules_name_their_keys(energy, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        config.validate_config({"energy": energy})
+
+
+def test_cross_key_device_rules_accept_their_edges():
+    cfg = config.validate_config({"energy": {
+        "capacitor": {"v_cutoff": 4.1}, "initial_voltage": 4.2,
+        "trace": {"synthetic": {"profile": "constant", "constant_power": 0.0,
+                                "duration": 1e7, "sample_interval": 1.0}}}})
+    assert cfg["energy"]["trace"]["synthetic"]["duration"] == config.MAX_TRACE_SAMPLES
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         config.load_config(tmp_path / "missing.json")

@@ -362,8 +362,48 @@ CURSOR_OPS = [("advance", 2.0, None), ("advance", 2.0, None), ("draw", 0.01),
               ("advance", 3.0, None)]
 
 
-def device_state(dev):
-    return dev.t, dev.energy, dev.harvested, dev.consumed, dev.p_harv
+# a collapsed run rounds differently from per-sample steps; the ledger may
+# drift by this much, fixed before any run
+LEDGER_TOLERANCE = 1e-12   # joules
+
+
+def assert_matches(dev, ref, exact):
+    """Time and harvest power equal; the ledger equal bit for bit if
+    `exact`, else within LEDGER_TOLERANCE."""
+    assert (dev.t, dev.p_harv) == (ref.t, ref.p_harv)
+    ledger = (dev.energy, dev.harvested, dev.consumed)
+    ref_ledger = (ref.energy, ref.harvested, ref.consumed)
+    if exact:
+        assert ledger == ref_ledger
+    else:
+        assert max(abs(a - b) for a, b in zip(ledger, ref_ledger)) <= LEDGER_TOLERANCE
+
+
+def run_against_reference(trace, ops, t0, exact):
+    """Run `ops` on a `Device` and on the searchsorted reference; every draw
+    result must match. Returns whether the reference store sat empty after
+    some advance and full after another."""
+    kwargs = dict(cap=Capacitor(capacitance=0.01, voltage=3.0), trace=trace,
+                  cost_model=CostModel(), t=t0)
+    dev, ref = Device(**kwargs), SearchsortedDevice(**kwargs)
+    assert_matches(dev, ref, exact)
+    empty = full = False
+    for op, *args in ops:
+        assert getattr(dev, op)(*args) == getattr(ref, op)(*args)
+        assert_matches(dev, ref, exact)
+        empty |= ref.energy == 0.0
+        full |= ref.energy == ref.cap.max_energy
+    return empty and full
+
+
+def random_ops(rng, start, end):
+    """Advances to 40 sorted times in [start, end) under random loads, each
+    followed by a random draw."""
+    ops = []
+    for until in np.sort(rng.uniform(start, end, size=40)).tolist():
+        ops.append(("advance", until, rng.choice([None, 0.0, 0.01, 0.1])))
+        ops.append(("draw", float(rng.uniform(0.0, 0.03))))
+    return ops
 
 
 @pytest.mark.parametrize("t0", [0.0, 2.7, 7.0, -1.5, 21.0])
@@ -375,14 +415,25 @@ def test_cursor_matches_searchsorted_stepper(t0, trace):
     else:
         tr = synth_trace(3, "bursty", duration=60.0, high_power=0.05,
                          burst_rate=0.3)
-        ops = []
-        for until in np.sort(rng.uniform(-5.0, 70.0, size=40)).tolist():
-            ops.append(("advance", until, rng.choice([None, 0.0, 0.01, 0.1])))
-            ops.append(("draw", float(rng.uniform(0.0, 0.03))))
-    kwargs = dict(cap=Capacitor(capacitance=0.01, voltage=3.0), trace=tr,
-                  cost_model=CostModel(), t=t0)
-    dev, ref = Device(**kwargs), SearchsortedDevice(**kwargs)
-    assert device_state(dev) == device_state(ref)
-    for op, *args in ops:
-        assert getattr(dev, op)(*args) == getattr(ref, op)(*args)
-        assert device_state(dev) == device_state(ref)
+        ops = random_ops(rng, -5.0, 70.0)
+    # no two adjacent irregular samples share a power, so from t0 >= 0 no
+    # run collapses and the bits must match; before the trace, the first
+    # sample's power holds from t0 on and its run collapses
+    run_against_reference(tr, ops, t0, exact=trace == "irregular" and t0 >= 0)
+
+
+@pytest.mark.parametrize("profile", ["day-night", "bursty", "constant"])
+def test_collapsed_runs_match_searchsorted_stepper(profile):
+    # from before the trace, across runs of equal power, into both clamps
+    trace = synth_trace(5, profile, duration=60.0, period=20.0, high_power=0.05,
+                        burst_rate=0.3, constant_power=0.05)
+    ops = random_ops(np.random.default_rng(11), -5.0, 70.0)
+    assert run_against_reference(trace, ops, t0=-2.5, exact=False)
+
+
+def test_runs_end_at_the_next_power_change():
+    trace = PowerTrace(times=np.arange(7.0), power=[1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 2.0])
+    times, power, run_end = trace.runs
+    assert times == trace.times.tolist() and power == trace.power.tolist()
+    assert run_end == [2, 2, 5, 5, 5, 7, 7]
+    assert PowerTrace(times=[0.0], power=[3.0]).runs[2] == [1]
