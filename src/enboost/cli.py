@@ -132,7 +132,7 @@ def cmd_simulate(args) -> int:
     if workers > 1:   # each run in a worker computes its own memos
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(simrun.run, jobs))
-    else:   # the runs share their batch-1 memos
+    else:   # the runs share each learner's trunk and head batches
         reports = simrun.run_many(jobs)
     baseline_report, rest = reports[0], iter(reports[1:])
     policy_reports = [baseline_report if p.name == "all" else next(rest)
@@ -163,8 +163,10 @@ def cmd_report(args) -> int:
             "failure_rate": doc["failure_rate"],
             "failure_rate_reduction": doc.get("failure_rate_reduction_vs_baseline"),
         }))
-    rows.sort(key=lambda r: (-(r["failure_rate_reduction"] or float("-inf")),
-                             r["run"]))
+    # highest reduction first, then runs without one; a reduction of 0.0 is
+    # a value like any other
+    rows.sort(key=lambda r: (r["failure_rate_reduction"] is None,
+                             -(r["failure_rate_reduction"] or 0.0), r["run"]))
     fields = ["run", "policy", "mean_accuracy", "failure_rate",
               "failure_rate_reduction"]
     if args.format == "csv":

@@ -4,6 +4,7 @@ a_m = 0.5*log((1-e_m)/e_m), and measure the accuracy-vs-prefix profile the
 runtime scheduler consumes."""
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,18 +168,27 @@ def load_ensemble(path) -> EnsembleModel:
     path = Path(path)
 
     def decode(manifest):
-        if not manifest.get("delta_acc"):
-            raise ValueError("manifest lacks delta_acc; rebuild the ensemble")
         ids = manifest["learners"]
+        if not ids:
+            raise ValueError("the ensemble lists no learner")
+        per_learner = {key: _finite_list(manifest[key], key, len(ids))
+                       for key in ("vote_weights", "acc_profile", "delta_acc")}
         by_id = {l.id: l for l in load_pool(path.parent / manifest["pool_dir"])}
         try:
             learners = [by_id[i] for i in ids]
         except KeyError as exc:
             raise ValueError(f"learner {exc} missing from pool") from exc
-        return EnsembleModel(learners=learners,
-                             vote_weights=list(manifest["vote_weights"]),
-                             acc_profile=list(manifest["acc_profile"]),
-                             delta_acc=list(manifest["delta_acc"]),
-                             class_count=manifest["class_count"])
+        return EnsembleModel(learners=learners, class_count=manifest["class_count"],
+                             **per_learner)
 
     return artifacts.read_json(path, decode, version=1)
+
+
+def _finite_list(values, key, n):
+    """`values` as a list, which must hold n finite numbers."""
+    values = list(values)
+    if len(values) != n or not all(type(v) in (int, float) and math.isfinite(v)
+                                   for v in values):
+        raise ValueError(f"{key} must hold one finite number per learner ({n}), "
+                         f"got {values}")
+    return values

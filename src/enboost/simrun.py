@@ -10,21 +10,24 @@ Service is instantaneous in simulated time; "concurrent inference and
 training" means one learner's forward pass is reused for both, not thread
 parallelism.
 
-Requests cycle through the test split, so runs memoize per learner and
-sample, all at batch 1: the `trunk` activations entering the learner's
-head, the probabilities and, per sample and prefix length, the vote
-(`_Memos`).  The memos live for one `run`, `run_many` or
-`run_concurrent_training` call, never longer, and `run_many` shares them
-between its runs: `enboost simulate` computes each trunk once for all its
-policies.  The trunk memo holds in every run, with or without retraining,
-because an FC-only write never reaches it.  The probabilities and votes
-are those of the unretrained learners, so a run that retrains learner l
-moves l, and its votes, to private memos that no other run sees.  A
-retrain or a probability miss runs only the head, and an FC-only step
-computes no loss.  A run checks the ensemble's vote weights once, and warns
-once if all are <= 0; each vote is then one product and an argmax.
-`run_concurrent_training` scores the drift accuracies with one batched trunk
-pass per learner over the eval split and a head pass before and after.
+Requests cycle through the test split, so runs memoize per learner
+(`_Memos`): the first time a command uses a learner, one batched `trunk`
+pass gives the activations of the whole split entering its head, and one
+batched `head` pass over them gives the unretrained learner's
+probabilities, row for row those of `nn.forward` on the split.  Votes are
+memoized per sample and prefix length.  The memos live for one `run`,
+`run_many` or `run_concurrent_training` call, never longer, and `run_many`
+shares them between its runs: `enboost simulate` computes each trunk once
+for all its policies.  The trunk memo holds in every run, with or without
+retraining, because an FC-only write never reaches it.  The probabilities
+and votes are those of the unretrained learners, so a run that retrains
+learner l gives l, and its votes, private memos that no other run sees: a
+retrained learner runs a batch-1 `head` on its own row of the trunk batch,
+the row its FC-only step reads too, and the step computes no loss.  A run
+checks the ensemble's vote weights once, and warns once if all are <= 0;
+each vote is then one product and an argmax.  `run_concurrent_training`
+scores the drift accuracies with one batched trunk pass per learner over
+the eval split and a head pass before and after.
 """
 from __future__ import annotations
 
@@ -164,8 +167,9 @@ def run(cfg: SimConfig) -> SimReport:
 
 def run_many(cfgs) -> list:
     """`run` each config in turn.  Runs on the same ensemble and dataset
-    objects share one `_Memos` for this call, so each batch-1 trunk, and
-    each unretrained learner's probabilities, is computed once for all."""
+    objects share one `_Memos` for this call, so each learner's trunk
+    batch, and each unretrained learner's probabilities, is computed once
+    for all."""
     memos = {}
     return [_serve(cfg, memos.setdefault((id(cfg.ensemble), id(cfg.dataset)),
                                          _Memos(cfg.ensemble.size)))[0]
@@ -194,16 +198,17 @@ def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):
 
 
 class _Memos:
-    """Batch-1 results that runs over one ensemble's learners and one test
-    split can share; a batched forward over the split would give other bits.
+    """Results that runs over one ensemble's learners and one test split can
+    share, each filled the first time a run needs it.
 
-    Per learner, `trunk` maps a sample index to the activations entering the
-    head and `probs` maps it to the unretrained learner's probabilities;
-    `votes` maps (sample index, learners run) to the unretrained vote."""
+    Per learner, `trunk` holds the activations of the whole split entering
+    the head, one batch, and `probs` the unretrained learner's `head` of that
+    batch, whose rows are `forward(l, test_x)`'s bit for bit; `votes` maps
+    (sample index, learners run) to the unretrained vote."""
 
     def __init__(self, n):
-        self.trunk = [{} for _ in range(n)]
-        self.probs = [{} for _ in range(n)]
+        self.trunk = [None] * n
+        self.probs = [None] * n
         self.votes = {}
 
 
@@ -216,8 +221,9 @@ class _Server(Agent):
     the command, because an FC-only write never reaches it. The probability
     and vote memos are shared only while they hold the unretrained learners'
     outputs: once learner l is retrained, this run gives l a private
-    probability memo, and itself a private vote memo, each emptied at every
-    later retrain, so no other run can see the rewritten learner."""
+    probability memo, filled by batch-1 heads on l's rows of the trunk
+    batch, and itself a private vote memo, each emptied at every later
+    retrain, so no other run can see the rewritten learner."""
 
     def __init__(self, cfg: SimConfig, memos: _Memos):
         self.cfg = cfg
@@ -229,7 +235,8 @@ class _Server(Agent):
         self.learners = list(cfg.ensemble.learners)
         self.vote_weights = checked_vote_weights(cfg.ensemble.vote_weights)
         self.trunk = memos.trunk
-        self.probs = list(memos.probs)
+        self.probs = memos.probs
+        self.own_probs = [None] * cfg.ensemble.size   # of retrained learners
         self.votes = memos.votes
         self.sx, self.sy = cfg.dataset.split("test")
         self.retrain_cursor = 0
@@ -270,16 +277,22 @@ class _Server(Agent):
             return self.cfg.policy.decide(s)
         return 1 if l < self.target else 0
 
-    def _trunk(self, l, i):
-        acts = self.trunk[l].get(i)
+    def _trunk(self, l):
+        acts = self.trunk[l]
         if acts is None:
-            acts = self.trunk[l][i] = trunk(self.learners[l], self.sx[i])
+            acts = self.trunk[l] = trunk(self.learners[l], self.sx)
         return acts
 
     def _probs(self, l, i):
-        probs = self.probs[l].get(i)
+        own = self.own_probs[l]
+        if own is None:   # unretrained: a row of the shared head batch
+            probs = self.probs[l]
+            if probs is None:
+                probs = self.probs[l] = head(self.learners[l], self._trunk(l))
+            return probs[i]
+        probs = own.get(i)
         if probs is None:
-            probs = self.probs[l][i] = head(self.learners[l], self._trunk(l, i))[0]
+            probs = own[i] = head(self.learners[l], self._trunk(l)[i:i + 1])[0]
         return probs
 
     def _vote(self, i, l, r=-1, pre_update=None):
@@ -296,11 +309,12 @@ class _Server(Agent):
         increment = self.cfg.env.cost_model.fc_retrain_energy_fraction * self.costs[l]
         if self.device.draw(increment):
             # shared forward pass: the vote uses the pre-update outputs
+            i = row["sample_index"]
             self.learners[l], probs = train_fc_only(
-                self.learners[l], self._trunk(l, row["sample_index"]),
+                self.learners[l], self._trunk(l)[i:i + 1],
                 [self.label], [1.0], self.cfg.retrain_learning_rate)
             self.pre_update = (l, probs[0])
-            self.probs[l] = {}
+            self.own_probs[l] = {}
             self.votes = {}
             row["retrain_energy"] += increment
             row["retrained_learner"] = l

@@ -471,6 +471,17 @@ CORRUPT_ARTIFACTS = {
     "pool-entry-no-macs": ("pool/pool.json",
                            _edit_json(lambda d: d["learners"][0].pop("macs"))),
     "manifest-version": ("ensemble.json", _edit_json(lambda d: d.update(version=9))),
+    # one finite vote weight, accuracy and accuracy gain per learner
+    "manifest-vote-weights-short": ("ensemble.json",
+                                    _edit_json(lambda d: d["vote_weights"].pop())),
+    "manifest-vote-weight-nan": ("ensemble.json", _edit_json(
+        lambda d: d["vote_weights"].__setitem__(0, float("nan")))),
+    "manifest-delta-acc-short": ("ensemble.json",
+                                 _edit_json(lambda d: d["delta_acc"].pop())),
+    "manifest-acc-profile-long": ("ensemble.json", _edit_json(
+        lambda d: d["acc_profile"].append(1.0))),
+    "manifest-no-learners": ("ensemble.json", _edit_json(lambda d: d.update(
+        learners=[], vote_weights=[], acc_profile=[], delta_acc=[]))),
     "spec-no-shape": ("pool/learner-00.spec.json",
                       lambda p: p.write_text('{"layers": []}')),
     "qtable-unknown-hyper": ("q.json", _edit_json(
@@ -495,6 +506,21 @@ def test_simulate_corrupt_artifact_exits_2(workspace, qtable_path, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path / rel) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CORRUPT_ARTIFACTS
+                                         if c.startswith("manifest-")))
+def test_train_scheduler_corrupt_manifest_exits_2(workspace, tmp_path, capsys, case):
+    rel, corrupt = CORRUPT_ARTIFACTS[case]
+    shutil.copytree(workspace / "build", tmp_path / "build")
+    corrupt(tmp_path / "build" / rel)
+    rc = main(["train-scheduler", "--config", str(workspace / "config.json"),
+               "--ensemble", str(tmp_path / "build"), "--out", str(tmp_path / "q.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "build" / rel) in err
+    assert not (tmp_path / "q.json").exists()
 
 
 def test_simulate_rejects_dataset_shape_unlike_ensemble(workspace, tmp_path, capsys):
@@ -550,6 +576,21 @@ def test_report_table(sim_out, capsys):
         val = line.split(",")[-1]
         reductions.append(float("-inf") if val == "n/a" else float(val))
     assert reductions == sorted(reductions, reverse=True)
+
+
+def test_report_ranks_by_reduction_with_missing_last(tmp_path, capsys):
+    # a reduction of 0.0 (the baseline's own run) ranks above a negative one
+    runs = {"a": -0.5, "b": None, "c": 0.0, "d": 0.2}
+    for run, reduction in runs.items():
+        (tmp_path / run).mkdir()
+        (tmp_path / run / "report.json").write_text(json.dumps({
+            "policy": run, "mean_accuracy": 0.5, "failure_rate": 0.1,
+            "failure_rate_reduction_vs_baseline": reduction}))
+    assert main(["report"] + [str(tmp_path / run) for run in runs]
+                + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [line.split(",")[1] for line in lines] == ["d", "c", "a", "b"]
+    assert [line.split(",")[-1] for line in lines] == ["0.2", "0.0", "-0.5", "n/a"]
 
 
 def test_report_missing_run_dir(tmp_path, capsys):

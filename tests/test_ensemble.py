@@ -12,7 +12,7 @@ from enboost.ensemble import (ERROR_CLAMP, EnsembleModel, backfit_select,
                               learner_weight, load_ensemble, pool_eval_probs,
                               profile_accuracy, save_ensemble,
                               subset_accuracy, weighted_vote)
-from enboost.errors import ConfigError
+from enboost.errors import ArtifactError, ConfigError
 from enboost.prune import PruneSchedule
 
 
@@ -198,3 +198,28 @@ def test_ensemble_round_trip(tmp_path, small_pool):
     assert loaded.acc_profile == model.acc_profile
     assert loaded.delta_acc == model.delta_acc
     assert loaded.total_macs == model.total_macs
+
+
+@pytest.mark.parametrize("key", ["vote_weights", "acc_profile", "delta_acc"])
+@pytest.mark.parametrize("edit", ["short", "long", "nan", "inf", "text", "null"])
+def test_load_ensemble_needs_one_finite_number_per_learner(tmp_path, small_pool,
+                                                           key, edit):
+    import json
+    from enboost.boost import save_pool
+    pool, ds = small_pool
+    ex, ey = ds.split("eval")
+    save_pool(pool, tmp_path / "pool")
+    save_ensemble(backfit_select(pool, 3, ex, ey), tmp_path / "ensemble.json",
+                  pool_dir="pool")
+    doc = json.loads((tmp_path / "ensemble.json").read_text())
+    values = doc[key]
+    if edit == "short":
+        values.pop()
+    elif edit == "long":
+        values.append(0.5)
+    else:
+        values[1] = {"nan": float("nan"), "inf": float("inf"),
+                     "text": "0.5", "null": None}[edit]
+    (tmp_path / "ensemble.json").write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match=f"ensemble.json: {key} must hold"):
+        load_ensemble(tmp_path / "ensemble.json")

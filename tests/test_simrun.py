@@ -121,12 +121,15 @@ def test_run_matches_bare_stepper(small_model):
 
 
 def counted_trunk(monkeypatch):
-    """Learner ids of the single-sample and of the batched `simrun.trunk`
-    calls."""
+    """Learner ids of the single-sample `simrun.trunk` calls, and (learner
+    id, batch size) of the batched ones."""
     single, batched = [], []
 
     def counted(learner, x):
-        (single if np.ndim(x) == 3 else batched).append(learner.id)
+        if np.ndim(x) == 3 or len(x) == 1:
+            single.append(learner.id)
+        else:
+            batched.append((learner.id, len(x)))
         return trunk(learner, x)
 
     monkeypatch.setattr(simrun, "trunk", counted)
@@ -136,11 +139,13 @@ def counted_trunk(monkeypatch):
 def test_run_forwards_each_learner_sample_once(small_model, monkeypatch):
     model, ds = small_model
     split = ds.split_size("test")
-    calls, _ = counted_trunk(monkeypatch)
+    single, batched = counted_trunk(monkeypatch)
     report = run(SimConfig(env=abundant(model, requests=3 * split), ensemble=model,
                            dataset=ds, policy=FixedKPolicy(model.size, model.size)))
     assert report.learners_histogram == {model.size: 3 * split}
-    assert len(calls) == model.size * split
+    # one batch over the test split per learner, and no batch-1 trunk
+    assert single == []
+    assert batched == [(l.id, split) for l in model.learners]
 
 
 def test_retraining_runs_each_learner_trunk_once_per_sample(small_model, monkeypatch):
@@ -149,15 +154,17 @@ def test_retraining_runs_each_learner_trunk_once_per_sample(small_model, monkeyp
     model, ds = small_model
     drift = drift_dataset(ds)
     split = ds.split_size("test")
-    calls, batched = counted_trunk(monkeypatch)
+    single, batched = counted_trunk(monkeypatch)
     cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
                     dataset=ds, policy=FixedKPolicy(model.size, model.size),
                     retrain_mode="high-energy", retrain_learning_rate=0.5)
     report, _, _ = run_concurrent_training(cfg, drift)
     assert report.retrain_events == report.total_requests == 4 * split
-    assert len(calls) == model.size * split
-    # the drift evaluation runs each trunk once, on the whole eval split
-    assert batched == [l.id for l in model.learners]
+    assert single == []
+    # the drift evaluation runs each trunk once, on the whole eval split,
+    # and serving once, on the whole test split
+    assert batched == ([(l.id, drift.split_size("eval")) for l in model.learners] +
+                       [(l.id, split) for l in model.learners])
 
 
 def test_run_many_shares_trunks_and_matches_separate_runs(small_model, monkeypatch):
@@ -170,13 +177,37 @@ def test_run_many_shares_trunks_and_matches_separate_runs(small_model, monkeypat
                       retrain_learning_rate=0.5)
             for mode in ("off", "high-energy", "off") for k in (1, model.size)]
     alone = [run(cfg) for cfg in cfgs]
-    calls, _ = counted_trunk(monkeypatch)
+    single, batched = counted_trunk(monkeypatch)
     shared = run_many(cfgs)
-    assert len(calls) == model.size * split
+    assert single == []
+    assert batched == [(l.id, split) for l in model.learners]
     assert [r.retrain_events for r in shared] == [0, 0, 3 * split, 3 * split, 0, 0]
     for a, b in zip(alone, shared):
         assert a.to_dict() == b.to_dict()
         assert events_csv(a) == events_csv(b)
+
+
+def test_unretrained_votes_use_rows_of_the_batched_forward(small_model, monkeypatch):
+    # every probability vector a vote reads for an unretrained learner is, bit
+    # for bit, its row of the forward pass over the whole test split
+    model, ds = small_model
+    n, split = model.size, ds.split_size("test")
+    sx, _ = ds.split("test")
+    offline = [forward(l, sx).view(np.int64) for l in model.learners]
+    seen = set()
+    probs = simrun._Server._probs
+
+    def checked(server, l, i):
+        p = probs(server, l, i)
+        assert np.array_equal(np.asarray(p).view(np.int64), offline[l][i])
+        seen.add((l, i))
+        return p
+
+    monkeypatch.setattr(simrun._Server, "_probs", checked)
+    env = abundant(model, requests=2 * split)
+    run_many([SimConfig(env=env, ensemble=model, dataset=ds, policy=FixedKPolicy(k, n))
+              for k in (1, n)])
+    assert seen == {(l, i) for l in range(n) for i in range(split)}
 
 
 def test_run_many_keeps_memos_apart_for_other_ensembles_and_datasets(small_model):
@@ -219,16 +250,17 @@ def test_memos_hold_across_retrains_and_runs(small_model):
     assert sum(row["learners_run"] == n for row in events[retrains[-1] + 1:]) > 200
     shadow = [l.copy() for l in model.learners]
     sx, sy = drift.split("test")
+    acts = [trunk(l, sx) for l in model.learners]
     for event in events:
         k = event["learners_run"]
-        x = sx[event["sample_index"]]
-        pred, _ = weighted_vote(np.stack([forward(l, x) for l in shadow[:k]]),
+        i = event["sample_index"]
+        pred, _ = weighted_vote(np.stack([forward(l, sx[i]) for l in shadow[:k]]),
                                 model.vote_weights[:k])
         assert pred == event["predicted"]
         r = event["retrained_learner"]
         if r >= 0:
-            shadow[r], _ = train_fc_only(shadow[r], trunk(shadow[r], x[None]),
-                                         [int(sy[event["sample_index"]])], [1.0], 0.5)
+            shadow[r], _ = train_fc_only(shadow[r], acts[r][i:i + 1],
+                                         [int(sy[i])], [1.0], 0.5)
     for cfg, report in zip(cfgs, shared):
         alone = run(cfg)
         assert alone.to_dict() == report.to_dict()
@@ -248,15 +280,16 @@ def test_retrained_learner_is_forwarded_again(small_model):
     assert report.retrain_events == report.total_requests == 4 * split
     shadow = [l.copy() for l in model.learners]
     sx, sy = drift.split("test")
+    acts = [trunk(l, sx) for l in model.learners]
     for event in report.events:
         k = event["learners_run"]
-        x = sx[event["sample_index"]]
-        pred, _ = weighted_vote(np.stack([forward(l, x) for l in shadow[:k]]),
+        i = event["sample_index"]
+        pred, _ = weighted_vote(np.stack([forward(l, sx[i]) for l in shadow[:k]]),
                                 model.vote_weights[:k])
         assert pred == event["predicted"]
         r = event["retrained_learner"]
-        shadow[r], _ = train_fc_only(shadow[r], trunk(shadow[r], x[None]),
-                                     [int(sy[event["sample_index"]])], [1.0], 0.5)
+        shadow[r], _ = train_fc_only(shadow[r], acts[r][i:i + 1],
+                                     [int(sy[i])], [1.0], 0.5)
 
 
 def shadow_replay(events, learners, vote_weights, dataset, learning_rate):
@@ -265,20 +298,20 @@ def shadow_replay(events, learners, vote_weights, dataset, learning_rate):
     Each event's prediction must be the shadow's."""
     shadow = [l.copy() for l in learners]
     sx, sy = dataset.split("test")
+    acts = [trunk(l, sx) for l in learners]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # a degenerate vote warns each time
         for event in events:
             k = event["learners_run"]
-            x = sx[event["sample_index"]]
+            i = event["sample_index"]
             if k:
-                pred, _ = weighted_vote(np.stack([forward(l, x) for l in shadow[:k]]),
+                pred, _ = weighted_vote(np.stack([forward(l, sx[i]) for l in shadow[:k]]),
                                         vote_weights[:k])
                 assert pred == event["predicted"]
             r = event["retrained_learner"]
             if r >= 0:
-                shadow[r], _ = train_fc_only(shadow[r], trunk(shadow[r], x[None]),
-                                             [int(sy[event["sample_index"]])], [1.0],
-                                             learning_rate)
+                shadow[r], _ = train_fc_only(shadow[r], acts[r][i:i + 1],
+                                             [int(sy[i])], [1.0], learning_rate)
     return shadow
 
 
