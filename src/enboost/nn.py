@@ -429,9 +429,12 @@ def _avgpool(x, win):
 
 
 def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    # the ufunc reductions `z.max` and `e.sum` make, without the Python-level
+    # method wrappers: the same bits, for less at batch 1
+    e = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def _forward_cache(spec: NetworkSpec, params, x, start=0, stop=None):
@@ -495,7 +498,7 @@ def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
             if layer.activation == "relu":
                 dz = dz * (z > 0)
             w, _ = params[idx]
-            grads[idx] = (dz.T @ flat, dz.sum(axis=0))
+            grads[idx] = (dz.T @ flat, np.add.reduce(dz, axis=0))
             if idx > start:  # the range's input needs no gradient
                 dcur = (dz @ w).reshape(in_shape)
         elif layer.kind == AVGPOOL:
@@ -525,7 +528,7 @@ def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
             dz_rows = (dz if b_ > 1 else nchw).transpose(0, 2, 3, 1).reshape(-1, f)
             dw = cols @ dz_rows
             grads[idx] = (dw.reshape(c, k, k, f).transpose(3, 0, 1, 2),
-                          nchw.sum(axis=(0, 2, 3)))
+                          np.add.reduce(nchw, axis=(0, 2, 3)))
             if idx > start:
                 p = layer.padding
                 dcols = (dz_rows @ w.reshape(f, -1)).reshape(b_, ho, wo, c, k, k)

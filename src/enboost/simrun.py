@@ -21,13 +21,16 @@ shares them between its runs: `enboost simulate` computes each trunk once
 for all its policies.  The trunk memo holds in every run, with or without
 retraining, because an FC-only write never reaches it.  The probabilities
 and votes are those of the unretrained learners, so a run that retrains
-learner l gives l, and its votes, private memos that no other run sees: a
-retrained learner runs a batch-1 `head` on its own row of the trunk batch,
-the row its FC-only step reads too, and the step computes no loss.  A run
-checks the ensemble's vote weights once, and warns once if all are <= 0;
-each vote is then one product and an argmax.  `run_concurrent_training`
-scores the drift accuracies with one batched trunk pass per learner over
-the eval split and a head pass before and after.
+learner l gives l, and its votes, private memos that no other run sees:
+after each FC-only write, the first vote that reads l runs one batched
+`head` of l's trunk batch, and later votes read its rows until l's next
+write.  The write itself is a batch-1 step on l's row of the trunk batch,
+whose pre-update probabilities this request's vote reads, and it computes
+no loss.  A run checks the ensemble's vote weights once, and warns once if
+all are <= 0; each vote is then one product and an argmax.
+`run_concurrent_training` scores the drift accuracies with one batched
+trunk pass per learner over the eval split and a head pass before and
+after.
 """
 from __future__ import annotations
 
@@ -92,6 +95,11 @@ class SimConfig:
     def __post_init__(self):
         if self.retrain_mode not in RETRAIN_MODES:
             raise ConfigError(f"unknown retrain mode {self.retrain_mode!r}")
+        if self.dataset.class_count != self.ensemble.class_count:
+            # a vote can only name the ensemble's classes
+            raise ConfigError(f"the dataset has {self.dataset.class_count} classes "
+                              f"but the ensemble was built for "
+                              f"{self.ensemble.class_count}")
 
 
 @dataclass
@@ -204,7 +212,9 @@ class _Memos:
     Per learner, `trunk` holds the activations of the whole split entering
     the head, one batch, and `probs` the unretrained learner's `head` of that
     batch, whose rows are `forward(l, test_x)`'s bit for bit; `votes` maps
-    (sample index, learners run) to the unretrained vote."""
+    (sample index, learners run) to the unretrained vote.  A run that
+    retrains learner l keeps l's `head` batch privately instead
+    (`_Server.own_probs`)."""
 
     def __init__(self, n):
         self.trunk = [None] * n
@@ -220,10 +230,11 @@ class _Server(Agent):
     The trunk memo is shared for the whole run and with the other runs of
     the command, because an FC-only write never reaches it. The probability
     and vote memos are shared only while they hold the unretrained learners'
-    outputs: once learner l is retrained, this run gives l a private
-    probability memo, filled by batch-1 heads on l's rows of the trunk
-    batch, and itself a private vote memo, each emptied at every later
-    retrain, so no other run can see the rewritten learner."""
+    outputs: once learner l is retrained, this run reads l's probabilities
+    from a private memo, one `head` batch over l's trunk batch, and its
+    votes from a private vote memo; each retrain of l empties l's batch,
+    and every retrain empties the vote memo, so no other run can see the
+    rewritten learner and no vote reads a stale one."""
 
     def __init__(self, cfg: SimConfig, memos: _Memos):
         self.cfg = cfg
@@ -236,7 +247,9 @@ class _Server(Agent):
         self.vote_weights = checked_vote_weights(cfg.ensemble.vote_weights)
         self.trunk = memos.trunk
         self.probs = memos.probs
-        self.own_probs = [None] * cfg.ensemble.size   # of retrained learners
+        # retrained learner -> its head batch, None until a vote after its
+        # latest FC-only write needs it
+        self.own_probs = {}
         self.votes = memos.votes
         self.sx, self.sy = cfg.dataset.split("test")
         self.retrain_cursor = 0
@@ -284,16 +297,12 @@ class _Server(Agent):
         return acts
 
     def _probs(self, l, i):
-        own = self.own_probs[l]
-        if own is None:   # unretrained: a row of the shared head batch
-            probs = self.probs[l]
-            if probs is None:
-                probs = self.probs[l] = head(self.learners[l], self._trunk(l))
-            return probs[i]
-        probs = own.get(i)
+        # a row of l's head batch: shared while l is unretrained, private after
+        memo = self.own_probs if l in self.own_probs else self.probs
+        probs = memo[l]
         if probs is None:
-            probs = own[i] = head(self.learners[l], self._trunk(l)[i:i + 1])[0]
-        return probs
+            probs = memo[l] = head(self.learners[l], self._trunk(l))
+        return probs[i]
 
     def _vote(self, i, l, r=-1, pre_update=None):
         # the weighted vote, on weights checked once for the run; np.array
@@ -314,7 +323,7 @@ class _Server(Agent):
                 self.learners[l], self._trunk(l)[i:i + 1],
                 [self.label], [1.0], self.cfg.retrain_learning_rate)
             self.pre_update = (l, probs[0])
-            self.own_probs[l] = {}
+            self.own_probs[l] = None
             self.votes = {}
             row["retrain_energy"] += increment
             row["retrained_learner"] = l

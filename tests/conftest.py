@@ -177,6 +177,12 @@ def parent_col2im(dcols, x_shape, k, s, p):
     return dx[:, :, p:p + h, p:p + w]
 
 
+def parent_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def parent_forward_cache(spec, params, x, start=0, stop=None):
     """Run layers [start, stop) on a batch entering layer `start`, recording
     what backward needs; returns the batch leaving layer stop - 1."""
@@ -211,7 +217,7 @@ def parent_forward_cache(spec, params, x, start=0, stop=None):
             cur = out.reshape(cur.shape[0], layer.units, 1, 1)
         else:  # softmax
             flat = cur.reshape(cur.shape[0], -1)
-            out = nn._softmax(flat)
+            out = parent_softmax(flat)
             cache.append(("softmax", cur.shape))
             cur = out.reshape(cur.shape[0], -1, 1, 1)
     return cur, cache

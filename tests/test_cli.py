@@ -537,6 +537,22 @@ def test_simulate_rejects_dataset_shape_unlike_ensemble(workspace, tmp_path, cap
     assert not (tmp_path / "sims").exists()
 
 
+@pytest.mark.parametrize("classes", [2, 5])
+def test_simulate_rejects_class_count_unlike_ensemble(workspace, tmp_path, capsys,
+                                                      classes):
+    # a 3-class ensemble can never predict labels 3 and 4 of a 5-class set
+    doc = dict(LIGHT_CONFIG, dataset={"generator": dict(
+        LIGHT_CONFIG["dataset"]["generator"], classes=classes)})
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    rc = main(["simulate", "--config", str(tmp_path / "config.json"),
+               "--ensemble", str(workspace / "build"), "--policy", "fixed:1",
+               "--out", str(tmp_path / "sims")])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: the dataset has {classes} classes "
+                                       "but the ensemble was built for 3\n")
+    assert not (tmp_path / "sims").exists()
+
+
 @pytest.mark.parametrize("policies, name", [(["qtable:{q}", "fixed:1", "qtable:{q2}"],
                                              "qtable"),
                                             (["all", "fixed:2"], "all")],

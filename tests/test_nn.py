@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (parent_backward, parent_forward_cache, slice_im2col,
-                      tiny_spec)
+from conftest import (parent_backward, parent_forward_cache, parent_softmax,
+                      slice_im2col, tiny_spec)
 from enboost import nn
 from enboost.config import baseline_network
 from enboost.data import synth_dataset
@@ -382,6 +382,24 @@ def test_head_of_trunk_is_forward_bitwise(make, start):
 
 # ---------------------------------------------------------------------------
 # parent-engine oracle
+
+
+@pytest.mark.parametrize("batch", [1, 29, 32])
+def test_softmax_matches_parent_bitwise(batch):
+    # direct ufunc reductions and an in-place exp and divide: the same bits
+    rng = np.random.default_rng(batch)
+    z = rng.standard_normal((batch, 7)) * 10.0
+    z[0, 2:5] = z[0].max() + 1.0                   # a tie for the largest
+    if batch > 1:
+        z[1] = 0.0                                  # all tied
+        z[2] = rng.standard_normal(7) * 1e300       # very large magnitudes
+        z[3] = -1e308 + rng.standard_normal(7)      # very negative
+        z[4] = [700.0, 710.0, -700.0, -745.0, -1e4, 709.0, 0.0]  # exp's edges
+        z[5, ::2] = -0.0
+    before = z.copy()
+    got, want = nn._softmax(z), parent_softmax(z)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(z.view(np.int64), before.view(np.int64))   # input kept
 
 
 @pytest.mark.parametrize("win", range(1, 13))

@@ -14,7 +14,7 @@ from enboost.energy import (Capacitor, CostModel, PowerTrace, RequestPattern,
                             inference_cost, synth_trace)
 from enboost.ensemble import backfit_select, subset_accuracy, weighted_vote
 from enboost.errors import ConfigError
-from enboost.nn import evaluate, forward, train_fc_only, trunk
+from enboost.nn import evaluate, forward, head, train_fc_only, trunk
 from enboost.prune import PruneSchedule
 from enboost.qsched import EnvConfig, QTable, RewardParams, replay, make_device
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
@@ -207,6 +207,58 @@ def test_unretrained_votes_use_rows_of_the_batched_forward(small_model, monkeypa
     env = abundant(model, requests=2 * split)
     run_many([SimConfig(env=env, ensemble=model, dataset=ds, policy=FixedKPolicy(k, n))
               for k in (1, n)])
+    assert seen == {(l, i) for l in range(n) for i in range(split)}
+
+
+def test_retrained_learners_run_one_head_batch_per_write(small_model, monkeypatch):
+    # a vote reads a retrained learner from one head over the test split,
+    # run at most once per FC-only write; the write runs its own batch-1 step
+    model, ds = small_model
+    n, split = model.size, ds.split_size("test")
+    drift = drift_dataset(ds)
+    sizes = []
+
+    def counted(learner, acts):
+        sizes.append(len(acts))
+        return head(learner, acts)
+
+    monkeypatch.setattr(simrun, "head", counted)
+    cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
+                    dataset=ds, policy=FixedKPolicy(n, n),
+                    retrain_mode="high-energy", retrain_learning_rate=0.5)
+    report, _, _ = run_concurrent_training(cfg, drift)
+    assert report.retrain_events == report.total_requests == 4 * split
+    # the drift accuracies: one eval-split head per learner before, one after
+    serving, scoring = sizes[:-2 * n], sizes[-2 * n:]
+    assert scoring == [drift.split_size("eval")] * (2 * n)
+    assert set(serving) == {split}
+    assert n < len(serving) <= report.retrain_events + n
+
+
+def test_retrained_votes_use_rows_of_the_batched_head(small_model, monkeypatch):
+    # every probability vector a vote reads for a retrained learner is, bit
+    # for bit, its row of that learner's head over the whole test split
+    model, ds = small_model
+    n, split = model.size, ds.split_size("test")
+    drift = drift_dataset(ds)
+    sx, _ = drift.split("test")
+    seen = set()
+    probs = simrun._Server._probs
+
+    def checked(server, l, i):
+        p = probs(server, l, i)
+        learner = server.learners[l]
+        if learner is not model.learners[l]:
+            want = head(learner, trunk(learner, sx))[i]
+            assert np.array_equal(np.asarray(p).view(np.int64), want.view(np.int64))
+            seen.add((l, i))
+        return p
+
+    monkeypatch.setattr(simrun._Server, "_probs", checked)
+    cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
+                    dataset=ds, policy=FixedKPolicy(n, n),
+                    retrain_mode="high-energy", retrain_learning_rate=0.5)
+    run_concurrent_training(cfg, drift)
     assert seen == {(l, i) for l in range(n) for i in range(split)}
 
 
@@ -492,6 +544,23 @@ def test_sim_config_validation(small_model):
     with pytest.raises(ConfigError):
         SimConfig(env=env, ensemble=model, dataset=ds,
                   policy=FixedKPolicy(1, 2), retrain_mode="sometimes")
+
+
+def test_sim_config_rejects_class_count_unlike_ensemble(small_model):
+    # every entry point builds a SimConfig, run_concurrent_training for its
+    # drift set too
+    model, ds = small_model
+    env = abundant(model, requests=3)
+    other = synth_dataset(seed=5, classes=4, samples_per_class=24,
+                          shape=(2, 8, 8), noise=0.5)
+    message = "the dataset has 4 classes but the ensemble was built for 3"
+    with pytest.raises(ConfigError, match=message):
+        SimConfig(env=env, ensemble=model, dataset=other,
+                  policy=FixedKPolicy(1, model.size))
+    cfg = SimConfig(env=env, ensemble=model, dataset=ds,
+                    policy=FixedKPolicy(1, model.size), retrain_mode="high-energy")
+    with pytest.raises(ConfigError, match=message):
+        run_concurrent_training(cfg, drift_dataset(other))
 
 
 def test_events_csv_shape(small_model):
