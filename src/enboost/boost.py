@@ -14,7 +14,7 @@ import numpy as np
 from . import artifacts
 from .errors import ConfigError
 from .nn import (NetworkSpec, WeakLearner, evaluate, flatten_params, forward,
-                 unflatten_params, train)
+                 params_checksum, unflatten_params, train)
 from .prune import PruneSchedule, prune_to_budget
 
 PROB_FLOOR = 1e-6  # clamp inside log: the update is singular at p_true = 0
@@ -110,7 +110,10 @@ def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
 
 
 # ---------------------------------------------------------------------------
-# pool persistence: manifest.json plus one spec json and one .npy per learner
+# pool persistence: pool.json plus one spec json and one .npy per learner;
+# the manifest records each learner's parameter checksum, which loading checks
+
+POOL_VERSION = 2
 
 
 def save_pool(pool, out_dir):
@@ -124,8 +127,9 @@ def save_pool(pool, out_dir):
         np.save(out / param_file, flatten_params(learner.params))
         entries.append({"id": learner.id, "macs": learner.macs,
                         "eval_accuracy": learner.eval_accuracy,
-                        "generation": i, "spec": spec_file, "params": param_file})
-    artifacts.write_json(out / "pool.json", {"version": 1, "learners": entries})
+                        "generation": i, "spec": spec_file, "params": param_file,
+                        "params_checksum": learner.checksum()})
+    artifacts.write_json(out / "pool.json", {"version": POOL_VERSION, "learners": entries})
 
 
 def load_pool(pool_dir):
@@ -135,12 +139,15 @@ def load_pool(pool_dir):
         pool = []
         for entry in manifest["learners"]:
             spec = NetworkSpec.load(root / entry["spec"])
+            checksum = entry["params_checksum"]   # a missing key names pool.json
             with artifacts.reading(root / entry["params"]):
                 params = unflatten_params(spec, np.load(root / entry["params"]))
+                if params_checksum(params) != checksum:
+                    raise ValueError("parameters do not match the pool's params_checksum")
             pool.append(WeakLearner(spec=spec, params=params,
                                     macs=entry["macs"],
                                     eval_accuracy=entry["eval_accuracy"],
                                     id=entry["id"]))
         return pool
 
-    return artifacts.read_json(root / "pool.json", decode, version=1)
+    return artifacts.read_json(root / "pool.json", decode, version=POOL_VERSION)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import artifacts, boost, config as cfgmod, ensemble as ens, qsched, simrun
@@ -130,6 +129,7 @@ def cmd_simulate(args) -> int:
     runs = [p for p in policies if p.name != "all"]
     jobs = [sim_config(baseline_policy)] + [sim_config(p) for p in runs]
     if workers > 1:   # each run in a worker computes its own memos
+        from concurrent.futures import ProcessPoolExecutor   # 2 MB of imports
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(simrun.run, jobs))
     else:   # the runs share each learner's trunk and head batches

@@ -5,37 +5,13 @@ Everything runs in float64 on numpy. All randomness goes through seeded
 `numpy.random.default_rng` instances, so training is bit-reproducible given
 (seed, data, weights, hyperparameters).
 
-Memory layout. Callers see (b, c, h, w) batches. Inside the engine a conv
-output is its GEMM result (b*ho*wo, f) viewed as (b, f, ho, wo), so it lives
-channels-last, and so do the pools above it and the gradients flowing back
-through them. `_im2col` builds the (c*k*k, b*ho*wo) patch matrix once, which
-is the weight-gradient operand as it stands. Weights keep their (f, c, k, k)
-order. The engine must give the bits the NCHW engine before it gave
-(`tests/conftest.py` keeps that engine), and numpy and OpenBLAS pick their
-rounding from the memory layout, so a change here must keep three rules:
-
-1. OpenBLAS rounds a transposed operand differently: `A.T @ B` and
-   `np.ascontiguousarray(A.T) @ B` differed in 15 of 80 engine-sized
-   shapes. Every GEMM keeps the operand layouts it had: the forward patch
-   operand is a C-order copy, except at batch 1, where it is the F-order
-   view, and so is `dz_rows` (from NCHW `dz`); for a 1x1 output map the
-   weight-gradient operand is the F-order view of the C-order copy. At
-   batch 1, `_im2col` gathers the C-order patch matrix with one `take`
-   from a cached index instead of a copy per kernel offset: the same
-   values into the same layout, so the GEMMs see the same operands.
-2. `mean(axis=(3, 5))` over a window view sums in an order set by the
-   layout. Channels-last input with more than one channel is summed term by
-   term, row-major. Otherwise each window row is a pairwise run and the rows
-   are added in turn, unless the window spans the whole row: then the window
-   is one pairwise run, 8-way unrolled from 8 terms, so window 3 sums
-   ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) and then a8. The sum starts at +0.0,
-   so a window of -0.0 averages to +0.0. `_avgpool` does exactly this.
-3. The bias gradient `dz.sum(axis=(0, 2, 3))` must run on the layout the
-   old engine summed: numpy sums each contiguous h*w plane pairwise, but
-   each row on its own when rows are padded, and channels innermost term by
-   term. So a channels-last `dz` below a pool is copied to C-order NCHW for
-   this sum, a conv or FC layer below a conv gets its gradient in padded
-   NCHW rows, and a one-window pool passes a broadcast view.
+Memory layout. Callers see (b, c, h, w) batches. `_im2col` builds the
+(c*k*k, b*ho*wo) patch matrix once, and it is both conv GEMMs' operand:
+its `cols.T` view multiplies the weights forward, and `cols` itself takes
+the weight gradient. A conv output is the GEMM result (b*ho*wo, f) viewed
+as (b, f, ho, wo), so it lives channels-last, and so do the pools above it
+and the gradients flowing back through them. Weights keep their
+(f, c, k, k) order.
 """
 from __future__ import annotations
 
@@ -339,35 +315,12 @@ class WeakLearner:
 # forward / backward
 
 
-_PAD = np.zeros(1)
-
-
-@functools.lru_cache(maxsize=32)
-def _patch_index(c, h, w, k, s, p):
-    """Read-only (c*k*k, ho*wo) indices into a flattened (c, h, w) map with
-    one value appended: index c*h*w, the padding, reads that value."""
-    padded = np.full((c, h + 2 * p, w + 2 * p), c * h * w)
-    padded[:, p:p + h, p:p + w] = np.arange(c * h * w).reshape(c, h, w)
-    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
-    idx = np.ascontiguousarray(win[:, ::s, ::s].transpose(0, 3, 4, 1, 2))
-    idx = idx.reshape(c * k * k, -1)
-    idx.flags.writeable = False
-    return idx
-
-
 def _im2col(x, k, s, p):
     """Patch matrix (c*k*k, b*ho*wo) of a (b, c, h, w) batch: row (c, i, j)
-    holds input channel c at kernel offset (i, j) for every output pixel.
-
-    A batch of one, the serving path, is one gather from a cached index.
-    Larger batches copy per kernel offset: an index per batch shape would
-    hold one for every (b, c) the build's prune steps make."""
+    holds input channel c at kernel offset (i, j) for every output pixel."""
     b, c, h, w = x.shape
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
-    if b == 1:
-        flat = np.concatenate((x, _PAD), axis=None)
-        return flat.take(_patch_index(c, h, w, k, s, p)), ho, wo
     if p:
         xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
         xp[:, :, p:p + h, p:p + w] = x
@@ -392,40 +345,12 @@ def _col2im(dcols, x_shape, k, s, p):
     return acc.transpose(0, 3, 1, 2)
 
 
-def _pairwise(terms):
-    """Sum a list of equal-shape arrays in the order numpy's `add.reduce`
-    sums a run of len(terms) values: 8-way unrolled, halved above 128."""
-    n = len(terms)
-    if n < 8:
-        return functools.reduce(np.add, terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise(terms[:half]) + _pairwise(terms[half:])
-    r = list(terms[:8])
-    for i in range(8, n - n % 8, 8):
-        r = [a + t for a, t in zip(r, terms[i:i + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return functools.reduce(np.add, terms[n - n % 8:], total)
-
-
 def _avgpool(x, win):
-    """Mean over win x win windows, bit for bit numpy's
-    x.reshape(b, c, h // win, win, w // win, win).mean(axis=(3, 5)), whose
-    summation order follows x's memory layout."""
-    terms = [x[:, :, i::win, j::win] for i in range(win) for j in range(win)]
-    if x.shape[1] > 1 and x.strides[1] == x.itemsize:
-        # channels innermost: each window is summed term by term
-        total = functools.reduce(np.add, terms)
-    elif x.shape[3] == win:
-        # one window per row: the window's rows merge into one pairwise run
-        total = _pairwise(terms)
-    else:
-        # row by row, each row a pairwise run
-        total = functools.reduce(np.add, (_pairwise(terms[i:i + win])
-                                          for i in range(0, win * win, win)))
-    total = total + 0.0  # the reduction starts at +0.0, so -0.0 sums to +0.0
-    total /= win * win
-    return total
+    """Mean over win x win windows: the sum of the window's strided terms,
+    then one divide. numpy's `mean(axis=(3, 5))` over a window view is about
+    3x slower at batch 32."""
+    terms = (x[:, :, i::win, j::win] for i in range(win) for j in range(win))
+    return functools.reduce(np.add, terms) / (win * win)
 
 
 def _softmax(z):
@@ -455,12 +380,7 @@ def _forward_cache(spec: NetworkSpec, params, x, start=0, stop=None):
         if kind == CONV:
             w, b = params[idx]
             cols, ho, wo = _im2col(cur, layer.kernel, layer.stride, layer.padding)
-            # rule 1: a batch of one keeps the F-order patch operand
-            rows = cols.T if cur.shape[0] == 1 else np.ascontiguousarray(cols.T)
-            z = rows @ w.reshape(w.shape[0], -1).T
-            if ho * wo == 1:  # rule 1: dW takes the F-order view of rows
-                cols = rows.T
-            del rows  # free the copy before the layers above allocate theirs
+            z = cols.T @ w.reshape(w.shape[0], -1).T
             z = z.reshape(cur.shape[0], ho, wo, -1).transpose(0, 3, 1, 2)
             z += b[None, :, None, None]
             cache.append((cur.shape, cols, z))
@@ -504,13 +424,10 @@ def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
         elif layer.kind == AVGPOOL:
             in_shape, win = entry, layer.window
             d = dcur / (win * win)
-            if in_shape[2] == in_shape[3] == win:
-                dcur = np.broadcast_to(d, in_shape)  # rule 3
-            else:
-                dcur = np.empty_like(d, shape=in_shape)
-                for i in range(win):
-                    for j in range(win):
-                        dcur[:, :, i::win, j::win] = d
+            dcur = np.empty_like(d, shape=in_shape)
+            for i in range(win):
+                for j in range(win):
+                    dcur[:, :, i::win, j::win] = d
         else:  # conv
             in_shape, cols, z = entry
             dz = dcur.reshape(z.shape)
@@ -519,22 +436,14 @@ def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
             w, _ = params[idx]
             f, c, k, _ = w.shape
             b_, _, ho, wo = z.shape
-            # rule 3: dz as the old engine laid it out. A pool's gradient
-            # comes channels-last but was C-order NCHW there; the others
-            # arrive as they did.
-            above = spec.layers[idx + 1]
-            pooled = above.kind == AVGPOOL and z.shape[2:] != (above.window,) * 2
-            nchw = np.ascontiguousarray(dz) if pooled else dz
-            dz_rows = (dz if b_ > 1 else nchw).transpose(0, 2, 3, 1).reshape(-1, f)
+            dz_rows = dz.transpose(0, 2, 3, 1).reshape(-1, f)
             dw = cols @ dz_rows
             grads[idx] = (dw.reshape(c, k, k, f).transpose(3, 0, 1, 2),
-                          np.add.reduce(nchw, axis=(0, 2, 3)))
+                          np.add.reduce(dz_rows, axis=0))
             if idx > start:
                 p = layer.padding
                 dcols = (dz_rows @ w.reshape(f, -1)).reshape(b_, ho, wo, c, k, k)
                 dx = _col2im(dcols, in_shape, k, layer.stride, p)
-                if spec.layers[idx - 1].kind != AVGPOOL:
-                    dx = dx.copy()  # rule 3: conv and fc read padded NCHW rows
                 dcur = dx[:, :, p:p + in_shape[2], p:p + in_shape[3]]
     return grads
 
@@ -655,8 +564,9 @@ def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
     n = x.shape[0]
     if epochs > 0 and n > 0:
         # the first SGD step gives every layer new arrays, so copy only what
-        # is not C-ordered: the GEMMs round by their operands' layout, and
-        # `prune_step`'s channel slices are not
+        # is not C-ordered: the GEMMs round by their operands' layout, and a
+        # learner must train to the same bits whatever its arrays' layout
+        # (`prune_step`'s channel slices are not C-ordered)
         params = [None if p is None else tuple(map(np.ascontiguousarray, p))
                   for p in learner.params]
     else:  # no step: hand back copies, never the input learner's arrays

@@ -145,8 +145,9 @@ def discretize_power(p_harv: float, thresholds) -> int:
 
 # ---------------------------------------------------------------------------
 # The conv engine as it was before activations moved to channels-last memory:
-# `nn`'s private engine must match it bit for bit, signed zeros included
-# (test_nn::test_engine_matches_parent_bitwise). Frozen; do not optimize.
+# `nn`'s private engine must match it to within 1e-12 of each array's largest
+# magnitude (test_nn::test_engine_matches_parent_oracle). The engine sums in
+# its own order, so only the last bits may differ. Frozen; do not optimize.
 
 
 def parent_im2col(x, k, s, p):
@@ -268,10 +269,10 @@ def parent_backward(spec, params, cache, dlogits, start=0):
 
 
 # ---------------------------------------------------------------------------
-# `nn._im2col` as it was before a batch of one became a gather from a cached
-# index: a copy per kernel offset into a C-order matrix. The gather must give
-# the same bits and layout (test_nn::test_batch1_patch_gather_matches_slices).
-# Frozen; do not optimize.
+# `nn._im2col` as a copy per kernel offset into a C-order matrix. At batch 1,
+# the serving path, the engine's patch matrix must have the same bits and
+# layout (test_nn::test_batch1_patch_gather_matches_slices). Frozen; do not
+# optimize.
 
 
 def slice_im2col(x, k, s, p):

@@ -1,5 +1,7 @@
 """Boosting loop: weight initialization, the multiplicative update, pool
 construction, and pool persistence."""
+import json
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,10 @@ def test_pool_round_trip(tmp_path):
     spec, ds, cfg = small_pool_setup()
     pool, _ = build_pool(spec, ds, cfg)
     save_pool(pool, tmp_path / "pool")
+    manifest = json.loads((tmp_path / "pool" / "pool.json").read_text())
+    assert manifest["version"] == 2
+    assert [e["params_checksum"] for e in manifest["learners"]] == [
+        l.checksum() for l in pool]
     loaded = load_pool(tmp_path / "pool")
     assert [l.id for l in loaded] == [l.id for l in pool]
     assert [l.checksum() for l in loaded] == [l.checksum() for l in pool]

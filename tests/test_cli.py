@@ -465,11 +465,17 @@ CORRUPT_ARTIFACTS = {
     "npy-empty": ("pool/learner-00.params.npy", lambda p: p.write_bytes(b"")),
     "npy-values-cut": ("pool/learner-00.params.npy",
                        lambda p: np.save(p, np.load(p)[:-3])),
+    # the right shape, but not the parameters the pool manifest's checksum names
+    "npy-values-scaled": ("pool/learner-00.params.npy",
+                          lambda p: np.save(p, np.load(p) * 1.5)),
     "manifest-no-vote-weights": ("ensemble.json",
                                  _edit_json(lambda d: d.pop("vote_weights"))),
     "manifest-bad-json": ("ensemble.json", lambda p: p.write_text("{bad")),
     "pool-entry-no-macs": ("pool/pool.json",
                            _edit_json(lambda d: d["learners"][0].pop("macs"))),
+    "pool-entry-no-checksum": ("pool/pool.json", _edit_json(
+        lambda d: d["learners"][0].pop("params_checksum"))),
+    "pool-version-1": ("pool/pool.json", _edit_json(lambda d: d.update(version=1))),
     "manifest-version": ("ensemble.json", _edit_json(lambda d: d.update(version=9))),
     # one finite vote weight, accuracy and accuracy gain per learner
     "manifest-vote-weights-short": ("ensemble.json",
