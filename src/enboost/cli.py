@@ -35,6 +35,9 @@ def cmd_build_ensemble(args) -> int:
     pool, _ = boost.build_pool(base_spec, dataset, pool_cfg)
     eval_x, eval_y = dataset.split("eval")
     model = ens.backfit_select(pool, pool_cfg.ensemble_size, eval_x, eval_y)
+    if all(a <= 0 for a in model.vote_weights):   # every vote would be inverted
+        raise EnboostError("every selected learner's vote weight is <= 0: " + ", ".join(
+            f"{l.id} {a:.3g}" for l, a in zip(model.learners, model.vote_weights)))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -50,6 +53,7 @@ def cmd_build_ensemble(args) -> int:
                   "params": count_params(l.spec),
                   "eval_accuracy": l.eval_accuracy} for l in pool],
         "selected": [l.id for l in model.learners],
+        "vote_weights": model.vote_weights,
         "acc_profile": model.acc_profile,
         "delta_acc": model.delta_acc,
     }

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -30,6 +31,9 @@ _NUM = (int, float)
 # a synthetic trace longer than this many samples is rejected before any
 # array is allocated: its arrays and the device's lists scale with it
 MAX_TRACE_SAMPLES = 10**7
+# a generated dataset of more than this many float64 elements (classes x
+# samples_per_class x the sample shape) is rejected before it is generated
+MAX_DATASET_ELEMENTS = 10**8
 
 
 def _finite(v) -> bool:
@@ -178,6 +182,12 @@ def validate_config(doc: dict) -> dict:
     for key in ("path", "classes", "shape"):
         if csv_cfg is not None and csv_cfg[key] is None:
             raise ConfigError(f"dataset.csv.{key} is required when dataset.csv is set")
+    g = cfg["dataset"]["generator"]
+    elements = g["classes"] * g["samples_per_class"] * math.prod(g["shape"])
+    if csv_cfg is None and elements > MAX_DATASET_ELEMENTS:
+        raise ConfigError("dataset.generator.classes * dataset.generator.samples_per_class"
+                          f" * dataset.generator.shape: must be at most "
+                          f"{MAX_DATASET_ELEMENTS} elements, got {elements}")
     if cfg["pool"]["pool_size"] <= cfg["ensemble"]["size"]:
         raise ConfigError("pool.pool_size must exceed ensemble.size")
     e = cfg["energy"]

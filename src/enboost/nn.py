@@ -6,11 +6,14 @@ Everything runs in float64 on numpy. All randomness goes through seeded
 (seed, data, weights, hyperparameters).
 
 Memory layout. Callers see (b, c, h, w) batches. `_im2col` builds the
-(c*k*k, b*ho*wo) patch matrix once, and it is both conv GEMMs' operand:
-its `cols.T` view multiplies the weights forward, and `cols` itself takes
-the weight gradient. A conv output is the GEMM result (b*ho*wo, f) viewed
-as (b, f, ho, wo), so it lives channels-last, and so do the pools above it
-and the gradients flowing back through them. Weights keep their
+(c*k*k + 1, b*ho*wo) patch matrix once, its last row all ones, and it is
+both conv GEMMs' operand: its `cols.T` view multiplies `[W | b]` forward,
+so the GEMM adds the bias, and `cols` itself takes the weight gradient,
+whose last row is the bias gradient. The dX GEMM multiplies `W` alone. A
+conv output is the GEMM result (b*ho*wo, f) viewed as (b, f, ho, wo), so it
+lives channels-last, and so do the pools above it and the gradients flowing
+back through them; a conv's ReLU runs in place on it, and backward masks on
+that output, which is > 0 exactly where its input was. Weights keep their
 (f, c, k, k) order.
 """
 from __future__ import annotations
@@ -316,8 +319,9 @@ class WeakLearner:
 
 
 def _im2col(x, k, s, p):
-    """Patch matrix (c*k*k, b*ho*wo) of a (b, c, h, w) batch: row (c, i, j)
-    holds input channel c at kernel offset (i, j) for every output pixel."""
+    """Patch matrix (c*k*k + 1, b*ho*wo) of a (b, c, h, w) batch: row
+    (c, i, j) holds input channel c at kernel offset (i, j) for every output
+    pixel, and the last row is all ones, the bias's operand."""
     b, c, h, w = x.shape
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
@@ -325,12 +329,14 @@ def _im2col(x, k, s, p):
         xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
         xp[:, :, p:p + h, p:p + w] = x
         x = xp
-    cols = np.empty((c, k, k, b, ho, wo), dtype=x.dtype)
+    cols = np.empty((c * k * k + 1, b * ho * wo), dtype=x.dtype)
+    cols[-1] = 1.0
+    patches = cols[:-1].reshape(c, k, k, b, ho, wo)
     x = x.transpose(1, 0, 2, 3)
     for i in range(k):
         for j in range(k):
-            cols[:, i, j] = x[:, :, i:i + s * ho:s, j:j + s * wo:s]
-    return cols.reshape(c * k * k, -1), ho, wo
+            patches[:, i, j] = x[:, :, i:i + s * ho:s, j:j + s * wo:s]
+    return cols, ho, wo
 
 
 def _col2im(dcols, x_shape, k, s, p):
@@ -380,11 +386,13 @@ def _forward_cache(spec: NetworkSpec, params, x, start=0, stop=None):
         if kind == CONV:
             w, b = params[idx]
             cols, ho, wo = _im2col(cur, layer.kernel, layer.stride, layer.padding)
-            z = cols.T @ w.reshape(w.shape[0], -1).T
+            wb = np.concatenate((w.reshape(w.shape[0], -1), b[:, None]), axis=1)
+            z = cols.T @ wb.T
+            if layer.activation == "relu":
+                np.maximum(z, 0.0, out=z)
             z = z.reshape(cur.shape[0], ho, wo, -1).transpose(0, 3, 1, 2)
-            z += b[None, :, None, None]
             cache.append((cur.shape, cols, z))
-            cur = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            cur = z
         elif kind == AVGPOOL:
             cache.append(cur.shape)
             cur = _avgpool(cur, layer.window)
@@ -431,15 +439,14 @@ def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
         else:  # conv
             in_shape, cols, z = entry
             dz = dcur.reshape(z.shape)
-            if layer.activation == "relu":
-                dz = dz * (z > 0)
+            if layer.activation == "relu":   # z is the ReLU's output
+                np.multiply(dz, z > 0, out=dz)   # dcur is a temporary of this pass
             w, _ = params[idx]
             f, c, k, _ = w.shape
             b_, _, ho, wo = z.shape
             dz_rows = dz.transpose(0, 2, 3, 1).reshape(-1, f)
-            dw = cols @ dz_rows
-            grads[idx] = (dw.reshape(c, k, k, f).transpose(3, 0, 1, 2),
-                          np.add.reduce(dz_rows, axis=0))
+            dwb = cols @ dz_rows
+            grads[idx] = (dwb[:-1].reshape(c, k, k, f).transpose(3, 0, 1, 2), dwb[-1])
             if idx > start:
                 p = layer.padding
                 dcols = (dz_rows @ w.reshape(f, -1)).reshape(b_, ho, wo, c, k, k)

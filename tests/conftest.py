@@ -270,9 +270,9 @@ def parent_backward(spec, params, cache, dlogits, start=0):
 
 # ---------------------------------------------------------------------------
 # `nn._im2col` as a copy per kernel offset into a C-order matrix. At batch 1,
-# the serving path, the engine's patch matrix must have the same bits and
-# layout (test_nn::test_batch1_patch_gather_matches_slices). Frozen; do not
-# optimize.
+# the serving path, the engine's patch rows above its row of ones must have
+# the same bits and layout (test_nn::test_batch1_patch_gather_matches_slices).
+# Frozen; do not optimize.
 
 
 def slice_im2col(x, k, s, p):

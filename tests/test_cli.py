@@ -43,8 +43,30 @@ def test_build_summary_respects_budget(workspace):
     assert doc["ensemble_size"] == 2
     assert doc["ensemble_total_macs"] <= doc["baseline_macs"]
     assert len(doc["pool"]) == 3
-    assert (workspace / "build" / "ensemble.json").exists()
     assert (workspace / "build" / "pool").is_dir()
+    manifest = json.loads((workspace / "build" / "ensemble.json").read_text())
+    assert doc["selected"] == manifest["learners"]
+    assert doc["vote_weights"] == manifest["vote_weights"]
+
+
+def test_build_with_every_vote_weight_at_most_0_exits_2_without_output(tmp_path,
+                                                                       capsys):
+    # three filters per prune step leave every pool learner below 50% eval
+    # accuracy at this seed, so the two-class vote weight of each is <= 0
+    seed = 101
+    (tmp_path / "config.json").write_text(json.dumps({
+        "dataset": {"generator": {"seed": seed, "samples_per_class": 24}},
+        "pool": {"pool_size": 5, "train_epochs": 3, "seed": seed,
+                 "prune": {"retrain_epochs_per_step": 1,
+                           "filters_removed_per_step": 3}}}))
+    rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == ("error: every selected learner's vote weight is <= 0: "
+                   "learner-02 -0.0345, learner-03 -0.0345, learner-00 -0.321, "
+                   "learner-04 -0.672\n")
+    assert not (tmp_path / "out").exists()
 
 
 # case: (command, sections replacing LIGHT_CONFIG's, extra flags)
@@ -126,6 +148,31 @@ def test_trace_sample_bound_exits_1_before_building_the_trace(interval, workspac
     assert err.startswith("error: energy.trace.synthetic.duration / "
                           "energy.trace.synthetic.sample_interval: must be at most "
                           f"{config.MAX_TRACE_SAMPLES} samples, got ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["build-ensemble", "simulate"])
+def test_dataset_size_bound_exits_1_before_generating_the_dataset(command, workspace,
+                                                                  tmp_path, capsys,
+                                                                  monkeypatch):
+    # 10^9 samples per class would ask for about 2e13 bytes; nothing may
+    # generate the dataset
+    def no_dataset(**kwargs):
+        raise AssertionError("dataset generated")
+
+    monkeypatch.setattr(config, "synth_dataset", no_dataset)
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"dataset": {"generator": {"samples_per_class": 10**9}}}))
+    flags = [] if command == "build-ensemble" else [
+        "--ensemble", str(workspace / "build"), "--policy", "all"]
+    rc = main([command, "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out"), *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: dataset.generator.classes * dataset.generator."
+                          "samples_per_class * dataset.generator.shape: must be at "
+                          f"most {config.MAX_DATASET_ELEMENTS} elements, got ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 

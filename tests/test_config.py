@@ -108,6 +108,29 @@ def test_cross_key_device_rules_accept_their_edges():
     assert cfg["energy"]["trace"]["synthetic"]["duration"] == config.MAX_TRACE_SAMPLES
 
 
+@pytest.mark.parametrize("generator, elements", [
+    ({"samples_per_class": 10**9}, 2592000000000),      # at the default 6 x 3x12x12
+    ({"classes": 2, "samples_per_class": 5001, "shape": [1, 100, 100]}, 100020000),
+])
+def test_dataset_size_bound_names_its_keys(generator, elements):
+    with pytest.raises(ConfigError, match=(
+            r"^dataset\.generator\.classes \* dataset\.generator\.samples_per_class "
+            r"\* dataset\.generator\.shape: must be at most 100000000 elements, "
+            f"got {elements}$")):
+        config.validate_config({"dataset": {"generator": generator}})
+
+
+def test_dataset_size_bound_accepts_its_edge_and_skips_a_csv_dataset():
+    edge = {"classes": 2, "samples_per_class": 5000, "shape": [1, 100, 100]}
+    cfg = config.validate_config({"dataset": {"generator": edge}})
+    g = cfg["dataset"]["generator"]
+    assert g["classes"] * g["samples_per_class"] * 10**4 == config.MAX_DATASET_ELEMENTS
+    # the generator is unused when a CSV gives the dataset
+    config.validate_config({"dataset": {
+        "generator": {"samples_per_class": 10**9},
+        "csv": {"path": "data.csv", "classes": 3, "shape": [1, 2, 2]}}})
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         config.load_config(tmp_path / "missing.json")

@@ -1,5 +1,7 @@
 """Every numeric config key, set to a boundary value, either runs the whole
-pipeline cleanly or exits 1 with one error line that names it.
+pipeline cleanly or exits 1 with one error line that names it. The values
+that leave the pool untrained exit 2 instead, with the one error line of an
+ensemble whose every vote weight is <= 0.
 
 Huge values are tried only where a range has an upper bound: an accepted
 `pool.train_epochs` of 10**18 would train for ever, so that case is not
@@ -34,6 +36,9 @@ WALK_CSV = {"path": "d.csv", "classes": 3, "shape": [2, 8, 8]}
 COMMANDS = ("build-ensemble", "train-scheduler", "simulate")
 # the first command that reads each section; the shared build serves the rest
 FIRST_COMMAND = {"dataset": 0, "network": 0, "pool": 0, "ensemble": 0}
+# at 0, no training, or pruning with no retraining, leaves every learner
+# below 50% eval accuracy on 3 classes, so every two-class vote weight is <= 0
+DEGENERATE = {"pool.train_epochs", "pool.prune.retrain_epochs_per_step"}
 
 
 def walk_cases():
@@ -80,8 +85,10 @@ def run_pipeline(ws, doc, first, shared_build):
 def walk_dir(tmp_path_factory):
     ws = tmp_path_factory.mktemp("walk")
     tiny_spec().save(ws / "net.json")
+    # learnable classes: on pure noise every vote weight is <= 0, and the
+    # build exits 2 whatever the key
     rng = np.random.default_rng(0)
-    rows = [[i % 3, *rng.standard_normal(2 * 8 * 8)] for i in range(30)]
+    rows = [[i % 3, *(rng.standard_normal(2 * 8 * 8) + i % 3)] for i in range(30)]
     (ws / "d.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
     assert run_pipeline(ws, WALK_CONFIG, 0, None) == 0
     return ws
@@ -107,7 +114,12 @@ def test_every_numeric_key_runs_or_exits_1_naming_it(walk_dir, tmp_path, capsys)
                   if line.startswith("error:")]
         runtime = [str(w.message) for w in caught
                    if issubclass(w.category, RuntimeWarning)]
-        if rc == 1:
+        if key in DEGENERATE and value == 0 and type(value) is int:
+            ok = (rc == 2 and len(errors) == 1
+                  and errors[0].startswith("error: every selected learner's vote "
+                                           "weight is <= 0: ")
+                  and not (ws / "build").exists())
+        elif rc == 1:
             ok = (len(errors) == 1
                   and re.match(rf"error: {re.escape(key)}[: ]", errors[0]))
         else:

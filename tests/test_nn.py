@@ -432,8 +432,8 @@ def test_avgpool_sums_in_numpys_order(win):
 @pytest.mark.parametrize("s", [1, 2])
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_batch1_patch_gather_matches_slices(k, s, p):
-    # the patch matrix only moves data: same bits, signed zeros and C-order
-    # layout at batch 1
+    # the patch rows only move data: same bits, signed zeros and C-order
+    # layout at batch 1; below them, one row of exact ones for the bias
     rng = np.random.default_rng(100 * k + 10 * s + p)
     for c, h, w in ((1, 5, 5), (3, 12, 12), (4, 6, 7), (2, 1, 1)):
         if min(h, w) + 2 * p < k:
@@ -446,8 +446,10 @@ def test_batch1_patch_gather_matches_slices(k, s, p):
             got, ho, wo = nn._im2col(view, k, s, p)
             want, want_ho, want_wo = slice_im2col(view, k, s, p)
             assert (ho, wo) == (want_ho, want_wo)
-            assert got.shape == want.shape and got.flags.c_contiguous
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert got.shape == (want.shape[0] + 1, want.shape[1])
+            assert got.flags.c_contiguous
+            assert np.array_equal(got[:-1].view(np.int64), want.view(np.int64))
+            assert np.array_equal(got[-1], np.ones(want.shape[1]))
 
 
 def net(input_shape, *layers):
@@ -532,6 +534,43 @@ def test_engine_matches_parent_oracle(name, monkeypatch):
         assert len(got) == len(want)
         for i, (a, b) in enumerate(zip(got, want)):
             assert_close_to_oracle(a, b, (batch, i))
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("name", ["baseline", "conv-stack", "no-fc"])
+def test_large_conv_biases_match_parent_oracle(name, batch, monkeypatch):
+    # the bias rides in the conv GEMMs: biases of +-1e3 must still give the
+    # oracle's outputs and bias gradients, where it adds and sums them apart
+    spec = ORACLE_NETS[name]()
+    rng = np.random.default_rng(batch)
+    learner = WeakLearner.initialize(spec, seed=9, learner_id="t")
+    learner.params = [p if p is None or layer.kind != nn.CONV else
+                      (p[0], rng.choice([-1e3, 1e3], size=p[1].shape))
+                      for p, layer in zip(learner.params, spec.layers)]
+    ish = spec.input_shape
+    x = rng.standard_normal((batch, ish.channels, ish.height, ish.width))
+    y = forward(learner, x).argmin(axis=1)   # the saturated softmax stays wrong
+    w = rng.uniform(0.5, 1.5, size=batch)
+    onehot = nn._one_hot(y, spec.class_count)
+    got = nn._loss_and_grads(spec, learner.params, x, onehot, w)
+    outs = [nn._forward_cache(spec, learner.params, x, stop=stop)[0]
+            for stop in range(1, len(spec.layers) + 1)]
+    with monkeypatch.context() as m:
+        m.setattr(nn, "_forward_cache", parent_forward_cache)
+        m.setattr(nn, "_backward", parent_backward)
+        want = nn._loss_and_grads(spec, learner.params, x, onehot, w)
+        want_outs = [parent_forward_cache(spec, learner.params, x, stop=stop)[0]
+                     for stop in range(1, len(spec.layers) + 1)]
+    conv_grads = [(g, h) for g, h, layer in zip(got[1], want[1], spec.layers)
+                  if layer.kind == nn.CONV]
+    assert any(np.any(g[1]) for g, _ in conv_grads)   # some bias gradient is live
+    for i, (g, h) in enumerate(conv_grads):
+        assert_close_to_oracle(g[1], h[1], ("bias", i))
+        assert_close_to_oracle(g[0], h[0], ("weight", i))
+    for i, (a, b) in enumerate(zip(outs, want_outs)):
+        assert_close_to_oracle(a.reshape(b.shape), b, ("output", i))
+    assert_close_to_oracle(got[2], want[2], "probs")
+    assert_close_to_oracle(np.array(got[0]), np.array(want[0]), "loss")
 
 
 # ---------------------------------------------------------------------------
