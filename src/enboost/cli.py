@@ -132,11 +132,11 @@ def cmd_simulate(args) -> int:
     # baseline's report instead of running again
     runs = [p for p in policies if p.name != "all"]
     jobs = [sim_config(baseline_policy)] + [sim_config(p) for p in runs]
-    if workers > 1:   # each run in a worker computes its own memos
+    if workers > 1:   # each run in a worker computes its own batches
         from concurrent.futures import ProcessPoolExecutor   # 2 MB of imports
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(simrun.run, jobs))
-    else:   # the runs share each learner's trunk and head batches
+    else:   # the runs share each learner's batches and each prefix's vote table
         reports = simrun.run_many(jobs)
     baseline_report, rest = reports[0], iter(reports[1:])
     policy_reports = [baseline_report if p.name == "all" else next(rest)

@@ -50,8 +50,8 @@ def weighted_vote(prob_vectors, vote_weights):
     return int(np.argmax(scores)), scores
 
 
-def _vote_batch(prob_stack, vote_weights):
-    # prob_stack: (k, n, C) -> predicted class per sample
+def vote_batch(prob_stack, vote_weights):
+    """(k, n, C) stacked probabilities -> each sample's voted class."""
     scores = np.tensordot(np.asarray(vote_weights), prob_stack, axes=(0, 0))
     return scores.argmax(axis=1)
 
@@ -74,7 +74,7 @@ class EnsembleModel:
 
 
 def subset_accuracy(prob_stack, vote_weights, labels) -> float:
-    preds = _vote_batch(prob_stack, vote_weights)
+    preds = vote_batch(prob_stack, vote_weights)
     return float(np.mean(preds == labels))
 
 

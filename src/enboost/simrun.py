@@ -3,34 +3,13 @@ harvesting-powered device, executes the learner prefix chosen by a policy,
 optionally interleaves FC-only retraining on the shared forward pass, and
 accumulates mean-accuracy / failure-rate metrics.
 
-The request loop is `qsched.replay`, the one the Q-trainer steps too; this
-module supplies its decision and its forward, retrain and vote hooks.
+A run takes two passes, since no decision reads a vote: the energy pass,
+on the Q-trainer's request loop `qsched.replay`, decides and draws each
+request's energy, and the scoring pass then applies its writes and votes.
 
 Service is instantaneous in simulated time; "concurrent inference and
 training" means one learner's forward pass is reused for both, not thread
 parallelism.
-
-Requests cycle through the test split, so runs memoize per learner
-(`_Memos`): the first time a command uses a learner, one batched `trunk`
-pass gives the activations of the whole split entering its head, and one
-batched `head` pass over them gives the unretrained learner's
-probabilities, row for row those of `nn.forward` on the split.  Votes are
-memoized per sample and prefix length.  The memos live for one `run`,
-`run_many` or `run_concurrent_training` call, never longer, and `run_many`
-shares them between its runs: `enboost simulate` computes each trunk once
-for all its policies.  The trunk memo holds in every run, with or without
-retraining, because an FC-only write never reaches it.  The probabilities
-and votes are those of the unretrained learners, so a run that retrains
-learner l gives l, and its votes, private memos that no other run sees:
-after each FC-only write, the first vote that reads l runs one batched
-`head` of l's trunk batch, and later votes read its rows until l's next
-write.  The write itself is a batch-1 step on l's row of the trunk batch,
-whose pre-update probabilities this request's vote reads, and it computes
-no loss.  A run checks the ensemble's vote weights once, and warns once if
-all are <= 0; each vote is then one product and an argmax.
-`run_concurrent_training` scores the drift accuracies with one batched
-trunk pass per learner over the eval split and a head pass before and
-after.
 """
 from __future__ import annotations
 
@@ -42,7 +21,7 @@ import numpy as np
 from . import artifacts
 from .data import Dataset
 from .energy import inference_cost
-from .ensemble import EnsembleModel, checked_vote_weights
+from .ensemble import EnsembleModel, checked_vote_weights, vote_batch
 from .errors import ConfigError
 from .nn import accuracy, head, train_fc_only, trunk
 from .qsched import (BROWNOUT, ENERGY_LEVELS, OFF, POWER_LEVELS, STOP, Agent,
@@ -175,12 +154,11 @@ def run(cfg: SimConfig) -> SimReport:
 
 def run_many(cfgs) -> list:
     """`run` each config in turn.  Runs on the same ensemble and dataset
-    objects share one `_Memos` for this call, so each learner's trunk
-    batch, and each unretrained learner's probabilities, is computed once
-    for all."""
-    memos = {}
-    return [_serve(cfg, memos.setdefault((id(cfg.ensemble), id(cfg.dataset)),
-                                         _Memos(cfg.ensemble.size)))[0]
+    objects share one `_Batches` for this call, so each of its passes runs
+    once for all."""
+    shared = {}
+    return [_serve(cfg, shared.setdefault((id(cfg.ensemble), id(cfg.dataset)),
+                                          _Batches(cfg)))[0]
             for cfg in cfgs]
 
 
@@ -199,72 +177,62 @@ def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):
     # one batch through each trunk, which an FC-only write never reaches;
     # at equal batch size its head is the batch's forward pass bit for bit
     acts = [trunk(l, ex) for l in cfg.ensemble.learners]
-    report, learners = _serve(cfg, _Memos(cfg.ensemble.size))
+    report, learners = _serve(cfg, _Batches(cfg))
     before = [accuracy(head(l, a), ey) for l, a in zip(cfg.ensemble.learners, acts)]
     after = [accuracy(head(l, a), ey) for l, a in zip(learners, acts)]
     return report, before, after
 
 
-class _Memos:
-    """Results that runs over one ensemble's learners and one test split can
-    share, each filled the first time a run needs it.
+class _Batches:
+    """Passes over the whole test split with the unretrained learners, each
+    run the first time a run needs it: per learner its trunk, which an
+    FC-only write never reaches, and its head, whose rows are `nn.forward`'s
+    on the split; per prefix length k, the first k learners' votes."""
 
-    Per learner, `trunk` holds the activations of the whole split entering
-    the head, one batch, and `probs` the unretrained learner's `head` of that
-    batch, whose rows are `forward(l, test_x)`'s bit for bit; `votes` maps
-    (sample index, learners run) to the unretrained vote.  A run that
-    retrains learner l keeps l's `head` batch privately instead
-    (`_Server.own_probs`)."""
+    def __init__(self, cfg: SimConfig):
+        self.cfg = cfg
+        self.trunks, self.heads, self.tables = {}, {}, {}
 
-    def __init__(self, n):
-        self.trunk = [None] * n
-        self.probs = [None] * n
-        self.votes = {}
+    def trunk(self, l):
+        if l not in self.trunks:
+            self.trunks[l] = trunk(self.cfg.ensemble.learners[l],
+                                   self.cfg.dataset.split("test")[0])
+        return self.trunks[l]
+
+    def probs(self, l):
+        if l not in self.heads:
+            self.heads[l] = head(self.cfg.ensemble.learners[l], self.trunk(l))
+        return self.heads[l]
+
+    def votes(self, k):
+        if k not in self.tables:
+            self.tables[k] = vote_batch(np.stack([self.probs(l) for l in range(k)]),
+                                        self.cfg.ensemble.vote_weights[:k])
+        return self.tables[k]
 
 
-class _Server(Agent):
-    """The simulator's decision and hooks on `replay`: the policy or the
-    retrain target decides, each learner that runs does a forward pass (one
-    of them also retrains), and the vote fills one events row per request.
+class _EnergyPass(Agent):
+    """The energy pass's decision and hooks on `replay`: each request leaves
+    one events row, with the write drawn for it but no vote."""
 
-    The trunk memo is shared for the whole run and with the other runs of
-    the command, because an FC-only write never reaches it. The probability
-    and vote memos are shared only while they hold the unretrained learners'
-    outputs: once learner l is retrained, this run reads l's probabilities
-    from a private memo, one `head` batch over l's trunk batch, and its
-    votes from a private vote memo; each retrain of l empties l's batch,
-    and every retrain empties the vote memo, so no other run can see the
-    rewritten learner and no vote reads a stale one."""
-
-    def __init__(self, cfg: SimConfig, memos: _Memos):
+    def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.device = make_device(cfg.env)
         self.costs = [inference_cost(l.macs, cfg.env.cost_model)
                       for l in cfg.ensemble.learners]
-        # an FC-only step never writes in place: it gives the learner it
-        # returns new FC arrays, so the input learners need no copy
-        self.learners = list(cfg.ensemble.learners)
-        self.vote_weights = checked_vote_weights(cfg.ensemble.vote_weights)
-        self.trunk = memos.trunk
-        self.probs = memos.probs
-        # retrained learner -> its head batch, None until a vote after its
-        # latest FC-only write needs it
-        self.own_probs = {}
-        self.votes = memos.votes
-        self.sx, self.sy = cfg.dataset.split("test")
+        self.test_size = cfg.dataset.split_size("test")
         self.retrain_cursor = 0
         self.events = []
 
     def arrive(self, i, t):
         # requests cycle through the split so an unconstrained run reproduces
         # the offline split accuracy exactly
-        sample_idx = i % len(self.sy)
         self.row = {
             "time": t,
             "event": SERVED,
             "voltage": self.device.voltage,
             "p_harv": self.device.p_harv,
-            "sample_index": sample_idx,
+            "sample_index": i % self.test_size,
             "learners_run": 0,
             "retrained_learner": -1,
             "predicted": -1,
@@ -272,8 +240,6 @@ class _Server(Agent):
             "inference_energy": 0.0,
             "retrain_energy": 0.0,
         }
-        self.label = int(self.sy[sample_idx])
-        self.pre_update = None   # (l, probabilities) of this request's retrain
 
     def decide(self, s):
         n = len(self.costs)
@@ -290,66 +256,60 @@ class _Server(Agent):
             return self.cfg.policy.decide(s)
         return 1 if l < self.target else 0
 
-    def _trunk(self, l):
-        acts = self.trunk[l]
-        if acts is None:
-            acts = self.trunk[l] = trunk(self.learners[l], self.sx)
-        return acts
-
-    def _probs(self, l, i):
-        # a row of l's head batch: shared while l is unretrained, private after
-        memo = self.own_probs if l in self.own_probs else self.probs
-        probs = memo[l]
-        if probs is None:
-            probs = memo[l] = head(self.learners[l], self._trunk(l))
-        return probs[i]
-
-    def _vote(self, i, l, r=-1, pre_update=None):
-        # the weighted vote, on weights checked once for the run; np.array
-        # gives the C-order (l, classes) operand np.stack gives, for less
-        probs = [pre_update if j == r else self._probs(j, i) for j in range(l)]
-        return int((self.vote_weights[:l] @ np.array(probs)).argmax())
-
     def ran(self, l):
-        row = self.row
-        row["inference_energy"] += self.costs[l]
-        if l != self.retrain_idx:
-            return
+        self.row["inference_energy"] += self.costs[l]
         increment = self.cfg.env.cost_model.fc_retrain_energy_fraction * self.costs[l]
-        if self.device.draw(increment):
-            # shared forward pass: the vote uses the pre-update outputs
-            i = row["sample_index"]
-            self.learners[l], probs = train_fc_only(
-                self.learners[l], self._trunk(l)[i:i + 1],
-                [self.label], [1.0], self.cfg.retrain_learning_rate)
-            self.pre_update = (l, probs[0])
-            self.own_probs[l] = None
-            self.votes = {}
-            row["retrain_energy"] += increment
-            row["retrained_learner"] = l
+        if l == self.retrain_idx and self.device.draw(increment):
+            self.row["retrain_energy"] += increment
+            self.row["retrained_learner"] = l
 
     def done(self, l, end):
-        row = self.row
-        row["learners_run"] = l
+        self.row["learners_run"] = l
         if l == 0:
-            row["event"] = _MISSES[end]
+            self.row["event"] = _MISSES[end]
+        self.events.append(self.row)
+
+
+def _score(cfg: SimConfig, events, batches: _Batches):
+    """The scoring pass; returns the learners as the run leaves them.  Before
+    the run's first write a vote is a lookup in `batches`; a write is a
+    batch-1 step, and its request votes on the step's pre-update output."""
+    weights = checked_vote_weights(cfg.ensemble.vote_weights)
+    labels = cfg.dataset.split("test")[1]
+    # an FC-only step never writes in place: it gives the learner it
+    # returns new FC arrays, so the input learners need no copy
+    learners = list(cfg.ensemble.learners)
+    own = {}   # retrained learner -> its head batch, None until a vote reads it
+    for row in events:
+        k, i, r = row["learners_run"], row["sample_index"], row["retrained_learner"]
+        if r >= 0:
+            learners[r], probs = train_fc_only(
+                learners[r], batches.trunk(r)[i:i + 1], labels[i:i + 1], [1.0],
+                cfg.retrain_learning_rate)
+            own[r] = None
+        if k == 0:
+            continue
+        if own:
+            for j in own.keys() - {r}:
+                if j < k and own[j] is None:
+                    own[j] = head(learners[j], batches.trunk(j))
+            # np.array gives the C-order (k, classes) operand np.stack
+            # gives, for less
+            rows = [probs[0] if j == r else own[j][i] if j in own
+                    else batches.probs(j)[i] for j in range(k)]
+            pred = int((weights[:k] @ np.array(rows)).argmax())
         else:
-            i = row["sample_index"]
-            if self.pre_update is None:
-                pred = self.votes.get((i, l))
-                if pred is None:
-                    pred = self.votes[(i, l)] = self._vote(i, l)
-            else:   # a vote on pre-update outputs holds for this request only
-                pred = self._vote(i, l, *self.pre_update)
-            row["predicted"] = pred
-            row["correct"] = int(pred == self.label)
-        self.events.append(row)
+            pred = int(batches.votes(k)[i])
+        row["predicted"] = pred
+        row["correct"] = int(pred == labels[i])
+    return learners
 
 
-def _serve(cfg: SimConfig, memos: _Memos):
-    server = _Server(cfg, memos)
-    replay(cfg.env, server.device, server.costs, server)
-    events, device = server.events, server.device
+def _serve(cfg: SimConfig, batches: _Batches):
+    energy = _EnergyPass(cfg)
+    replay(cfg.env, energy.device, energy.costs, energy)
+    events, device = energy.events, energy.device
+    learners = _score(cfg, events, batches)
     report = SimReport(
         policy=getattr(cfg.policy, "name", cfg.retrain_mode),
         total_requests=len(events),
@@ -365,7 +325,7 @@ def _serve(cfg: SimConfig, memos: _Memos):
         final_energy=device.energy,
         seed=cfg.seed,
     )
-    return report, server.learners
+    return report, learners
 
 
 # ---------------------------------------------------------------------------

@@ -384,7 +384,7 @@ def test_simulate_policies_share_memos_without_seeing_each_other(
         workspace, qtable_path, tmp_path, monkeypatch, mode):
     # one command computes each (learner, sample) trunk once, and writes what
     # one command per policy writes: a run that retrains never leaks its
-    # learners into the memos the other runs read
+    # learners into the batches the other runs read
     doc = dict(LIGHT_CONFIG, simulation=dict(LIGHT_CONFIG["simulation"],
                                              retrain_mode=mode))
     (tmp_path / "config.json").write_text(json.dumps(doc))
@@ -416,7 +416,7 @@ def test_simulate_policies_share_memos_without_seeing_each_other(
 
 
 def test_simulate_warns_on_a_degenerate_ensemble(workspace, tmp_path):
-    # votes are memoized, but the first one of a command is still computed
+    # each run checks the vote weights once, before it votes
     shutil.copytree(workspace / "build", tmp_path / "build")
     manifest = tmp_path / "build" / "ensemble.json"
     doc = json.loads(manifest.read_text())

@@ -12,7 +12,8 @@ from enboost.boost import PoolConfig, build_pool
 from enboost.data import drift_dataset, synth_dataset
 from enboost.energy import (Capacitor, CostModel, PowerTrace, RequestPattern,
                             inference_cost, synth_trace)
-from enboost.ensemble import backfit_select, subset_accuracy, weighted_vote
+from enboost.ensemble import (backfit_select, subset_accuracy, vote_batch,
+                              weighted_vote)
 from enboost.errors import ConfigError
 from enboost.nn import evaluate, forward, head, train_fc_only, trunk
 from enboost.prune import PruneSchedule
@@ -187,6 +188,19 @@ def test_run_many_shares_trunks_and_matches_separate_runs(small_model, monkeypat
         assert events_csv(a) == events_csv(b)
 
 
+def counted_votes(monkeypatch):
+    """(prefix length, prob stack, votes) of each `simrun.vote_batch` call."""
+    calls = []
+
+    def counted(prob_stack, vote_weights):
+        votes = vote_batch(prob_stack, vote_weights)
+        calls.append((len(vote_weights), prob_stack, votes))
+        return votes
+
+    monkeypatch.setattr(simrun, "vote_batch", counted)
+    return calls
+
+
 def test_unretrained_votes_use_rows_of_the_batched_forward(small_model, monkeypatch):
     # every probability vector a vote reads for an unretrained learner is, bit
     # for bit, its row of the forward pass over the whole test split
@@ -194,20 +208,35 @@ def test_unretrained_votes_use_rows_of_the_batched_forward(small_model, monkeypa
     n, split = model.size, ds.split_size("test")
     sx, _ = ds.split("test")
     offline = [forward(l, sx).view(np.int64) for l in model.learners]
-    seen = set()
-    probs = simrun._Server._probs
-
-    def checked(server, l, i):
-        p = probs(server, l, i)
-        assert np.array_equal(np.asarray(p).view(np.int64), offline[l][i])
-        seen.add((l, i))
-        return p
-
-    monkeypatch.setattr(simrun._Server, "_probs", checked)
+    calls = counted_votes(monkeypatch)
     env = abundant(model, requests=2 * split)
-    run_many([SimConfig(env=env, ensemble=model, dataset=ds, policy=FixedKPolicy(k, n))
-              for k in (1, n)])
+    reports = run_many([SimConfig(env=env, ensemble=model, dataset=ds,
+                                  policy=FixedKPolicy(k, n)) for k in (1, n)])
+    seen = set()
+    tables = {}
+    for k, stack, votes in calls:
+        for l in range(k):
+            assert np.array_equal(stack[l].view(np.int64), offline[l])
+            seen.update((l, i) for i in range(split))
+        tables[k] = votes
     assert seen == {(l, i) for l in range(n) for i in range(split)}
+    # and each vote is its table's
+    for report in reports:
+        for row in report.events:
+            assert row["predicted"] == tables[row["learners_run"]][row["sample_index"]]
+
+
+def test_run_many_votes_one_table_per_prefix_length(small_model, monkeypatch):
+    # a write-free command votes through one table per prefix length, which
+    # every run of that length reads
+    model, ds = small_model
+    n, split = model.size, ds.split_size("test")
+    calls = counted_votes(monkeypatch)
+    env = abundant(model, requests=2 * split)
+    reports = run_many([SimConfig(env=env, ensemble=model, dataset=ds,
+                                  policy=FixedKPolicy(k, n)) for k in (1, n, 1, n)])
+    assert [r.learners_histogram for r in reports] == [{1: 2 * split}, {n: 2 * split}] * 2
+    assert [k for k, _, _ in calls] == [1, n]
 
 
 def test_retrained_learners_run_one_head_batch_per_write(small_model, monkeypatch):
@@ -236,25 +265,41 @@ def test_retrained_learners_run_one_head_batch_per_write(small_model, monkeypatc
 
 
 def test_retrained_votes_use_rows_of_the_batched_head(small_model, monkeypatch):
-    # every probability vector a vote reads for a retrained learner is, bit
-    # for bit, its row of that learner's head over the whole test split
+    # every probability vector a vote reads from a head batch is, bit for
+    # bit, its row of the head over the whole test split of the learner as
+    # its latest write left it; every retrained learner is read on every sample
     model, ds = small_model
     n, split = model.size, ds.split_size("test")
     drift = drift_dataset(ds)
     sx, _ = drift.split("test")
+    slot = {l.id: j for j, l in enumerate(model.learners)}
+    latest = list(model.learners)
     seen = set()
-    probs = simrun._Server._probs
 
-    def checked(server, l, i):
-        p = probs(server, l, i)
-        learner = server.learners[l]
-        if learner is not model.learners[l]:
-            want = head(learner, trunk(learner, sx))[i]
-            assert np.array_equal(np.asarray(p).view(np.int64), want.view(np.int64))
-            seen.add((l, i))
-        return p
+    class Rows(np.ndarray):
+        def __getitem__(self, i):
+            if isinstance(i, int) and self.ndim == 2:
+                j = slot[self.learner.id]
+                assert self.learner is latest[j]
+                want = head(self.learner, trunk(self.learner, sx))[i]
+                row = np.asarray(super().__getitem__(i))
+                assert np.array_equal(row.view(np.int64), want.view(np.int64))
+                if self.learner is not model.learners[j]:
+                    seen.add((j, i))
+            return super().__getitem__(i)
 
-    monkeypatch.setattr(simrun._Server, "_probs", checked)
+    def rows(learner, acts):
+        batch = head(learner, acts).view(Rows)
+        batch.learner = learner
+        return batch
+
+    def stepped(learner, *args):
+        out = train_fc_only(learner, *args)
+        latest[slot[learner.id]] = out[0]
+        return out
+
+    monkeypatch.setattr(simrun, "head", rows)
+    monkeypatch.setattr(simrun, "train_fc_only", stepped)
     cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
                     dataset=ds, policy=FixedKPolicy(n, n),
                     retrain_mode="high-energy", retrain_learning_rate=0.5)
@@ -282,7 +327,7 @@ def test_memos_hold_across_retrains_and_runs(small_model):
     # requests, while the harvest is high, and then only votes, also on
     # samples it voted on while retraining them.  Its predictions must come
     # from its learners at each request, and the runs after it, which share
-    # its memos, must see the unretrained learners
+    # its batches, must see the unretrained learners
     model, ds = small_model
     n = model.size
     trace = PowerTrace(times=[0.0, 10.0, 300.0], power=[1e-3, 2e-4, 2e-4])
@@ -416,6 +461,14 @@ def test_empty_request_log(small_model):
     assert report.failure_rate is None
     assert report.mean_accuracy is None
     assert "n/a" in render_report(report)
+    # a run checks its vote weights whether or not it votes
+    negated = replace(model, vote_weights=[-abs(a) for a in model.vote_weights])
+    with pytest.warns(UserWarning) as caught:
+        report = run(SimConfig(env=env, ensemble=negated, dataset=ds,
+                               policy=FixedKPolicy(1, model.size)))
+    assert [str(w.message) for w in caught] == [
+        "all vote weights <= 0: degenerate ensemble"]
+    assert report.total_requests == 0
 
 
 def test_policy_names(small_model):
