@@ -30,7 +30,7 @@ def cmd_build_ensemble(args) -> int:
     seed = _int_flag(args.seed, "--seed", 0, cfg["pool"]["seed"])
     pool_cfg = cfgmod.make_pool_config(cfg, seed=seed)
     base_spec = cfgmod.make_network(cfg, config_dir)
-    dataset = cfgmod.make_dataset(cfg, config_dir, base_spec.input_shape)
+    dataset = cfgmod.make_dataset(cfg, config_dir, base_spec)
 
     pool, _ = boost.build_pool(base_spec, dataset, pool_cfg)
     eval_x, eval_y = dataset.split("eval")
@@ -105,14 +105,13 @@ def _parse_policy(token, model):
 
 def cmd_simulate(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    seed = _int_flag(args.seed, "--seed", 0, cfg["simulation"]["seed"])
     workers = _int_flag(args.jobs, "--jobs", 1, 1)
     config_dir = Path(args.config).parent
     if args.trace is not None:
         cfg["energy"]["trace"]["csv"] = str(Path(args.trace).resolve())
     env = cfgmod.make_env(cfg, config_dir)
     model = ens.load_ensemble(Path(args.ensemble) / "ensemble.json")
-    dataset = cfgmod.make_dataset(cfg, config_dir, model.learners[0].spec.input_shape)
+    dataset = cfgmod.make_dataset(cfg, config_dir, model.learners[0].spec)
     policies = [_parse_policy(tok, model) for tok in args.policy]
     names = [p.name for p in policies]
     for name in names:
@@ -123,7 +122,7 @@ def cmd_simulate(args) -> int:
 
     def sim_config(policy):
         return simrun.SimConfig(env=env, ensemble=model, dataset=dataset,
-                                policy=policy, seed=seed,
+                                policy=policy, seed=cfg["simulation"]["seed"],
                                 retrain_mode=cfg["simulation"]["retrain_mode"]
                                 if policy.name != "all" else "off",
                                 retrain_learning_rate=cfg["simulation"]["retrain_learning_rate"])
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", action="append", required=True,
                    help="all, fixed:k, or qtable:PATH (repeatable)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", default=None, help="an integer >= 0")
     p.add_argument("--trace", default=None, help="override trace CSV")
     p.add_argument("--jobs", default=None, help="worker processes, an integer >= 1")
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")

@@ -202,11 +202,13 @@ def validate_config(doc: dict) -> dict:
     if synth["profile"] == "constant" and synth["constant_power"] is None:
         raise ConfigError("energy.trace.synthetic.constant_power: required when "
                           "energy.trace.synthetic.profile is 'constant'")
+    # one sample, at 0 s, leaves the trace no time to run requests in
     samples = synth["duration"] / synth["sample_interval"]
-    if not samples <= MAX_TRACE_SAMPLES:
+    if not 1 < samples <= MAX_TRACE_SAMPLES:
+        bound = ("more than 1 sample" if samples <= 1
+                 else f"at most {MAX_TRACE_SAMPLES} samples")
         raise ConfigError("energy.trace.synthetic.duration / energy.trace.synthetic."
-                          f"sample_interval: must be at most {MAX_TRACE_SAMPLES} "
-                          f"samples, got {samples:.10g}")
+                          f"sample_interval: must be {bound}, got {samples:.10g}")
     return cfg
 
 
@@ -241,21 +243,27 @@ def make_network(cfg: dict, config_dir=".") -> NetworkSpec:
     return NetworkSpec.load(Path(config_dir) / spec_path)
 
 
-def make_dataset(cfg: dict, config_dir=".", input_shape=None) -> Dataset:
-    """The configured dataset, checked against `input_shape` when given."""
+def make_dataset(cfg: dict, config_dir=".", spec: NetworkSpec = None) -> Dataset:
+    """The configured dataset, checked against the network `spec` when given:
+    its sample shape before the dataset is built, its class count after."""
     csv_cfg = cfg["dataset"]["csv"]
     name = "generator" if csv_cfg is None else "csv"
     shape = TensorShape(*cfg["dataset"][name]["shape"])
-    if input_shape is not None and shape != input_shape:
+    if spec is not None and shape != spec.input_shape:
         raise ConfigError(f"dataset.{name}.shape {shape.to_list()} differs from "
-                          f"the network's input shape {input_shape.to_list()}")
+                          f"the network's input shape {spec.input_shape.to_list()}")
     if csv_cfg is not None:
-        return load_csv(Path(config_dir) / csv_cfg["path"], shape,
-                        csv_cfg["classes"], seed=csv_cfg["seed"])
-    g = cfg["dataset"]["generator"]
-    return synth_dataset(seed=g["seed"], classes=g["classes"],
-                         samples_per_class=g["samples_per_class"],
-                         shape=tuple(g["shape"]), noise=g["noise"])
+        dataset = load_csv(Path(config_dir) / csv_cfg["path"], shape,
+                           csv_cfg["classes"], seed=csv_cfg["seed"])
+    else:
+        g = cfg["dataset"]["generator"]
+        dataset = synth_dataset(seed=g["seed"], classes=g["classes"],
+                                samples_per_class=g["samples_per_class"],
+                                shape=tuple(g["shape"]), noise=g["noise"])
+    if spec is not None and dataset.class_count != spec.class_count:
+        raise ConfigError(f"dataset.{name}.classes {dataset.class_count} differs from "
+                          f"the network's class count {spec.class_count}")
+    return dataset
 
 
 def make_pool_config(cfg: dict, seed=None) -> PoolConfig:
@@ -292,6 +300,9 @@ def make_env(cfg: dict, config_dir=".") -> EnvConfig:
                     else e["initial_voltage"])
     cm = CostModel(**e["cost_model"])
     trace = make_trace(cfg, config_dir)
+    if trace.horizon <= 0:
+        raise ConfigError(f"energy.trace.csv {e['trace']['csv']}: the last sample is "
+                          f"at {trace.horizon:.10g} s, and must be after 0 s")
     sim = cfg["simulation"]
     duration = sim["duration"] if sim["duration"] is not None else trace.horizon
     if duration > trace.horizon:

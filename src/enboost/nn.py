@@ -474,12 +474,10 @@ def _as_head_batch(spec: NetworkSpec, acts):
 
 
 def forward(learner: WeakLearner, x) -> np.ndarray:
-    """Class-probability vector(s) for one sample or a batch."""
-    single = np.asarray(x).ndim == 3
-    batch = _as_batch(learner.spec, x)
-    probs, _ = _forward_cache(learner.spec, learner.params, batch)
-    probs = probs.reshape(batch.shape[0], -1)
-    return probs[0] if single else probs
+    """Class-probability vector(s) for one sample or a batch: the head of
+    its trunk."""
+    probs = head(learner, trunk(learner, x))
+    return probs[0] if np.ndim(x) == 3 else probs
 
 
 def trunk(learner: WeakLearner, x) -> np.ndarray:
@@ -492,8 +490,7 @@ def trunk(learner: WeakLearner, x) -> np.ndarray:
 
 
 def head(learner: WeakLearner, acts) -> np.ndarray:
-    """Class probabilities of a batch of `trunk` activations; at equal batch
-    size, head(l, trunk(l, x)) is forward(l, x) bit for bit."""
+    """Class probabilities of a batch of `trunk` activations."""
     spec = learner.spec
     acts = _as_head_batch(spec, acts)
     probs, _ = _forward_cache(spec, learner.params, acts, start=spec.head_start)

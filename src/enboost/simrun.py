@@ -153,13 +153,12 @@ def run(cfg: SimConfig) -> SimReport:
 
 
 def run_many(cfgs) -> list:
-    """`run` each config in turn.  Runs on the same ensemble and dataset
-    objects share one `_Batches` for this call, so each of its passes runs
-    once for all."""
-    shared = {}
-    return [_serve(cfg, shared.setdefault((id(cfg.ensemble), id(cfg.dataset)),
-                                          _Batches(cfg)))[0]
-            for cfg in cfgs]
+    """`run` each config in turn.  Before any run, one `_Batches` is built
+    for each distinct pair of ensemble and dataset objects, which every run
+    on that pair shares."""
+    pairs = {(id(cfg.ensemble), id(cfg.dataset)): cfg for cfg in cfgs}
+    shared = {pair: _Batches(cfg) for pair, cfg in pairs.items()}
+    return [_serve(cfg, shared[id(cfg.ensemble), id(cfg.dataset)])[0] for cfg in cfgs]
 
 
 def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):
@@ -175,7 +174,7 @@ def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):
     cfg = replace(cfg, dataset=drift_dataset)
     ex, ey = drift_dataset.split("eval")
     # one batch through each trunk, which an FC-only write never reaches;
-    # at equal batch size its head is the batch's forward pass bit for bit
+    # its head is the batch's `forward`
     acts = [trunk(l, ex) for l in cfg.ensemble.learners]
     report, learners = _serve(cfg, _Batches(cfg))
     before = [accuracy(head(l, a), ey) for l, a in zip(cfg.ensemble.learners, acts)]
@@ -184,31 +183,18 @@ def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):
 
 
 class _Batches:
-    """Passes over the whole test split with the unretrained learners, each
-    run the first time a run needs it: per learner its trunk, which an
-    FC-only write never reaches, and its head, whose rows are `nn.forward`'s
-    on the split; per prefix length k, the first k learners' votes."""
+    """Passes over the whole test split with the unretrained learners: per
+    learner its trunk, which an FC-only write never reaches, and its head,
+    whose rows are `nn.forward`'s on the split; per prefix length k in 1..N,
+    the first k learners' votes."""
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        self.trunks, self.heads, self.tables = {}, {}, {}
-
-    def trunk(self, l):
-        if l not in self.trunks:
-            self.trunks[l] = trunk(self.cfg.ensemble.learners[l],
-                                   self.cfg.dataset.split("test")[0])
-        return self.trunks[l]
-
-    def probs(self, l):
-        if l not in self.heads:
-            self.heads[l] = head(self.cfg.ensemble.learners[l], self.trunk(l))
-        return self.heads[l]
-
-    def votes(self, k):
-        if k not in self.tables:
-            self.tables[k] = vote_batch(np.stack([self.probs(l) for l in range(k)]),
-                                        self.cfg.ensemble.vote_weights[:k])
-        return self.tables[k]
+        x = cfg.dataset.split("test")[0]
+        learners, weights = cfg.ensemble.learners, cfg.ensemble.vote_weights
+        self.trunks = [trunk(l, x) for l in learners]
+        self.heads = [head(l, a) for l, a in zip(learners, self.trunks)]
+        self.votes = {k: vote_batch(np.stack(self.heads[:k]), weights[:k])
+                      for k in range(1, len(learners) + 1)}
 
 
 class _EnergyPass(Agent):
@@ -271,35 +257,33 @@ class _EnergyPass(Agent):
 
 
 def _score(cfg: SimConfig, events, batches: _Batches):
-    """The scoring pass; returns the learners as the run leaves them.  Before
-    the run's first write a vote is a lookup in `batches`; a write is a
-    batch-1 step, and its request votes on the step's pre-update output."""
+    """The scoring pass; returns the learners as the run leaves them.  Until
+    the run's first write a vote is a lookup in `batches.votes`.  A write is
+    a batch-1 step, whose request votes on the step's pre-update output,
+    and then one head batch of the written learner over the test split."""
     weights = checked_vote_weights(cfg.ensemble.vote_weights)
     labels = cfg.dataset.split("test")[1]
     # an FC-only step never writes in place: it gives the learner it
     # returns new FC arrays, so the input learners need no copy
-    learners = list(cfg.ensemble.learners)
-    own = {}   # retrained learner -> its head batch, None until a vote reads it
+    learners, heads = list(cfg.ensemble.learners), list(batches.heads)
+    votes = batches.votes   # None from the run's first write on
     for row in events:
         k, i, r = row["learners_run"], row["sample_index"], row["retrained_learner"]
         if r >= 0:
             learners[r], probs = train_fc_only(
-                learners[r], batches.trunk(r)[i:i + 1], labels[i:i + 1], [1.0],
+                learners[r], batches.trunks[r][i:i + 1], labels[i:i + 1], [1.0],
                 cfg.retrain_learning_rate)
-            own[r] = None
+            heads[r] = head(learners[r], batches.trunks[r])
+            votes = None
         if k == 0:
             continue
-        if own:
-            for j in own.keys() - {r}:
-                if j < k and own[j] is None:
-                    own[j] = head(learners[j], batches.trunk(j))
+        if votes is None:
             # np.array gives the C-order (k, classes) operand np.stack
             # gives, for less
-            rows = [probs[0] if j == r else own[j][i] if j in own
-                    else batches.probs(j)[i] for j in range(k)]
+            rows = [probs[0] if j == r else heads[j][i] for j in range(k)]
             pred = int((weights[:k] @ np.array(rows)).argmax())
         else:
-            pred = int(batches.votes(k)[i])
+            pred = int(votes[k][i])
         row["predicted"] = pred
         row["correct"] = int(pred == labels[i])
     return learners

@@ -152,6 +152,38 @@ def test_trace_sample_bound_exits_1_before_building_the_trace(interval, workspac
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("setting", [{"duration": 0.5}, {"sample_interval": 5000.0}],
+                         ids=["short-duration", "long-interval"])
+def test_one_sample_trace_exits_1_naming_its_keys(setting, workspace, tmp_path, capsys):
+    # one sample ends the trace at 0 s, before any request
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"energy": {"trace": {"synthetic": setting}}}))
+    rc = main(["train-scheduler", "--config", str(tmp_path / "config.json"),
+               "--ensemble", str(workspace / "build"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: energy.trace.synthetic.duration / "
+                          "energy.trace.synthetic.sample_interval: must be more "
+                          "than 1 sample, got ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("times", [[0.0], [-5.0, -1.0]], ids=["at-0", "before-0"])
+def test_csv_trace_ending_at_0_s_exits_1_naming_it(times, workspace, tmp_path, capsys):
+    (tmp_path / "early.csv").write_text("timestamp_s,power_W\n" + "".join(
+        f"{t},0.001\n" for t in times))
+    (tmp_path / "config.json").write_text(json.dumps({"energy": {"trace": {
+        "csv": "early.csv"}}}))
+    rc = main(["train-scheduler", "--config", str(tmp_path / "config.json"),
+               "--ensemble", str(workspace / "build"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: energy.trace.csv early.csv: the last "
+                                       f"sample is at {times[-1]:g} s, and must be "
+                                       "after 0 s\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["build-ensemble", "simulate"])
 def test_dataset_size_bound_exits_1_before_generating_the_dataset(command, workspace,
                                                                   tmp_path, capsys,
@@ -178,12 +210,10 @@ def test_dataset_size_bound_exits_1_before_generating_the_dataset(command, works
 
 
 @pytest.mark.parametrize("value", ["-1", "x7"])
-@pytest.mark.parametrize("command", ["build-ensemble", "train-scheduler", "simulate"])
+@pytest.mark.parametrize("command", ["build-ensemble", "train-scheduler"])
 def test_bad_seed_flag_exits_1_without_output(command, value, workspace, tmp_path,
                                               capsys):
     flags = [] if command == "build-ensemble" else ["--ensemble", str(workspace / "build")]
-    if command == "simulate":
-        flags += ["--policy", "all"]
     rc = main([command, "--config", str(workspace / "config.json"),
                "--out", str(tmp_path / "out"), "--seed", value, *flags])
     err = capsys.readouterr().err
@@ -262,6 +292,25 @@ def test_build_rejects_dataset_shape_unlike_network(source, tmp_path, capsys):
     assert rc == 1
     assert err == (f"error: dataset.{source}.shape [2, 8, 8] differs from the "
                    "network's input shape [3, 12, 12]\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source, classes", [("generator", 8), ("generator", 3),
+                                             ("csv", 3)])
+def test_build_rejects_class_count_unlike_network(source, classes, tmp_path, capsys):
+    # the bundled network has 6 classes: 8 stopped in a raw IndexError, and 3
+    # built an ensemble whose accuracy gains start from the wrong chance level
+    rows = [[i % classes, *np.zeros(3 * 12 * 12)] for i in range(30)]
+    (tmp_path / "d.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    dataset = ({"csv": {"path": "d.csv", "classes": classes, "shape": [3, 12, 12]}}
+               if source == "csv" else
+               {"generator": {"classes": classes, "samples_per_class": 10}})
+    (tmp_path / "config.json").write_text(json.dumps({"dataset": dataset}))
+    rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: dataset.{source}.classes {classes} "
+                                       "differs from the network's class count 6\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -601,8 +650,8 @@ def test_simulate_rejects_class_count_unlike_ensemble(workspace, tmp_path, capsy
                "--ensemble", str(workspace / "build"), "--policy", "fixed:1",
                "--out", str(tmp_path / "sims")])
     assert rc == 1
-    assert capsys.readouterr() == ("", f"error: the dataset has {classes} classes "
-                                       "but the ensemble was built for 3\n")
+    assert capsys.readouterr() == ("", f"error: dataset.generator.classes {classes} "
+                                       "differs from the network's class count 3\n")
     assert not (tmp_path / "sims").exists()
 
 
