@@ -19,7 +19,7 @@ from .data import Dataset, load_csv, synth_dataset
 from .energy import (Capacitor, CostModel, PowerTrace, RequestPattern,
                      load_trace, synth_trace)
 from .errors import ConfigError
-from .nn import NetworkSpec, TensorShape
+from .nn import NetworkSpec, TensorShape, count_macs, count_params
 from .prune import PruneSchedule
 from .qsched import EnvConfig, QHyperParams, RewardParams
 from .simrun import RETRAIN_MODES
@@ -34,6 +34,10 @@ MAX_TRACE_SAMPLES = 10**7
 # a generated dataset of more than this many float64 elements (classes x
 # samples_per_class x the sample shape) is rejected before it is generated
 MAX_DATASET_ELEMENTS = 10**8
+# a network spec with more parameters, or more multiply-accumulates per
+# sample, than these is rejected before any parameter is allocated
+MAX_NETWORK_PARAMS = 10**7
+MAX_NETWORK_MACS = 10**9
 
 
 def _finite(v) -> bool:
@@ -198,6 +202,8 @@ def validate_config(doc: dict) -> dict:
     if e["initial_voltage"] is not None and e["initial_voltage"] > v_max:
         raise ConfigError(f"energy.initial_voltage: must be <= energy.capacitor.v_max "
                           f"({v_max!r}), got {e['initial_voltage']!r}")
+    if e["trace"]["csv"] is not None:   # a CSV trace replaces the synthetic one
+        return cfg
     synth = e["trace"]["synthetic"]
     if synth["profile"] == "constant" and synth["constant_power"] is None:
         raise ConfigError("energy.trace.synthetic.constant_power: required when "
@@ -240,7 +246,13 @@ def make_network(cfg: dict, config_dir=".") -> NetworkSpec:
     spec_path = cfg["network"]["spec_path"]
     if spec_path is None:
         return baseline_network()
-    return NetworkSpec.load(Path(config_dir) / spec_path)
+    spec = NetworkSpec.load(Path(config_dir) / spec_path)
+    for what, count, bound in (("parameters", count_params(spec), MAX_NETWORK_PARAMS),
+                               ("MACs per sample", count_macs(spec), MAX_NETWORK_MACS)):
+        if count > bound:
+            raise ConfigError(f"network.spec_path {spec_path}: must have at most "
+                              f"{bound} {what}, got {count}")
+    return spec
 
 
 def make_dataset(cfg: dict, config_dir=".", spec: NetworkSpec = None) -> Dataset:

@@ -15,6 +15,12 @@ lives channels-last, and so do the pools above it and the gradients flowing
 back through them; a conv's ReLU runs in place on it, and backward masks on
 that output, which is > 0 exactly where its input was. Weights keep their
 (f, c, k, k) order.
+
+Patch gathers. A size-keeping conv (stride 1, 2p = k - 1) fills its patch
+rows with one strided copy from a buffer with zero margins around each
+image, in runs a whole image long; any other conv copies once per kernel
+offset, in runs one output row long, which at the bundled convs' 3 to 12
+values cost more in per-run overhead than in data.
 """
 from __future__ import annotations
 
@@ -222,7 +228,7 @@ def count_macs(spec: NetworkSpec) -> int:
 
 
 def count_params(spec: NetworkSpec) -> int:
-    return sum(int(np.prod(w_shape)) + int(np.prod(b_shape))
+    return sum(math.prod(w_shape) + math.prod(b_shape)
                for w_shape, b_shape in filter(None, param_shapes(spec)))
 
 
@@ -325,13 +331,32 @@ def _im2col(x, k, s, p):
     b, c, h, w = x.shape
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
+    cols = np.empty((c * k * k + 1, b * ho * wo), dtype=x.dtype)
+    cols[-1] = 1.0
+    patches = cols[:-1].reshape(c, k, k, b, ho, wo)
+    if s == 1 and 2 * p == k - 1:
+        # size-keeping: each image's flat pixels sit between zero margins of
+        # e, so row (c, i, j) at pixel q is src[c, img, e + q + (i-p)*w + j-p]
+        # and the whole block is one strided view of src
+        e = p * w + p
+        n = h * w + 2 * e
+        src = np.zeros((c, b, n), dtype=x.dtype)
+        src[:, :, e:n - e].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
+        sz = src.itemsize
+        patches[...] = np.ndarray(patches.shape, x.dtype, buffer=src, strides=(
+            b * n * sz, w * sz, sz, n * sz, w * sz, sz))
+        # the margins pad top and bottom; a horizontal shift wraps into the
+        # neighbouring pixel row, so zero the columns it wrapped into
+        for j in range(k):
+            if j < p:
+                patches[:, :, j, :, :, :p - j] = 0.0
+            elif j > p:
+                patches[:, :, j, :, :, max(w - (j - p), 0):] = 0.0
+        return cols, ho, wo
     if p:
         xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
         xp[:, :, p:p + h, p:p + w] = x
         x = xp
-    cols = np.empty((c * k * k + 1, b * ho * wo), dtype=x.dtype)
-    cols[-1] = 1.0
-    patches = cols[:-1].reshape(c, k, k, b, ho, wo)
     x = x.transpose(1, 0, 2, 3)
     for i in range(k):
         for j in range(k):

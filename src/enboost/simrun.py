@@ -90,6 +90,7 @@ class SimReport:
     events: list                    # per-request dict rows
     learners_histogram: dict        # executed count -> requests
     retrain_events: int
+    retrain_target_requests: int    # learner count set by the retrain target
     initial_energy: float
     harvested_energy: float
     consumed_energy: float
@@ -129,6 +130,7 @@ class SimReport:
             "learners_histogram": {str(k): v for k, v in
                                    sorted(self.learners_histogram.items())},
             "retrain_events": self.retrain_events,
+            "retrain_target_requests": self.retrain_target_requests,
             "initial_energy_J": self.initial_energy,
             "harvested_energy_J": self.harvested_energy,
             "consumed_energy_J": self.consumed_energy,
@@ -208,6 +210,7 @@ class _EnergyPass(Agent):
                       for l in cfg.ensemble.learners]
         self.test_size = cfg.dataset.split_size("test")
         self.retrain_cursor = 0
+        self.target_requests = 0   # requests whose prefix the target decided
         self.events = []
 
     def arrive(self, i, t):
@@ -238,6 +241,7 @@ class _EnergyPass(Agent):
             if self.target is not None:
                 self.retrain_idx = self.retrain_cursor % self.target
                 self.retrain_cursor += 1
+                self.target_requests += 1
         if self.target is None:
             return self.cfg.policy.decide(s)
         return 1 if l < self.target else 0
@@ -303,6 +307,7 @@ def _serve(cfg: SimConfig, batches: _Batches):
         learners_histogram=Counter(row["learners_run"] for row in events
                                    if row["event"] != MISS_OFF),
         retrain_events=sum(row["retrained_learner"] >= 0 for row in events),
+        retrain_target_requests=energy.target_requests,
         initial_energy=cfg.env.capacitor.energy,
         harvested_energy=device.harvested,
         consumed_energy=device.consumed,
@@ -358,6 +363,8 @@ def render_report(report: SimReport, fmt="text", baseline: SimReport = None) -> 
                  f"mean accuracy: {_na(d['mean_accuracy'])}",
                  f"learners per request: {d['learners_histogram']}",
                  f"retrain events: {d['retrain_events']}",
+                 f"requests decided by the retrain target, not the policy: "
+                 f"{d['retrain_target_requests']}",
                  (f"energy J: start {d['initial_energy_J']:.4f} "
                   f"harvested {d['harvested_energy_J']:.4f} "
                   f"consumed {d['consumed_energy_J']:.4f} "

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_spec
-from enboost import config, simrun
+from enboost import config, nn, simrun
 from enboost.cli import main
 from enboost.qsched import load_qtable
 
@@ -182,6 +182,67 @@ def test_csv_trace_ending_at_0_s_exits_1_naming_it(times, workspace, tmp_path, c
                                        f"sample is at {times[-1]:g} s, and must be "
                                        "after 0 s\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("synthetic", [{"duration": 0.5}, {"profile": "constant"}],
+                         ids=["one-sample", "constant-without-power"])
+def test_csv_trace_skips_the_synthetic_trace_rules(synthetic, workspace, tmp_path,
+                                                  capsys):
+    # the CSV replaces the synthetic trace, so its block is never read
+    (tmp_path / "t.csv").write_text("timestamp_s,power_W\n0,0.0001\n100,0.0001\n")
+    (tmp_path / "config.json").write_text(json.dumps({"energy": {"trace": {
+        "csv": "t.csv", "synthetic": synthetic}}}))
+    rc = main(["train-scheduler", "--config", str(tmp_path / "config.json"),
+               "--ensemble", str(workspace / "build"), "--out", str(tmp_path / "q.json"),
+               "--episodes", "2"])
+    assert capsys.readouterr().err == ""
+    assert rc == 0
+    assert (tmp_path / "q.json").is_file()
+
+
+# (spec, the bound it breaks, the count): 3x12x12 inputs, one bound each
+_HUGE_NETWORKS = {
+    "params": ([{"kind": "fc", "units": 30000}, {"kind": "fc", "units": 6}],
+               "MAX_NETWORK_PARAMS", "parameters", 432 * 30000 + 30000 + 30000 * 6 + 6),
+    "macs": ([{"kind": "conv", "filters": 260000, "kernel": 3, "padding": 1},
+              {"kind": "avgpool", "window": 12}, {"kind": "conv", "filters": 6, "kernel": 1}],
+             "MAX_NETWORK_MACS", "MACs per sample", 260000 * 27 * 144 + 6 * 260000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE_NETWORKS))
+def test_network_size_bound_exits_1_before_making_parameters(case, tmp_path, capsys,
+                                                             monkeypatch):
+    # a conv of 10^7 filters would ask for 2.8e8 float64 parameters per
+    # learner copy; nothing may make a parameter or the dataset
+    def no_params(*args, **kwargs):
+        raise AssertionError("parameters made")
+
+    def no_dataset(**kwargs):
+        raise AssertionError("dataset generated")
+
+    monkeypatch.setattr(nn, "init_params", no_params)
+    monkeypatch.setattr(config, "synth_dataset", no_dataset)
+    layers, bound, what, count = _HUGE_NETWORKS[case]
+    (tmp_path / "huge.json").write_text(json.dumps({
+        "input_shape": [3, 12, 12], "class_count": 6,
+        "layers": layers + [{"kind": "softmax"}]}))
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"network": {"spec_path": "huge.json"}}))
+    rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: network.spec_path huge.json: must have at most "
+        f"{getattr(config, bound)} {what}, got {count}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_network_size_bounds_admit_the_bundled_network():
+    spec = config.baseline_network()
+    assert (nn.count_params(spec), nn.count_macs(spec)) == (3714, 78624)
+    assert nn.count_params(spec) <= config.MAX_NETWORK_PARAMS
+    assert nn.count_macs(spec) <= config.MAX_NETWORK_MACS
 
 
 @pytest.mark.parametrize("command", ["build-ensemble", "simulate"])

@@ -431,14 +431,17 @@ def test_avgpool_sums_in_numpys_order(win):
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("s", [1, 2])
 @pytest.mark.parametrize("p", [0, 1, 2])
-def test_batch1_patch_gather_matches_slices(k, s, p):
+@pytest.mark.parametrize("batch", [1, 3])
+def test_patch_gather_matches_slices(batch, k, s, p):
     # the patch rows only move data: same bits, signed zeros and C-order
-    # layout at batch 1; below them, one row of exact ones for the bias
+    # layout at batch 1, the serving path, and at batch 3, where the
+    # size-keeping gather's zero margins sit between images; below them,
+    # one row of exact ones for the bias
     rng = np.random.default_rng(100 * k + 10 * s + p)
     for c, h, w in ((1, 5, 5), (3, 12, 12), (4, 6, 7), (2, 1, 1)):
         if min(h, w) + 2 * p < k:
             continue
-        x = rng.standard_normal((1, c, h, w))
+        x = rng.standard_normal((batch, c, h, w))
         x[rng.random(x.shape) < 0.2] = -0.0
         # channels-last, as a conv or pool output reaches the next conv
         channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)

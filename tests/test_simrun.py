@@ -537,6 +537,51 @@ def test_auto_mode_follows_each_requests_energy_bin(small_model, monkeypatch):
         assert row["event"] == (SERVED if target else MISS_DECLINED)
 
 
+def test_report_counts_the_requests_the_retrain_target_decided(small_model,
+                                                               monkeypatch):
+    # the day-night store of the test above: requests see every energy bin
+    model, ds = small_model
+    n = model.size
+    trace = synth_trace(0, "day-night", duration=800.0, period=200.0,
+                        high_power=1e-3)
+    env = make_env(model, trace, period=1.0, horizon=800.0,
+                   cap=Capacitor(capacitance=1e-3))
+    first_bins = []
+    tracker = qsched.StateTracker
+
+    class Spy(tracker):
+        def observe(self, device, l):
+            if l == 0:
+                first_bins.append(discretize_energy(device.usable_energy, device.cap,
+                                                    self.one_learner_cost))
+            return tracker.observe(self, device, l)
+
+    monkeypatch.setattr(qsched, "StateTracker", Spy)
+
+    def serve(mode):
+        first_bins.clear()
+        return run(SimConfig(env=env, ensemble=model, dataset=ds,
+                             policy=QPolicy(QTable.zeros(n)), retrain_mode=mode))
+
+    off, high, auto = map(serve, ("off", "high-energy", "auto"))
+    # high-energy sets the prefix of every request that found the device on
+    assert _count(high, MISS_OFF) > 0
+    assert high.retrain_target_requests == high.total_requests - _count(high, MISS_OFF)
+    # auto leaves bin 0 to the policy; first_bins now holds the auto run's
+    assert auto.retrain_target_requests == sum(b >= 1 for b in first_bins)
+    assert 0 < auto.retrain_target_requests < len(first_bins)
+    assert off.retrain_target_requests == 0
+    for report in (off, high, auto):
+        doc = report.to_dict()
+        assert doc["retrain_target_requests"] == report.retrain_target_requests
+        assert (f"requests decided by the retrain target, not the policy: "
+                f"{report.retrain_target_requests}\n") in render_report(report)
+
+
+def _count(report, event):
+    return sum(row["event"] == event for row in report.events)
+
+
 def test_low_energy_mode_drops_one_learner(small_model):
     model, ds = small_model
     env = abundant(model, requests=8)
