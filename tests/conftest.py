@@ -271,7 +271,8 @@ def parent_backward(spec, params, cache, dlogits, start=0):
 # ---------------------------------------------------------------------------
 # `nn._im2col` as a copy per kernel offset into a C-order matrix. The
 # engine's patch rows above its row of ones must have the same bits and
-# layout (test_nn::test_patch_gather_matches_slices).
+# layout (test_nn::test_batch1_patch_gather_matches_slices and
+# test_nn::test_patch_gather_matches_slices).
 # Frozen; do not optimize.
 
 

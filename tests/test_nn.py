@@ -428,15 +428,9 @@ def test_avgpool_sums_in_numpys_order(win):
             assert_close_to_oracle(nn._avgpool(batch, win), want)
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("s", [1, 2])
-@pytest.mark.parametrize("p", [0, 1, 2])
-@pytest.mark.parametrize("batch", [1, 3])
-def test_patch_gather_matches_slices(batch, k, s, p):
+def check_patch_gather(batch, k, s, p):
     # the patch rows only move data: same bits, signed zeros and C-order
-    # layout at batch 1, the serving path, and at batch 3, where the
-    # size-keeping gather's zero margins sit between images; below them,
-    # one row of exact ones for the bias
+    # layout; below them, one row of exact ones for the bias
     rng = np.random.default_rng(100 * k + 10 * s + p)
     for c, h, w in ((1, 5, 5), (3, 12, 12), (4, 6, 7), (2, 1, 1)):
         if min(h, w) + 2 * p < k:
@@ -453,6 +447,22 @@ def test_patch_gather_matches_slices(batch, k, s, p):
             assert got.flags.c_contiguous
             assert np.array_equal(got[:-1].view(np.int64), want.view(np.int64))
             assert np.array_equal(got[-1], np.ones(want.shape[1]))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_batch1_patch_gather_matches_slices(k, s, p):
+    # the serving path
+    check_patch_gather(1, k, s, p)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_patch_gather_matches_slices(k, s, p):
+    # batch 3, where the size-keeping gather's zero margins sit between images
+    check_patch_gather(3, k, s, p)
 
 
 def net(input_shape, *layers):
