@@ -31,6 +31,7 @@ def cmd_build_ensemble(args) -> int:
     pool_cfg = cfgmod.make_pool_config(cfg, seed=seed)
     base_spec = cfgmod.make_network(cfg, config_dir)
     dataset = cfgmod.make_dataset(cfg, config_dir, base_spec)
+    cfgmod.check_sgd_steps(cfg, base_spec, dataset.split_size("train"))
 
     pool, _ = boost.build_pool(base_spec, dataset, pool_cfg)
     eval_x, eval_y = dataset.split("eval")
@@ -103,12 +104,25 @@ def _parse_policy(token, model):
     raise ConfigError(f"unknown policy {token!r} (use all, fixed:k, qtable:PATH)")
 
 
+def _with_trace_csv(doc, path: str):
+    """The config document with `energy.trace.csv` set to `path`, so that
+    validation skips the synthetic block the CSV replaces; a document without
+    objects down to `energy.trace` comes back as it is, for validation to
+    reject."""
+    energy = doc.get("energy", {}) if isinstance(doc, dict) else None
+    trace = energy.get("trace", {}) if isinstance(energy, dict) else None
+    if not isinstance(trace, dict):
+        return doc
+    return {**doc, "energy": {**energy, "trace": {**trace, "csv": path}}}
+
+
 def cmd_simulate(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+    doc = cfgmod.read_config(args.config)
+    if args.trace is not None:
+        doc = _with_trace_csv(doc, str(Path(args.trace).resolve()))
+    cfg = cfgmod.validate_config(doc)
     workers = _int_flag(args.jobs, "--jobs", 1, 1)
     config_dir = Path(args.config).parent
-    if args.trace is not None:
-        cfg["energy"]["trace"]["csv"] = str(Path(args.trace).resolve())
     env = cfgmod.make_env(cfg, config_dir)
     model = ens.load_ensemble(Path(args.ensemble) / "ensemble.json")
     dataset = cfgmod.make_dataset(cfg, config_dir, model.learners[0].spec)

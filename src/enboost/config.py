@@ -19,7 +19,7 @@ from .data import Dataset, load_csv, synth_dataset
 from .energy import (Capacitor, CostModel, PowerTrace, RequestPattern,
                      load_trace, synth_trace)
 from .errors import ConfigError
-from .nn import NetworkSpec, TensorShape, count_macs, count_params
+from .nn import CONV, NetworkSpec, TensorShape, count_macs, count_params
 from .prune import PruneSchedule
 from .qsched import EnvConfig, QHyperParams, RewardParams
 from .simrun import RETRAIN_MODES
@@ -38,6 +38,9 @@ MAX_DATASET_ELEMENTS = 10**8
 # sample, than these is rejected before any parameter is allocated
 MAX_NETWORK_PARAMS = 10**7
 MAX_NETWORK_MACS = 10**9
+# a build that could take more SGD steps than this is rejected before any
+# learner is initialized (`check_sgd_steps`)
+MAX_SGD_STEPS = 10**7
 
 
 def _finite(v) -> bool:
@@ -222,15 +225,19 @@ def default_config() -> dict:
     return validate_config({})
 
 
-def load_config(path) -> dict:
+def read_config(path):
+    """The config file's JSON document, not yet validated."""
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return validate_config(doc)
+
+
+def load_config(path) -> dict:
+    return validate_config(read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +283,24 @@ def make_dataset(cfg: dict, config_dir=".", spec: NetworkSpec = None) -> Dataset
         raise ConfigError(f"dataset.{name}.classes {dataset.class_count} differs from "
                           f"the network's class count {spec.class_count}")
     return dataset
+
+
+def check_sgd_steps(cfg: dict, spec: NetworkSpec, train_size: int):
+    """Reject a build that could take more than MAX_SGD_STEPS SGD steps.
+    Each pool learner trains `train_epochs` epochs and then retrains
+    `retrain_epochs_per_step` epochs after each prune step; a step removes
+    at least one filter and each conv keeps one, so a learner takes at most
+    (conv filters - conv layers) steps."""
+    p = cfg["pool"]
+    filters = [layer.filters for layer in spec.layers if layer.kind == CONV]
+    epochs = (p["train_epochs"]
+              + p["prune"]["retrain_epochs_per_step"] * (sum(filters) - len(filters)))
+    steps = p["pool_size"] * -(-train_size // p["batch_size"]) * epochs
+    if steps > MAX_SGD_STEPS:
+        raise ConfigError("pool.pool_size * ceil(train samples / pool.batch_size) * "
+                          "(pool.train_epochs + pool.prune.retrain_epochs_per_step * "
+                          "(conv filters - conv layers)): must be at most "
+                          f"{MAX_SGD_STEPS} SGD steps, got {steps}")
 
 
 def make_pool_config(cfg: dict, seed=None) -> PoolConfig:

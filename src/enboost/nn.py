@@ -648,9 +648,19 @@ def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,
     if not all(0 <= v < spec.class_count for v in y.tolist()):
         raise ShapeError(f"labels must be in [0, {spec.class_count})")
     weights = _sample_weights(sample_weights, n)
-    probs, grads = _probs_and_grads(spec, learner.params, acts,
-                                    _one_hot(y, spec.class_count), weights,
-                                    spec.head_start)
+    return fc_step(learner, acts, _one_hot(y, spec.class_count), weights,
+                   learning_rate)
+
+
+def fc_step(learner: WeakLearner, acts, y_onehot, weights, learning_rate):
+    """`train_fc_only`'s step without its checks, for a caller whose inputs
+    already meet them: `acts` a non-empty float64 batch that enters the head,
+    `y_onehot` its (n, class_count) float64 one-hot labels, of exact 0.0 and
+    1.0, and `weights` its n positive, finite float64 sample weights.
+    Returns what `train_fc_only` returns."""
+    spec = learner.spec
+    probs, grads = _probs_and_grads(spec, learner.params, acts, y_onehot,
+                                    weights, spec.head_start)
     params = list(learner.params)
     _sgd_step(params, grads, learning_rate, spec.fc_layers)
     out = WeakLearner(spec=spec, params=params, macs=learner.macs,

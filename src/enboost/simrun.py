@@ -23,7 +23,7 @@ from .data import Dataset
 from .energy import inference_cost
 from .ensemble import EnsembleModel, checked_vote_weights, vote_batch
 from .errors import ConfigError
-from .nn import accuracy, head, train_fc_only, trunk
+from .nn import accuracy, fc_step, head, trunk
 from .qsched import (BROWNOUT, ENERGY_LEVELS, OFF, POWER_LEVELS, STOP, Agent,
                      EnvConfig, QTable, act, make_device, replay)
 
@@ -263,10 +263,15 @@ class _EnergyPass(Agent):
 def _score(cfg: SimConfig, events, batches: _Batches):
     """The scoring pass; returns the learners as the run leaves them.  Until
     the run's first write a vote is a lookup in `batches.votes`.  A write is
-    a batch-1 step, whose request votes on the step's pre-update output,
-    and then one head batch of the written learner over the test split."""
+    a batch-1 `fc_step`, whose request votes on the step's pre-update
+    output, and then one head batch of the written learner over the test
+    split."""
     weights = checked_vote_weights(cfg.ensemble.vote_weights)
     labels = cfg.dataset.split("test")[1]
+    # what `train_fc_only` checks and builds at every write, once per run:
+    # the Dataset's labels are in range, and np.eye's rows are `_one_hot`'s
+    one_hot = np.eye(cfg.dataset.class_count)[labels]
+    unit = np.ones(1)
     # an FC-only step never writes in place: it gives the learner it
     # returns new FC arrays, so the input learners need no copy
     learners, heads = list(cfg.ensemble.learners), list(batches.heads)
@@ -274,8 +279,8 @@ def _score(cfg: SimConfig, events, batches: _Batches):
     for row in events:
         k, i, r = row["learners_run"], row["sample_index"], row["retrained_learner"]
         if r >= 0:
-            learners[r], probs = train_fc_only(
-                learners[r], batches.trunks[r][i:i + 1], labels[i:i + 1], [1.0],
+            learners[r], probs = fc_step(
+                learners[r], batches.trunks[r][i:i + 1], one_hot[i:i + 1], unit,
                 cfg.retrain_learning_rate)
             heads[r] = head(learners[r], batches.trunks[r])
             votes = None

@@ -200,6 +200,78 @@ def test_csv_trace_skips_the_synthetic_trace_rules(synthetic, workspace, tmp_pat
     assert (tmp_path / "q.json").is_file()
 
 
+@pytest.mark.parametrize("synthetic", [{"duration": 0.5}, {"profile": "constant"}],
+                         ids=["one-sample", "constant-without-power"])
+def test_simulate_trace_skips_the_synthetic_trace_rules(synthetic, workspace, tmp_path,
+                                                        capsys):
+    # --trace replaces the synthetic trace, as energy.trace.csv does, so the
+    # synthetic block is never read
+    (tmp_path / "t.csv").write_text("timestamp_s,power_W\n0,0.0001\n100,0.0001\n")
+    doc = dict(LIGHT_CONFIG, energy=dict(LIGHT_CONFIG["energy"],
+                                         trace={"synthetic": synthetic}))
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    rc = main(["simulate", "--config", str(tmp_path / "config.json"),
+               "--ensemble", str(workspace / "build"), "--policy", "all",
+               "--trace", str(tmp_path / "t.csv"), "--out", str(tmp_path / "sims")])
+    assert capsys.readouterr().err == ""
+    assert rc == 0
+    assert (tmp_path / "sims" / "all" / "report.json").is_file()
+
+
+@pytest.mark.parametrize("doc, err", [
+    ([], "config: expected an object"),
+    ({"energy": None}, "energy: must not be null"),
+    ({"energy": []}, "energy: expected an object"),
+    ({"energy": {"trace": 5}}, "energy.trace: expected an object"),
+], ids=["config-list", "energy-null", "energy-list", "trace-number"])
+def test_simulate_trace_keeps_the_errors_of_a_document_without_a_trace_object(
+        doc, err, workspace, tmp_path, capsys):
+    (tmp_path / "t.csv").write_text("timestamp_s,power_W\n0,0.0001\n100,0.0001\n")
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    rc = main(["simulate", "--config", str(tmp_path / "config.json"),
+               "--ensemble", str(workspace / "build"), "--policy", "all",
+               "--trace", str(tmp_path / "t.csv"), "--out", str(tmp_path / "sims")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not (tmp_path / "sims").exists()
+
+
+# (dataset, pool, the step count): the bundled network has 36 conv filters in
+# 3 convs, so each learner takes at most 33 prune steps
+_LONG_BUILDS = {
+    # 600 samples, 360 in the train split: 12 batches of 32
+    "generator-train-epochs": ({}, {"train_epochs": 10**18},
+                               6 * 12 * (10**18 + 4 * 33)),
+    # 30 samples, 18 in the train split: one batch
+    "csv-retrain-epochs": ({"csv": {"path": "d.csv", "classes": 6, "shape": [3, 12, 12]}},
+                           {"prune": {"retrain_epochs_per_step": 10**12}},
+                           6 * 1 * (12 + 10**12 * 33)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_BUILDS))
+def test_sgd_step_bound_exits_1_before_initializing_a_learner(case, tmp_path, capsys,
+                                                             monkeypatch):
+    def no_params(*args, **kwargs):
+        raise AssertionError("parameters made")
+
+    monkeypatch.setattr(nn, "init_params", no_params)
+    rows = [[i % 6, *np.zeros(3 * 12 * 12)] for i in range(30)]
+    (tmp_path / "d.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    dataset, pool, steps = _LONG_BUILDS[case]
+    (tmp_path / "config.json").write_text(json.dumps({"dataset": dataset,
+                                                      "pool": pool}))
+    rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: pool.pool_size * ceil(train samples / pool.batch_size) * "
+        "(pool.train_epochs + pool.prune.retrain_epochs_per_step * "
+        f"(conv filters - conv layers)): must be at most {config.MAX_SGD_STEPS} "
+        f"SGD steps, got {steps}\n")
+    assert not (tmp_path / "out").exists()
+
+
 # (spec, the bound it breaks, the count): 3x12x12 inputs, one bound each
 _HUGE_NETWORKS = {
     "params": ([{"kind": "fc", "units": 30000}, {"kind": "fc", "units": 6}],

@@ -294,3 +294,18 @@ def test_make_network_custom_spec(tmp_path):
     cfg = config.validate_config({"network": {"spec_path": "net.json"}})
     spec = config.make_network(cfg, tmp_path)
     assert spec.class_count == 3
+
+
+def test_sgd_step_bound_counts_the_default_build(monkeypatch):
+    # 6 learners x 12 batches of the 360-sample train split x (12 epochs +
+    # 4 retrain epochs after each of at most 36 - 3 prune steps); the build
+    # takes 9,024
+    cfg = config.default_config()
+    spec = config.baseline_network()
+    train_size = config.make_dataset(cfg, spec=spec).split_size("train")
+    assert train_size == 360
+    monkeypatch.setattr(config, "MAX_SGD_STEPS", 10_368)
+    config.check_sgd_steps(cfg, spec, train_size)
+    monkeypatch.setattr(config, "MAX_SGD_STEPS", 10_367)
+    with pytest.raises(ConfigError, match=r"at most 10367 SGD steps, got 10368$"):
+        config.check_sgd_steps(cfg, spec, train_size)

@@ -13,9 +13,9 @@ from enboost.data import synth_dataset
 from enboost.errors import ShapeError, TrainingDivergedError
 from enboost.nn import (NetworkSpec, TensorShape, WeakLearner, avgpool, conv,
                         count_macs, count_params, evaluate, fc, flatten_params,
-                        forward, gradient_check, head, params_checksum,
-                        softmax_layer, train, train_fc_only, trunk,
-                        unflatten_params)
+                        fc_step, forward, gradient_check, head,
+                        params_checksum, softmax_layer, train, train_fc_only,
+                        trunk, unflatten_params)
 
 
 def fc_net(inputs, units, classes=None):
@@ -378,6 +378,42 @@ def test_head_of_trunk_is_forward_bitwise(make, start):
         acts = trunk(learner, batch)
         assert acts.shape == (len(batch),) + spec.head_input
         assert head(learner, acts).tobytes() == forward(learner, batch).tobytes()
+
+
+@pytest.mark.parametrize("make, labels, weights", [
+    (baseline_network, [4], [1.0]),
+    (baseline_network, [0, 5, 2], [1.0, 1.0, 1.0]),
+    (baseline_network, [3], [0.25]),
+    (baseline_network, [0, 5, 2], [1.5, 0.25, 3.0]),
+    (two_fc_net, [3], [0.5]),
+    (two_fc_net, [1, 0, 3], [2.0, 1.0, 0.75]),
+], ids=["baseline-b1", "baseline-b3", "baseline-b1-weighted", "baseline-b3-weighted",
+        "fc-relu-fc-b1", "fc-relu-fc-b3"])
+def test_fc_step_is_train_fc_only_without_its_checks(make, labels, weights):
+    # given the one-hot rows and weights that train_fc_only's checks build,
+    # the step leaves the same bits and shares the same trunk arrays
+    spec = make()
+    learner = WeakLearner.initialize(spec, seed=5, learner_id="t")
+    ish = spec.input_shape
+    x = np.random.default_rng(6).standard_normal(
+        (len(labels), ish.channels, ish.height, ish.width))
+    acts = trunk(learner, x)
+    want, want_probs = train_fc_only(learner, acts, labels, weights, 0.3)
+    got, probs = fc_step(learner, acts, np.eye(spec.class_count)[labels],
+                         np.array(weights), 0.3)
+    assert np.array_equal(probs.view(np.int64), want_probs.view(np.int64))
+    assert len(got.params) == len(want.params)
+    for idx, (p, q) in enumerate(zip(got.params, want.params)):
+        if idx < spec.head_start:
+            assert p is learner.params[idx]
+            continue
+        if p is None:
+            assert q is None
+            continue
+        for a, b in zip(p, q):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert (got.macs, got.id, got.eval_accuracy) == (want.macs, want.id,
+                                                      want.eval_accuracy)
 
 
 # ---------------------------------------------------------------------------

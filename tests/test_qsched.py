@@ -505,6 +505,46 @@ def test_observe_bins_match_the_discretizers_at_their_edges():
     assert seen == {(e, p) for e in range(ENERGY_LEVELS) for p in range(POWER_LEVELS)}
 
 
+def test_observe_rebins_the_power_for_each_device_and_time():
+    # one tracker bins the power once per (device, time): it must rebin it
+    # when time moves over a power change and when another device is observed
+    # at the same time, and a draw moves the energy bins but not the power's
+    cap = Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7)
+    one_learner_cost, thresholds = 3e-3, (0.01, 0.02)
+    tracker = qsched.StateTracker(cap, one_learner_cost, thresholds, n=2)
+
+    def device(power):
+        trace = PowerTrace(times=np.arange(len(power), dtype=float), power=power)
+        return Device(cap=cap, trace=trace, cost_model=CostModel())
+
+    def observed(device, l):
+        ref = SchedulerState(
+            e_now=discretize_energy(device.usable_energy, cap, one_learner_cost),
+            e_last=discretize_energy(device.usable_fraction * cap.max_usable_energy,
+                                     cap, one_learner_cost),
+            p_harv=discretize_power(device.p_harv, thresholds), l=l)
+        assert tracker.observe(device, l) == encode_state(ref, 2)
+        return ref
+
+    rising, falling = device([0.0, 0.015, 0.03]), device([0.03, 0.03, 0.0])
+    assert observed(rising, 0).p_harv == 0
+    assert rising.draw(0.01)   # the same time, less energy
+    seen = observed(rising, 1)
+    assert (seen.e_now, seen.p_harv) == (2, 0)
+    rising.advance(1.0)        # over a power change
+    assert observed(rising, 0).p_harv == 1
+    falling.t = 1.0            # another device at the same time
+    assert observed(falling, 0).p_harv == 2
+    assert observed(rising, 1).p_harv == 1
+    rising.advance(2.0)
+    falling.t = 2.0
+    assert observed(falling, 0).p_harv == 0
+    assert observed(rising, 0).p_harv == 2
+    assert falling.draw(0.02)
+    seen = observed(falling, 1)
+    assert (seen.e_now, seen.p_harv) == (1, 0)
+
+
 def test_observe_index_matches_reference_state(monkeypatch):
     # nights drain the store below the cutoff, so requests brown out and
     # find the device off; random decisions visit many states

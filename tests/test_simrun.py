@@ -15,7 +15,7 @@ from enboost.energy import (Capacitor, CostModel, PowerTrace, RequestPattern,
 from enboost.ensemble import (backfit_select, subset_accuracy, vote_batch,
                               weighted_vote)
 from enboost.errors import ConfigError
-from enboost.nn import evaluate, forward, head, train_fc_only, trunk
+from enboost.nn import evaluate, fc_step, forward, head, train_fc_only, trunk
 from enboost.prune import PruneSchedule
 from enboost.qsched import EnvConfig, QTable, RewardParams, replay, make_device
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
@@ -297,12 +297,12 @@ def test_retrained_votes_use_rows_of_the_batched_head(small_model, monkeypatch):
         return batch
 
     def stepped(learner, *args):
-        out = train_fc_only(learner, *args)
+        out = fc_step(learner, *args)
         latest[slot[learner.id]] = out[0]
         return out
 
     monkeypatch.setattr(simrun, "head", rows)
-    monkeypatch.setattr(simrun, "train_fc_only", stepped)
+    monkeypatch.setattr(simrun, "fc_step", stepped)
     cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
                     dataset=ds, policy=FixedKPolicy(n, n),
                     retrain_mode="high-energy", retrain_learning_rate=0.5)
