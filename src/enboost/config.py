@@ -41,6 +41,9 @@ MAX_NETWORK_MACS = 10**9
 # a build that could take more SGD steps than this is rejected before any
 # learner is initialized (`check_sgd_steps`)
 MAX_SGD_STEPS = 10**7
+# a run of more requests than this is rejected before any run starts: a
+# `simulate` report keeps one events row per request
+MAX_REQUESTS = 10**6
 
 
 def _finite(v) -> bool:
@@ -345,7 +348,16 @@ def make_env(cfg: dict, config_dir=".") -> EnvConfig:
     if duration > trace.horizon:
         raise ConfigError(f"simulation.duration {duration:.10g} s is past the "
                           f"trace's last sample at {trace.horizon:.10g} s")
-    requests = RequestPattern(period=sim["request_period"], horizon=duration)
+    # `qsched.replay` serves np.arange(period, duration + 1e-9, period)
+    period = sim["request_period"]
+    count = (duration + 1e-9 - period) / period
+    if count > MAX_REQUESTS:
+        span = ("simulation.duration" if sim["duration"] is not None
+                else f"the trace's last sample ({trace.horizon:.10g} s)")
+        got = math.ceil(count) if count < math.inf else count
+        raise ConfigError(f"{span} / simulation.request_period: must be at most "
+                          f"{MAX_REQUESTS} requests, got {got}")
+    requests = RequestPattern(period=period, horizon=duration)
     r = cfg["scheduler"]["reward"]
     thresholds = cfg["energy"]["power_thresholds"]
     return EnvConfig(capacitor=cap, trace=trace, cost_model=cm,

@@ -230,16 +230,15 @@ class Device:
     def voltage(self) -> float:
         return math.sqrt(2.0 * self.energy / self.cap.capacitance)
 
-    def advance(self, until: float, load_power=None):
-        """Integrate harvest minus a constant load power up to time `until`,
-        one step per run of equal harvest power: a segment ends at the next
-        sample whose power differs, or at `until`. Each segment adds
-        (P_harv - P_load)*dt to the store, clamped to [0, full]. In exact
+    def advance(self, until: float):
+        """Integrate harvest minus the cost model's sleep power up to time
+        `until`, one step per run of equal harvest power: a segment ends at
+        the next sample whose power differs, or at `until`. Each segment adds
+        (P_harv - P_sleep)*dt to the store, clamped to [0, full]. In exact
         arithmetic that equals one step per trace sample, since the store
         moves linearly within a run and both clamps absorb; the rounding
         differs, by at most 1e-12 in any Q-value."""
-        if load_power is None:
-            load_power = self.cost_model.sleep_power
+        load_power = self.cost_model.sleep_power
         times, power, full = self._times, self._power, self.cap.max_energy
         run_end, n = self._run_end, len(times)
         t, energy = self.t, self.energy

@@ -16,11 +16,9 @@ back through them; a conv's ReLU runs in place on it, and backward masks on
 that output, which is > 0 exactly where its input was. Weights keep their
 (f, c, k, k) order.
 
-Patch gathers. A size-keeping conv (stride 1, 2p = k - 1) fills its patch
-rows with one strided copy from a buffer with zero margins around each
-image, in runs a whole image long; any other conv copies once per kernel
-offset, in runs one output row long, which at the bundled convs' 3 to 12
-values cost more in per-run overhead than in data.
+Patch gathers. Every conv fills its patch rows with one strided copy from
+a buffer with zero margins around each image, in runs a whole image long,
+whatever its kernel, stride and padding.
 """
 from __future__ import annotations
 
@@ -334,33 +332,25 @@ def _im2col(x, k, s, p):
     cols = np.empty((c * k * k + 1, b * ho * wo), dtype=x.dtype)
     cols[-1] = 1.0
     patches = cols[:-1].reshape(c, k, k, b, ho, wo)
-    if s == 1 and 2 * p == k - 1:
-        # size-keeping: each image's flat pixels sit between zero margins of
-        # e, so row (c, i, j) at pixel q is src[c, img, e + q + (i-p)*w + j-p]
-        # and the whole block is one strided view of src
-        e = p * w + p
-        n = h * w + 2 * e
-        src = np.zeros((c, b, n), dtype=x.dtype)
-        src[:, :, e:n - e].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
-        sz = src.itemsize
-        patches[...] = np.ndarray(patches.shape, x.dtype, buffer=src, strides=(
-            b * n * sz, w * sz, sz, n * sz, w * sz, sz))
-        # the margins pad top and bottom; a horizontal shift wraps into the
-        # neighbouring pixel row, so zero the columns it wrapped into
-        for j in range(k):
-            if j < p:
-                patches[:, :, j, :, :, :p - j] = 0.0
-            elif j > p:
-                patches[:, :, j, :, :, max(w - (j - p), 0):] = 0.0
-        return cols, ho, wo
-    if p:
-        xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, :, p:p + h, p:p + w] = x
-        x = xp
-    x = x.transpose(1, 0, 2, 3)
-    for i in range(k):
-        for j in range(k):
-            patches[:, i, j] = x[:, :, i:i + s * ho:s, j:j + s * wo:s]
+    # each image's flat pixels sit between zero margins of e, so row (c, i, j)
+    # at output pixel (y, x) is src[c, img, e + (s*y + i - p)*w + s*x + j - p]
+    # and the whole block is one strided view of src
+    e = p * w + p
+    n = h * w + 2 * e
+    src = np.zeros((c, b, n), dtype=x.dtype)
+    src[:, :, e:n - e].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
+    sz = src.itemsize
+    patches[...] = np.ndarray(patches.shape, x.dtype, buffer=src, strides=(
+        b * n * sz, w * sz, sz, n * sz, s * w * sz, s * sz))
+    # the margins pad top and bottom; a horizontal shift wraps into the
+    # neighbouring pixel row, so zero the columns it wrapped into: those
+    # left of input column 0 and from input column w on
+    for j in range(k):
+        left, right = -((j - p) // s), -((j - p - w) // s)
+        if left > 0:
+            patches[:, :, j, :, :, :left] = 0.0
+        if right < wo:
+            patches[:, :, j, :, :, max(right, 0):] = 0.0
     return cols, ho, wo
 
 
@@ -591,15 +581,11 @@ def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
     weights = _sample_weights(sample_weights, x.shape[0], "train samples")
     spec = learner.spec
     n = x.shape[0]
-    if epochs > 0 and n > 0:
-        # the first SGD step gives every layer new arrays, so copy only what
-        # is not C-ordered: the GEMMs round by their operands' layout, and a
-        # learner must train to the same bits whatever its arrays' layout
-        # (`prune_step`'s channel slices are not C-ordered)
-        params = [None if p is None else tuple(map(np.ascontiguousarray, p))
-                  for p in learner.params]
-    else:  # no step: hand back copies, never the input learner's arrays
-        params = copy_params(learner.params)
+    # C-order copies, never the input learner's arrays: the GEMMs round by
+    # their operands' layout, and a learner must train to the same bits
+    # whatever its arrays' layout (`prune_step`'s channel slices are not
+    # C-ordered)
+    params = copy_params(learner.params)
     y_onehot = _one_hot(y, spec.class_count)
     rng = np.random.default_rng(seed)
     history = []

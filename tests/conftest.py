@@ -71,9 +71,8 @@ class SearchsortedDevice(Device):
     bit: every trace segment is found with `np.searchsorted`, the clamp
     recomputes the full energy, and `p_harv` is `PowerTrace.power_at`."""
 
-    def advance(self, until, load_power=None):
-        if load_power is None:
-            load_power = self.cost_model.sleep_power
+    def advance(self, until):
+        load_power = self.cost_model.sleep_power
         times = self.trace.times
         full = 0.5 * self.cap.capacitance * self.cap.v_max ** 2
         while self.t < until - 1e-12:

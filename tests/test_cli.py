@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_spec
-from enboost import config, nn, simrun
+from enboost import config, nn, qsched, simrun
 from enboost.cli import main
 from enboost.qsched import load_qtable
 
@@ -339,6 +339,33 @@ def test_dataset_size_bound_exits_1_before_generating_the_dataset(command, works
                           "samples_per_class * dataset.generator.shape: must be at "
                           f"most {config.MAX_DATASET_ELEMENTS} elements, got ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("duration", [None, 300.0])
+@pytest.mark.parametrize("command", ["train-scheduler", "simulate"])
+def test_request_bound_exits_1_before_any_run(command, duration, workspace, tmp_path,
+                                              capsys, monkeypatch):
+    # a 1 ns period over the 399 s trace asks for 3.99e11 requests, and
+    # `replay`'s request times alone for about 3 TB; no run may start
+    def no_run(*args, **kwargs):
+        raise AssertionError("run started")
+
+    monkeypatch.setattr(qsched, "replay", no_run)
+    monkeypatch.setattr(simrun, "replay", no_run)
+    doc = dict(LIGHT_CONFIG, simulation={"request_period": 1e-9, "duration": duration})
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    flags = ["--policy", "all"] if command == "simulate" else []
+    rc = main([command, "--config", str(tmp_path / "config.json"),
+               "--ensemble", str(workspace / "build"), "--out", str(tmp_path / "out"),
+               *flags])
+    span = ("the trace's last sample (399 s)" if duration is None
+            else "simulation.duration")
+    count = "399000000000" if duration is None else "300000000000"
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {span} / simulation.request_period: must be at most "
+        f"{config.MAX_REQUESTS} requests, got {count}\n")
     assert not (tmp_path / "out").exists()
 
 

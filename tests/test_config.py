@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import schema_leaves
-from enboost import config
+from conftest import PolicyAgent, schema_leaves
+from enboost import config, qsched
 from enboost.errors import ConfigError
 from enboost.nn import count_macs, count_params
 
@@ -192,6 +192,26 @@ def test_make_env_rejects_duration_past_trace():
     assert env.horizon == env.requests.horizon == 3199.0
     cfg["simulation"]["duration"] = 99999.0
     with pytest.raises(ConfigError, match=r"duration 99999 s .* sample at 3199 s"):
+        config.make_env(cfg)
+
+
+@pytest.mark.parametrize("doc", [{}, {"energy": {"trace": {"synthetic": {"seed": 101}}},
+                                     "simulation": {"seed": 101}}],
+                         ids=["default", "bench"])
+def test_request_bound_counts_the_requests_replay_serves(doc, monkeypatch):
+    # `{}` and the benchmark's config (its trace and simulation keys) serve
+    # a request every 10 s up to the trace's last sample at 3199 s
+    cfg = config.validate_config(doc)
+    env = config.make_env(cfg)
+    agent = PolicyAgent(lambda s: 0)
+    qsched.replay(env, qsched.make_device(env), [1e-3], agent)
+    assert len(agent.runs) == 319
+    monkeypatch.setattr(config, "MAX_REQUESTS", 319)
+    config.make_env(cfg)
+    monkeypatch.setattr(config, "MAX_REQUESTS", 318)
+    with pytest.raises(ConfigError, match=r"^the trace's last sample \(3199 s\) / "
+                       r"simulation.request_period: must be at most 318 requests, "
+                       r"got 319$"):
         config.make_env(cfg)
 
 

@@ -43,7 +43,8 @@ def test_with_energy_clamps():
     dev = make_device(voltage=2.5, power=1.0)
     dev.advance(100.0)
     assert abs(dev.voltage - dev.cap.v_max) < 1e-12
-    dev.advance(200.0, load_power=10.0)
+    dev.cost_model = CostModel(sleep_power=10.0)
+    dev.advance(200.0)
     assert dev.voltage == 0.0
 
 
@@ -61,38 +62,38 @@ def test_capacitor_validation():
 # one integration step: a `Device.advance` over a single trace segment
 
 
-def one_segment_device(voltage, power, t=0.0):
+def one_segment_device(voltage, power, sleep_power, t=0.0):
     trace = PowerTrace(times=[0.0], power=[power])
     return Device(cap=Capacitor(voltage=voltage), trace=trace,
-                  cost_model=CostModel(), t=t)
+                  cost_model=CostModel(sleep_power=sleep_power), t=t)
 
 
 def test_step_balanced_power_is_identity():
-    dev = one_segment_device(voltage=3.0, power=0.01)
-    dev.advance(50.0, load_power=0.01)
+    dev = one_segment_device(voltage=3.0, power=0.01, sleep_power=0.01)
+    dev.advance(50.0)
     assert abs(dev.energy - dev.cap.energy) < 1e-12
 
 
 def test_step_net_harvest_adds_energy():
-    dev = one_segment_device(voltage=3.0, power=0.02)
-    dev.advance(10.0, load_power=0.0)
+    dev = one_segment_device(voltage=3.0, power=0.02, sleep_power=0.0)
+    dev.advance(10.0)
     assert abs(dev.energy - (dev.cap.energy + 0.2)) < 1e-12
 
 
 def test_step_clamps_at_full_and_empty():
-    dev = one_segment_device(voltage=4.2, power=1.0)
-    dev.advance(1e6, load_power=0.0)
+    dev = one_segment_device(voltage=4.2, power=1.0, sleep_power=0.0)
+    dev.advance(1e6)
     assert abs(dev.energy - dev.cap.max_energy) < 1e-12
-    dev = one_segment_device(voltage=2.0, power=0.0)
-    dev.advance(1e6, load_power=1.0)
+    dev = one_segment_device(voltage=2.0, power=0.0, sleep_power=1.0)
+    dev.advance(1e6)
     assert dev.energy == 0.0
 
 
 def test_advance_to_a_time_not_after_t_changes_nothing():
-    dev = one_segment_device(voltage=3.0, power=0.02, t=5.0)
+    dev = one_segment_device(voltage=3.0, power=0.02, sleep_power=1.0, t=5.0)
     before = (dev.t, dev.energy, dev.harvested, dev.consumed)
     for until in (5.0, 3.0, -1.0):
-        dev.advance(until, load_power=1.0)
+        dev.advance(until)
         assert (dev.t, dev.energy, dev.harvested, dev.consumed) == before
 
 
@@ -310,7 +311,8 @@ def test_device_energy_closure():
     e0 = dev.energy
     dev.advance(100.0)
     assert dev.draw(0.5)
-    dev.advance(400.0, load_power=0.01)
+    dev.cost_model = CostModel(sleep_power=0.01)
+    dev.advance(400.0)
     assert abs(dev.energy - (e0 + dev.harvested - dev.consumed)) < 1e-9
 
 
@@ -323,7 +325,8 @@ def test_device_closure_across_clamps():
     e0 = dev.energy
     dev.advance(1000.0)                    # charges to full, clamp on top
     assert abs(dev.energy - dev.cap.max_energy) < 1e-9
-    dev.advance(4000.0, load_power=0.05)   # discharges to empty, clamp at 0
+    dev.cost_model = CostModel(sleep_power=0.05)
+    dev.advance(4000.0)   # discharges to empty, clamp at 0
     assert dev.energy == 0.0
     assert abs(dev.energy - (e0 + dev.harvested - dev.consumed)) < 1e-9
 
@@ -351,8 +354,9 @@ def test_device_advance_is_time_monotone():
 # 0.05 W, so runs hit both clamps
 CURSOR_TRACE = PowerTrace(times=[0.0, 1.0, 2.5, 3.0, 7.0, 7.5, 12.0, 20.0],
                           power=[0.01, 0.0, 0.05, 0.003, 0.0, 0.02, 0.05, 0.001])
-# ("advance", until, load_power) or ("draw", joules): integer, non-integer,
-# repeated, past and beyond-the-horizon times, sample times, load overrides
+# ("advance", until, sleep_power) or ("draw", joules): integer, non-integer,
+# repeated, past and beyond-the-horizon times, sample times, sleep powers
+# other than the default (None)
 CURSOR_OPS = [("advance", 2.0, None), ("advance", 2.0, None), ("draw", 0.01),
               ("advance", 2.75, 0.0), ("advance", 2.75 + 1e-13, None),
               ("advance", 1.0, None), ("advance", 7.0, 0.04), ("draw", 1.0),
@@ -389,6 +393,11 @@ def run_against_reference(trace, ops, t0, exact):
     assert_matches(dev, ref, exact)
     empty = full = False
     for op, *args in ops:
+        if op == "advance":   # both advance at the op's sleep power
+            until, sleep_power = args
+            dev.cost_model = ref.cost_model = (
+                CostModel() if sleep_power is None else CostModel(sleep_power=sleep_power))
+            args = [until]
         assert getattr(dev, op)(*args) == getattr(ref, op)(*args)
         assert_matches(dev, ref, exact)
         empty |= ref.energy == 0.0

@@ -485,19 +485,19 @@ def check_patch_gather(batch, k, s, p):
             assert np.array_equal(got[-1], np.ones(want.shape[1]))
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("s", [1, 2])
-@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
 def test_batch1_patch_gather_matches_slices(k, s, p):
     # the serving path
     check_patch_gather(1, k, s, p)
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("s", [1, 2])
-@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
 def test_patch_gather_matches_slices(k, s, p):
-    # batch 3, where the size-keeping gather's zero margins sit between images
+    # batch 3, where the gather's zero margins sit between images
     check_patch_gather(3, k, s, p)
 
 
