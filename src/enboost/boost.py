@@ -110,8 +110,10 @@ def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
 
 
 # ---------------------------------------------------------------------------
-# pool persistence: pool.json plus one spec json and one .npy per learner;
-# the manifest records each learner's parameter checksum, which loading checks
+# pool persistence: pool.json plus one spec json and one .npy per learner, in
+# the parameters' dtype (float32; a pool written before float32 holds
+# float64, and its learners run in float64); the manifest records each
+# learner's parameter checksum, which loading checks
 
 POOL_VERSION = 2
 
@@ -141,7 +143,11 @@ def load_pool(pool_dir):
             spec = NetworkSpec.load(root / entry["spec"])
             checksum = entry["params_checksum"]   # a missing key names pool.json
             with artifacts.reading(root / entry["params"]):
-                params = unflatten_params(spec, np.load(root / entry["params"]))
+                flat = np.load(root / entry["params"])
+                if flat.dtype not in (np.float32, np.float64):
+                    raise ValueError("parameters must be float32 or float64, "
+                                     f"got {flat.dtype}")
+                params = unflatten_params(spec, flat)
                 if params_checksum(params) != checksum:
                     raise ValueError("parameters do not match the pool's params_checksum")
             pool.append(WeakLearner(spec=spec, params=params,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import artifacts, boost, config as cfgmod, ensemble as ens, qsched, simrun
 from .errors import ConfigError, EnboostError
-from .nn import count_macs, count_params
+from .nn import accuracy, count_macs, count_params
 
 
 def _int_flag(value, flag: str, minimum: int, default: int) -> int:
@@ -58,10 +58,23 @@ def cmd_build_ensemble(args) -> int:
         "acc_profile": model.acc_profile,
         "delta_acc": model.delta_acc,
     }
+    summary["test_accuracy"] = score_test_split(pool, model, *dataset.split("test"))
     artifacts.write_json(out / "build_summary.json", summary)
     print(f"built pool of {len(pool)} and ensemble of {model.size} "
           f"({model.total_macs} MACs vs baseline {baseline_macs}) in {out}")
     return 0
+
+
+def score_test_split(pool, model, test_x, test_y) -> dict:
+    """`build_summary.json`'s test_accuracy, scored after selection, which
+    never reads the test split: the ensemble's weighted-vote accuracy at each
+    prefix length 1..N, and each pool learner's own accuracy."""
+    probs = ens.pool_eval_probs(pool, test_x)
+    slot = {l.id: m for m, l in enumerate(pool)}
+    prefix, _ = ens.profile_accuracy(probs[[slot[l.id] for l in model.learners]],
+                                     model.vote_weights, test_y, model.class_count)
+    return {"samples": len(test_y), "ensemble_prefix": prefix,
+            "pool": {l.id: accuracy(p, test_y) for l, p in zip(pool, probs)}}
 
 
 def cmd_train_scheduler(args) -> int:

@@ -31,8 +31,9 @@ _NUM = (int, float)
 # a synthetic trace longer than this many samples is rejected before any
 # array is allocated: its arrays and the device's lists scale with it
 MAX_TRACE_SAMPLES = 10**7
-# a generated dataset of more than this many float64 elements (classes x
-# samples_per_class x the sample shape) is rejected before it is generated
+# a generated dataset of more than this many elements (classes x
+# samples_per_class x the sample shape), 400 MB in float32, is rejected
+# before it is generated
 MAX_DATASET_ELEMENTS = 10**8
 # a network spec with more parameters, or more multiply-accumulates per
 # sample, than these is rejected before any parameter is allocated

@@ -8,14 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .nn import TensorShape
+from .nn import DTYPE, TensorShape
 
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)  # of the samples: train, eval, test
+_DTYPE_MAX = float(np.finfo(DTYPE).max)
 
 
 @dataclass
 class Dataset:
-    x: np.ndarray            # (n, channels, height, width), float64
+    x: np.ndarray            # (n, channels, height, width), nn.DTYPE (float32)
     y: np.ndarray            # (n,), int class labels
     class_count: int
     splits: dict             # split name -> index array
@@ -80,7 +81,7 @@ def synth_dataset(seed, classes=6, samples_per_class=100, shape=(3, 12, 12),
     rng = np.random.default_rng(seed)
     patterns = _class_patterns(rng, classes, shape)
     n = classes * samples_per_class
-    x = np.empty((n, *shape))
+    x = np.empty((n, *shape), dtype=DTYPE)   # each class drawn in float64, then cast
     y = np.empty(n, dtype=int)
     for k in range(classes):
         lo = k * samples_per_class
@@ -101,7 +102,8 @@ def drift_dataset(ds: Dataset, seed=0) -> Dataset:
 
 
 def load_csv(path, input_shape, class_count, seed=0) -> Dataset:
-    """One row per sample: label, then channel-major flattened pixels."""
+    """One row per sample: label, then channel-major flattened pixels, each
+    a finite number within float32's range."""
     shape = (input_shape.channels, input_shape.height, input_shape.width)
     size = shape[0] * shape[1] * shape[2]
     rows = []
@@ -122,9 +124,12 @@ def load_csv(path, input_shape, class_count, seed=0) -> Dataset:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             if not all(map(math.isfinite, rows[-1])):
                 raise ConfigError(f"{path}:{lineno}: non-finite value")
+            if max(map(abs, rows[-1])) > _DTYPE_MAX:
+                raise ConfigError(f"{path}:{lineno}: value beyond float32's range "
+                                  f"(magnitude > {_DTYPE_MAX:.8g})")
     if not rows:
         raise ConfigError(f"{path}: no samples")
-    x = np.asarray(rows).reshape(len(rows), *shape)
+    x = np.asarray(rows, dtype=DTYPE).reshape(len(rows), *shape)
     y = np.asarray(labels, dtype=int)
     rng = np.random.default_rng(seed)
     return Dataset(x=x, y=y, class_count=class_count,

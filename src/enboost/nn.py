@@ -1,7 +1,12 @@
 """Minimal deterministic CNN engine: conv / avg-pool / fc / softmax layers,
 per-sample weighted cross-entropy training, and exact MAC accounting.
 
-Everything runs in float64 on numpy. All randomness goes through seeded
+The engine runs in the dtype of a learner's parameters: `init_params`
+makes float32 ones, as the devices the pipeline targets train in float32,
+and a learner with float64 parameters (a pool written before float32)
+trains and serves in float64. Inputs, one-hot labels and sample weights
+are cast to that dtype where they meet the parameters; only the loss is
+summed in float64. All randomness goes through seeded
 `numpy.random.default_rng` instances, so training is bit-reproducible given
 (seed, data, weights, hyperparameters).
 
@@ -38,6 +43,8 @@ FC = "fc"
 SOFTMAX = "softmax"
 
 _ACTIVATIONS = ("none", "relu")
+
+DTYPE = np.float32   # what `init_params` makes
 
 
 @dataclass(frozen=True)
@@ -247,7 +254,8 @@ def param_shapes(spec: NetworkSpec):
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator):
-    """He-style initialization for conv and fc weights; zero biases."""
+    """He-style initialization for conv and fc weights; zero biases; all
+    `DTYPE`, rounded from the float64 draws."""
     params = []
     for shapes in param_shapes(spec):
         if shapes is None:
@@ -256,8 +264,14 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator):
         w_shape, b_shape = shapes
         fan_in = int(np.prod(w_shape[1:]))
         w = rng.standard_normal(w_shape) * np.sqrt(2.0 / fan_in)
-        params.append((w, np.zeros(b_shape)))
+        params.append((w.astype(DTYPE), np.zeros(b_shape, dtype=DTYPE)))
     return params
+
+
+def params_dtype(params):
+    """The dtype the engine runs a learner in: its parameters' (`DTYPE` for
+    a network without any)."""
+    return next((p[0].dtype for p in params if p is not None), DTYPE)
 
 
 def copy_params(params):
@@ -470,8 +484,8 @@ def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
     return grads
 
 
-def _as_batch(spec: NetworkSpec, x):
-    x = np.asarray(x, dtype=np.float64)
+def _as_batch(spec: NetworkSpec, x, dtype):
+    x = np.asarray(x, dtype=dtype)
     ish = spec.input_shape
     if x.ndim == 3:
         x = x[None]
@@ -480,8 +494,8 @@ def _as_batch(spec: NetworkSpec, x):
     return x
 
 
-def _as_head_batch(spec: NetworkSpec, acts):
-    acts = np.asarray(acts, dtype=np.float64)
+def _as_head_batch(spec: NetworkSpec, acts, dtype):
+    acts = np.asarray(acts, dtype=dtype)
     if acts.ndim != 4 or acts.shape[1:] != spec.head_input:
         raise ShapeError(f"activations of shape {acts.shape} do not enter a head "
                          f"that takes {spec.head_input}")
@@ -498,23 +512,23 @@ def forward(learner: WeakLearner, x) -> np.ndarray:
 def trunk(learner: WeakLearner, x) -> np.ndarray:
     """The batch of activations entering the head (`NetworkSpec.head_start`)
     for one sample or a batch: what FC-only retraining never changes."""
-    spec = learner.spec
-    acts, _ = _forward_cache(spec, learner.params, _as_batch(spec, x),
-                             stop=spec.head_start)
+    spec, params = learner.spec, learner.params
+    x = _as_batch(spec, x, params_dtype(params))
+    acts, _ = _forward_cache(spec, params, x, stop=spec.head_start)
     return acts
 
 
 def head(learner: WeakLearner, acts) -> np.ndarray:
     """Class probabilities of a batch of `trunk` activations."""
-    spec = learner.spec
-    acts = _as_head_batch(spec, acts)
-    probs, _ = _forward_cache(spec, learner.params, acts, start=spec.head_start)
+    spec, params = learner.spec, learner.params
+    acts = _as_head_batch(spec, acts, params_dtype(params))
+    probs, _ = _forward_cache(spec, params, acts, start=spec.head_start)
     return probs.reshape(acts.shape[0], -1)
 
 
-def _one_hot(y, class_count):
+def _one_hot(y, class_count, dtype):
     y = np.asarray(y, dtype=int)
-    oh = np.zeros((y.shape[0], class_count))
+    oh = np.zeros((y.shape[0], class_count), dtype=dtype)
     oh[np.arange(y.shape[0]), y] = 1.0
     return oh
 
@@ -540,7 +554,9 @@ def _probs_and_grads(spec, params, x, y_onehot, weights, start=0):
 
 
 def _loss(probs, y_onehot, weights) -> float:
-    p_true = np.clip((probs * y_onehot).sum(axis=1), 1e-300, None)
+    # in float64: a float32 floor of 1e-300 rounds to 0.0, and a true-class
+    # probability that underflowed would give an infinite loss
+    p_true = np.clip((probs * y_onehot).sum(axis=1, dtype=np.float64), 1e-300, None)
     return float(np.mean(weights * -np.log(p_true)))
 
 
@@ -550,6 +566,7 @@ def _loss_and_grads(spec, params, x, y_onehot, weights, start=0):
 
 
 def _sgd_step(params, grads, lr, layers):
+    lr = float(lr)   # a numpy float64 would promote float32 parameters
     for idx in layers:
         g = grads[idx]
         if g is None:
@@ -586,7 +603,10 @@ def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
     # whatever its arrays' layout (`prune_step`'s channel slices are not
     # C-ordered)
     params = copy_params(learner.params)
-    y_onehot = _one_hot(y, spec.class_count)
+    dtype = params_dtype(params)
+    x = x.astype(dtype, copy=False)
+    weights = weights.astype(dtype, copy=False)
+    y_onehot = _one_hot(y, spec.class_count, dtype)
     rng = np.random.default_rng(seed)
     history = []
     # a diverging step overflows before its loss is checked: raise the error,
@@ -622,7 +642,8 @@ def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,
     outputs are returned, so callers can reuse it as the inference result.
     """
     spec = learner.spec
-    acts = _as_head_batch(spec, acts)
+    dtype = params_dtype(learner.params)
+    acts = _as_head_batch(spec, acts, dtype)
     n = acts.shape[0]
     if n == 0:
         raise ShapeError("train_fc_only requires a non-empty batch")
@@ -633,17 +654,18 @@ def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,
         raise ShapeError(f"labels must be integers, got {y.dtype}")
     if not all(0 <= v < spec.class_count for v in y.tolist()):
         raise ShapeError(f"labels must be in [0, {spec.class_count})")
-    weights = _sample_weights(sample_weights, n)
-    return fc_step(learner, acts, _one_hot(y, spec.class_count), weights,
+    weights = _sample_weights(sample_weights, n).astype(dtype, copy=False)
+    return fc_step(learner, acts, _one_hot(y, spec.class_count, dtype), weights,
                    learning_rate)
 
 
 def fc_step(learner: WeakLearner, acts, y_onehot, weights, learning_rate):
     """`train_fc_only`'s step without its checks, for a caller whose inputs
-    already meet them: `acts` a non-empty float64 batch that enters the head,
-    `y_onehot` its (n, class_count) float64 one-hot labels, of exact 0.0 and
-    1.0, and `weights` its n positive, finite float64 sample weights.
-    Returns what `train_fc_only` returns."""
+    already meet them: `acts` a non-empty batch that enters the head,
+    `y_onehot` its (n, class_count) one-hot labels, of exact 0.0 and 1.0,
+    and `weights` its n positive, finite sample weights, all three in the
+    dtype of the learner's parameters (an operand of another dtype would
+    promote the step).  Returns what `train_fc_only` returns."""
     spec = learner.spec
     probs, grads = _probs_and_grads(spec, learner.params, acts, y_onehot,
                                     weights, spec.head_start)
@@ -657,15 +679,17 @@ def fc_step(learner: WeakLearner, acts, y_onehot, weights, learning_rate):
 def gradient_check(spec: NetworkSpec, seed: int, step=1e-5, batch=2) -> float:
     """Max relative error between backprop and central finite differences.
 
-    Intended for toy specs (< 10k parameters); everything in float64.
+    Intended for toy specs (< 10k parameters); everything in float64, the
+    parameters cast up from `init_params`.
     """
     rng = np.random.default_rng(seed)
-    params = init_params(spec, rng)
+    params = [None if p is None else (p[0].astype(np.float64), p[1].astype(np.float64))
+              for p in init_params(spec, rng)]
     ish = spec.input_shape
     x = rng.standard_normal((batch, ish.channels, ish.height, ish.width))
     y = rng.integers(0, spec.class_count, size=batch)
     weights = rng.uniform(0.5, 1.5, size=batch)
-    y_onehot = _one_hot(y, spec.class_count)
+    y_onehot = _one_hot(y, spec.class_count, np.float64)
 
     _, grads = _probs_and_grads(spec, params, x, y_onehot, weights)
     analytic = flatten_params(grads)

@@ -269,9 +269,11 @@ def _score(cfg: SimConfig, events, batches: _Batches):
     weights = checked_vote_weights(cfg.ensemble.vote_weights)
     labels = cfg.dataset.split("test")[1]
     # what `train_fc_only` checks and builds at every write, once per run:
-    # the Dataset's labels are in range, and np.eye's rows are `_one_hot`'s
-    one_hot = np.eye(cfg.dataset.class_count)[labels]
-    unit = np.ones(1)
+    # the Dataset's labels are in range, and np.eye's rows are `_one_hot`'s,
+    # in the dtype of the learners' trunk outputs, which is their parameters'
+    dtype = batches.trunks[0].dtype
+    one_hot = np.eye(cfg.dataset.class_count, dtype=dtype)[labels]
+    unit = np.ones(1, dtype=dtype)
     # an FC-only step never writes in place: it gives the learner it
     # returns new FC arrays, so the input learners need no copy
     learners, heads = list(cfg.ensemble.learners), list(batches.heads)

@@ -19,6 +19,19 @@ from enboost.prune import conv_layer_indices
 from enboost.qsched import ENERGY_LEVELS, POWER_LEVELS, Agent, act, q_update, reward
 
 
+def bits(a):
+    """An array's bits, as integers of its own width: equal exactly when
+    the arrays are bitwise equal, signed zeros and NaN payloads included."""
+    return a.view(f"i{a.itemsize}")
+
+
+def float64_params(params):
+    """The parameters cast up to float64, as a pool written before float32
+    holds them, or as `nn.gradient_check` runs them."""
+    return [None if p is None else (p[0].astype(np.float64), p[1].astype(np.float64))
+            for p in params]
+
+
 def tiny_spec(input_shape=(2, 8, 8), classes=3, filters=(4, 6)):
     """Small conv net that trains in well under a second per epoch."""
     return NetworkSpec(

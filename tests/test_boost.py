@@ -1,17 +1,18 @@
 """Boosting loop: weight initialization, the multiplicative update, pool
 construction, and pool persistence."""
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from conftest import tiny_spec
+from conftest import float64_params, tiny_spec
 from enboost import boost, nn, prune
 from enboost.boost import (PoolConfig, build_pool, init_weights, load_pool,
                            normalize, save_pool, update_weights,
                            weight_multipliers)
 from enboost.data import synth_dataset
-from enboost.errors import ConfigError, ShapeError
+from enboost.errors import ArtifactError, ConfigError, ShapeError
 from enboost.nn import WeakLearner, evaluate, forward, train
 from enboost.prune import PruneSchedule, prune_to_budget
 
@@ -199,3 +200,50 @@ def test_pool_round_trip(tmp_path):
     assert [l.checksum() for l in loaded] == [l.checksum() for l in pool]
     assert [l.macs for l in loaded] == [l.macs for l in pool]
     assert [l.eval_accuracy for l in loaded] == [l.eval_accuracy for l in pool]
+    for learner in loaded:
+        assert {a.dtype for p in learner.params if p is not None for a in p} == {
+            np.dtype(np.float32)}
+    assert (tmp_path / "pool" / "learner-00.params.npy").stat().st_size == (
+        128 + 4 * nn.count_params(loaded[0].spec))
+
+
+def float64_pool(tmp_path):
+    """A pool as written before float32: float64 `.npy` files, and the
+    checksums of their bytes."""
+    spec, ds, cfg = small_pool_setup()
+    pool, _ = build_pool(spec, ds, cfg)
+    for learner in pool:
+        learner.params = float64_params(learner.params)
+    save_pool(pool, tmp_path / "pool")
+    return pool, ds
+
+
+def test_a_float64_pool_loads_trains_and_serves_in_float64(tmp_path):
+    pool, ds = float64_pool(tmp_path)
+    loaded = load_pool(tmp_path / "pool")
+    assert [l.checksum() for l in loaded] == [l.checksum() for l in pool]
+    x = ds.split("eval")[0]
+    for learner in loaded:
+        assert {a.dtype for p in learner.params if p is not None for a in p} == {
+            np.dtype(np.float64)}
+        assert forward(learner, x).dtype == np.float64
+    trained, _ = train(loaded[0], ds, np.ones(ds.split_size("train")), epochs=1,
+                       learning_rate=0.1, seed=0)
+    assert {a.dtype for p in trained.params if p is not None for a in p} == {
+        np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16])
+def test_load_pool_rejects_parameters_neither_float32_nor_float64(tmp_path, dtype):
+    # even with a matching checksum: the engine would run in their dtype
+    save_pool(build_pool(*small_pool_setup())[0], tmp_path / "pool")
+    manifest = json.loads((tmp_path / "pool" / "pool.json").read_text())
+    path = tmp_path / "pool" / manifest["learners"][0]["params"]
+    flat = np.load(path).astype(dtype)
+    np.save(path, flat)
+    checksum = hashlib.sha256(flat.tobytes()).hexdigest()
+    manifest["learners"][0]["params_checksum"] = checksum
+    (tmp_path / "pool" / "pool.json").write_text(json.dumps(manifest))
+    with pytest.raises(ArtifactError, match=f"{path}: parameters must be float32 or "
+                                            f"float64, got {np.dtype(dtype)}"):
+        load_pool(tmp_path / "pool")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_spec
-from enboost import config, nn, qsched, simrun
+from enboost import config, ensemble as ens, nn, qsched, simrun
 from enboost.cli import main
 from enboost.qsched import load_qtable
 
@@ -47,6 +47,48 @@ def test_build_summary_respects_budget(workspace):
     manifest = json.loads((workspace / "build" / "ensemble.json").read_text())
     assert doc["selected"] == manifest["learners"]
     assert doc["vote_weights"] == manifest["vote_weights"]
+
+
+def test_build_summary_scores_the_test_split(workspace):
+    doc = json.loads((workspace / "build" / "build_summary.json").read_text())
+    model = ens.load_ensemble(workspace / "build" / "ensemble.json")
+    cfg = config.load_config(workspace / "config.json")
+    tx, ty = config.make_dataset(cfg, workspace).split("test")
+    probs = [nn.forward(l, tx) for l in model.learners]
+    assert doc["test_accuracy"]["samples"] == len(ty)
+    assert doc["test_accuracy"]["ensemble_prefix"] == [
+        float(np.mean(ens.vote_batch(np.stack(probs[:k]), model.vote_weights[:k]) == ty))
+        for k in (1, 2)]
+    pool = doc["test_accuracy"]["pool"]
+    assert sorted(pool) == [e["id"] for e in doc["pool"]]
+    for learner, p in zip(model.learners, probs):
+        assert pool[learner.id] == nn.accuracy(p, ty)
+
+
+def test_selection_never_reads_the_test_split(tmp_path, monkeypatch):
+    # the same build with the test split's labels reversed: only the
+    # test-split scores may differ
+    tiny_spec().save(tmp_path / "net.json")
+    (tmp_path / "config.json").write_text(json.dumps(LIGHT_CONFIG))
+    make_dataset = config.make_dataset
+
+    def reversed_test_labels(*args):
+        ds = make_dataset(*args)
+        test = ds.splits["test"]
+        ds.y[test] = ds.y[test][::-1]
+        return ds
+
+    for out, make in (("a", make_dataset), ("b", reversed_test_labels)):
+        monkeypatch.setattr(config, "make_dataset", make)
+        assert main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / out)]) == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert (a / "ensemble.json").read_bytes() == (b / "ensemble.json").read_bytes()
+    for path in sorted((a / "pool").iterdir()):
+        assert path.read_bytes() == (b / "pool" / path.name).read_bytes()
+    doc_a, doc_b = (json.loads((d / "build_summary.json").read_text()) for d in (a, b))
+    assert doc_a.pop("test_accuracy") != doc_b.pop("test_accuracy")
+    assert doc_a == doc_b
 
 
 def test_build_with_every_vote_weight_at_most_0_exits_2_without_output(tmp_path,
@@ -434,6 +476,25 @@ def test_build_rejects_non_finite_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err == f"error: {tmp_path / 'd.csv'}:8: non-finite value\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_rejects_csv_values_beyond_float32(tmp_path, capsys):
+    # 1e39 is finite in float64 and inf in the float32 dataset
+    tiny_spec().save(tmp_path / "net.json")
+    rng = np.random.default_rng(0)
+    rows = [[i % 3, *rng.standard_normal(2 * 8 * 8)] for i in range(30)]
+    rows[11][3] = 1e39
+    (tmp_path / "d.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    doc = dict(LIGHT_CONFIG, dataset={"csv": {"path": "d.csv", "classes": 3,
+                                              "shape": [2, 8, 8]}})
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: {tmp_path / 'd.csv'}:12: value beyond float32's range "
+                   "(magnitude > 3.4028235e+38)\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from enboost import data
 from enboost.data import Dataset, drift_dataset, load_csv, synth_dataset
 from enboost.errors import ConfigError
 from enboost.nn import TensorShape
@@ -98,3 +99,30 @@ def test_dataset_validation():
     with pytest.raises(ConfigError):
         Dataset(x=np.zeros((2, 4)), y=np.array([0, 1]), class_count=2,
                 splits={})
+
+
+@pytest.mark.parametrize("value", ["1e39", "-3.5e38", "1.7976931348623157e308"])
+def test_load_csv_rejects_values_beyond_float32(tmp_path, value):
+    # finite in float64, but inf once the dataset is cast to float32
+    path = tmp_path / "d.csv"
+    path.write_text(f"0,1.0,2.0,3.0,4.0\n1,1.0,2.0,{value},4.0\n")
+    with pytest.raises(ConfigError, match=":2: value beyond float32's range"):
+        load_csv(path, TensorShape(1, 2, 2), class_count=2)
+    path.write_text("0,3.4028234e38,-3.4028234e38,0,1e-50\n" + "1,1,2,3,4\n" * 4)
+    ds = load_csv(path, TensorShape(1, 2, 2), class_count=2)
+    assert np.isfinite(ds.x).all()
+
+
+def test_datasets_are_float32_rounded_from_float64_draws():
+    # the float64 draws of the same RNG stream, each rounded once
+    shape = (2, 3, 3)
+    ds = synth_dataset(seed=3, classes=3, samples_per_class=4, shape=shape)
+    rng = np.random.default_rng(3)
+    patterns = data._class_patterns(rng, 3, shape)
+    want = np.concatenate([patterns[k][None] + 2.5 * rng.standard_normal((4, *shape))
+                           for k in range(3)])
+    assert ds.x.dtype == np.float32
+    assert np.array_equal(ds.x, want.astype(np.float32))
+    for name, idx in data._make_splits(12, rng).items():
+        assert np.array_equal(ds.splits[name], idx)
+    assert drift_dataset(ds).x.dtype == np.float32

@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (parent_backward, parent_forward_cache, parent_softmax,
-                      slice_im2col, tiny_spec)
+from conftest import (bits, float64_params, parent_backward, parent_forward_cache,
+                      parent_softmax, slice_im2col, tiny_spec)
 from enboost import nn
 from enboost.config import baseline_network
-from enboost.data import synth_dataset
+from enboost.data import Dataset, synth_dataset
 from enboost.errors import ShapeError, TrainingDivergedError
 from enboost.nn import (NetworkSpec, TensorShape, WeakLearner, avgpool, conv,
                         count_macs, count_params, evaluate, fc, flatten_params,
@@ -189,6 +189,71 @@ def test_train_rejects_bad_weights():
             train(learner, ds, bad, epochs=1, learning_rate=0.05, seed=0)
 
 
+def test_float32_step_with_an_underflowing_true_class_probability_is_finite():
+    # logits of +-200 put the true class's probability at exp(-400), which is
+    # 0.0 in float32; a float32 floor of 1e-300 is 0.0 as well, so the loss
+    # was -log 0 = inf and the step raised TrainingDivergedError
+    learner = WeakLearner.initialize(fc_net(1, 2), seed=0, learner_id="t")
+    learner.params[0] = (np.array([[200.0], [-200.0]], dtype=np.float32),
+                         np.zeros(2, dtype=np.float32))
+    x = np.ones((4, 1, 1, 1), dtype=np.float32)
+    ds = Dataset(x=x, y=np.ones(4, dtype=int), class_count=2,
+                 splits={"train": np.arange(4), "eval": np.arange(1),
+                         "test": np.arange(1)})
+    assert forward(learner, x)[:, 1].tolist() == [0.0] * 4
+    trained, history = train(learner, ds, np.ones(4), epochs=1, learning_rate=0.1,
+                             seed=0, batch_size=4)
+    assert history == [pytest.approx(-np.log(1e-300))]   # the floor, in float64
+    assert all(np.isfinite(p).all() for p in trained.params[0])
+
+
+def param_dtypes(learner):
+    return {a.dtype for p in learner.params if p is not None for a in p}
+
+
+def test_the_engine_runs_in_float32():
+    spec = tiny_spec()
+    ds = small_dataset()
+    assert ds.x.dtype == np.float32
+    learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
+    assert param_dtypes(learner) == {np.dtype(np.float32)}
+    trained, history = train(learner, ds, np.ones(ds.split_size("train")), epochs=1,
+                             learning_rate=0.05, seed=0)
+    assert param_dtypes(trained) == {np.dtype(np.float32)}
+    assert all(type(h) is float for h in history)
+    x = ds.split("eval")[0].astype(np.float64)   # inputs are cast, not followed
+    acts = trunk(trained, x)
+    assert acts.dtype == forward(trained, x).dtype == forward(trained, x[0]).dtype
+    assert acts.dtype == head(trained, acts).dtype == np.float32
+    # a float64 learning rate, weights or activations do not promote the step
+    for lr in (0.1, np.float64(0.1)):
+        updated, probs = train_fc_only(trained, acts.astype(np.float64), [0] * len(x),
+                                       np.ones(len(x)), lr)
+        assert probs.dtype == np.float32
+        assert param_dtypes(updated) == {np.dtype(np.float32)}
+        stepped, _ = fc_step(trained, acts, np.eye(3, dtype=np.float32)[[1] * len(x)],
+                             np.ones(len(x), dtype=np.float32), lr)
+        assert param_dtypes(stepped) == {np.dtype(np.float32)}
+
+
+def test_a_float64_learner_trains_and_serves_in_float64():
+    # a pool written before float32 holds float64 parameters: the engine
+    # follows them, whatever the dataset's dtype
+    spec = tiny_spec()
+    ds = small_dataset()
+    learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
+    learner.params = float64_params(learner.params)
+    trained, _ = train(learner, ds, np.ones(ds.split_size("train")), epochs=1,
+                       learning_rate=0.05, seed=0)
+    assert param_dtypes(trained) == {np.dtype(np.float64)}
+    x = ds.split("eval")[0]
+    acts = trunk(trained, x)
+    assert acts.dtype == forward(trained, x).dtype == head(trained, acts).dtype == np.float64
+    updated, probs = train_fc_only(trained, acts, [0] * len(x), np.ones(len(x)), 0.1)
+    assert probs.dtype == np.float64
+    assert param_dtypes(updated) == {np.dtype(np.float64)}
+
+
 # ---------------------------------------------------------------------------
 # train_fc_only
 
@@ -244,6 +309,7 @@ def test_fc_only_shares_the_trunk_and_leaves_the_input_learner_alone():
 def test_fc_only_matches_finite_difference_gradient():
     spec = fc_net(2, 2)
     learner = WeakLearner.initialize(spec, seed=4, learner_id="t")
+    learner.params = float64_params(learner.params)   # as gradient_check runs
     x = np.array([0.7, -0.3]).reshape(1, 1, 2)
     label, weight, lr = 1, 1.3, 0.25
 
@@ -399,9 +465,9 @@ def test_fc_step_is_train_fc_only_without_its_checks(make, labels, weights):
         (len(labels), ish.channels, ish.height, ish.width))
     acts = trunk(learner, x)
     want, want_probs = train_fc_only(learner, acts, labels, weights, 0.3)
-    got, probs = fc_step(learner, acts, np.eye(spec.class_count)[labels],
-                         np.array(weights), 0.3)
-    assert np.array_equal(probs.view(np.int64), want_probs.view(np.int64))
+    got, probs = fc_step(learner, acts, np.eye(spec.class_count, dtype=acts.dtype)[labels],
+                         np.array(weights, dtype=acts.dtype), 0.3)
+    assert np.array_equal(bits(probs), bits(want_probs))
     assert len(got.params) == len(want.params)
     for idx, (p, q) in enumerate(zip(got.params, want.params)):
         if idx < spec.head_start:
@@ -411,7 +477,7 @@ def test_fc_step_is_train_fc_only_without_its_checks(make, labels, weights):
             assert q is None
             continue
         for a, b in zip(p, q):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            assert np.array_equal(bits(a), bits(b))
     assert (got.macs, got.id, got.eval_accuracy) == (want.macs, want.id,
                                                       want.eval_accuracy)
 
@@ -544,7 +610,7 @@ ORACLE_NETS = {
 def _engine_outputs(learner, x, y, w):
     """Every array the engine's callers see, as a flat list."""
     spec = learner.spec
-    onehot = nn._one_hot(y, spec.class_count)
+    onehot = nn._one_hot(y, spec.class_count, np.float64)
     loss, grads, probs = nn._loss_and_grads(spec, learner.params, x, onehot, w)
     acts = trunk(learner, x)
     head_loss, head_grads, _ = nn._loss_and_grads(spec, learner.params, acts,
@@ -564,9 +630,10 @@ def test_engine_matches_parent_oracle(name, monkeypatch):
     spec = ORACLE_NETS[name]()
     rng = np.random.default_rng(11)
     learner = WeakLearner.initialize(spec, seed=5, learner_id="t")
+    # in float64, as the oracle runs
     learner.params = [None if p is None else
                       (p[0], rng.standard_normal(p[1].shape) * 0.1)
-                      for p in learner.params]
+                      for p in float64_params(learner.params)]
     ish = spec.input_shape
     for batch in (1, 2, 31, 32):
         x = rng.standard_normal((batch, ish.channels, ish.height, ish.width))
@@ -593,14 +660,15 @@ def test_large_conv_biases_match_parent_oracle(name, batch, monkeypatch):
     spec = ORACLE_NETS[name]()
     rng = np.random.default_rng(batch)
     learner = WeakLearner.initialize(spec, seed=9, learner_id="t")
+    # in float64, as the oracle runs
     learner.params = [p if p is None or layer.kind != nn.CONV else
                       (p[0], rng.choice([-1e3, 1e3], size=p[1].shape))
-                      for p, layer in zip(learner.params, spec.layers)]
+                      for p, layer in zip(float64_params(learner.params), spec.layers)]
     ish = spec.input_shape
     x = rng.standard_normal((batch, ish.channels, ish.height, ish.width))
     y = forward(learner, x).argmin(axis=1)   # the saturated softmax stays wrong
     w = rng.uniform(0.5, 1.5, size=batch)
-    onehot = nn._one_hot(y, spec.class_count)
+    onehot = nn._one_hot(y, spec.class_count, np.float64)
     got = nn._loss_and_grads(spec, learner.params, x, onehot, w)
     outs = [nn._forward_cache(spec, learner.params, x, stop=stop)[0]
             for stop in range(1, len(spec.layers) + 1)]

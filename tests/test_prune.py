@@ -94,6 +94,17 @@ def test_prune_step_shares_no_array_with_its_input():
             assert np.array_equal(b, c)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_prune_step_keeps_the_parameters_dtype(dtype):
+    learner = WeakLearner.initialize(tiny_spec(), seed=1, learner_id="t")
+    learner.params = [None if p is None else (p[0].astype(dtype), p[1].astype(dtype))
+                      for p in learner.params]
+    for victims in ({0: [2]}, {2: [0, 3]}, {}):
+        pruned = prune_step(learner, victims)
+        assert {a.dtype for p in pruned.params if p is not None for a in p} == {
+            np.dtype(dtype)}
+
+
 def test_retraining_a_pruned_learner_does_not_depend_on_its_layout():
     # channel slices come out of prune_step in F order; the GEMMs round by
     # their operands' layout, so `train` must give the bits of C-order copies

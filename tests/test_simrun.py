@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import PolicyAgent, discretize_energy, tiny_spec
+from conftest import PolicyAgent, bits, discretize_energy, tiny_spec
 from enboost import qsched, simrun
 from enboost.boost import PoolConfig, build_pool
 from enboost.data import drift_dataset, synth_dataset
@@ -207,7 +207,7 @@ def test_unretrained_votes_use_rows_of_the_batched_forward(small_model, monkeypa
     model, ds = small_model
     n, split = model.size, ds.split_size("test")
     sx, _ = ds.split("test")
-    offline = [forward(l, sx).view(np.int64) for l in model.learners]
+    offline = [bits(forward(l, sx)) for l in model.learners]
     calls = counted_votes(monkeypatch)
     env = abundant(model, requests=2 * split)
     reports = run_many([SimConfig(env=env, ensemble=model, dataset=ds,
@@ -216,7 +216,7 @@ def test_unretrained_votes_use_rows_of_the_batched_forward(small_model, monkeypa
     tables = {}
     for k, stack, votes in calls:
         for l in range(k):
-            assert np.array_equal(stack[l].view(np.int64), offline[l])
+            assert np.array_equal(bits(stack[l]), offline[l])
             seen.update((l, i) for i in range(split))
         tables[k] = votes
     assert seen == {(l, i) for l in range(n) for i in range(split)}
@@ -224,6 +224,33 @@ def test_unretrained_votes_use_rows_of_the_batched_forward(small_model, monkeypa
     for report in reports:
         for row in report.events:
             assert row["predicted"] == tables[row["learners_run"]][row["sample_index"]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_retraining_keeps_the_learners_dtype(small_model, monkeypatch, dtype):
+    # a float32 ensemble stays float32 through every write, and a float64
+    # one (a pool written before float32) serves and retrains in float64
+    model, ds = small_model
+    learners = [replace(l, params=[None if p is None else (p[0].astype(dtype),
+                                                           p[1].astype(dtype))
+                                   for p in l.params]) for l in model.learners]
+    model = replace(model, learners=learners)
+    seen = []
+
+    def stepped(learner, acts, y_onehot, weights, lr):
+        assert acts.dtype == y_onehot.dtype == weights.dtype == dtype
+        out, probs = fc_step(learner, acts, y_onehot, weights, lr)
+        seen.append({probs.dtype} | {a.dtype for p in out.params if p is not None
+                                     for a in p})
+        return out, probs
+
+    monkeypatch.setattr(simrun, "fc_step", stepped)
+    cfg = SimConfig(env=abundant(model, requests=ds.split_size("test")),
+                    ensemble=model, dataset=ds, policy=FixedKPolicy(2, 2),
+                    retrain_mode="high-energy")
+    report, before, after = run_concurrent_training(cfg, drift_dataset(ds))
+    assert len(seen) == report.retrain_events > 0
+    assert all(s == {np.dtype(dtype)} for s in seen)
 
 
 def test_run_many_votes_one_table_per_prefix_length(small_model, monkeypatch):
@@ -286,7 +313,7 @@ def test_retrained_votes_use_rows_of_the_batched_head(small_model, monkeypatch):
                 assert self.learner is latest[j]
                 want = head(self.learner, trunk(self.learner, sx))[i]
                 row = np.asarray(super().__getitem__(i))
-                assert np.array_equal(row.view(np.int64), want.view(np.int64))
+                assert np.array_equal(bits(row), bits(want))
                 if self.learner is not model.learners[j]:
                     seen.add((j, i))
             return super().__getitem__(i)
