@@ -5,10 +5,10 @@ accuracy and q-table failure rate.
     python3 quality/run.py PARENT CHANGE --out QUALITY_<n>.json
 
 PARENT and CHANGE are source checkouts (each with `src/enboost`).  Seed s
-sets `dataset.generator.seed` and `pool.seed` on top of the base config
-(`{}` unless `--config` names one).  README.md beside this file states the
-rule; the script exits 0 when the three parts it measures pass, 1 when one
-fails.
+in 1..10 sets `dataset.generator.seed` and `pool.seed` on top of the base
+config (`{}` unless `--config` names one).  README.md beside this file
+states the rule; the script exits 0 when the three parts it measures pass,
+1 when one fails.
 """
 from __future__ import annotations
 
@@ -23,9 +23,11 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SEEDS = range(1, 11)
 POLICIES = ("fixed:2", "all")   # run beside the q-table, as the README's example does
-# the ensemble's test-split votes, for a checkout whose build_summary.json
-# predates `test_accuracy`; it reads only the config and the ensemble
+# the N-ensemble's test-split votes, counted by a checkout's own code from
+# its config and ensemble, so that a checkout whose build_summary.json
+# predates `test_accuracy` is gated as well
 _COUNT_TEST = """
 import sys
 from pathlib import Path
@@ -79,13 +81,7 @@ def run_side(checkout: Path, cfg_path: Path, out: Path) -> dict:
     policies = [arg for p in (f"qtable:{qtable}", *POLICIES) for arg in ("--policy", p)]
     run_enboost(checkout, "-m", "enboost.cli", "simulate", "--config", cfg_path,
                 "--ensemble", build, *policies, "--out", out / "sim")
-    summary = json.loads((build / "build_summary.json").read_text())
-    scores = summary.get("test_accuracy")
-    if scores is None:
-        right, samples = counted_test_votes(checkout, cfg_path, build)
-    else:
-        samples = scores["samples"]
-        right = round(scores["ensemble_prefix"][-1] * samples)
+    right, samples = counted_test_votes(checkout, cfg_path, build)
     report = json.loads((out / "sim" / "qtable" / "report.json").read_text())
     return {"test_correct": right, "test_samples": samples,
             "qtable_failure_rate": report["failure_rate"]}
@@ -124,34 +120,27 @@ def compare(runs: dict, seeds) -> dict:
     return doc
 
 
-def parse_seeds(text: str):
-    lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="source checkout of the parent")
     parser.add_argument("change", type=Path, help="source checkout of the change")
     parser.add_argument("--out", type=Path, required=True, help="QUALITY_<n>.json")
-    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"),
-                        help="a seed or an inclusive range, e.g. 1-10 (the default)")
     parser.add_argument("--config", type=Path, default=None,
                         help="base config JSON, its paths absolute (default {})")
-    parser.add_argument("--note", default="", help="free text stored in the output")
     args = parser.parse_args(argv)
     base = {} if args.config is None else json.loads(args.config.read_text())
     runs = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="enboost-quality-") as tmp:
         work = Path(tmp)
-        for seed in args.seeds:
+        for seed in SEEDS:
             cfg_path = work / f"seed-{seed}.json"
             cfg_path.write_text(json.dumps(seed_config(base, seed)))
             for side, checkout in zip(SIDES, (args.parent, args.change)):
                 runs[side].append(run_side(checkout.resolve(), cfg_path,
                                            work / side / f"seed-{seed}"))
                 print(f"seed {seed} {side}: {runs[side][-1]}", file=sys.stderr)
-    doc = {"note": args.note, "config": base, **compare(runs, args.seeds)}
+    doc = {"checkouts": {"parent": str(args.parent), "change": str(args.change)},
+           "config": base, **compare(runs, SEEDS)}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(json.dumps(doc["gate"], sort_keys=True))
     return 0 if doc["gate"]["pass"] else 1

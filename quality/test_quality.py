@@ -1,6 +1,6 @@
 """Self-test of the quality gate on a tiny config: the checkout compared with
-itself changes nothing at any seed, and the test-split count the gate reads
-from `build_summary.json` is the one the ensemble's own votes give.
+itself changes nothing at any seed, and the test-split count the gate takes
+is the one `build_summary.json` records.
 
     python3 -m pytest quality
 """
@@ -44,16 +44,20 @@ def tiny_config(work: Path) -> Path:
 
 @pytest.fixture(scope="module")
 def self_comparison(tmp_path_factory):
+    # run.main's loop at seeds 1-2 on the tiny config, the checkout on both sides
     work = tmp_path_factory.mktemp("quality")
-    out = work / "QUALITY.json"
-    rc = run.main([str(ROOT), str(ROOT), "--out", str(out), "--seeds", "1-2",
-                   "--config", str(tiny_config(work))])
-    return rc, json.loads(out.read_text()), work
+    base = json.loads(tiny_config(work).read_text())
+    runs = {side: [] for side in run.SIDES}
+    for seed in (1, 2):
+        cfg_path = work / f"seed-{seed}.json"
+        cfg_path.write_text(json.dumps(run.seed_config(base, seed)))
+        for side in run.SIDES:
+            runs[side].append(run.run_side(ROOT, cfg_path, work / side / f"seed-{seed}"))
+    return run.compare(runs, (1, 2)), work
 
 
 def test_a_checkout_against_itself_changes_nothing(self_comparison):
-    rc, doc, _ = self_comparison
-    assert rc == 0
+    doc, _ = self_comparison
     assert doc["seeds"] == [1, 2]
     assert doc["per_seed_accuracy_change"] == [0.0, 0.0]
     assert doc["median_accuracy_change"] == 0.0
@@ -66,16 +70,14 @@ def test_a_checkout_against_itself_changes_nothing(self_comparison):
                            "pass": True}
 
 
-def test_the_summary_count_is_the_ensembles_votes(self_comparison, tmp_path):
-    # the count a checkout without `test_accuracy` gives is the recorded one
-    _, doc, work = self_comparison
-    cfg = tmp_path / "seed.json"
-    cfg.write_text(json.dumps(run.seed_config(
-        json.loads((work / "base.json").read_text()), 1)))
-    got = run.run_side(ROOT, cfg, tmp_path / "side")
-    assert got["test_correct"] == doc["change"]["test_correct"][0]
-    assert run.counted_test_votes(ROOT, cfg, tmp_path / "side" / "build") == (
-        got["test_correct"], got["test_samples"])
+def test_the_count_is_the_recorded_ensemble_accuracy(self_comparison):
+    doc, work = self_comparison
+    for i, seed in enumerate((1, 2)):
+        summary = json.loads((work / "change" / f"seed-{seed}" / "build" /
+                              "build_summary.json").read_text())["test_accuracy"]
+        assert summary["samples"] == doc["change"]["test_samples"][i]
+        assert summary["ensemble_prefix"][-1] == (
+            doc["change"]["test_correct"][i] / summary["samples"])
 
 
 def test_the_gate_fails_on_a_loss():

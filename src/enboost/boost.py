@@ -14,7 +14,7 @@ import numpy as np
 from . import artifacts
 from .errors import ConfigError
 from .nn import (NetworkSpec, WeakLearner, evaluate, flatten_params, forward,
-                 params_checksum, unflatten_params, train)
+                 params_checksum, params_dtype, unflatten_params, train)
 from .prune import PruneSchedule, prune_to_budget
 
 PROB_FLOOR = 1e-6  # clamp inside log: the update is singular at p_true = 0
@@ -70,13 +70,15 @@ def update_weights(weights: np.ndarray, learner: WeakLearner, dataset,
                    alpha: float) -> np.ndarray:
     """Multiply each weight by p_true^(-alpha) on the train split, then
     mean-normalize. Misclassified (low p_true) samples gain weight. An alpha
-    so large that the weights overflow is a configuration error."""
+    so large that the weights overflow, or that a weight rounds to 0.0 in the
+    dtype the learners train in, is a configuration error."""
     x, y = dataset.split("train")
     probs = forward(learner, x)
     p_true = probs[np.arange(len(y)), y]
     with np.errstate(over="ignore", invalid="ignore"):
         new = normalize(weights * weight_multipliers(p_true, alpha))
-    if not (np.isfinite(new).all() and (new > 0).all()):
+        rounded = new.astype(params_dtype(learner.params))
+    if not (np.isfinite(rounded).all() and (rounded > 0).all()):
         raise ConfigError(f"pool.boost_learning_rate {alpha} overflows the sample "
                           f"weights after {learner.id}; use a smaller rate")
     return new

@@ -85,8 +85,13 @@ def synth_dataset(seed, classes=6, samples_per_class=100, shape=(3, 12, 12),
     y = np.empty(n, dtype=int)
     for k in range(classes):
         lo = k * samples_per_class
-        x[lo:lo + samples_per_class] = (
-            patterns[k][None] + noise * rng.standard_normal((samples_per_class, *shape)))
+        with np.errstate(over="ignore"):
+            block = patterns[k][None] + noise * rng.standard_normal(
+                (samples_per_class, *shape))
+        if not (np.abs(block) <= _DTYPE_MAX).all():
+            raise ConfigError(f"dataset.generator.noise {noise} draws pixels beyond "
+                              f"float32's range (magnitude > {_DTYPE_MAX:.8g})")
+        x[lo:lo + samples_per_class] = block
         y[lo:lo + samples_per_class] = k
     return Dataset(x=x, y=y, class_count=classes,
                    splits=_make_splits(n, rng))

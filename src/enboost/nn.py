@@ -533,13 +533,15 @@ def _one_hot(y, class_count, dtype):
     return oh
 
 
-def _sample_weights(sample_weights, n, what="samples"):
-    """One per-sample loss weight for each of n samples, positive and finite."""
-    weights = np.asarray(sample_weights, dtype=np.float64)
+def _sample_weights(sample_weights, n, dtype, what="samples"):
+    """One per-sample loss weight for each of n samples, positive and finite
+    in `dtype` (a positive float64 weight can round to 0.0 or inf there)."""
+    with np.errstate(over="ignore"):
+        weights = np.asarray(sample_weights, dtype=np.float64).astype(dtype)
     if weights.shape != (n,):
         raise ShapeError(f"{weights.size} weights for {n} {what}")
     if not all(0.0 < v < math.inf for v in weights.tolist()):
-        raise ShapeError("sample weights must be positive and finite")
+        raise ShapeError(f"sample weights must be positive and finite in {weights.dtype}")
     return weights
 
 
@@ -595,17 +597,16 @@ def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
     is not evaluated, so its eval_accuracy is 0.0.
     """
     x, y = dataset.split("train")
-    weights = _sample_weights(sample_weights, x.shape[0], "train samples")
     spec = learner.spec
     n = x.shape[0]
+    dtype = params_dtype(learner.params)
+    weights = _sample_weights(sample_weights, n, dtype, "train samples")
     # C-order copies, never the input learner's arrays: the GEMMs round by
     # their operands' layout, and a learner must train to the same bits
     # whatever its arrays' layout (`prune_step`'s channel slices are not
     # C-ordered)
     params = copy_params(learner.params)
-    dtype = params_dtype(params)
     x = x.astype(dtype, copy=False)
-    weights = weights.astype(dtype, copy=False)
     y_onehot = _one_hot(y, spec.class_count, dtype)
     rng = np.random.default_rng(seed)
     history = []
@@ -654,7 +655,7 @@ def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,
         raise ShapeError(f"labels must be integers, got {y.dtype}")
     if not all(0 <= v < spec.class_count for v in y.tolist()):
         raise ShapeError(f"labels must be in [0, {spec.class_count})")
-    weights = _sample_weights(sample_weights, n).astype(dtype, copy=False)
+    weights = _sample_weights(sample_weights, n, dtype)
     return fc_step(learner, acts, _one_hot(y, spec.class_count, dtype), weights,
                    learning_rate)
 

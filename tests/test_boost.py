@@ -95,6 +95,19 @@ def test_update_weights_contract():
     assert np.all(raw[p_true < 1.0] > w0[p_true < 1.0])
 
 
+def test_update_weights_rejects_a_weight_that_rounds_to_0_in_the_learners_dtype():
+    # 1e-50 is positive in float64 but 0.0 in float32 (smallest subnormal
+    # about 1.4e-45); a float64 learner keeps it
+    spec, ds, _ = small_pool_setup()
+    learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
+    w = init_weights(ds.split_size("train"))
+    w[0] = 1e-50
+    with pytest.raises(ConfigError, match="boost_learning_rate"):
+        update_weights(w, learner, ds, alpha=1e-9)
+    learner.params = float64_params(learner.params)
+    assert update_weights(w, learner, ds, alpha=1e-9)[0] > 0
+
+
 def test_pool_config_validation():
     with pytest.raises(ConfigError):
         PoolConfig(pool_size=2, ensemble_size=2)

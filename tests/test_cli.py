@@ -498,6 +498,21 @@ def test_build_rejects_csv_values_beyond_float32(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_build_rejects_generator_noise_beyond_float32(tmp_path, capsys):
+    # noise 1e39 draws finite float64 pixels that are inf in float32
+    tiny_spec().save(tmp_path / "net.json")
+    doc = json.loads(json.dumps(LIGHT_CONFIG))
+    doc["dataset"]["generator"]["noise"] = 1e39
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: dataset.generator.noise 1e+39 draws pixels beyond "
+                   "float32's range (magnitude > 3.4028235e+38)\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("source", ["generator", "csv"])
 def test_build_rejects_dataset_shape_unlike_network(source, tmp_path, capsys):
     # LIGHT_CONFIG's 2x8x8 samples against the bundled 3x12x12 network

@@ -1,4 +1,6 @@
 """Synthetic dataset generator, drift variant, and CSV loading."""
+import re
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,18 @@ def test_splits_mix_classes():
 def test_synth_validation():
     with pytest.raises(ConfigError):
         synth_dataset(seed=0, classes=1)
+
+
+@pytest.mark.parametrize("noise", [1e39, 1e308])
+def test_synth_rejects_noise_that_draws_pixels_beyond_float32(noise):
+    # finite float64 draws that would be inf in the float32 set (1e308 also
+    # overflows float64 in the multiply)
+    with pytest.raises(ConfigError, match=f"^dataset.generator.noise {re.escape(str(noise))} "
+                                          "draws pixels beyond float32's range"):
+        synth_dataset(seed=0, classes=2, samples_per_class=5, shape=(1, 4, 4),
+                      noise=noise)
+    assert np.isfinite(synth_dataset(seed=0, classes=2, samples_per_class=5,
+                                     shape=(1, 4, 4), noise=1e37).x).all()
 
 
 @pytest.mark.parametrize("classes", [2, 3])

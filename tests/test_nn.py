@@ -397,6 +397,27 @@ def test_fc_only_rejects_weights_not_positive_and_finite(weight):
         train_fc_only(learner, acts, [0, 1, 2], [1.0, weight, 1.0], 0.1)
 
 
+@pytest.mark.parametrize("weight", [1e-50, 1e39])
+def test_weights_that_float32_rounds_to_0_or_inf_are_rejected_before_training(weight):
+    # positive and finite in float64, but 0.0 or inf in a float32 learner;
+    # a float64 learner trains with the same weight
+    learner, acts = fc_only_batch_of_three()
+    with pytest.raises(ShapeError, match="positive and finite in float32"):
+        train_fc_only(learner, acts, [0, 1, 2], [1.0, weight, 1.0], 0.1)
+    ds = synth_dataset(seed=0, classes=3, samples_per_class=5, shape=(2, 8, 8))
+    net = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
+    weights = np.ones(ds.split_size("train"))
+    weights[0] = weight
+    with pytest.raises(ShapeError, match="positive and finite in float32"):
+        nn.train(net, ds, weights, epochs=1, learning_rate=0.01, seed=0)
+    net.params = float64_params(net.params)
+    # a rate small enough that a 1e39 weight does not diverge
+    trained, history = nn.train(net, ds, weights, epochs=1, learning_rate=1e-40,
+                                seed=0)
+    assert trained.params[0][0].dtype == np.float64
+    assert all(np.isfinite(history))
+
+
 def test_fc_only_rejects_activations_of_the_wrong_shape():
     learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     x = np.random.default_rng(0).standard_normal((2, 2, 8, 8))
