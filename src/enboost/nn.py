@@ -10,20 +10,20 @@ summed in float64. All randomness goes through seeded
 `numpy.random.default_rng` instances, so training is bit-reproducible given
 (seed, data, weights, hyperparameters).
 
-Memory layout. Callers see (b, c, h, w) batches. `_im2col` builds the
-(c*k*k + 1, b*ho*wo) patch matrix once, its last row all ones, and it is
-both conv GEMMs' operand: its `cols.T` view multiplies `[W | b]` forward,
-so the GEMM adds the bias, and `cols` itself takes the weight gradient,
-whose last row is the bias gradient. The dX GEMM multiplies `W` alone. A
-conv output is the GEMM result (b*ho*wo, f) viewed as (b, f, ho, wo), so it
-lives channels-last, and so do the pools above it and the gradients flowing
-back through them; a conv's ReLU runs in place on it, and backward masks on
-that output, which is > 0 exactly where its input was. Weights keep their
-(f, c, k, k) order.
+Memory layout. Callers see (b, c, h, w) batches; between layers the engine
+keeps them batch-last, (c, h, w, b), and an FC or softmax output as
+(units, b). A conv's patch matrix is (c*k*k + 1, ho*wo*b), its last row all
+ones: `[W | b] @ cols` gives the (f, ho, wo, b) output with the bias added,
+and `dz @ cols.T` the weight gradient with the bias gradient as its last
+column. An FC layer reads `x.reshape(-1, b)`. ReLUs run in place, and
+backward masks on their output, which is > 0 exactly where their input was.
+Weights keep their (f, c, k, k) and (units, in) order.
 
-Patch gathers. Every conv fills its patch rows with one strided copy from
-a buffer with zero margins around each image, in runs a whole image long,
-whatever its kernel, stride and padding.
+Patch gathers. A conv fills its patch rows with one strided copy from a
+zero-padded buffer it owns, in runs of wo*b values at stride 1. Its input
+gradient is a transposed conv through the same gather: the output gradient
+spread into zeros at the conv's stride, gathered with the kernel at stride
+1, times the flipped kernel, for every stride and padding.
 """
 from __future__ import annotations
 
@@ -336,55 +336,55 @@ class WeakLearner:
 # forward / backward
 
 
-def _im2col(x, k, s, p):
-    """Patch matrix (c*k*k + 1, b*ho*wo) of a (b, c, h, w) batch: row
-    (c, i, j) holds input channel c at kernel offset (i, j) for every output
-    pixel, and the last row is all ones, the bias's operand."""
-    b, c, h, w = x.shape
-    ho = (h + 2 * p - k) // s + 1
-    wo = (w + 2 * p - k) // s + 1
-    cols = np.empty((c * k * k + 1, b * ho * wo), dtype=x.dtype)
-    cols[-1] = 1.0
-    patches = cols[:-1].reshape(c, k, k, b, ho, wo)
-    # each image's flat pixels sit between zero margins of e, so row (c, i, j)
-    # at output pixel (y, x) is src[c, img, e + (s*y + i - p)*w + s*x + j - p]
-    # and the whole block is one strided view of src
-    e = p * w + p
-    n = h * w + 2 * e
-    src = np.zeros((c, b, n), dtype=x.dtype)
-    src[:, :, e:n - e].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
+def _patches(src, k, s, bias_row):
+    """Patch matrix (c*k*k [+ 1], ho*wo*b) of a batch-last buffer src
+    (c, hp, wp, b) that holds its own zero padding: row (c, i, j) holds
+    channel c at kernel offset (i, j) for every output pixel, batch
+    innermost, and with `bias_row` a last row of ones, the bias's operand.
+    Returns (cols, ho, wo)."""
+    c, hp, wp, b = src.shape
+    ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
+    cols = np.empty((c * k * k + bias_row, ho * wo * b), dtype=src.dtype)
+    if bias_row:
+        cols[-1] = 1.0
+    # row (c, i, j) at output pixel (y, x) is src[c, s*y + i, s*x + j]: one
+    # strided view of src (not `as_strided`: after about 10,000 of those
+    # views numpy kept a 0.94 MB block alive)
     sz = src.itemsize
-    patches[...] = np.ndarray(patches.shape, x.dtype, buffer=src, strides=(
-        b * n * sz, w * sz, sz, n * sz, s * w * sz, s * sz))
-    # the margins pad top and bottom; a horizontal shift wraps into the
-    # neighbouring pixel row, so zero the columns it wrapped into: those
-    # left of input column 0 and from input column w on
-    for j in range(k):
-        left, right = -((j - p) // s), -((j - p - w) // s)
-        if left > 0:
-            patches[:, :, j, :, :, :left] = 0.0
-        if right < wo:
-            patches[:, :, j, :, :, max(right, 0):] = 0.0
+    cols[:c * k * k].reshape(c, k, k, ho, wo, b)[...] = np.ndarray(
+        (c, k, k, ho, wo, b), src.dtype, buffer=src,
+        strides=(hp * wp * b * sz, wp * b * sz, b * sz, s * wp * b * sz, s * b * sz, sz))
     return cols, ho, wo
 
 
-def _col2im(dcols, x_shape, k, s, p):
-    """Sum patch gradients (b, ho, wo, c, k, k) onto the (b, c, h, w) input
-    padded by p; returns a (b, c, h + 2p, w + 2p) view of channels-last sums."""
-    b, c, h, w = x_shape
-    ho, wo = dcols.shape[1], dcols.shape[2]
-    acc = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=dcols.dtype)
-    for i in range(k):
-        for j in range(k):
-            acc[:, i:i + s * ho:s, j:j + s * wo:s] += dcols[..., i, j]
-    return acc.transpose(0, 3, 1, 2)
+def _im2col(x, k, s, p):
+    """`_patches`, with its row of ones, of a (c, h, w, b) batch padded by p."""
+    c, h, w, b = x.shape
+    src = np.zeros((c, h + 2 * p, w + 2 * p, b), dtype=x.dtype)
+    src[:, p:p + h, p:p + w] = x
+    return _patches(src, k, s, True)
+
+
+def _conv_dx(dz, w, in_shape, s, p):
+    """A conv's input gradient (c, h, w, b) from dz (f, ho, wo, b): dz spread
+    into zeros, output o at s*o + k-1-p, gathered at stride 1, times the
+    kernel flipped in (i, j) with its (f, c) axes swapped."""
+    f, c, k, _ = w.shape
+    _, h, wd, b = in_shape
+    e = k - 1 - p
+    # outputs below lo, and from hy or hx on, saw only padding
+    lo = max(0, -(e // s))
+    hy, hx = min(dz.shape[1], (h - 1 + p) // s + 1), min(dz.shape[2], (wd - 1 + p) // s + 1)
+    src = np.zeros((f, h + k - 1, wd + k - 1, b), dtype=dz.dtype)
+    src[:, s * lo + e:s * hy + e:s, s * lo + e:s * hx + e:s] = dz[:, lo:hy, lo:hx]
+    wt = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    return (wt @ _patches(src, k, 1, False)[0]).reshape(in_shape)
 
 
 def _avgpool(x, win):
-    """Mean over win x win windows: the sum of the window's strided terms,
-    then one divide. numpy's `mean(axis=(3, 5))` over a window view is about
-    3x slower at batch 32."""
-    terms = (x[:, :, i::win, j::win] for i in range(win) for j in range(win))
+    """Mean over win x win windows of a (c, h, w, b) batch: the sum of the
+    window's strided terms, then one divide (numpy's window `mean` is slower)."""
+    terms = (x[:, i::win, j::win] for i in range(win) for j in range(win))
     return functools.reduce(np.add, terms) / (win * win)
 
 
@@ -397,90 +397,94 @@ def _softmax(z):
     return e
 
 
+def _layer(layer: LayerSpec, param, cur):
+    """One layer's forward pass on a batch-last batch: (its output, what
+    backward reads of it)."""
+    kind = layer.kind
+    if cur.ndim == 2 and kind in (CONV, AVGPOOL):
+        cur = cur.reshape(cur.shape[0], 1, 1, -1)
+    if kind == AVGPOOL:
+        return _avgpool(cur, layer.window), cur.shape
+    if kind == SOFTMAX:
+        return _softmax(cur.reshape(-1, cur.shape[-1]).T).T, cur.shape
+    w, b = param
+    if kind == CONV:
+        cols, ho, wo = _im2col(cur, layer.kernel, layer.stride, layer.padding)
+        wb = np.concatenate((w.reshape(w.shape[0], -1), b[:, None]), axis=1)
+        z = (wb @ cols).reshape(w.shape[0], ho, wo, -1)
+    else:  # fc
+        cols = cur.reshape(-1, cur.shape[-1])
+        z = w @ cols + b[:, None]
+    if layer.activation == "relu":
+        np.maximum(z, 0.0, out=z)   # backward masks on the output: > 0 where z was
+    return z, (cur.shape, cols, z)
+
+
+def _batch_first(cur, inside):
+    """A range's batch-last output as (b, c, h, w), or an FC or softmax one as
+    (b, units), or (b, units, 1, 1) `inside` the network."""
+    if cur.ndim == 4:
+        return cur.transpose(3, 0, 1, 2)
+    return cur.T.reshape(cur.shape[1], -1, 1, 1) if inside else cur.T
+
+
 def _forward_cache(spec: NetworkSpec, params, x, start=0, stop=None):
-    """Run layers [start, stop) on a batch entering layer `start`, recording
-    what backward needs; returns the batch leaving layer stop - 1, as
-    (b, c, h, w), or as (b, classes) when the range ends at the final
-    softmax.  FC and softmax outputs stay (b, units) inside the range: only
-    a conv or pool reads one as (b, units, 1, 1)."""
-    layers = spec.layers
-    stop = len(layers) if stop is None else stop
-    cache = []
-    cur = x
+    """Run layers [start, stop) on a (b, c, h, w) batch entering layer
+    `start`, recording what backward needs; returns the batch leaving layer
+    stop - 1 as `_batch_first` shapes it."""
+    stop = len(spec.layers) if stop is None else stop
+    cur, cache = x.transpose(1, 2, 3, 0), []
     for idx in range(start, stop):
-        layer = layers[idx]
-        kind = layer.kind
-        if cur.ndim == 2 and kind in (CONV, AVGPOOL):
-            cur = cur.reshape(cur.shape[0], -1, 1, 1)
-        if kind == CONV:
-            w, b = params[idx]
-            cols, ho, wo = _im2col(cur, layer.kernel, layer.stride, layer.padding)
-            wb = np.concatenate((w.reshape(w.shape[0], -1), b[:, None]), axis=1)
-            z = cols.T @ wb.T
-            if layer.activation == "relu":
-                np.maximum(z, 0.0, out=z)
-            z = z.reshape(cur.shape[0], ho, wo, -1).transpose(0, 3, 1, 2)
-            cache.append((cur.shape, cols, z))
-            cur = z
-        elif kind == AVGPOOL:
-            cache.append(cur.shape)
-            cur = _avgpool(cur, layer.window)
-        elif kind == FC:
-            w, b = params[idx]
-            flat = cur.reshape(cur.shape[0], -1)
-            z = flat @ w.T + b
-            cache.append((cur.shape, flat, z))
-            cur = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        else:  # softmax
-            cache.append(cur.shape)
-            cur = _softmax(cur.reshape(cur.shape[0], -1))
-    if cur.ndim == 2 and stop < len(layers):
-        cur = cur.reshape(cur.shape[0], -1, 1, 1)
-    return cur, cache
+        cur, saved = _layer(spec.layers[idx], params[idx], cur)
+        cache.append(saved)
+    return _batch_first(cur, stop < len(spec.layers)), cache
+
+
+def _forward(spec: NetworkSpec, params, x, start=0, stop=None):
+    """`_forward_cache`'s output without a cache: inference frees each
+    layer's patch matrix once its GEMM is done."""
+    stop = len(spec.layers) if stop is None else stop
+    cur = x.transpose(1, 2, 3, 0)
+    for idx in range(start, stop):
+        cur = _layer(spec.layers[idx], params[idx], cur)[0]
+    return _batch_first(cur, stop < len(spec.layers))
 
 
 def _backward(spec: NetworkSpec, params, cache, dlogits, start=0):
-    """Backprop from d(loss)/d(softmax logits) down to layer `start`, whose
-    forward `cache` holds; returns per-layer grads, None below `start`."""
+    """Backprop from (b, classes) d(loss)/d(softmax logits) down to layer
+    `start`, whose forward `cache` holds; returns per-layer grads, None below."""
     grads = [None] * len(spec.layers)
-    dcur = dlogits
+    dcur = dlogits.T
     for idx in range(len(spec.layers) - 1, start - 1, -1):
         layer = spec.layers[idx]
         entry = cache[idx - start]
         if layer.kind == SOFTMAX:
             dcur = dcur.reshape(entry)
-        elif layer.kind == FC:
-            in_shape, flat, z = entry
-            dz = dcur.reshape(z.shape)
-            if layer.activation == "relu":
-                dz = dz * (z > 0)
-            w, _ = params[idx]
-            grads[idx] = (dz.T @ flat, np.add.reduce(dz, axis=0))
+            continue
+        if layer.kind == AVGPOOL:
+            c, h, w, b = entry
+            win = layer.window
+            dx = np.empty(entry, dtype=dcur.dtype)
+            # each input pixel takes its window's gradient / win^2, in one pass
+            np.divide(dcur.reshape(c, h // win, 1, w // win, 1, b), win * win,
+                      out=dx.reshape(c, h // win, win, w // win, win, b))
+            dcur = dx
+            continue
+        in_shape, cols, z = entry
+        dz = dcur.reshape(z.shape)
+        if layer.activation == "relu":   # z is the ReLU's output
+            np.multiply(dz, z > 0, out=dz)   # dcur is a temporary of this pass
+        w, _ = params[idx]
+        rows = dz.reshape(w.shape[0], -1)
+        if layer.kind == FC:
+            grads[idx] = (rows @ cols.T, np.add.reduce(rows, axis=1))
             if idx > start:  # the range's input needs no gradient
-                dcur = (dz @ w).reshape(in_shape)
-        elif layer.kind == AVGPOOL:
-            in_shape, win = entry, layer.window
-            d = dcur / (win * win)
-            dcur = np.empty_like(d, shape=in_shape)
-            for i in range(win):
-                for j in range(win):
-                    dcur[:, :, i::win, j::win] = d
-        else:  # conv
-            in_shape, cols, z = entry
-            dz = dcur.reshape(z.shape)
-            if layer.activation == "relu":   # z is the ReLU's output
-                np.multiply(dz, z > 0, out=dz)   # dcur is a temporary of this pass
-            w, _ = params[idx]
-            f, c, k, _ = w.shape
-            b_, _, ho, wo = z.shape
-            dz_rows = dz.transpose(0, 2, 3, 1).reshape(-1, f)
-            dwb = cols @ dz_rows
-            grads[idx] = (dwb[:-1].reshape(c, k, k, f).transpose(3, 0, 1, 2), dwb[-1])
+                dcur = (w.T @ rows).reshape(in_shape)
+        else:  # conv: the patch matrix's row of ones gives the bias gradient
+            dwb = rows @ cols.T
+            grads[idx] = (dwb[:, :-1].reshape(w.shape), dwb[:, -1])
             if idx > start:
-                p = layer.padding
-                dcols = (dz_rows @ w.reshape(f, -1)).reshape(b_, ho, wo, c, k, k)
-                dx = _col2im(dcols, in_shape, k, layer.stride, p)
-                dcur = dx[:, :, p:p + in_shape[2], p:p + in_shape[3]]
+                dcur = _conv_dx(dz, w, in_shape, layer.stride, layer.padding)
     return grads
 
 
@@ -514,15 +518,14 @@ def trunk(learner: WeakLearner, x) -> np.ndarray:
     for one sample or a batch: what FC-only retraining never changes."""
     spec, params = learner.spec, learner.params
     x = _as_batch(spec, x, params_dtype(params))
-    acts, _ = _forward_cache(spec, params, x, stop=spec.head_start)
-    return acts
+    return _forward(spec, params, x, stop=spec.head_start)
 
 
 def head(learner: WeakLearner, acts) -> np.ndarray:
     """Class probabilities of a batch of `trunk` activations."""
     spec, params = learner.spec, learner.params
     acts = _as_head_batch(spec, acts, params_dtype(params))
-    probs, _ = _forward_cache(spec, params, acts, start=spec.head_start)
+    probs = _forward(spec, params, acts, start=spec.head_start)
     return probs.reshape(acts.shape[0], -1)
 
 
@@ -697,15 +700,10 @@ def gradient_check(spec: NetworkSpec, seed: int, step=1e-5, batch=2) -> float:
     flat = flatten_params(params)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
-        for sign, slot in ((1.0, 0), (-1.0, 1)):
-            probe = flat.copy()
-            probe[i] += sign * step
-            probs, _ = _forward_cache(spec, unflatten_params(spec, probe), x)
-            loss = _loss(probs, y_onehot, weights)
-            if slot == 0:
-                hi = loss
-            else:
-                lo = loss
+        probe = np.zeros_like(flat)
+        probe[i] = step
+        hi, lo = (_loss(_forward(spec, unflatten_params(spec, flat + d), x), y_onehot, weights)
+                  for d in (probe, -probe))
         numeric[i] = (hi - lo) / (2 * step)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

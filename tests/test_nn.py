@@ -1,6 +1,10 @@
 """Engine-level contracts: forward math, MAC accounting, weighted training,
 FC-only updates, and the finite-difference gradient oracle."""
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,40 @@ def test_train_shares_no_array_with_its_input(epochs):
         for a, b, c in zip(p, q, r):
             assert not np.shares_memory(a, b)
             assert np.array_equal(b, c)
+
+
+_TRAIN_THREE_TIMES = """
+import tracemalloc
+import numpy as np
+from enboost import nn
+from enboost.data import synth_dataset
+spec = nn.NetworkSpec(input_shape=nn.TensorShape(3, 6, 6), class_count=3, layers=(
+    nn.conv(4, padding=1), nn.conv(4, padding=1), nn.conv(4, padding=1),
+    nn.conv(4, padding=1), nn.fc(3), nn.softmax_layer()))
+ds = synth_dataset(seed=5, classes=3, samples_per_class=20, shape=(3, 6, 6), noise=1.0)
+learner = nn.WeakLearner.initialize(spec, seed=0, learner_id="t")
+weights = np.ones(ds.split_size("train"))
+for call in range(3):
+    nn.train(learner, ds, weights, epochs=322, learning_rate=0.05, seed=0)
+    if call == 0:
+        tracemalloc.start()
+    print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_repeated_training_keeps_no_block_alive():
+    # Three calls of 644 SGD steps and 4,508 patch gathers each, in a fresh
+    # interpreter that no earlier test has warmed. Gathers through
+    # `as_strided` views left numpy holding a 0.94 MB block from about their
+    # 10,000th call, in the third call here. The small freed blocks that
+    # numpy and Python cache stay below 16 KiB; one gather buffer of this
+    # network at batch 32 is 24 KiB or more.
+    env = dict(os.environ, PYTHONPATH=str(Path(nn.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _TRAIN_THREE_TIMES], env=env,
+                          capture_output=True, text=True, check=True)
+    first, _, third = map(int, done.stdout.split())
+    assert third - first < 16 * 1024
 
 
 def test_train_rejects_bad_weights():
@@ -536,35 +574,38 @@ def test_softmax_matches_parent_bitwise(batch):
 
 @pytest.mark.parametrize("win", range(1, 13))
 def test_avgpool_sums_in_numpys_order(win):
-    # numpy's window mean, to rounding, whatever the input's memory layout
+    # numpy's window mean, to rounding, on batch-last input in either layout
     rng = np.random.default_rng(win)
     for b, c, ho, wo in ((1, 1, 1, 1), (2, 1, 2, 3), (3, 4, 1, 1), (2, 3, 2, 2)):
         h, w = ho * win, wo * win
         x = rng.standard_normal((b, c, h, w))
         x[rng.random(x.shape) < 0.3] = -0.0
         x[0, 0, :win, :win] = -0.0
-        # laid out as a conv output: GEMM rows (b*h*w, c) seen as (b, c, h, w)
-        conv_out = (x.transpose(0, 2, 3, 1).reshape(-1, c)
-                    .reshape(b, h, w, c).transpose(0, 3, 1, 2))
-        for batch in (x, conv_out):
-            want = batch.reshape(b, c, ho, win, wo, win).mean(axis=(3, 5))
+        want = x.reshape(b, c, ho, win, wo, win).mean(axis=(3, 5)).transpose(1, 2, 3, 0)
+        # a view of the network's input, and C-ordered, as a conv output is
+        batch_last = x.transpose(1, 2, 3, 0)
+        for batch in (batch_last, np.ascontiguousarray(batch_last)):
             assert_close_to_oracle(nn._avgpool(batch, win), want)
 
 
 def check_patch_gather(batch, k, s, p):
-    # the patch rows only move data: same bits, signed zeros and C-order
-    # layout; below them, one row of exact ones for the bias
+    # the patch rows only move data: the oracle's bits, signed zeros and
+    # C-order layout, with its columns in (ho, wo, b) order; below them, one
+    # row of exact ones for the bias
     rng = np.random.default_rng(100 * k + 10 * s + p)
     for c, h, w in ((1, 5, 5), (3, 12, 12), (4, 6, 7), (2, 1, 1)):
         if min(h, w) + 2 * p < k:
             continue
         x = rng.standard_normal((batch, c, h, w))
         x[rng.random(x.shape) < 0.2] = -0.0
-        # channels-last, as a conv or pool output reaches the next conv
-        channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-        for view in (x, channels_last):
+        want, want_ho, want_wo = slice_im2col(x, k, s, p)
+        want = (want.reshape(-1, batch, want_ho, want_wo).transpose(0, 2, 3, 1)
+                .reshape(want.shape))
+        # a view of the network's input, and C-ordered, as a conv or pool
+        # output reaches the next conv
+        batch_last = x.transpose(1, 2, 3, 0)
+        for view in (batch_last, np.ascontiguousarray(batch_last)):
             got, ho, wo = nn._im2col(view, k, s, p)
-            want, want_ho, want_wo = slice_im2col(view, k, s, p)
             assert (ho, wo) == (want_ho, want_wo)
             assert got.shape == (want.shape[0] + 1, want.shape[1])
             assert got.flags.c_contiguous
@@ -625,7 +666,23 @@ ORACLE_NETS = {
     "pool-first": lambda: net(
         (2, 9, 9), avgpool(3), conv(4, kernel=5, stride=2, padding=1), fc(3),
         softmax_layer()),
+    # padding >= kernel: the outer output rows and columns saw only padding,
+    # and the input gradient's spread drops them
+    "pad-beyond-kernel": lambda: net(
+        (2, 5, 6), conv(3, kernel=3, padding=1), conv(2, kernel=3, padding=3),
+        fc(3), softmax_layer()),
+    # stride 3 where h + 2p - k (7 and 8) is no multiple of 3: the last input
+    # rows and columns reach no output
+    "stride-3-remainder": lambda: net(
+        (2, 8, 9), conv(3, kernel=3, padding=1),
+        conv(4, kernel=3, stride=3, padding=1, activation="none"), fc(3),
+        softmax_layer()),
 }
+
+
+def parent_forward(spec, params, x, start=0, stop=None):
+    """The oracle's pass without its cache, which `nn._forward` is."""
+    return parent_forward_cache(spec, params, x, start, stop)[0]
 
 
 def _engine_outputs(learner, x, y, w):
@@ -666,6 +723,7 @@ def test_engine_matches_parent_oracle(name, monkeypatch):
         got = _engine_outputs(learner, x, y, w)
         with monkeypatch.context() as m:
             m.setattr(nn, "_forward_cache", parent_forward_cache)
+            m.setattr(nn, "_forward", parent_forward)
             m.setattr(nn, "_backward", parent_backward)
             want = _engine_outputs(learner, x, y, w)
         assert len(got) == len(want)
