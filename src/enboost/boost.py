@@ -115,7 +115,7 @@ def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
 # pool persistence: pool.json plus one spec json and one .npy per learner, in
 # the parameters' dtype (float32; a pool written before float32 holds
 # float64, and its learners run in float64); the manifest records each
-# learner's parameter checksum, which loading checks
+# learner's parameter checksum and MACs, which loading checks
 
 POOL_VERSION = 2
 
@@ -152,10 +152,12 @@ def load_pool(pool_dir):
                 params = unflatten_params(spec, flat)
                 if params_checksum(params) != checksum:
                     raise ValueError("parameters do not match the pool's params_checksum")
-            pool.append(WeakLearner(spec=spec, params=params,
-                                    macs=entry["macs"],
-                                    eval_accuracy=entry["eval_accuracy"],
-                                    id=entry["id"]))
+            learner = WeakLearner(spec=spec, params=params,
+                                  eval_accuracy=entry["eval_accuracy"], id=entry["id"])
+            if entry["macs"] != learner.macs:
+                raise ValueError(f"{learner.id}: macs {entry['macs']!r} differ from "
+                                 f"its spec's {learner.macs}")
+            pool.append(learner)
         return pool
 
     return artifacts.read_json(root / "pool.json", decode, version=POOL_VERSION)

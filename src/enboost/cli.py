@@ -71,8 +71,8 @@ def score_test_split(pool, model, test_x, test_y) -> dict:
     prefix length 1..N, and each pool learner's own accuracy."""
     probs = ens.pool_eval_probs(pool, test_x)
     slot = {l.id: m for m, l in enumerate(pool)}
-    prefix, _ = ens.profile_accuracy(probs[[slot[l.id] for l in model.learners]],
-                                     model.vote_weights, test_y, model.class_count)
+    prefix = ens.profile_accuracy(probs[[slot[l.id] for l in model.learners]],
+                                  model.vote_weights, test_y)
     return {"samples": len(test_y), "ensemble_prefix": prefix,
             "pool": {l.id: accuracy(p, test_y) for l, p in zip(pool, probs)}}
 
@@ -176,7 +176,10 @@ def cmd_simulate(args) -> int:
         artifacts.write_json(run_dir / "report.json",
                              simrun.report_document(report, baseline_report))
         (run_dir / "events.csv").write_text(simrun.events_csv(report))
-        print(simrun.render_report(report, args.format, baseline=baseline_report))
+        text = simrun.render_report(report, args.format, baseline=baseline_report)
+        if args.format == "csv" and policy is not policies[0]:
+            text = text.partition("\n")[2]   # one table: the header, then a row per policy
+        print(text, end="" if args.format == "csv" else "\n")
     return 0
 
 

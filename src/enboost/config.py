@@ -349,22 +349,19 @@ def make_env(cfg: dict, config_dir=".") -> EnvConfig:
     if duration > trace.horizon:
         raise ConfigError(f"simulation.duration {duration:.10g} s is past the "
                           f"trace's last sample at {trace.horizon:.10g} s")
-    # `qsched.replay` serves np.arange(period, duration + 1e-9, period)
-    period = sim["request_period"]
-    count = (duration + 1e-9 - period) / period
-    if count > MAX_REQUESTS:
-        span = ("simulation.duration" if sim["duration"] is not None
-                else f"the trace's last sample ({trace.horizon:.10g} s)")
-        got = math.ceil(count) if count < math.inf else count
-        raise ConfigError(f"{span} / simulation.request_period: must be at most "
-                          f"{MAX_REQUESTS} requests, got {got}")
-    requests = RequestPattern(period=period, horizon=duration)
     r = cfg["scheduler"]["reward"]
     thresholds = cfg["energy"]["power_thresholds"]
-    return EnvConfig(capacitor=cap, trace=trace, cost_model=cm,
-                     requests=requests,
-                     reward=RewardParams(beta=r["beta"], p_miss=r["p_miss"]),
-                     power_thresholds=tuple(thresholds) if thresholds else None)
+    env = EnvConfig(capacitor=cap, trace=trace, cost_model=cm,
+                    requests=RequestPattern(period=sim["request_period"],
+                                            horizon=duration),
+                    reward=RewardParams(beta=r["beta"], p_miss=r["p_miss"]),
+                    power_thresholds=tuple(thresholds) if thresholds else None)
+    if env.request_count > MAX_REQUESTS:
+        span = ("simulation.duration" if sim["duration"] is not None
+                else f"the trace's last sample ({trace.horizon:.10g} s)")
+        raise ConfigError(f"{span} / simulation.request_period: must be at most "
+                          f"{MAX_REQUESTS} requests, got {env.request_count}")
+    return env
 
 
 def make_qhyper(cfg: dict) -> QHyperParams:

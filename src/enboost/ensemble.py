@@ -58,15 +58,23 @@ def vote_batch(prob_stack, vote_weights):
 
 @dataclass
 class EnsembleModel:
+    """class_count, delta_acc and total_macs derive from these three fields."""
     learners: list            # ordered by descending individual eval accuracy
     vote_weights: list        # a_m aligned with learners
     acc_profile: list         # weighted-vote eval accuracy of prefixes 1..N
-    delta_acc: list           # acc(k) - acc(k-1), acc(0) = chance level
-    class_count: int
 
     @property
     def size(self) -> int:
         return len(self.learners)
+
+    @property
+    def class_count(self) -> int:
+        return self.learners[0].spec.class_count
+
+    @property
+    def delta_acc(self) -> list:   # acc(k) - acc(k-1), acc(0) = chance level
+        acc = self.acc_profile
+        return [b - a for a, b in zip([1.0 / self.class_count] + acc, acc)]
 
     @property
     def total_macs(self) -> int:
@@ -128,21 +136,15 @@ def backfit_select(pool, n, eval_x, eval_y) -> EnsembleModel:
     # order by descending individual eval accuracy (stable on pool index)
     order = sorted(selected, key=lambda i: (-pool[i].eval_accuracy, i))
     vote_weights = [weights[i] for i in order]
-    class_count = pool[order[0]].spec.class_count
-    acc_profile, delta_acc = profile_accuracy(probs[order], vote_weights, labels,
-                                              class_count)
     return EnsembleModel(learners=[pool[i] for i in order], vote_weights=vote_weights,
-                         acc_profile=acc_profile, delta_acc=delta_acc,
-                         class_count=class_count)
+                         acc_profile=profile_accuracy(probs[order], vote_weights, labels))
 
 
-def profile_accuracy(prob_stack, vote_weights, labels, class_count):
+def profile_accuracy(prob_stack, vote_weights, labels) -> list:
     """acc(k) = weighted-vote accuracy of the first k rows of prob_stack
-    (k, n, C); delta_acc(k) telescopes from acc(0) = chance level and may be
-    negative."""
-    acc = [subset_accuracy(prob_stack[:k], vote_weights[:k], labels)
-           for k in range(1, len(vote_weights) + 1)]
-    return acc, [b - a for a, b in zip([1.0 / class_count] + acc, acc)]
+    (k, n, C), for k = 1..len(vote_weights)."""
+    return [subset_accuracy(prob_stack[:k], vote_weights[:k], labels)
+            for k in range(1, len(vote_weights) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +180,13 @@ def load_ensemble(path) -> EnsembleModel:
             learners = [by_id[i] for i in ids]
         except KeyError as exc:
             raise ValueError(f"learner {exc} missing from pool") from exc
-        return EnsembleModel(learners=learners, class_count=manifest["class_count"],
-                             **per_learner)
+        model = EnsembleModel(learners=learners, vote_weights=per_learner["vote_weights"],
+                              acc_profile=per_learner["acc_profile"])
+        for key in ("class_count", "delta_acc", "total_macs"):   # stored copies
+            if manifest[key] != getattr(model, key):
+                raise ValueError(f"{key} {manifest[key]!r} differs from "
+                                 f"{getattr(model, key)!r}, derived from the other keys")
+        return model
 
     return artifacts.read_json(path, decode, version=1)
 

@@ -312,21 +312,24 @@ def unflatten_params(spec: NetworkSpec, flat: np.ndarray):
 
 @dataclass
 class WeakLearner:
+    """A spec, its parameters, eval accuracy and id; `macs` derives from the spec."""
     spec: NetworkSpec
     params: list
-    macs: int
     eval_accuracy: float
     id: str
+
+    @property
+    def macs(self) -> int:
+        return count_macs(self.spec)
 
     @classmethod
     def initialize(cls, spec: NetworkSpec, seed: int, learner_id: str) -> "WeakLearner":
         rng = np.random.default_rng(seed)
-        return cls(spec=spec, params=init_params(spec, rng),
-                   macs=count_macs(spec), eval_accuracy=0.0, id=learner_id)
+        return cls(spec=spec, params=init_params(spec, rng), eval_accuracy=0.0, id=learner_id)
 
     def copy(self) -> "WeakLearner":
         return WeakLearner(spec=self.spec, params=copy_params(self.params),
-                           macs=self.macs, eval_accuracy=self.eval_accuracy, id=self.id)
+                           eval_accuracy=self.eval_accuracy, id=self.id)
 
     def checksum(self) -> str:
         return params_checksum(self.params)
@@ -628,8 +631,7 @@ def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
                 _sgd_step(params, grads, learning_rate, range(len(params)))
                 total += loss * len(sel)
             history.append(total / n)
-    return WeakLearner(spec=spec, params=params, macs=learner.macs,
-                       eval_accuracy=0.0, id=learner.id), history
+    return WeakLearner(spec=spec, params=params, eval_accuracy=0.0, id=learner.id), history
 
 
 def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,
@@ -675,7 +677,7 @@ def fc_step(learner: WeakLearner, acts, y_onehot, weights, learning_rate):
                                     weights, spec.head_start)
     params = list(learner.params)
     _sgd_step(params, grads, learning_rate, spec.fc_layers)
-    out = WeakLearner(spec=spec, params=params, macs=learner.macs,
+    out = WeakLearner(spec=spec, params=params,
                       eval_accuracy=learner.eval_accuracy, id=learner.id)
     return out, probs
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (BudgetInfeasibleError, ConfigError, ShapeError,
                      TrainingDivergedError)
-from .nn import CONV, FC, NetworkSpec, WeakLearner, count_macs, train
+from .nn import CONV, FC, NetworkSpec, WeakLearner, train
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
               for p in params]
     new_spec = NetworkSpec(input_shape=spec.input_shape, layers=tuple(layers),
                            class_count=spec.class_count)
-    return WeakLearner(spec=new_spec, params=params, macs=count_macs(new_spec),
-                       eval_accuracy=0.0, id=learner.id)
+    return WeakLearner(spec=new_spec, params=params, eval_accuracy=0.0, id=learner.id)
 
 
 def prune_to_budget(learner: WeakLearner, dataset, sample_weights,

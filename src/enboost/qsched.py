@@ -16,6 +16,7 @@ request-to-request time, not prefix depth.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -132,6 +133,8 @@ def q_update(rows, n1, hyper: QHyperParams, s, a, r, s_next):
 
 @dataclass
 class EnvConfig:
+    """One run's device, trace, costs, requests and reward. It serves
+    `request_count` requests, request i at period + i * period s."""
     capacitor: Capacitor
     trace: PowerTrace
     cost_model: CostModel
@@ -147,6 +150,12 @@ class EnvConfig:
     def horizon(self) -> float:
         """Simulated seconds of a run: requests stop at the trace's end."""
         return min(self.requests.horizon, self.trace.horizon)
+
+    @property
+    def request_count(self):
+        """len(np.arange(period, horizon + 1e-9, period)); math.inf on overflow."""
+        count = (self.horizon + 1e-9 - self.requests.period) / self.requests.period
+        return max(0, math.ceil(count)) if count < math.inf else count
 
 
 class StateTracker:
@@ -258,8 +267,9 @@ def replay(env: EnvConfig, device: Device, costs, agent: Agent):
     that ran any learner feeds the trailing-energy feature.
     """
     tracker = StateTracker(device.cap, max(costs), env.power_thresholds, len(costs))
-    period, horizon = env.requests.period, env.horizon
-    for i, t in enumerate(np.arange(period, horizon + 1e-9, period).tolist()):
+    period = env.requests.period
+    for i in range(env.request_count):
+        t = period + i * period
         device.advance(t)
         agent.arrive(i, t)
         if not device.is_on:
@@ -275,7 +285,7 @@ def replay(env: EnvConfig, device: Device, costs, agent: Agent):
         if l > 0:
             tracker.record_post_inference(device)
         agent.done(l, end)
-    device.advance(horizon)
+    device.advance(env.horizon)
 
 
 RAW_BLOCK = 256   # PCG64 words `_Draws` reads per `random_raw` call

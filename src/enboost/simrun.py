@@ -138,16 +138,6 @@ class SimReport:
         }
 
 
-def _round_robin_mode(mode, e_now):
-    if mode == "auto":
-        if e_now >= 2:
-            return "high-energy"
-        if e_now == 1:
-            return "low-energy"
-        return "off"
-    return mode
-
-
 def run(cfg: SimConfig) -> SimReport:
     """Policy-driven inference, with FC-only retraining per cfg.retrain_mode
     on the test split of cfg.dataset."""
@@ -209,6 +199,11 @@ class _EnergyPass(Agent):
         self.costs = [inference_cost(l.macs, cfg.env.cost_model)
                       for l in cfg.ensemble.learners]
         self.test_size = cfg.dataset.split_size("test")
+        # per e_now bin, the prefix length a retrain target runs (None: the policy decides)
+        high, low = len(self.costs), max(len(self.costs) - 1, 1)
+        self.targets = {"off": [None] * ENERGY_LEVELS, "auto": [None, low, high, high],
+                        "high-energy": [high] * ENERGY_LEVELS,
+                        "low-energy": [low] * ENERGY_LEVELS}[cfg.retrain_mode]
         self.retrain_cursor = 0
         self.target_requests = 0   # requests whose prefix the target decided
         self.events = []
@@ -231,12 +226,10 @@ class _EnergyPass(Agent):
         }
 
     def decide(self, s):
-        n = len(self.costs)
-        l = s % (n + 1)
+        n1 = len(self.costs) + 1
+        l = s % n1
         if l == 0:
-            e_now = s // (ENERGY_LEVELS * POWER_LEVELS * (n + 1))
-            mode = _round_robin_mode(self.cfg.retrain_mode, e_now)
-            self.target = {"high-energy": n, "low-energy": max(n - 1, 1)}.get(mode)
+            self.target = self.targets[s // (ENERGY_LEVELS * POWER_LEVELS * n1)]
             self.retrain_idx = -1
             if self.target is not None:
                 self.retrain_idx = self.retrain_cursor % self.target

@@ -296,8 +296,7 @@ def test_low_energy_mode_saves_quarter_energy(model4, bundled_dataset):
         l.id = f"eq-{i}"
         learners.append(l)
     model = ens.EnsembleModel(learners=learners, vote_weights=[1.0] * 4,
-                              acc_profile=[0.5] * 4, delta_acc=[0.1] * 4,
-                              class_count=model4.class_count)
+                              acc_profile=[0.5] * 4)
     env = _abundant_env(model, requests=10)
     cfg = SimConfig(env=env, ensemble=model, dataset=bundled_dataset,
                     policy=FixedKPolicy(4, 4), retrain_mode="low-energy")

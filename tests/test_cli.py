@@ -1,4 +1,6 @@
 """End-to-end command-line pipeline on a small self-contained workspace."""
+import csv
+import io
 import json
 import shutil
 import warnings
@@ -738,6 +740,23 @@ def test_simulate_json_stdout_is_each_report(workspace, qtable_path, tmp_path, c
     assert all("baseline_failure_rate" in doc for doc in reports)
 
 
+def test_simulate_csv_stdout_is_one_table(workspace, qtable_path, tmp_path, capsys):
+    policies = [f"qtable:{qtable_path}", "fixed:1", "all"]
+    out = tmp_path / "sims"
+    assert main(["simulate", "--config", str(workspace / "config.json"),
+                 "--ensemble", str(workspace / "build"),
+                 *(arg for p in policies for arg in ("--policy", p)),
+                 "--format", "csv", "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1 + len(policies)
+    header = rows[0]
+    assert "policy" in header
+    # one row per policy, in order, with its report's values
+    for name, row in zip(("qtable", "fixed-1", "all"), rows[1:]):
+        report = json.loads((out / name / "report.json").read_text())
+        assert row == ["n/a" if report[k] is None else str(report[k]) for k in header]
+
+
 # LIGHT_CONFIG's trace has its last sample at 399 s
 @pytest.mark.parametrize("command, duration, trace_end, last", [
     ("train-scheduler", 99999, None, "399"),
@@ -820,6 +839,14 @@ CORRUPT_ARTIFACTS = {
         lambda d: d["acc_profile"].append(1.0))),
     "manifest-no-learners": ("ensemble.json", _edit_json(lambda d: d.update(
         learners=[], vote_weights=[], acc_profile=[], delta_acc=[]))),
+    # copies of what the specs and acc_profile fix, which loading checks
+    "pool-entry-macs-x100": ("pool/pool.json", _edit_json(lambda d: [
+        e.update(macs=e["macs"] * 100) for e in d["learners"]])),
+    "manifest-delta-acc-off": ("ensemble.json", _edit_json(
+        lambda d: d["delta_acc"].__setitem__(0, d["delta_acc"][0] + 0.1))),
+    "manifest-class-count": ("ensemble.json", _edit_json(lambda d: d.update(class_count=5))),
+    "manifest-total-macs": ("ensemble.json", _edit_json(
+        lambda d: d.update(total_macs=d["total_macs"] + 1))),
     "spec-no-shape": ("pool/learner-00.spec.json",
                       lambda p: p.write_text('{"layers": []}')),
     "qtable-unknown-hyper": ("q.json", _edit_json(
@@ -844,6 +871,7 @@ def test_simulate_corrupt_artifact_exits_2(workspace, qtable_path, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path / rel) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "sims").exists()
 
 
 @pytest.mark.parametrize("case", sorted(c for c in CORRUPT_ARTIFACTS

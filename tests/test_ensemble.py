@@ -158,10 +158,10 @@ def test_profile_telescoping(small_pool):
     pool, ds = small_pool
     ex, ey = ds.split("eval")
     model = backfit_select(pool, 3, ex, ey)
-    acc, delta = profile_accuracy(pool_eval_probs(model.learners, ex),
-                                  model.vote_weights, np.asarray(ey),
-                                  model.class_count)
-    assert (acc, delta) == (model.acc_profile, model.delta_acc)
+    acc = profile_accuracy(pool_eval_probs(model.learners, ex),
+                           model.vote_weights, np.asarray(ey))
+    delta = model.delta_acc
+    assert acc == model.acc_profile
     assert len(acc) == len(delta) == 3
     assert abs(sum(delta) - (acc[-1] - 1.0 / model.class_count)) < 1e-12
     assert all(0.0 <= a <= 1.0 for a in acc)

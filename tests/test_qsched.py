@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import (GeneratorQLearner, PolicyAgent, SchedulerState,
-                      SearchsortedDevice, discretize_energy, discretize_power,
-                      encode_state)
+                      SearchsortedDevice, bits, discretize_energy,
+                      discretize_power, encode_state)
 from enboost import qsched
 from enboost.energy import (Capacitor, CostModel, Device, PowerTrace,
                             RequestPattern, synth_trace)
@@ -282,6 +282,44 @@ def abundant_env():
         requests=RequestPattern(period=10.0, horizon=200.0),
         reward=RewardParams(beta=0.01, p_miss=0.5),
         power_thresholds=(0.01, 0.04))
+
+
+class Arrivals(qsched.Agent):
+    """Records each request's arrival time and declines it."""
+
+    def __init__(self):
+        self.times = []
+
+    def arrive(self, i, t):
+        self.times.append(t)
+
+    def decide(self, s):
+        return 0
+
+
+def test_replay_serves_the_arange_request_times():
+    # request i at period + i * period is element i of
+    # np.arange(period, horizon + 1e-9, period), bit for bit, and
+    # `request_count` its length, at integer and non-integer ratios of the
+    # duration to the period
+    trace = synth_trace(0, "constant", duration=2e4, constant_power=0.05,
+                        sample_interval=1e3)
+    rng = np.random.default_rng(29)
+    for case in range(1200):
+        period = (float(rng.choice((0.1, 0.3, 0.7, 2.5, 10.0))) if case % 3 == 0
+                  else float(rng.uniform(0.01, 50.0)))
+        ratio = float(rng.integers(1, 300)) if case % 2 else float(rng.uniform(0.5, 300.0))
+        duration = period * ratio
+        env = EnvConfig(capacitor=Capacitor(capacitance=0.01), trace=trace,
+                        cost_model=CostModel(),
+                        requests=RequestPattern(period=period, horizon=duration),
+                        reward=RewardParams(), power_thresholds=(0.01, 0.04))
+        agent = Arrivals()
+        replay(env, make_device(env), [1e-3], agent)
+        want = np.arange(period, duration + 1e-9, period)
+        assert env.request_count == len(want) == len(agent.times), (period, duration)
+        assert np.array_equal(bits(np.array(agent.times, dtype=np.float64)), bits(want)), \
+            (period, duration)
 
 
 def test_train_offline_deterministic():

@@ -21,8 +21,7 @@ from enboost.qsched import EnvConfig, QTable, RewardParams, replay, make_device
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
                             QPolicy, SimConfig, events_csv,
                             failure_rate_reduction, render_report, run,
-                            run_concurrent_training, run_many,
-                            _round_robin_mode)
+                            run_concurrent_training, run_many, _EnergyPass)
 
 
 @pytest.fixture(scope="module")
@@ -517,12 +516,25 @@ def test_qpolicy_zero_table_declines_everything(small_model):
     assert report.failures == report.total_requests == 5
 
 
-def test_round_robin_mode_mapping():
-    assert _round_robin_mode("auto", 3) == "high-energy"
-    assert _round_robin_mode("auto", 2) == "high-energy"
-    assert _round_robin_mode("auto", 1) == "low-energy"
-    assert _round_robin_mode("auto", 0) == "off"
-    assert _round_robin_mode("low-energy", 3) == "low-energy"
+def test_round_robin_mode_mapping(small_model):
+    # the prefix length each retrain mode runs at each e_now bin; None
+    # leaves the request to the policy
+    model, ds = small_model
+    high, low = model.size, max(model.size - 1, 1)
+    assert high != low
+
+    def targets(mode):
+        return _EnergyPass(SimConfig(env=abundant(model, requests=1), ensemble=model,
+                                     dataset=ds, policy=FixedKPolicy(1, model.size),
+                                     retrain_mode=mode)).targets
+
+    assert targets("auto")[3] == high
+    assert targets("auto")[2] == high
+    assert targets("auto")[1] == low
+    assert targets("auto")[0] is None
+    assert targets("low-energy")[3] == low
+    assert targets("high-energy") == [high] * 4
+    assert targets("off") == [None] * 4
 
 
 def test_auto_mode_follows_each_requests_energy_bin(small_model, monkeypatch):
