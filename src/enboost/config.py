@@ -19,7 +19,7 @@ from .data import Dataset, load_csv, synth_dataset
 from .energy import (Capacitor, CostModel, PowerTrace, RequestPattern,
                      load_trace, synth_trace)
 from .errors import ConfigError
-from .nn import CONV, NetworkSpec, TensorShape, count_macs, count_params
+from .nn import NetworkSpec, TensorShape, count_macs, count_params
 from .prune import PruneSchedule
 from .qsched import EnvConfig, QHyperParams, RewardParams
 from .simrun import RETRAIN_MODES
@@ -296,7 +296,7 @@ def check_sgd_steps(cfg: dict, spec: NetworkSpec, train_size: int):
     at least one filter and each conv keeps one, so a learner takes at most
     (conv filters - conv layers) steps."""
     p = cfg["pool"]
-    filters = [layer.filters for layer in spec.layers if layer.kind == CONV]
+    filters = [spec.layers[i].filters for i in spec.conv_layers]
     epochs = (p["train_epochs"]
               + p["prune"]["retrain_epochs_per_step"] * (sum(filters) - len(filters)))
     steps = p["pool_size"] * -(-train_size // p["batch_size"]) * epochs

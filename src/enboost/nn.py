@@ -47,6 +47,10 @@ _ACTIVATIONS = ("none", "relu")
 DTYPE = np.float32   # what `init_params` makes
 
 
+def _is_count(v, least=1) -> bool:
+    return type(v) is int and v >= least   # no bool, no float
+
+
 @dataclass(frozen=True)
 class TensorShape:
     channels: int
@@ -54,8 +58,8 @@ class TensorShape:
     width: int
 
     def __post_init__(self):
-        if self.channels < 1 or self.height < 1 or self.width < 1:
-            raise ShapeError(f"all dimensions must be >= 1, got {self}")
+        if not all(map(_is_count, (self.channels, self.height, self.width))):
+            raise ShapeError(f"all dimensions must be integers >= 1, got {self}")
 
     @property
     def size(self) -> int:
@@ -65,50 +69,53 @@ class TensorShape:
         return [self.channels, self.height, self.width]
 
 
+# The fields each layer kind takes after `kind`: an integer field with its
+# least value, or the activation with its allowed values. A spec file's
+# layer holds exactly these keys; a conv's kernel must also be odd.
+LAYER_FIELDS = {
+    CONV: {"filters": 1, "kernel": 1, "stride": 1, "padding": 0,
+           "activation": _ACTIVATIONS},
+    AVGPOOL: {"window": 1},
+    FC: {"units": 1, "activation": _ACTIVATIONS},
+    SOFTMAX: {},
+}
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     kind: str
-    filters: int = 0        # conv
-    kernel: int = 0         # conv
-    stride: int = 1         # conv
-    padding: int = 0        # conv
-    window: int = 0         # avgpool
-    units: int = 0          # fc
-    activation: str = "none"  # conv / fc
+    filters: int = 0
+    kernel: int = 0
+    stride: int = 1
+    padding: int = 0
+    window: int = 0
+    units: int = 0
+    activation: str = "none"
 
     def __post_init__(self):
-        if self.kind == CONV:
-            if self.kernel < 1 or self.kernel % 2 == 0:
-                raise ShapeError(f"conv kernel must be odd and >= 1, got {self.kernel}")
-            if self.stride < 1:
-                raise ShapeError(f"conv stride must be >= 1, got {self.stride}")
-            if self.filters < 1:
-                raise ShapeError(f"conv needs >= 1 filter, got {self.filters}")
-        elif self.kind == AVGPOOL:
-            if self.window < 1:
-                raise ShapeError(f"avgpool window must be >= 1, got {self.window}")
-        elif self.kind == FC:
-            if self.units < 1:
-                raise ShapeError(f"fc needs >= 1 unit, got {self.units}")
-        elif self.kind != SOFTMAX:
+        if self.kind not in LAYER_FIELDS:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
-        if self.activation not in _ACTIVATIONS:
-            raise ShapeError(f"unknown activation {self.activation!r}")
+        for name, rule in LAYER_FIELDS[self.kind].items():
+            v = getattr(self, name)
+            if not (v in rule if isinstance(rule, tuple) else _is_count(v, rule)):
+                must = (f"one of {rule}" if isinstance(rule, tuple)
+                        else f"an integer >= {rule}")
+                raise ShapeError(f"{self.kind} {name} must be {must}, got {v!r}")
+        if self.kind == CONV and self.kernel % 2 == 0:
+            raise ShapeError(f"conv kernel must be odd, got {self.kernel}")
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == CONV:
-            d.update(filters=self.filters, kernel=self.kernel, stride=self.stride,
-                     padding=self.padding, activation=self.activation)
-        elif self.kind == AVGPOOL:
-            d["window"] = self.window
-        elif self.kind == FC:
-            d.update(units=self.units, activation=self.activation)
-        return d
+        return {"kind": self.kind, **{k: getattr(self, k) for k in LAYER_FIELDS[self.kind]}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerSpec":
-        return cls(**d)
+        if not isinstance(d, dict):
+            raise ShapeError(f"a layer must be an object, got {type(d).__name__}")
+        layer = cls(**d)
+        unused = set(d) - {"kind", *LAYER_FIELDS[layer.kind]}
+        if unused:
+            raise ShapeError(f"{layer.kind} layers take no {sorted(unused)}")
+        return layer
 
 
 def conv(filters, kernel=3, stride=1, padding=0, activation="relu") -> LayerSpec:
@@ -154,31 +161,34 @@ class NetworkSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        if self.class_count < 1:
-            raise ShapeError("class_count must be >= 1")
-        shapes = self.shapes()
+        if not _is_count(self.class_count):
+            raise ShapeError(f"class_count must be an integer >= 1, got {self.class_count!r}")
         if not self.layers or self.layers[-1].kind != SOFTMAX:
             raise ShapeError("final layer must be softmax")
-        if shapes[-1].size != self.class_count:
+        if self.shapes[-1].size != self.class_count:
             raise ShapeError(
-                f"final output size {shapes[-1].size} != class_count {self.class_count}")
+                f"final output size {self.shapes[-1].size} != class_count {self.class_count}")
 
-    def shapes(self):
-        """Output shape after each layer (validates propagation)."""
-        out = []
-        cur = self.input_shape
+    @functools.cached_property
+    def shapes(self) -> tuple:
+        """The activation shape at each depth (validates propagation):
+        `shapes[i]` enters layer i, and `shapes[-1]` leaves the network."""
+        out = [self.input_shape]
         for layer in self.layers:
-            cur = _layer_out_shape(layer, cur)
-            out.append(cur)
-        return out
+            out.append(_layer_out_shape(layer, out[-1]))
+        return tuple(out)
 
     @functools.cached_property
     def head_start(self) -> int:
         """Index of the first FC layer, the lowest one FC-only retraining
         reaches; with no FC layer, the final softmax.  The layers before it
         are the trunk, the rest the head."""
-        return next((i for i, l in enumerate(self.layers) if l.kind == FC),
-                    len(self.layers) - 1)
+        return self.fc_layers[0] if self.fc_layers else len(self.layers) - 1
+
+    @functools.cached_property
+    def conv_layers(self) -> tuple:
+        """Indices of the conv layers: what pruning removes filters from."""
+        return tuple(i for i, l in enumerate(self.layers) if l.kind == CONV)
 
     @functools.cached_property
     def fc_layers(self) -> tuple:
@@ -188,9 +198,7 @@ class NetworkSpec:
     @functools.cached_property
     def head_input(self) -> tuple:
         """Per-sample shape of the activations entering the head."""
-        start = self.head_start
-        shape = self.shapes()[start - 1] if start else self.input_shape
-        return (shape.channels, shape.height, shape.width)
+        return tuple(self.shapes[self.head_start].to_list())
 
     def to_dict(self) -> dict:
         return {
@@ -201,6 +209,9 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
+        unknown = set(d) - {"input_shape", "layers", "class_count"}
+        if unknown:
+            raise ShapeError(f"unknown keys {sorted(unknown)}")
         return cls(
             input_shape=TensorShape(*d["input_shape"]),
             layers=tuple(LayerSpec.from_dict(ld) for ld in d["layers"]),
@@ -216,20 +227,12 @@ class NetworkSpec:
 
 
 def count_macs(spec: NetworkSpec) -> int:
-    """Multiply-accumulates per single-sample inference.
-
-    conv: C_out*C_in*k^2*H_out*W_out; fc: in*out; pooling and softmax count 0.
-    """
-    total = 0
-    cur = spec.input_shape
-    for layer in spec.layers:
-        nxt = _layer_out_shape(layer, cur)
-        if layer.kind == CONV:
-            total += layer.filters * cur.channels * layer.kernel ** 2 * nxt.height * nxt.width
-        elif layer.kind == FC:
-            total += cur.size * layer.units
-        cur = nxt
-    return total
+    """Multiply-accumulates per single-sample inference: over the layers with
+    parameters, the weights' count times the output's H_out*W_out, so
+    C_out*C_in*k^2*H_out*W_out for a conv and in*out for an fc (1x1 out);
+    pooling and softmax count 0."""
+    return sum(math.prod(p[0]) * out.height * out.width
+               for p, out in zip(param_shapes(spec), spec.shapes[1:]) if p)
 
 
 def count_params(spec: NetworkSpec) -> int:
@@ -240,8 +243,7 @@ def count_params(spec: NetworkSpec) -> int:
 def param_shapes(spec: NetworkSpec):
     """Per-layer (W shape, b shape) tuples; None for parameterless layers."""
     out = []
-    cur = spec.input_shape
-    for layer in spec.layers:
+    for layer, cur in zip(spec.layers, spec.shapes):
         if layer.kind == CONV:
             out.append(((layer.filters, cur.channels, layer.kernel, layer.kernel),
                         (layer.filters,)))
@@ -249,7 +251,6 @@ def param_shapes(spec: NetworkSpec):
             out.append(((layer.units, cur.size), (layer.units,)))
         else:
             out.append(None)
-        cur = _layer_out_shape(layer, cur)
     return out
 
 

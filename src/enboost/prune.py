@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (BudgetInfeasibleError, ConfigError, ShapeError,
                      TrainingDivergedError)
-from .nn import CONV, FC, NetworkSpec, WeakLearner, train
+from .nn import CONV, WeakLearner, train
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,11 @@ class PruneSchedule:
             raise ConfigError("retrain_epochs_per_step must be >= 0")
 
 
-def conv_layer_indices(spec: NetworkSpec):
-    return [i for i, l in enumerate(spec.layers) if l.kind == CONV]
-
-
 def rank_filters(learner: WeakLearner):
     """Per conv layer: [(filter index, L2 norm of its weights)], ascending by
     norm; ties broken by lower filter index (stable sort)."""
     out = {}
-    for idx in conv_layer_indices(learner.spec):
+    for idx in learner.spec.conv_layers:
         w, _ = learner.params[idx]
         norms = np.sqrt((w ** 2).sum(axis=(1, 2, 3)))
         order = np.argsort(norms, kind="stable")
@@ -47,23 +43,14 @@ def rank_filters(learner: WeakLearner):
     return out
 
 
-def _next_param_layer(spec: NetworkSpec, idx):
-    """Index of the next conv or fc layer consuming layer idx's channels."""
-    for j in range(idx + 1, len(spec.layers)):
-        if spec.layers[j].kind in (CONV, FC):
-            return j
-    return None
-
-
 def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
     """Remove the given {conv layer index: [filter indices]} and the matching
     downstream input channels. Surviving parameters are copied verbatim."""
     if not any(victims.values()):
         return learner.copy()
     spec = learner.spec
-    shapes = spec.shapes()
     layers = list(spec.layers)
-    params = list(learner.params)
+    params = learner.copy().params
     for idx, filter_ids in sorted(victims.items()):
         if not filter_ids:
             continue
@@ -79,25 +66,15 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
         w, b = params[idx]
         params[idx] = (w[keep], b[keep])
         layers[idx] = replace(layer, filters=int(keep.size))
-        nxt = _next_param_layer(spec, idx)
+        # the next layer with parameters, conv or fc, reads layer idx's
+        # channels along axis 1 of its weights viewed as (out, channels, -1)
+        nxt = next((j for j in range(idx + 1, len(params)) if params[j]), None)
         if nxt is not None:
             nw, nb = params[nxt]
-            if layers[nxt].kind == CONV:
-                params[nxt] = (nw[:, keep], nb)
-            else:
-                # fc consumes channel-major flattened input: channel c owns
-                # columns [c*hw, (c+1)*hw) where hw is the spatial size at fc.
-                fc_in = shapes[nxt - 1]
-                hw = fc_in.height * fc_in.width
-                cols = (keep[:, None] * hw + np.arange(hw)).ravel()
-                params[nxt] = (nw[:, cols], nb)
-    # fancy indexing copied what it sliced; copy the arrays it did not touch
-    own = {id(a) for p in learner.params if p is not None for a in p}
-    params = [None if p is None else tuple(a.copy() if id(a) in own else a for a in p)
-              for p in params]
-    new_spec = NetworkSpec(input_shape=spec.input_shape, layers=tuple(layers),
-                           class_count=spec.class_count)
-    return WeakLearner(spec=new_spec, params=params, eval_accuracy=0.0, id=learner.id)
+            kept = nw.reshape(nw.shape[0], layer.filters, -1)[:, keep]
+            params[nxt] = (kept.reshape(nw.shape[0], -1, *nw.shape[2:]), nb)
+    return WeakLearner(spec=replace(spec, layers=tuple(layers)), params=params,
+                       eval_accuracy=0.0, id=learner.id)
 
 
 def prune_to_budget(learner: WeakLearner, dataset, sample_weights,
@@ -115,7 +92,7 @@ def prune_to_budget(learner: WeakLearner, dataset, sample_weights,
                             for f, norm in entries[:-1])
         if not candidates:
             # every conv layer is down to one filter
-            raise BudgetInfeasibleError(conv_layer_indices(current.spec)[0])
+            raise BudgetInfeasibleError(current.spec.conv_layers[0])
         victims = {}
         for _, idx, f in candidates[:schedule.filters_removed_per_step]:
             victims.setdefault(idx, []).append(f)

@@ -15,7 +15,6 @@ from enboost.energy import Capacitor, Device
 from enboost.errors import ConfigError
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs, fc,
                         softmax_layer)
-from enboost.prune import conv_layer_indices
 from enboost.qsched import ENERGY_LEVELS, POWER_LEVELS, Agent, act, q_update, reward
 
 
@@ -70,7 +69,7 @@ def brute_force_select(pool, n, eval_x, eval_y):
 def max_single_filter_macs(spec: NetworkSpec) -> int:
     """Largest MAC contribution of any single prunable filter (budget slack)."""
     best = 0
-    for idx in conv_layer_indices(spec):
+    for idx in spec.conv_layers:
         layers = list(spec.layers)
         layers[idx] = replace(layers[idx], filters=layers[idx].filters + 1)
         grown = NetworkSpec(input_shape=spec.input_shape, layers=tuple(layers),
@@ -302,6 +301,54 @@ def slice_im2col(x, k, s, p):
         for j in range(k):
             cols[:, i, j] = x[:, :, i:i + s * ho:s, j:j + s * wo:s]
     return cols.reshape(c * k * k, -1), ho, wo
+
+
+# ---------------------------------------------------------------------------
+# MAC and parameter-shape accounting as it was when each function walked the
+# layer shapes itself. `nn.count_macs` and `nn.param_shapes` must match it on
+# every valid spec (test_nn::test_macs_and_param_shapes_match_the_frozen_walk).
+# Frozen; do not optimize.
+
+
+def parent_layer_out_shape(layer, shape):
+    if layer.kind == nn.CONV:
+        h = (shape.height + 2 * layer.padding - layer.kernel) // layer.stride + 1
+        w = (shape.width + 2 * layer.padding - layer.kernel) // layer.stride + 1
+        return TensorShape(layer.filters, h, w)
+    if layer.kind == nn.AVGPOOL:
+        return TensorShape(shape.channels, shape.height // layer.window,
+                           shape.width // layer.window)
+    if layer.kind == nn.FC:
+        return TensorShape(layer.units, 1, 1)
+    return shape  # softmax
+
+
+def parent_count_macs(spec):
+    total = 0
+    cur = spec.input_shape
+    for layer in spec.layers:
+        nxt = parent_layer_out_shape(layer, cur)
+        if layer.kind == nn.CONV:
+            total += layer.filters * cur.channels * layer.kernel ** 2 * nxt.height * nxt.width
+        elif layer.kind == nn.FC:
+            total += cur.size * layer.units
+        cur = nxt
+    return total
+
+
+def parent_param_shapes(spec):
+    out = []
+    cur = spec.input_shape
+    for layer in spec.layers:
+        if layer.kind == nn.CONV:
+            out.append(((layer.filters, cur.channels, layer.kernel, layer.kernel),
+                        (layer.filters,)))
+        elif layer.kind == nn.FC:
+            out.append(((layer.units, cur.size), (layer.units,)))
+        else:
+            out.append(None)
+        cur = parent_layer_out_shape(layer, cur)
+    return out
 
 
 # ---------------------------------------------------------------------------

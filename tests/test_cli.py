@@ -849,6 +849,15 @@ CORRUPT_ARTIFACTS = {
         lambda d: d.update(total_macs=d["total_macs"] + 1))),
     "spec-no-shape": ("pool/learner-00.spec.json",
                       lambda p: p.write_text('{"layers": []}')),
+    # a layer field that breaks the layout, or that its kind does not take
+    "spec-padding-negative": ("pool/learner-00.spec.json", _edit_json(
+        lambda d: d["layers"][0].update(padding=-1))),
+    "spec-kernel-float": ("pool/learner-00.spec.json", _edit_json(
+        lambda d: d["layers"][0].update(kernel=3.0))),
+    "spec-avgpool-activation": ("pool/learner-00.spec.json", _edit_json(
+        lambda d: d["layers"][1].update(activation="relu"))),
+    "spec-layer-list": ("pool/learner-00.spec.json", _edit_json(
+        lambda d: d["layers"].__setitem__(1, ["avgpool", 2]))),
     "qtable-unknown-hyper": ("q.json", _edit_json(
         lambda d: d["hyperparameters"].update(bogus=1))),
     "qtable-no-values": ("q.json", _edit_json(lambda d: d.pop("values"))),
@@ -872,6 +881,42 @@ def test_simulate_corrupt_artifact_exits_2(workspace, qtable_path, tmp_path,
     assert str(tmp_path / rel) in err
     assert "Traceback" not in err
     assert not (tmp_path / "sims").exists()
+
+
+# edits of the bundled network that `network.spec_path` names: (edit, what
+# the error names besides the file)
+BAD_NETWORK_SPECS = {
+    "padding-negative": (lambda d: d["layers"][0].update(padding=-1), "padding"),
+    "kernel-float": (lambda d: d["layers"][0].update(kernel=3.0), "kernel"),
+    "filters-float": (lambda d: d["layers"][0].update(filters=8.0), "filters"),
+    "stride-float": (lambda d: d["layers"][0].update(stride=1.0), "stride"),
+    "padding-float": (lambda d: d["layers"][0].update(padding=1.0), "padding"),
+    "window-float": (lambda d: d["layers"][1].update(window=2.0), "window"),
+    "input-shape-float": (lambda d: d.update(input_shape=[3.0, 12, 12]), "channels=3.0"),
+    "class-count-float": (lambda d: d.update(class_count=6.0), "class_count"),
+    "avgpool-activation": (lambda d: d["layers"][1].update(activation="relu"),
+                           "activation"),
+    "fc-window": (lambda d: d["layers"][5].update(window=3), "window"),
+    "softmax-filters": (lambda d: d["layers"][6].update(filters=7), "filters"),
+    "top-level-key": (lambda d: d.update(name="net"), "name"),
+    "layer-list": (lambda d: d["layers"].__setitem__(1, ["avgpool", 2]), "list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NETWORK_SPECS))
+def test_build_with_a_bad_network_spec_exits_2_naming_it(case, tmp_path, capsys):
+    edit, key = BAD_NETWORK_SPECS[case]
+    doc = config.baseline_network().to_dict()
+    edit(doc)
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    (tmp_path / "config.json").write_text(json.dumps({"network": {"spec_path": "net.json"}}))
+    rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "build")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {tmp_path / 'net.json'}: ") and err.count("\n") == 1
+    assert key in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "net.json"]
 
 
 @pytest.mark.parametrize("case", sorted(c for c in CORRUPT_ARTIFACTS

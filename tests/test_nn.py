@@ -1,5 +1,6 @@
 """Engine-level contracts: forward math, MAC accounting, weighted training,
 FC-only updates, and the finite-difference gradient oracle."""
+import math
 import os
 import subprocess
 import sys
@@ -9,15 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (bits, float64_params, parent_backward, parent_forward_cache,
+from conftest import (bits, float64_params, parent_backward, parent_count_macs,
+                      parent_forward_cache, parent_layer_out_shape, parent_param_shapes,
                       parent_softmax, slice_im2col, tiny_spec)
 from enboost import nn
 from enboost.config import baseline_network
 from enboost.data import Dataset, synth_dataset
 from enboost.errors import ShapeError, TrainingDivergedError
-from enboost.nn import (NetworkSpec, TensorShape, WeakLearner, avgpool, conv,
-                        count_macs, count_params, evaluate, fc, flatten_params,
-                        fc_step, forward, gradient_check, head,
+from enboost.nn import (LayerSpec, NetworkSpec, TensorShape, WeakLearner, avgpool,
+                        conv, count_macs, count_params, evaluate, fc, flatten_params,
+                        fc_step, forward, gradient_check, head, param_shapes,
                         params_checksum, softmax_layer, train, train_fc_only,
                         trunk, unflatten_params)
 
@@ -108,6 +110,91 @@ def test_count_params_matches_flattened_length():
     assert count_params(spec) == flatten_params(learner.params).size
     rebuilt = unflatten_params(spec, flatten_params(learner.params))
     assert params_checksum(rebuilt) == learner.checksum()
+
+
+def random_spec(rng):
+    """A valid spec: up to four convs (kernel 1, 3 or 5, stride 1-3, padding
+    0-3) and avgpools (a window that divides the input) in random order,
+    then 0-2 fc layers and a softmax."""
+    shape = TensorShape(*(int(v) for v in rng.integers(1, [5, 17, 17])))
+    input_shape, layers = shape, []
+    for _ in range(int(rng.integers(0, 5))):
+        if rng.random() < 0.6:
+            k, s = int(rng.choice([1, 3, 5])), int(rng.integers(1, 4))
+            p = int(rng.integers(0, 4))
+            if min(shape.height, shape.width) + 2 * p < k:
+                continue
+            layer = conv(int(rng.integers(1, 9)), kernel=k, stride=s, padding=p,
+                         activation=str(rng.choice(["none", "relu"])))
+        else:
+            g = math.gcd(shape.height, shape.width)
+            layer = avgpool(int(rng.choice([d for d in range(1, g + 1) if g % d == 0])))
+        layers.append(layer)
+        shape = parent_layer_out_shape(layer, shape)
+    for _ in range(int(rng.integers(0, 3))):
+        layers.append(fc(int(rng.integers(1, 9))))
+        shape = parent_layer_out_shape(layers[-1], shape)
+    return NetworkSpec(input_shape=input_shape, layers=(*layers, softmax_layer()),
+                       class_count=shape.size)
+
+
+def test_macs_and_param_shapes_match_the_frozen_walk():
+    rng = np.random.default_rng(0)
+    specs = [random_spec(rng) for _ in range(300)]
+    convs = [l for spec in specs for l in spec.layers if l.kind == nn.CONV]
+    assert ({l.kernel for l in convs}, {l.stride for l in convs},
+            {l.padding for l in convs}) == ({1, 3, 5}, {1, 2, 3}, {0, 1, 2, 3})
+    assert {len(spec.fc_layers) for spec in specs} == {0, 1, 2}
+    assert any(l.kind == nn.AVGPOOL and l.window > 1 for spec in specs for l in spec.layers)
+    for spec in specs:
+        assert count_macs(spec) == parent_count_macs(spec)
+        assert param_shapes(spec) == parent_param_shapes(spec)
+
+
+@pytest.mark.parametrize("layer", [conv(3, kernel=5, stride=2, padding=1, activation="none"),
+                                   avgpool(2), fc(4, activation="relu"), softmax_layer()],
+                         ids=lambda l: l.kind)
+def test_a_layer_round_trips_through_its_table_fields(layer):
+    d = layer.to_dict()
+    assert set(d) == {"kind", *nn.LAYER_FIELDS[layer.kind]}
+    assert LayerSpec.from_dict(d) == layer
+
+
+BAD_LAYOUTS = {
+    "conv-kernel-even": lambda: conv(2, kernel=4),
+    "conv-kernel-float": lambda: conv(2, kernel=3.0),
+    "conv-filters-bool": lambda: conv(True),
+    "conv-stride-0": lambda: conv(2, stride=0),
+    "conv-padding-negative": lambda: conv(2, padding=-1),
+    "conv-activation-unknown": lambda: conv(2, activation="tanh"),
+    "avgpool-window-0": lambda: avgpool(0),
+    "avgpool-window-float": lambda: avgpool(2.0),
+    "fc-units-0": lambda: fc(0),
+    "kind-unknown": lambda: LayerSpec(kind="pool"),
+    "shape-float": lambda: TensorShape(3.0, 2, 2),
+    "shape-0": lambda: TensorShape(1, 0, 2),
+    "class-count-float": lambda: NetworkSpec(TensorShape(1, 1, 1), (softmax_layer(),),
+                                             class_count=1.0),
+    "class-count-bool": lambda: NetworkSpec(TensorShape(1, 1, 1), (softmax_layer(),),
+                                            class_count=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LAYOUTS))
+def test_a_layout_field_of_the_wrong_type_or_range_is_rejected(case):
+    with pytest.raises(ShapeError):
+        BAD_LAYOUTS[case]()
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "avgpool", "window": 2, "activation": "relu"},
+    {"kind": "fc", "units": 4, "window": 3},
+    {"kind": "softmax", "filters": 7},
+    ["avgpool", 2],
+])
+def test_a_layer_key_its_kind_does_not_take_is_rejected(doc):
+    with pytest.raises(ShapeError):
+        LayerSpec.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

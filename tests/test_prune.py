@@ -11,9 +11,7 @@ from enboost.errors import (BudgetInfeasibleError, ConfigError, ShapeError,
                             TrainingDivergedError)
 from enboost.nn import (NetworkSpec, TensorShape, WeakLearner, conv,
                         count_macs, count_params, fc, softmax_layer, train)
-from enboost.prune import (PruneSchedule, conv_layer_indices,
-                           prune_step, prune_to_budget,
-                           rank_filters)
+from enboost.prune import PruneSchedule, prune_step, prune_to_budget, rank_filters
 
 
 def two_filter_net():
@@ -106,11 +104,12 @@ def test_prune_step_keeps_the_parameters_dtype(dtype):
 
 
 def test_retraining_a_pruned_learner_does_not_depend_on_its_layout():
-    # channel slices come out of prune_step in F order; the GEMMs round by
-    # their operands' layout, so `train` must give the bits of C-order copies
+    # the GEMMs round by their operands' layout, so `train` must give a
+    # pruned learner with F-order arrays the bits of C-order copies
     ds = small_dataset()
     learner = WeakLearner.initialize(tiny_spec(), seed=1, learner_id="t")
     pruned = prune_step(learner, {0: [2], 2: [1]})
+    pruned.params = [p and tuple(map(np.asfortranarray, p)) for p in pruned.params]
     assert not all(a.flags.c_contiguous for p in pruned.params if p for a in p)
     w = np.ones(ds.split_size("train"))
     a, _ = train(pruned, ds, w, epochs=1, learning_rate=0.05, seed=0)
@@ -149,7 +148,7 @@ def test_prune_to_budget_meets_budget(fraction, per_step):
                                         retrain_epochs_per_step=1), seed=0)
     assert out.macs <= int(np.ceil(fraction * learner.macs))
     assert count_params(out.spec) < count_params(learner.spec)
-    assert all(out.spec.layers[i].filters >= 1 for i in conv_layer_indices(out.spec))
+    assert all(out.spec.layers[i].filters >= 1 for i in out.spec.conv_layers)
 
 
 def test_prune_to_budget_deterministic():
