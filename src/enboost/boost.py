@@ -15,7 +15,7 @@ from . import artifacts
 from .errors import ConfigError
 from .nn import (NetworkSpec, WeakLearner, evaluate, flatten_params, forward,
                  params_checksum, params_dtype, unflatten_params, train)
-from .prune import PruneSchedule, prune_to_budget
+from .prune import prune_to_budget
 
 PROB_FLOOR = 1e-6  # clamp inside log: the update is singular at p_true = 0
 
@@ -25,8 +25,8 @@ class PoolConfig:
     pool_size: int                 # M
     ensemble_size: int             # N
     boost_learning_rate: float = 0.5
-    prune: PruneSchedule = None
     train_epochs: int = 12
+    retrain_epochs_per_step: int = 4
     learning_rate: float = 0.1
     batch_size: int = 32
     seed: int = 0
@@ -40,11 +40,10 @@ class PoolConfig:
             raise ConfigError("boost_learning_rate must be > 0")
         if self.train_epochs < 0:
             raise ConfigError("train_epochs must be >= 0")
+        if self.retrain_epochs_per_step < 0:
+            raise ConfigError("retrain_epochs_per_step must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.prune is None:
-            object.__setattr__(self, "prune",
-                               PruneSchedule(target_mac_fraction=1.0 / self.ensemble_size))
 
 
 def init_weights(train_size: int) -> np.ndarray:
@@ -102,8 +101,8 @@ def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
                            epochs=cfg.train_epochs,
                            learning_rate=cfg.learning_rate,
                            seed=cfg.seed + m, batch_size=cfg.batch_size)
-        learner = prune_to_budget(learner, dataset, weights, cfg.prune,
-                                  seed=cfg.seed + m,
+        learner = prune_to_budget(learner, dataset, weights, 1.0 / cfg.ensemble_size,
+                                  cfg.retrain_epochs_per_step, seed=cfg.seed + m,
                                   learning_rate=cfg.learning_rate,
                                   batch_size=cfg.batch_size)
         learner.eval_accuracy = evaluate(learner, *dataset.split("eval"))

@@ -20,7 +20,6 @@ from .energy import (Capacitor, CostModel, PowerTrace, RequestPattern,
                      load_trace, synth_trace)
 from .errors import ConfigError
 from .nn import NetworkSpec, TensorShape, count_macs, count_params
-from .prune import PruneSchedule
 from .qsched import EnvConfig, QHyperParams, RewardParams
 from .simrun import RETRAIN_MODES
 
@@ -95,7 +94,6 @@ _SCHEMA = {
         "batch_size": (int, 32, _AT_LEAST_1),
         "seed": (int, 0, _SEED),
         "prune": ({
-            "filters_removed_per_step": (int, 1, _AT_LEAST_1),
             "retrain_epochs_per_step": (int, 4, _NON_NEGATIVE),
         }, {}),
     }, {}),
@@ -292,8 +290,8 @@ def make_dataset(cfg: dict, config_dir=".", spec: NetworkSpec = None) -> Dataset
 def check_sgd_steps(cfg: dict, spec: NetworkSpec, train_size: int):
     """Reject a build that could take more than MAX_SGD_STEPS SGD steps.
     Each pool learner trains `train_epochs` epochs and then retrains
-    `retrain_epochs_per_step` epochs after each prune step; a step removes
-    at least one filter and each conv keeps one, so a learner takes at most
+    `retrain_epochs_per_step` epochs after each prune step; each prune step
+    removes one filter and each conv keeps one, so a learner takes at most
     (conv filters - conv layers) steps."""
     p = cfg["pool"]
     filters = [spec.layers[i].filters for i in spec.conv_layers]
@@ -309,14 +307,10 @@ def check_sgd_steps(cfg: dict, spec: NetworkSpec, train_size: int):
 
 def make_pool_config(cfg: dict, seed=None) -> PoolConfig:
     p = cfg["pool"]
-    n = cfg["ensemble"]["size"]
-    schedule = PruneSchedule(
-        target_mac_fraction=1.0 / n,
-        filters_removed_per_step=p["prune"]["filters_removed_per_step"],
-        retrain_epochs_per_step=p["prune"]["retrain_epochs_per_step"])
-    return PoolConfig(pool_size=p["pool_size"], ensemble_size=n,
+    return PoolConfig(pool_size=p["pool_size"], ensemble_size=cfg["ensemble"]["size"],
                       boost_learning_rate=p["boost_learning_rate"],
-                      prune=schedule, train_epochs=p["train_epochs"],
+                      train_epochs=p["train_epochs"],
+                      retrain_epochs_per_step=p["prune"]["retrain_epochs_per_step"],
                       learning_rate=p["learning_rate"],
                       batch_size=p["batch_size"],
                       seed=p["seed"] if seed is None else seed)

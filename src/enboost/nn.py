@@ -93,9 +93,7 @@ class LayerSpec:
     activation: str = "none"
 
     def __post_init__(self):
-        if self.kind not in LAYER_FIELDS:
-            raise ShapeError(f"unknown layer kind {self.kind!r}")
-        for name, rule in LAYER_FIELDS[self.kind].items():
+        for name, rule in _fields_of(self.kind).items():
             v = getattr(self, name)
             if not (v in rule if isinstance(rule, tuple) else _is_count(v, rule)):
                 must = (f"one of {rule}" if isinstance(rule, tuple)
@@ -111,11 +109,16 @@ class LayerSpec:
     def from_dict(cls, d: dict) -> "LayerSpec":
         if not isinstance(d, dict):
             raise ShapeError(f"a layer must be an object, got {type(d).__name__}")
-        layer = cls(**d)
-        unused = set(d) - {"kind", *LAYER_FIELDS[layer.kind]}
+        unused = set(d) - {"kind", *_fields_of(d.get("kind"))}
         if unused:
-            raise ShapeError(f"{layer.kind} layers take no {sorted(unused)}")
-        return layer
+            raise ShapeError(f"{d['kind']} layers take no {sorted(unused)}")
+        return cls(**d)
+
+
+def _fields_of(kind) -> dict:
+    if not isinstance(kind, str) or kind not in LAYER_FIELDS:
+        raise ShapeError(f"layer kind must be one of {list(LAYER_FIELDS)}, got {kind!r}")
+    return LAYER_FIELDS[kind]
 
 
 def conv(filters, kernel=3, stride=1, padding=0, activation="relu") -> LayerSpec:
@@ -212,11 +215,14 @@ class NetworkSpec:
         unknown = set(d) - {"input_shape", "layers", "class_count"}
         if unknown:
             raise ShapeError(f"unknown keys {sorted(unknown)}")
-        return cls(
-            input_shape=TensorShape(*d["input_shape"]),
-            layers=tuple(LayerSpec.from_dict(ld) for ld in d["layers"]),
-            class_count=d["class_count"],
-        )
+        shape, layers = d["input_shape"], d["layers"]
+        if not (isinstance(shape, list) and len(shape) == 3 and all(map(_is_count, shape))):
+            raise ShapeError(f"input_shape must be three integers >= 1, got {shape!r}")
+        if not isinstance(layers, list):
+            raise ShapeError(f"layers must be a list, got {layers!r}")
+        return cls(input_shape=TensorShape(*shape),
+                   layers=tuple(map(LayerSpec.from_dict, layers)),
+                   class_count=d["class_count"])
 
     def save(self, path):
         artifacts.write_json(path, self.to_dict())

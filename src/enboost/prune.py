@@ -4,29 +4,13 @@ slices of the next parameterized layer, so memory shrinks faster than MACs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import (BudgetInfeasibleError, ConfigError, ShapeError,
                      TrainingDivergedError)
 from .nn import CONV, WeakLearner, train
-
-
-@dataclass(frozen=True)
-class PruneSchedule:
-    target_mac_fraction: float
-    filters_removed_per_step: int = 1
-    retrain_epochs_per_step: int = 2
-
-    def __post_init__(self):
-        if not 0.0 < self.target_mac_fraction <= 1.0:
-            raise ConfigError(
-                f"target_mac_fraction must be in (0, 1], got {self.target_mac_fraction}")
-        if self.filters_removed_per_step < 1:
-            raise ConfigError("filters_removed_per_step must be >= 1")
-        if self.retrain_epochs_per_step < 0:
-            raise ConfigError("retrain_epochs_per_step must be >= 0")
 
 
 def rank_filters(learner: WeakLearner):
@@ -78,29 +62,31 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
 
 
 def prune_to_budget(learner: WeakLearner, dataset, sample_weights,
-                    schedule: PruneSchedule, seed, learning_rate=0.1,
-                    batch_size=32) -> WeakLearner:
-    """Prune globally-lowest-L2 filters until count_macs <= ceil(fraction *
-    original), retraining after every step. The result is not evaluated."""
-    target = math.ceil(schedule.target_mac_fraction * learner.macs)
+                    target_mac_fraction: float, retrain_epochs: int, seed,
+                    learning_rate=0.1, batch_size=32) -> WeakLearner:
+    """Remove the globally lowest-L2 filter, one per step, until count_macs
+    <= ceil(target_mac_fraction * original), retraining `retrain_epochs`
+    epochs after every step. The result is not evaluated."""
+    if not 0.0 < target_mac_fraction <= 1.0:
+        raise ConfigError(f"target_mac_fraction must be in (0, 1], got {target_mac_fraction}")
+    if retrain_epochs < 0:
+        raise ConfigError(f"retrain_epochs must be >= 0, got {retrain_epochs}")
+    target = math.ceil(target_mac_fraction * learner.macs)
     current = learner
     while current.macs > target:
-        # global candidate list: each layer may lose all but one filter, so
-        # no prefix of it can empty a layer
-        candidates = sorted((norm, idx, f)
-                            for idx, entries in rank_filters(current).items()
-                            for f, norm in entries[:-1])
+        # each layer may lose all but its last-ranked filter, so no step can
+        # empty a layer
+        candidates = [(norm, idx, f)
+                      for idx, entries in rank_filters(current).items()
+                      for f, norm in entries[:-1]]
         if not candidates:
             # every conv layer is down to one filter
             raise BudgetInfeasibleError(current.spec.conv_layers[0])
-        victims = {}
-        for _, idx, f in candidates[:schedule.filters_removed_per_step]:
-            victims.setdefault(idx, []).append(f)
+        _, idx, f = min(candidates)
         try:
-            current, _ = train(prune_step(current, victims), dataset, sample_weights,
-                               epochs=schedule.retrain_epochs_per_step,
-                               learning_rate=learning_rate, seed=seed,
-                               batch_size=batch_size)
+            current, _ = train(prune_step(current, {idx: [f]}), dataset, sample_weights,
+                               epochs=retrain_epochs, learning_rate=learning_rate,
+                               seed=seed, batch_size=batch_size)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(exc.epoch, exc.learner, "prune retrain") from None
     return current

@@ -19,7 +19,6 @@ from enboost.ensemble import backfit_select, pool_eval_probs, subset_accuracy
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs,
                         count_params, evaluate, fc, forward, gradient_check,
                         params_checksum, softmax_layer, train_fc_only, trunk)
-from enboost.prune import PruneSchedule
 from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams, act,
                             load_qtable, q_update, save_qtable, train_offline)
 from enboost.simrun import (FixedKPolicy, QPolicy, SimConfig, run,
@@ -69,7 +68,7 @@ def test_mac_budget_for_two_and_four_learners(pool4, model4, baseline_spec,
         pool_size=6, ensemble_size=2,
         train_epochs=bundled_cfg["pool"]["train_epochs"],
         learning_rate=bundled_cfg["pool"]["learning_rate"],
-        prune=PruneSchedule(target_mac_fraction=0.5, retrain_epochs_per_step=2),
+        retrain_epochs_per_step=2,
         seed=0)
     pool2, _ = build_pool(baseline_spec, bundled_dataset, pool2_cfg)
     ex, ey = bundled_dataset.split("eval")
@@ -120,8 +119,7 @@ def test_backfit_tracks_brute_force(baseline_spec, bundled_dataset):
         # reduced epochs per pool keep 20 builds inside the runtime bound
         cfg = PoolConfig(pool_size=6, ensemble_size=3, train_epochs=8,
                          learning_rate=0.1,
-                         prune=PruneSchedule(target_mac_fraction=1.0 / 3.0,
-                                             retrain_epochs_per_step=1),
+                         retrain_epochs_per_step=1,
                          seed=seed)
         pool, _ = build_pool(baseline_spec, bundled_dataset, cfg)
         model = backfit_select(pool, 3, ex, ey)
@@ -356,8 +354,7 @@ def test_drift_retraining_improves(bundled_cfg):
                            shape=(2, 8, 8), noise=0.5)
         cfg = PoolConfig(pool_size=3, ensemble_size=2, train_epochs=12,
                          learning_rate=0.1,
-                         prune=PruneSchedule(target_mac_fraction=0.5,
-                                             retrain_epochs_per_step=1),
+                         retrain_epochs_per_step=1,
                          seed=seed)
         pool, _ = build_pool(tiny_spec(), ds, cfg)
         ex, ey = ds.split("eval")

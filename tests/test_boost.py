@@ -14,7 +14,7 @@ from enboost.boost import (PoolConfig, build_pool, init_weights, load_pool,
 from enboost.data import synth_dataset
 from enboost.errors import ArtifactError, ConfigError, ShapeError
 from enboost.nn import WeakLearner, evaluate, forward, train
-from enboost.prune import PruneSchedule, prune_to_budget
+from enboost.prune import prune_to_budget
 
 
 def test_init_weights_examples():
@@ -71,8 +71,7 @@ def small_pool_setup():
                        shape=(2, 8, 8), noise=1.5)
     cfg = PoolConfig(pool_size=3, ensemble_size=2, train_epochs=3,
                      learning_rate=0.05,
-                     prune=PruneSchedule(target_mac_fraction=0.5,
-                                         retrain_epochs_per_step=1),
+                     retrain_epochs_per_step=1,
                      seed=0)
     return tiny_spec(), ds, cfg
 
@@ -119,6 +118,8 @@ def test_pool_config_validation():
         PoolConfig(pool_size=3, ensemble_size=2, batch_size=0)
     with pytest.raises(ConfigError):
         PoolConfig(pool_size=3, ensemble_size=2, train_epochs=-1)
+    with pytest.raises(ConfigError):
+        PoolConfig(pool_size=3, ensemble_size=2, retrain_epochs_per_step=-1)
 
 
 def test_build_pool_shape_and_budget():
@@ -128,7 +129,7 @@ def test_build_pool_shape_and_budget():
     assert weights.shape == (ds.split_size("train"),)
     assert abs(weights.mean() - 1.0) < 1e-9
     from enboost.nn import count_macs
-    budget = int(np.ceil(count_macs(spec) * cfg.prune.target_mac_fraction))
+    budget = int(np.ceil(count_macs(spec) / cfg.ensemble_size))
     for learner in pool:
         assert learner.macs <= budget
 
@@ -149,7 +150,8 @@ def test_first_pool_learner_equals_standalone_train_prune():
     fresh, _ = train(fresh, ds, w, epochs=cfg.train_epochs,
                      learning_rate=cfg.learning_rate, seed=cfg.seed,
                      batch_size=cfg.batch_size)
-    fresh = prune_to_budget(fresh, ds, w, cfg.prune, seed=cfg.seed,
+    fresh = prune_to_budget(fresh, ds, w, 1.0 / cfg.ensemble_size,
+                            cfg.retrain_epochs_per_step, seed=cfg.seed,
                             learning_rate=cfg.learning_rate,
                             batch_size=cfg.batch_size)
     assert pool[0].checksum() == fresh.checksum()

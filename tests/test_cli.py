@@ -95,21 +95,20 @@ def test_selection_never_reads_the_test_split(tmp_path, monkeypatch):
 
 def test_build_with_every_vote_weight_at_most_0_exits_2_without_output(tmp_path,
                                                                        capsys):
-    # three filters per prune step leave every pool learner below 50% eval
-    # accuracy at this seed, so the two-class vote weight of each is <= 0
+    # an untrained pool leaves every learner below 50% eval accuracy at this
+    # seed, so the two-class vote weight of each is <= 0
     seed = 101
     (tmp_path / "config.json").write_text(json.dumps({
         "dataset": {"generator": {"seed": seed, "samples_per_class": 24}},
-        "pool": {"pool_size": 5, "train_epochs": 3, "seed": seed,
-                 "prune": {"retrain_epochs_per_step": 1,
-                           "filters_removed_per_step": 3}}}))
+        "pool": {"pool_size": 5, "train_epochs": 0, "seed": seed,
+                 "prune": {"retrain_epochs_per_step": 0}}}))
     rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
                "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err == ("error: every selected learner's vote weight is <= 0: "
-                   "learner-02 -0.0345, learner-03 -0.0345, learner-00 -0.321, "
-                   "learner-04 -0.672\n")
+                   "learner-04 -0.672, learner-02 -0.784, learner-01 -0.916, "
+                   "learner-00 -1.3\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -120,8 +119,8 @@ BAD_CONFIGS = {
     "generator-null": ("build-ensemble", {"dataset": {"generator": None}}, []),
     "batch-size-0": ("build-ensemble", {"pool": {"batch_size": 0}}, []),
     "train-epochs-negative": ("build-ensemble", {"pool": {"train_epochs": -1}}, []),
-    "filters-per-step-0": ("build-ensemble",
-                           {"pool": {"prune": {"filters_removed_per_step": 0}}}, []),
+    "filters-per-step-removed": ("build-ensemble",
+                                 {"pool": {"prune": {"filters_removed_per_step": 1}}}, []),
     "episodes-null": ("train-scheduler", {"scheduler": {"episodes": None}}, []),
     "episodes-negative": ("train-scheduler", {"scheduler": {"episodes": -3}}, []),
     "episodes-flag-negative": ("train-scheduler", {}, ["--episodes", "-3"]),
@@ -885,6 +884,7 @@ def test_simulate_corrupt_artifact_exits_2(workspace, qtable_path, tmp_path,
 
 # edits of the bundled network that `network.spec_path` names: (edit, what
 # the error names besides the file)
+LAYER_KINDS = ["conv", "avgpool", "fc", "softmax"]
 BAD_NETWORK_SPECS = {
     "padding-negative": (lambda d: d["layers"][0].update(padding=-1), "padding"),
     "kernel-float": (lambda d: d["layers"][0].update(kernel=3.0), "kernel"),
@@ -892,7 +892,8 @@ BAD_NETWORK_SPECS = {
     "stride-float": (lambda d: d["layers"][0].update(stride=1.0), "stride"),
     "padding-float": (lambda d: d["layers"][0].update(padding=1.0), "padding"),
     "window-float": (lambda d: d["layers"][1].update(window=2.0), "window"),
-    "input-shape-float": (lambda d: d.update(input_shape=[3.0, 12, 12]), "channels=3.0"),
+    "input-shape-float": (lambda d: d.update(input_shape=[3.0, 12, 12]),
+                          "input_shape must be three integers >= 1, got [3.0, 12, 12]"),
     "class-count-float": (lambda d: d.update(class_count=6.0), "class_count"),
     "avgpool-activation": (lambda d: d["layers"][1].update(activation="relu"),
                            "activation"),
@@ -900,6 +901,14 @@ BAD_NETWORK_SPECS = {
     "softmax-filters": (lambda d: d["layers"][6].update(filters=7), "filters"),
     "top-level-key": (lambda d: d.update(name="net"), "name"),
     "layer-list": (lambda d: d["layers"].__setitem__(1, ["avgpool", 2]), "list"),
+    "conv-foo": (lambda d: d["layers"][0].update(foo=1), "conv layers take no ['foo']"),
+    "layer-without-kind": (lambda d: d["layers"][0].pop("kind"),
+                           f"layer kind must be one of {LAYER_KINDS}, got None"),
+    "kind-list": (lambda d: d["layers"][5].update(kind=["fc"]),
+                  f"layer kind must be one of {LAYER_KINDS}, got ['fc']"),
+    "layers-int": (lambda d: d.update(layers=5), "layers must be a list, got 5"),
+    "input-shape-short": (lambda d: d.update(input_shape=[3, 12]),
+                          "input_shape must be three integers >= 1, got [3, 12]"),
 }
 
 

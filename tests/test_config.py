@@ -27,6 +27,9 @@ def test_unknown_keys_rejected():
         config.validate_config({"extra": {}})
     with pytest.raises(ConfigError, match="unknown keys"):
         config.validate_config({"energy": {"cost_model": {"active_idle_power": 1e-3}}})
+    with pytest.raises(ConfigError, match=r"^pool\.prune: unknown keys "
+                                          r"\['filters_removed_per_step'\]$"):
+        config.validate_config({"pool": {"prune": {"filters_removed_per_step": 1}}})
 
 
 def test_type_errors_are_reported_with_path():
@@ -171,7 +174,8 @@ def test_baseline_network_accounting():
 def test_make_pool_config_prunes_to_one_over_n():
     cfg = config.default_config()
     pool_cfg = config.make_pool_config(cfg)
-    assert pool_cfg.prune.target_mac_fraction == 0.25
+    assert pool_cfg.ensemble_size == 4
+    assert pool_cfg.retrain_epochs_per_step == 4
     assert config.make_pool_config(cfg, seed=9).seed == 9
 
 

@@ -13,7 +13,6 @@ from enboost.ensemble import (ERROR_CLAMP, EnsembleModel, backfit_select,
                               profile_accuracy, save_ensemble,
                               subset_accuracy, weighted_vote)
 from enboost.errors import ArtifactError, ConfigError
-from enboost.prune import PruneSchedule
 
 
 def pool_weights(pool):
@@ -75,8 +74,7 @@ def small_pool():
                        shape=(2, 8, 8), noise=1.8)
     cfg = PoolConfig(pool_size=5, ensemble_size=3, train_epochs=4,
                      learning_rate=0.05,
-                     prune=PruneSchedule(target_mac_fraction=1.0 / 3.0,
-                                         retrain_epochs_per_step=1),
+                     retrain_epochs_per_step=1,
                      seed=0)
     pool, _ = build_pool(tiny_spec(), ds, cfg)
     return pool, ds

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import tiny_spec
-from enboost import nn
+from enboost import nn, prune
 from enboost.data import synth_dataset
 from enboost.errors import (BudgetInfeasibleError, ConfigError, ShapeError,
                             TrainingDivergedError)
 from enboost.nn import (NetworkSpec, TensorShape, WeakLearner, conv,
                         count_macs, count_params, fc, softmax_layer, train)
-from enboost.prune import PruneSchedule, prune_step, prune_to_budget, rank_filters
+from enboost.prune import prune_step, prune_to_budget, rank_filters
 
 
 def two_filter_net():
@@ -132,20 +132,16 @@ def trained_tiny():
 
 def test_prune_to_budget_identity_fraction():
     learner, ds = trained_tiny()
-    out = prune_to_budget(learner, ds, np.ones(ds.split_size("train")),
-                          PruneSchedule(target_mac_fraction=1.0), seed=0)
+    out = prune_to_budget(learner, ds, np.ones(ds.split_size("train")), 1.0, 2, seed=0)
     assert out.checksum() == learner.checksum()
     assert out.macs == learner.macs
 
 
-@pytest.mark.parametrize("fraction, per_step", [(0.5, 1), (0.25, 1), (0.25, 3)],
-                         ids=["0.5", "0.25", "0.25-k3"])
-def test_prune_to_budget_meets_budget(fraction, per_step):
+@pytest.mark.parametrize("fraction", [0.5, 0.25], ids=["0.5", "0.25"])
+def test_prune_to_budget_meets_budget(fraction):
     learner, ds = trained_tiny()
-    out = prune_to_budget(learner, ds, np.ones(ds.split_size("train")),
-                          PruneSchedule(target_mac_fraction=fraction,
-                                        filters_removed_per_step=per_step,
-                                        retrain_epochs_per_step=1), seed=0)
+    out = prune_to_budget(learner, ds, np.ones(ds.split_size("train")), fraction, 1,
+                          seed=0)
     assert out.macs <= int(np.ceil(fraction * learner.macs))
     assert count_params(out.spec) < count_params(learner.spec)
     assert all(out.spec.layers[i].filters >= 1 for i in out.spec.conv_layers)
@@ -154,18 +150,15 @@ def test_prune_to_budget_meets_budget(fraction, per_step):
 def test_prune_to_budget_deterministic():
     learner, ds = trained_tiny()
     w = np.ones(ds.split_size("train"))
-    sched = PruneSchedule(target_mac_fraction=0.5, retrain_epochs_per_step=1)
-    a = prune_to_budget(learner, ds, w, sched, seed=0)
-    b = prune_to_budget(learner, ds, w, sched, seed=0)
+    a = prune_to_budget(learner, ds, w, 0.5, 1, seed=0)
+    b = prune_to_budget(learner, ds, w, 0.5, 1, seed=0)
     assert a.checksum() == b.checksum()
 
 
 def test_prune_to_budget_infeasible_names_layer():
     learner, ds = trained_tiny()
     with pytest.raises(BudgetInfeasibleError) as err:
-        prune_to_budget(learner, ds, np.ones(ds.split_size("train")),
-                        PruneSchedule(target_mac_fraction=0.001,
-                                      retrain_epochs_per_step=0), seed=0)
+        prune_to_budget(learner, ds, np.ones(ds.split_size("train")), 0.001, 0, seed=0)
     assert err.value.layer_index in (0, 2)
 
 
@@ -175,8 +168,7 @@ def test_prune_retrain_divergence_names_learner_and_stage():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TrainingDivergedError) as err:
-            prune_to_budget(learner, ds, np.ones(ds.split_size("train")),
-                            PruneSchedule(target_mac_fraction=0.5), seed=0)
+            prune_to_budget(learner, ds, np.ones(ds.split_size("train")), 0.5, 2, seed=0)
     assert [str(w.message) for w in caught] == []
     assert (err.value.learner, err.value.stage) == ("t", "prune retrain")
     assert str(err.value).startswith("t: ") and "prune retrain" in str(err.value)
@@ -191,7 +183,29 @@ def test_bundled_baseline_quarter_params(pool4, baseline_spec):
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        PruneSchedule(target_mac_fraction=0.0)
-    with pytest.raises(ConfigError):
-        PruneSchedule(target_mac_fraction=0.5, filters_removed_per_step=0)
+    learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
+    ds = small_dataset()
+    w = np.ones(ds.split_size("train"))
+    with pytest.raises(ConfigError, match="target_mac_fraction"):
+        prune_to_budget(learner, ds, w, 0.0, 1, seed=0)
+    with pytest.raises(ConfigError, match="retrain_epochs"):
+        prune_to_budget(learner, ds, w, 0.5, -1, seed=0)
+
+
+def test_each_prune_step_removes_the_lowest_norm_filter_that_may_go(monkeypatch):
+    # a layer's last-ranked filter never goes, so a step picks the global
+    # minimum over every other (norm, layer, filter)
+    learner, ds = trained_tiny()
+    calls = []
+
+    def spy(current, victims):
+        allowed = min((norm, idx, f) for idx, entries in rank_filters(current).items()
+                      for f, norm in entries[:-1])
+        calls.append((victims, {allowed[1]: [allowed[2]]}))
+        return prune_step(current, victims)
+
+    monkeypatch.setattr(prune, "prune_step", spy)
+    prune_to_budget(learner, ds, np.ones(ds.split_size("train")), 0.25, 1, seed=0)
+    assert len(calls) > 1
+    for victims, expected in calls:
+        assert victims == expected

@@ -16,7 +16,6 @@ from enboost.ensemble import (backfit_select, subset_accuracy, vote_batch,
                               weighted_vote)
 from enboost.errors import ConfigError
 from enboost.nn import evaluate, fc_step, forward, head, train_fc_only, trunk
-from enboost.prune import PruneSchedule
 from enboost.qsched import EnvConfig, QTable, RewardParams, replay, make_device
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
                             QPolicy, SimConfig, events_csv,
@@ -30,8 +29,7 @@ def small_model():
                        shape=(2, 8, 8), noise=0.5)
     cfg = PoolConfig(pool_size=3, ensemble_size=2, train_epochs=12,
                      learning_rate=0.1,
-                     prune=PruneSchedule(target_mac_fraction=0.5,
-                                         retrain_epochs_per_step=1),
+                     retrain_epochs_per_step=1,
                      seed=0)
     pool, _ = build_pool(tiny_spec(), ds, cfg)
     ex, ey = ds.split("eval")
