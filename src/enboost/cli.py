@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import artifacts, boost, config as cfgmod, ensemble as ens, qsched, simrun
@@ -158,28 +159,42 @@ def cmd_simulate(args) -> int:
     # baseline's report instead of running again
     runs = [p for p in policies if p.name != "all"]
     jobs = [sim_config(baseline_policy)] + [sim_config(p) for p in runs]
+    out = Path(args.out)
+
+    def write_tree(name, report, baseline):
+        run_dir = out / name.replace(":", "-")
+        run_dir.mkdir(parents=True, exist_ok=True)
+        artifacts.write_json(run_dir / "report.json",
+                             simrun.report_document(report, baseline))
+        (run_dir / "events.csv").write_text(simrun.events_csv(report))
+
+    def publish(reports):
+        """Write each policy's tree as its run ends, the baseline's first,
+        and print the reports in `--policy` order. The later reports read
+        only the baseline's policy name and failure rate, so its events rows
+        are dropped once its tree is written."""
+        baseline = next(reports)
+        out.mkdir(parents=True, exist_ok=True)
+        if "all" in names:
+            write_tree("all", baseline, baseline)
+        baseline = replace(baseline, events=[])
+        for policy in policies:
+            report = baseline if policy.name == "all" else next(reports)
+            if report is not baseline:
+                write_tree(policy.name, report, baseline)
+            text = simrun.render_report(report, args.format, baseline=baseline)
+            if args.format == "csv" and policy is not policies[0]:
+                # one table: the header, then a row per policy
+                text = text.partition("\n")[2]
+            print(text, end="" if args.format == "csv" else "\n")
+
     if workers > 1:   # each run in a worker computes its own batches
         from concurrent.futures import ProcessPoolExecutor   # 2 MB of imports
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(simrun.run, jobs))
+            publish(pool.map(simrun.run, jobs))   # in order, as each run ends
     else:   # the runs share each learner's batches and each prefix's vote table
-        reports = simrun.run_many(jobs)
-    baseline_report, rest = reports[0], iter(reports[1:])
-    policy_reports = [baseline_report if p.name == "all" else next(rest)
-                      for p in policies]
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for policy, report in zip(policies, policy_reports):
-        run_dir = out / policy.name.replace(":", "-")
-        run_dir.mkdir(parents=True, exist_ok=True)
-        artifacts.write_json(run_dir / "report.json",
-                             simrun.report_document(report, baseline_report))
-        (run_dir / "events.csv").write_text(simrun.events_csv(report))
-        text = simrun.render_report(report, args.format, baseline=baseline_report)
-        if args.format == "csv" and policy is not policies[0]:
-            text = text.partition("\n")[2]   # one table: the header, then a row per policy
-        print(text, end="" if args.format == "csv" else "\n")
+        shared = simrun.share_batches(jobs)
+        publish(simrun.run(cfg, shared) for cfg in jobs)
     return 0
 
 

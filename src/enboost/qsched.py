@@ -166,7 +166,8 @@ class StateTracker:
     The trailing level is the mean usable fraction over the last
     `E_LAST_WINDOW` served requests (fewer until that many exist; the
     current level until a request is served). The power is binned once per
-    device and device time, since drawing energy does not move time."""
+    device and device time, since drawing energy does not move time.
+    `cap` is the capacitor of the devices it observes."""
 
     def __init__(self, cap: Capacitor, one_learner_cost, power_thresholds, n):
         t1, t2 = power_thresholds
@@ -175,6 +176,8 @@ class StateTracker:
         self.one_learner_cost = one_learner_cost
         self.power_thresholds = power_thresholds
         self.n = n
+        self.n1 = n + 1
+        self.cutoff = cap.cutoff_energy
         self.max_usable = cap.max_usable_energy
         self.full = cap.max_usable_energy - FULL_TOLERANCE
         self.half = 0.5 * cap.max_usable_energy
@@ -191,8 +194,15 @@ class StateTracker:
         return 1 if usable < self.half else 2
 
     def observe(self, device: Device, l: int) -> int:
-        usable = device.usable_energy
-        e_now = self._bin(usable)
+        usable = device.energy - self.cutoff
+        usable = usable if usable > 0.0 else 0.0   # `device.usable_energy`
+        # self._bin(usable)
+        if usable < self.one_learner_cost:
+            e_now = 0
+        elif usable >= self.full:
+            e_now = 3
+        else:
+            e_now = 1 if usable < self.half else 2
         e_last = self.e_last
         if e_last is None:
             e_last = self._bin(usable / self.max_usable * self.max_usable)
@@ -202,11 +212,12 @@ class StateTracker:
             self.p_device, self.p_t = device, device.t
             self.p_bin = 0 if p < t1 else 1 if p < t2 else 2
         return (((e_now * ENERGY_LEVELS + e_last) * POWER_LEVELS + self.p_bin)
-                * (self.n + 1) + l)
+                * self.n1 + l)
 
     def record_post_inference(self, device: Device):
+        usable = device.energy - self.cutoff   # `device.usable_fraction`
         history = self.history
-        history.append(device.usable_fraction)
+        history.append((usable if usable > 0.0 else 0.0) / self.max_usable)
         if len(history) > E_LAST_WINDOW:
             del history[0]
         self.e_last = self._bin(_mean(history) * self.max_usable)
@@ -267,25 +278,29 @@ def replay(env: EnvConfig, device: Device, costs, agent: Agent):
     that ran any learner feeds the trailing-energy feature.
     """
     tracker = StateTracker(device.cap, max(costs), env.power_thresholds, len(costs))
+    # the calls of every request, bound once
+    advance, draw, cutoff = device.advance, device.draw, device.cap.cutoff_energy
+    observe, record = tracker.observe, tracker.record_post_inference
+    arrive, decide, ran, done = agent.arrive, agent.decide, agent.ran, agent.done
     period = env.requests.period
     for i in range(env.request_count):
         t = period + i * period
-        device.advance(t)
-        agent.arrive(i, t)
-        if not device.is_on:
-            agent.done(0, OFF)
+        advance(t)
+        arrive(i, t)
+        if not device.energy >= cutoff:   # `device.is_on`
+            done(0, OFF)
             continue
         l, end = 0, STOP
-        while agent.decide(tracker.observe(device, l)):
-            if not device.draw(costs[l]):
+        while decide(observe(device, l)):
+            if not draw(costs[l]):
                 end = BROWNOUT
                 break
-            agent.ran(l)
+            ran(l)
             l += 1
         if l > 0:
-            tracker.record_post_inference(device)
-        agent.done(l, end)
-    device.advance(env.horizon)
+            record(device)
+        done(l, end)
+    advance(env.horizon)
 
 
 RAW_BLOCK = 256   # PCG64 words `_Draws` reads per `random_raw` call
@@ -340,17 +355,45 @@ class _QLearner(Agent):
         self.epsilon = epsilon
         self.total_reward = 0.0
         self.pending = None  # (s, a, reward) awaiting its successor state
+        # what every decision reads, bound once
+        self._n1 = n + 1
+        self._alpha, self._gamma = hyper.learning_rate, hyper.discount
+        self._delta_acc, self._beta = params.delta_acc, params.beta
+        self._p_miss = params.p_miss
+        self._cutoff = device.cap.cutoff_energy
+        self._max_usable = device.cap.max_usable_energy
+        self._random = rng.random
 
     def decide(self, s):
-        n1 = self.n + 1
-        if self.pending is not None:
-            q_update(self.rows, n1, self.hyper, *self.pending, s)
+        """One decision in one pass: the pending transition's update, the
+        action and its reward, each inlined from the function it equals."""
+        rows, n1 = self.rows, self._n1
         l = s % n1
-        if l < self.n and self.rng.random() < self.epsilon:
+        row = rows[s]
+        pending = self.pending
+        if pending is not None:
+            # q_update(rows, n1, hyper, *pending, s)
+            q0, q1 = row
+            bootstrap = q0 if l == n1 - 1 else q1 if q1 > q0 else q0
+            if l == 0:
+                bootstrap = self._gamma * bootstrap
+            ps, pa, pr = pending
+            prow = rows[ps]
+            q = prow[pa]
+            prow[pa] = q + self._alpha * (pr + bootstrap - q)
+        if l == n1 - 1:
+            a = 0   # a=1 is masked once all learners ran
+        elif self._random() < self.epsilon:
             a = self.rng.coin()
         else:
-            a = act(self.rows, n1, s)  # a=0 at l = N
-        r = reward(l, a, self.params, self.device.usable_fraction)
+            a = 1 if row[1] > row[0] else 0   # act(rows, n1, s), after the update
+        # reward(l, a, params, device.usable_fraction)
+        if a == 1:
+            usable = self.device.energy - self._cutoff
+            r = self._delta_acc[l] - self._beta * (
+                1.0 - (usable if usable > 0.0 else 0.0) / self._max_usable)
+        else:
+            r = -self._p_miss if l == 0 else 0.0
         self.total_reward += r
         self.pending = (s, a, r)
         return a

@@ -634,13 +634,13 @@ def test_simulate_runs_the_all_baseline_once(workspace, sim_out, tmp_path,
                                             monkeypatch, policies, runs):
     # fixed:k with k >= N is the all-N policy too
     names = []
-    real_run_many = simrun.run_many
+    real_run = simrun.run
 
-    def counted(cfgs):
-        names.extend(cfg.policy.name for cfg in cfgs)
-        return real_run_many(cfgs)
+    def counted(cfg, *shared):
+        names.append(cfg.policy.name)
+        return real_run(cfg, *shared)
 
-    monkeypatch.setattr(simrun, "run_many", counted)
+    monkeypatch.setattr(simrun, "run", counted)
     argv = ["simulate", "--config", str(workspace / "config.json"),
             "--ensemble", str(workspace / "build"), "--out", str(tmp_path)]
     for policy in policies:
@@ -663,6 +663,44 @@ def test_simulate_jobs_write_identical_trees(workspace, qtable_path, tmp_path, c
         outputs.append((files, capsys.readouterr().out))
     assert len(outputs[0][0]) == 6
     assert outputs[0] == outputs[1]
+
+
+def test_simulate_writes_each_policys_tree_before_the_next_run(
+        workspace, qtable_path, tmp_path, monkeypatch, capsys):
+    # the "all" baseline runs first although it is named last, then fixed:1
+    # and the q-table (the workspace's N is 2, so fixed:2 would be "all");
+    # every tree already written is complete when a run starts, and the
+    # printed reports keep the --policy order
+    argv = ["simulate", "--config", str(workspace / "config.json"),
+            "--ensemble", str(workspace / "build")]
+    for policy in ("fixed:1", f"qtable:{qtable_path}", "all"):
+        argv += ["--policy", policy]
+    assert main(argv + ["--out", str(tmp_path / "whole")]) == 0
+    whole = capsys.readouterr().out
+    final = {p.relative_to(tmp_path / "whole"): p.read_bytes()
+             for p in (tmp_path / "whole").rglob("*") if p.is_file()}
+    out = tmp_path / "streamed"
+    seen = []
+    real_replay = simrun.replay
+
+    def spied(env, device, costs, agent):
+        seen.append({p.relative_to(out): p.read_bytes()
+                     for p in out.rglob("*") if p.is_file()} if out.exists() else {})
+        return real_replay(env, device, costs, agent)
+
+    monkeypatch.setattr(simrun, "replay", spied)
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == whole
+    assert (whole.index("policy: fixed:1") < whole.index("policy: qtable")
+            < whole.index("policy: all"))
+
+    def trees(*runs):
+        return {Path(run, rel): final[Path(run, rel)]
+                for run in runs for rel in ("report.json", "events.csv")}
+
+    assert len(final) == 6
+    assert seen == [{}, trees("all"), trees("all", "fixed-1")]
+    assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == final
 
 
 @pytest.mark.parametrize("mode", ["off", "high-energy", "auto"])

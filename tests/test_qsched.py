@@ -469,6 +469,43 @@ def test_train_offline_matches_generator_draws(monkeypatch, epsilon):
                           np.asarray(ref_curve).view(np.int64))
 
 
+@pytest.mark.parametrize("epsilon", [(1.0, 1.0), (0.3, 0.01), (0.0, 0.0)],
+                         ids=["explore", "annealed", "greedy"])
+@pytest.mark.parametrize("macs", [(6_000_000,), (2_000_000, 9_000_000, 4_000_000, 7_000_000)],
+                         ids=["n1", "n4"])
+def test_train_offline_matches_generator_draws_at_n_1_and_4(monkeypatch, macs, epsilon):
+    # the inlined update, action and reward at other widths of the state's
+    # l digit, with unequal learner costs, so that a request can brown out
+    # on a dearer learner after a cheaper one ran, and a larger beta
+    n = len(macs)
+    trace = synth_trace(3, "day-night", duration=600.0, period=120.0,
+                        high_power=0.03)
+    env = EnvConfig(capacitor=Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7),
+                    trace=trace, cost_model=CostModel(sleep_power=1e-3),
+                    requests=RequestPattern(period=2.5, horizon=600.0),
+                    reward=RewardParams(beta=0.4, p_miss=0.5))
+    ens = SimpleNamespace(size=n, delta_acc=[0.3, 0.15, 0.05, 0.02][:n],
+                          learners=[SimpleNamespace(macs=m) for m in macs])
+    hyper = QHyperParams(epsilon_start=epsilon[0], epsilon_end=epsilon[1])
+    table, curve = train_offline(env, ens, episodes=8, seed=4, hyper=hyper)
+    ends = []
+
+    class Reference(GeneratorQLearner):
+        def done(self, l, end):
+            ends.append((l, end))
+            super().done(l, end)
+
+    monkeypatch.setattr(qsched, "_Draws", np.random.default_rng)
+    monkeypatch.setattr(qsched, "_QLearner", Reference)
+    ref_table, ref_curve = train_offline(env, ens, episodes=8, seed=4, hyper=hyper)
+    assert (0, qsched.OFF) in ends and (0, qsched.BROWNOUT) in ends
+    if n > 1:
+        assert any(end == qsched.BROWNOUT and macs[l] > macs[l - 1] for l, end in ends if l)
+    assert np.array_equal(table.values.view(np.int64), ref_table.values.view(np.int64))
+    assert np.array_equal(np.asarray(curve).view(np.int64),
+                          np.asarray(ref_curve).view(np.int64))
+
+
 def greedy_executions(table, env, ens):
     """Replay the trace with the greedy policy; returns learners run per
     request."""
