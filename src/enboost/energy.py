@@ -80,15 +80,13 @@ class PowerTrace:
         return float(self.power[idx])
 
     @cached_property
-    def runs(self) -> tuple[list, list, list]:
-        """(times, power, run_end) as Python lists for `Device`'s stepper:
-        run_end[k] is the index of the first sample after k whose power
-        differs from sample k's, or the sample count if none does. The
-        fields are frozen, so the lists are built once per trace."""
+    def changes(self) -> tuple[list, list]:
+        """(times, power) as Python lists for `Device`'s stepper: the first
+        sample and each sample whose power differs from the one before it.
+        The fields are frozen, so the lists are built once per trace."""
         p = self.power
-        change = np.append(np.flatnonzero(p[1:] != p[:-1]) + 1, p.size)
-        run_end = change[np.searchsorted(change, np.arange(p.size), side="right")]
-        return self.times.tolist(), p.tolist(), run_end.tolist()
+        keep = np.append(0, np.flatnonzero(p[1:] != p[:-1]) + 1)
+        return self.times[keep].tolist(), p[keep].tolist()
 
 
 def load_trace(path) -> PowerTrace:
@@ -96,7 +94,8 @@ def load_trace(path) -> PowerTrace:
     timestamp_s,voltage_V,current_A  or  timestamp_s,power_W."""
     path = Path(path)
     times, power = [], []
-    with open(path, newline="") as f:
+    # an undecodable byte fails the header match or its row's float()
+    with open(path, newline="", errors="replace") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
@@ -121,8 +120,13 @@ def load_trace(path) -> PowerTrace:
                 raise TraceError(f"{path}:{lineno}: malformed row: {exc}") from exc
             times.append(t)
             power.append(p)
-    return PowerTrace(times=np.asarray(times), power=np.asarray(power),
-                      source=f"file:{path}")
+    if not times:
+        raise TraceError(f"{path}: no samples")
+    try:
+        return PowerTrace(times=np.asarray(times), power=np.asarray(power),
+                          source=f"file:{path}")
+    except TraceError as exc:
+        raise TraceError(f"{path}: {exc}") from exc
 
 
 def synth_trace(seed, profile, duration, sample_interval=1.0,
@@ -189,9 +193,11 @@ class RequestPattern:
 @dataclass
 class Device:
     """Live state of one run: the stored charge `energy` in joules, starting
-    at the capacitor's initial charge, and the harvest/load ledger. Time only
-    moves forward, so a cursor `_idx` walks the trace samples; it may trail
-    `t` by one run of equal power, and `_seek` catches it up."""
+    at the capacitor's initial charge, the harvest/load ledger, and `p_harv`,
+    the harvest power in force at `t` (`PowerTrace.power_at`). Only `advance`
+    moves time, and only forward, so a cursor `_idx` walks the trace's power
+    changes: it counts the changes at or before `t`, and the first change
+    also holds before the trace starts."""
     cap: Capacitor
     trace: PowerTrace
     cost_model: CostModel
@@ -199,18 +205,13 @@ class Device:
     harvested: float = 0.0     # absorbed energy (post-clamp), joules
     consumed: float = 0.0      # served load energy, joules
     energy: float = field(init=False)
+    p_harv: float = field(init=False)   # watts
 
     def __post_init__(self):
         self.energy = self.cap.energy
-        self._times, self._power, self._run_end = self.trace.runs
-        self._idx = 0
-        self._seek(self.t)
-
-    def _seek(self, t: float) -> int:
-        """Move the cursor past every sample at or before t; the sample in
-        force at t is the one before it (the first, before the trace)."""
-        self._idx = i = bisect_right(self._times, t, self._idx)
-        return i
+        self._times, self._power = self.trace.changes
+        self._idx = bisect_right(self._times, self.t) or 1
+        self.p_harv = self._power[self._idx - 1]
 
     @property
     def usable_energy(self) -> float:
@@ -232,26 +233,22 @@ class Device:
 
     def advance(self, until: float):
         """Integrate harvest minus the cost model's sleep power up to time
-        `until`, one step per run of equal harvest power: a segment ends at
-        the next sample whose power differs, or at `until`. Each segment adds
-        (P_harv - P_sleep)*dt to the store, clamped to [0, full]. In exact
-        arithmetic that equals one step per trace sample, since the store
-        moves linearly within a run and both clamps absorb; the rounding
-        differs, by at most 1e-12 in any Q-value."""
+        `until`, one step per power change: a segment ends at the next
+        change, or at `until`. Each segment adds (P_harv - P_sleep)*dt to the
+        store, clamped to [0, full]. In exact arithmetic that equals one step
+        per trace sample, since the store moves linearly between changes and
+        both clamps absorb; the rounding differs, by at most 1e-12 in any
+        Q-value."""
         load_power = self.cost_model.sleep_power
         times, power, full = self._times, self._power, self.cap.max_energy
-        run_end, n = self._run_end, len(times)
-        t, energy = self.t, self.energy
+        n, i = len(times), self._idx
+        t, energy, p_harv = self.t, self.energy, self.p_harv
         harvested, consumed = self.harvested, self.consumed
-        i = self._seek(t)
         stop = until - 1e-12
         while t < stop:
-            k = i - 1 if i else 0   # the sample in force at t
-            p_harv, j = power[k], run_end[k]
-            if j < n and times[j] < until:   # the segment ends at a change
-                seg_end, i = times[j], j + 1
-            else:   # the cursor may now trail t inside the run
-                seg_end = until
+            seg_end = until
+            if i < n and times[i] < until:   # the segment ends at a change
+                seg_end = times[i]
             dt = seg_end - t
             before = energy
             # min(max(e, 0.0), full) and min(load, available) without the
@@ -269,7 +266,10 @@ class Device:
             harvested += energy - before + served_load
             consumed += served_load
             t = seg_end
-        self.t, self.energy = t, energy
+            if i < n and times[i] == t:   # the change at t comes into force
+                p_harv = power[i]
+                i += 1
+        self.t, self.energy, self.p_harv = t, energy, p_harv
         self.harvested, self.consumed = harvested, consumed
         self._idx = i
 
@@ -283,9 +283,3 @@ class Device:
         self.energy -= joules
         self.consumed += joules
         return True
-
-    @property
-    def p_harv(self) -> float:
-        """Harvested power in force at `t` (`PowerTrace.power_at`)."""
-        i = self._seek(self.t)
-        return self._power[i - 1] if i else self._power[0]

@@ -165,9 +165,9 @@ class StateTracker:
     above; the harvest power to 0 below t1, 1 in [t1, t2), 2 at or above t2.
     The trailing level is the mean usable fraction over the last
     `E_LAST_WINDOW` served requests (fewer until that many exist; the
-    current level until a request is served). The power is binned once per
-    device and device time, since drawing energy does not move time.
-    `cap` is the capacitor of the devices it observes."""
+    current level until a request is served). The power is the device's
+    `p_harv`, the power in force at its time. `cap` is the capacitor of the
+    devices it observes."""
 
     def __init__(self, cap: Capacitor, one_learner_cost, power_thresholds, n):
         t1, t2 = power_thresholds
@@ -183,8 +183,6 @@ class StateTracker:
         self.half = 0.5 * cap.max_usable_energy
         self.history = []      # the usable fractions of the window
         self.e_last = None     # changes only when a request is served
-        # the power bin of the device and device time observed last
-        self.p_device, self.p_t, self.p_bin = None, None, None
 
     def _bin(self, usable: float) -> int:
         if usable < self.one_learner_cost:
@@ -206,12 +204,10 @@ class StateTracker:
         e_last = self.e_last
         if e_last is None:
             e_last = self._bin(usable / self.max_usable * self.max_usable)
-        if device is not self.p_device or device.t != self.p_t:
-            p = device.p_harv
-            t1, t2 = self.power_thresholds
-            self.p_device, self.p_t = device, device.t
-            self.p_bin = 0 if p < t1 else 1 if p < t2 else 2
-        return (((e_now * ENERGY_LEVELS + e_last) * POWER_LEVELS + self.p_bin)
+        p = device.p_harv
+        t1, t2 = self.power_thresholds
+        p_bin = 0 if p < t1 else 1 if p < t2 else 2
+        return (((e_now * ENERGY_LEVELS + e_last) * POWER_LEVELS + p_bin)
                 * self.n1 + l)
 
     def record_post_inference(self, device: Device):

@@ -81,7 +81,12 @@ def max_single_filter_macs(spec: NetworkSpec) -> int:
 class SearchsortedDevice(Device):
     """The reference for `Device`'s trace cursor, which must match it bit for
     bit: every trace segment is found with `np.searchsorted`, the clamp
-    recomputes the full energy, and `p_harv` is `PowerTrace.power_at`."""
+    recomputes the full energy, and `p_harv` is set to `PowerTrace.power_at`
+    when it is built and after each advance."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.p_harv = self.trace.power_at(self.t)
 
     def advance(self, until):
         load_power = self.cost_model.sleep_power
@@ -100,10 +105,7 @@ class SearchsortedDevice(Device):
             self.harvested += self.energy - before + served_load
             self.consumed += served_load
             self.t = seg_end
-
-    @property
-    def p_harv(self):
-        return self.trace.power_at(self.t)
+        self.p_harv = self.trace.power_at(self.t)
 
 
 # ---------------------------------------------------------------------------

@@ -829,6 +829,45 @@ def test_simulate_rejects_non_finite_trace(workspace, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+# the rows of a trace CSV that makes no valid trace, and what its error
+# says after the file's path
+_BAD_TRACES = {
+    "header-only": (b"", ": no samples"),
+    "backwards": (b"0,0.001\n2,0.001\n1,0.001\n",
+                  ": trace timestamps must be strictly increasing"),
+    "nan-power": (b"0,0.001\n1,nan\n", ": trace times and power must be finite"),
+    "negative-power": (b"0,0.001\n1,-0.001\n", ": harvested power must be >= 0"),
+    "not-utf-8": (b"0,0.001\n1,\xff\n",
+                  ":3: malformed row: could not convert string to float: '\ufffd'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TRACES))
+def test_simulate_bad_trace_exits_2_naming_it(case, workspace, tmp_path, capsys):
+    rows, message = _BAD_TRACES[case]
+    trace = tmp_path / f"{case}.csv"
+    trace.write_bytes(b"timestamp_s,power_W\n" + rows)
+    rc = main(["simulate", "--config", str(workspace / "config.json"),
+               "--ensemble", str(workspace / "build"), "--policy", "all",
+               "--trace", str(trace), "--out", str(tmp_path / "sims")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {trace.resolve()}{message}\n"
+    assert not (tmp_path / "sims").exists()
+
+
+def test_train_scheduler_bad_config_trace_exits_2_naming_it(workspace, tmp_path,
+                                                             capsys):
+    rows, message = _BAD_TRACES["backwards"]
+    (tmp_path / "back.csv").write_bytes(b"timestamp_s,power_W\n" + rows)
+    (tmp_path / "config.json").write_text(json.dumps({"energy": {"trace": {
+        "csv": "back.csv"}}}))
+    rc = main(["train-scheduler", "--config", str(tmp_path / "config.json"),
+               "--ensemble", str(workspace / "build"), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'back.csv'}{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _edit_json(edit):
     def corrupt(path):
         doc = json.loads(path.read_text())

@@ -264,7 +264,7 @@ def test_discretize_power_bins():
     device = device_holding(Capacitor(), power=power)
     bins = []
     for t in range(len(power)):
-        device.t = float(t)
+        device.advance(float(t))
         bins.append(observed_bins(device, thresholds=th)[2])
     assert bins == [0, 1, 1, 2, 2]
     with pytest.raises(ConfigError):
@@ -279,7 +279,7 @@ def test_power_terciles_uniform_trace():
     device = device_holding(Capacitor(), power=trace.power)
     bins = []
     for t in trace.times.tolist():
-        device.t = t
+        device.advance(t)
         bins.append(observed_bins(device, thresholds=(t1, t2))[2])
     for level in range(3):
         assert abs(np.mean(np.asarray(bins) == level) - 1.0 / 3.0) < 0.02
@@ -292,7 +292,7 @@ def test_power_terciles_zero_heavy_fallback():
     assert 0.0 < t1 < t2
     device = device_holding(Capacitor(), power=(0.0, 0.02))
     assert observed_bins(device, thresholds=(t1, t2))[2] == 0
-    device.t = 1.0
+    device.advance(1.0)
     assert observed_bins(device, thresholds=(t1, t2))[2] == 2
 
 
@@ -440,9 +440,9 @@ def test_collapsed_runs_match_searchsorted_stepper(profile):
     assert run_against_reference(trace, ops, t0=-2.5, exact=False)
 
 
-def test_runs_end_at_the_next_power_change():
+def test_changes_keep_the_first_sample_and_each_new_power():
     trace = PowerTrace(times=np.arange(7.0), power=[1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 2.0])
-    times, power, run_end = trace.runs
-    assert times == trace.times.tolist() and power == trace.power.tolist()
-    assert run_end == [2, 2, 5, 5, 5, 7, 7]
-    assert PowerTrace(times=[0.0], power=[3.0]).runs[2] == [1]
+    assert trace.changes == ([0.0, 2.0, 5.0], [1.0, 0.0, 2.0])
+    assert PowerTrace(times=[0.5], power=[3.0]).changes == ([0.5], [3.0])
+    flat = PowerTrace(times=[1.0, 2.0, 4.0], power=[0.0, 0.0, 0.0])
+    assert flat.changes == ([1.0], [0.0])

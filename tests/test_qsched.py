@@ -567,7 +567,7 @@ def test_observe_bins_match_the_discretizers_at_their_edges():
             e = np.nextafter(e, np.inf)
     seen = set()
     for t in range(len(power)):
-        device.t = float(t)
+        device.advance(float(t))
         for energy in energies:
             device.energy = energy
             ref = SchedulerState(
@@ -581,9 +581,9 @@ def test_observe_bins_match_the_discretizers_at_their_edges():
 
 
 def test_observe_rebins_the_power_for_each_device_and_time():
-    # one tracker bins the power once per (device, time): it must rebin it
-    # when time moves over a power change and when another device is observed
-    # at the same time, and a draw moves the energy bins but not the power's
+    # one tracker must rebin the power when time moves over a power change
+    # and when another device is observed at the same time, and a draw moves
+    # the energy bins but not the power's
     cap = Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7)
     one_learner_cost, thresholds = 3e-3, (0.01, 0.02)
     tracker = qsched.StateTracker(cap, one_learner_cost, thresholds, n=2)
@@ -608,11 +608,11 @@ def test_observe_rebins_the_power_for_each_device_and_time():
     assert (seen.e_now, seen.p_harv) == (2, 0)
     rising.advance(1.0)        # over a power change
     assert observed(rising, 0).p_harv == 1
-    falling.t = 1.0            # another device at the same time
+    falling.advance(1.0)       # another device at the same time
     assert observed(falling, 0).p_harv == 2
     assert observed(rising, 1).p_harv == 1
     rising.advance(2.0)
-    falling.t = 2.0
+    falling.advance(2.0)
     assert observed(falling, 0).p_harv == 0
     assert observed(rising, 0).p_harv == 2
     assert falling.draw(0.02)

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import PolicyAgent, bits, discretize_energy, tiny_spec
+from conftest import (PolicyAgent, bits, discretize_energy, discretize_power,
+                      tiny_spec)
 from enboost import qsched, simrun
 from enboost.boost import PoolConfig, build_pool
 from enboost.data import drift_dataset, synth_dataset
@@ -16,7 +17,8 @@ from enboost.ensemble import (backfit_select, subset_accuracy, vote_batch,
                               weighted_vote)
 from enboost.errors import ConfigError
 from enboost.nn import evaluate, fc_step, forward, head, train_fc_only, trunk
-from enboost.qsched import EnvConfig, QTable, RewardParams, replay, make_device
+from enboost.qsched import (POWER_LEVELS, EnvConfig, QTable, RewardParams, replay,
+                            make_device)
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
                             QPolicy, SimConfig, events_csv,
                             failure_rate_reduction, render_report, run,
@@ -116,6 +118,35 @@ def test_run_matches_bare_stepper(small_model):
         assert [e["learners_run"] for e in report.events] == agent.runs
         assert report.final_energy == device.energy
         assert report.failures > 0
+
+
+def test_requests_on_power_changes_see_the_new_power(small_model, monkeypatch):
+    # a CSV-style trace with samples every 0.5 s from 2 s, whose power
+    # changes every 6 s (every third request) and repeats between changes;
+    # the device starts before the trace, where its first sample holds
+    model, ds = small_model
+    times = 2.0 + 0.5 * np.arange(120)
+    levels = np.array([0.0, 0.02, 0.005, 0.03])
+    trace = PowerTrace(times=times, power=levels[(times // 6.0).astype(int) % 4])
+    env = make_env(model, trace, period=2.0, horizon=trace.horizon)
+    binned = []
+    observe = qsched.StateTracker.observe
+
+    def spy(self, device, l):
+        s = observe(self, device, l)
+        binned.append((device.t, s // (model.size + 1) % POWER_LEVELS))
+        return s
+
+    monkeypatch.setattr(qsched.StateTracker, "observe", spy)
+    report = run(SimConfig(env=env, ensemble=model, dataset=ds, retrain_mode="off",
+                           policy=FixedKPolicy(model.size, model.size)))
+    request_times = [e["time"] for e in report.events]
+    assert set(trace.changes[0][1:]) <= set(request_times)
+    assert [e["p_harv"] for e in report.events] == [trace.power_at(t)
+                                                     for t in request_times]
+    assert {t for t, _ in binned} == set(request_times)
+    assert all(p == discretize_power(trace.power_at(t), env.power_thresholds)
+               for t, p in binned)
 
 
 def counted_trunk(monkeypatch):
