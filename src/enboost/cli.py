@@ -193,8 +193,7 @@ def cmd_simulate(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             publish(pool.map(simrun.run, jobs))   # in order, as each run ends
     else:   # the runs share each learner's batches and each prefix's vote table
-        shared = simrun.share_batches(jobs)
-        publish(simrun.run(cfg, shared) for cfg in jobs)
+        publish(simrun.run_many(jobs))
     return 0
 
 

@@ -2,13 +2,14 @@
 label-shifted drift variant used to exercise on-device retraining."""
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .nn import DTYPE, TensorShape
+from .nn import DTYPE
 
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)  # of the samples: train, eval, test
 _DTYPE_MAX = float(np.finfo(DTYPE).max)
@@ -26,10 +27,6 @@ class Dataset:
             raise ConfigError(f"expected 4-d inputs, got shape {self.x.shape}")
         if np.any(self.y < 0) or np.any(self.y >= self.class_count):
             raise ConfigError("label outside [0, class_count)")
-
-    @property
-    def input_shape(self) -> TensorShape:
-        return TensorShape(*self.x.shape[1:])
 
     def split(self, name):
         idx = self.splits[name]
@@ -107,31 +104,42 @@ def drift_dataset(ds: Dataset, seed=0) -> Dataset:
 
 
 def load_csv(path, input_shape, class_count, seed=0) -> Dataset:
-    """One row per sample: label, then channel-major flattened pixels, each
-    a finite number within float32's range."""
+    """One row per sample of UTF-8 text: a label in [0, class_count), then
+    channel-major flattened pixels, each a finite number within float32's
+    range."""
     shape = (input_shape.channels, input_shape.height, input_shape.width)
     size = shape[0] * shape[1] * shape[2]
     rows = []
     labels = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != size + 1:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {size + 1} fields, got {len(parts)}")
-            try:
-                labels.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            if not all(map(math.isfinite, rows[-1])):
-                raise ConfigError(f"{path}:{lineno}: non-finite value")
-            if max(map(abs, rows[-1])) > _DTYPE_MAX:
-                raise ConfigError(f"{path}:{lineno}: value beyond float32's range "
-                                  f"(magnitude > {_DTYPE_MAX:.8g})")
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text: {exc}") from exc
+    # split as a text file reads lines: at \n, \r or \r\n
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != size + 1:
+            raise ConfigError(
+                f"{path}:{lineno}: expected {size + 1} fields, got {len(parts)}")
+        try:
+            labels.append(int(parts[0]))
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if not 0 <= labels[-1] < class_count:
+            raise ConfigError(f"{path}:{lineno}: label {labels[-1]} outside "
+                              f"[0, {class_count})")
+        if not all(map(math.isfinite, rows[-1])):
+            raise ConfigError(f"{path}:{lineno}: non-finite value")
+        if max(map(abs, rows[-1])) > _DTYPE_MAX:
+            raise ConfigError(f"{path}:{lineno}: value beyond float32's range "
+                              f"(magnitude > {_DTYPE_MAX:.8g})")
     if not rows:
         raise ConfigError(f"{path}: no samples")
     x = np.asarray(rows, dtype=DTYPE).reshape(len(rows), *shape)

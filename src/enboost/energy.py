@@ -73,12 +73,6 @@ class PowerTrace:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def power_at(self, t: float) -> float:
-        """Piecewise-constant lookup (value holds until the next sample)."""
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = min(max(idx, 0), self.times.size - 1)
-        return float(self.power[idx])
-
     @cached_property
     def changes(self) -> tuple[list, list]:
         """(times, power) as Python lists for `Device`'s stepper: the first
@@ -194,10 +188,10 @@ class RequestPattern:
 class Device:
     """Live state of one run: the stored charge `energy` in joules, starting
     at the capacitor's initial charge, the harvest/load ledger, and `p_harv`,
-    the harvest power in force at `t` (`PowerTrace.power_at`). Only `advance`
-    moves time, and only forward, so a cursor `_idx` walks the trace's power
-    changes: it counts the changes at or before `t`, and the first change
-    also holds before the trace starts."""
+    the harvest power in force at `t`, which holds from a sample until the
+    next. Only `advance` moves time, and only forward, so a cursor `_idx`
+    walks the trace's power changes: it counts the changes at or before `t`,
+    and the first change also holds before the trace starts."""
     cap: Capacitor
     trace: PowerTrace
     cost_model: CostModel
@@ -218,14 +212,6 @@ class Device:
         """Energy stored above the cutoff voltage; what the device can spend."""
         usable = self.energy - self.cap.cutoff_energy
         return usable if usable > 0.0 else 0.0   # max(0.0, usable)
-
-    @property
-    def usable_fraction(self) -> float:
-        return self.usable_energy / self.cap.max_usable_energy
-
-    @property
-    def is_on(self) -> bool:
-        return self.energy >= self.cap.cutoff_energy
 
     @property
     def voltage(self) -> float:

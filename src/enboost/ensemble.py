@@ -37,19 +37,6 @@ def checked_vote_weights(vote_weights) -> np.ndarray:
     return a
 
 
-def weighted_vote(prob_vectors, vote_weights):
-    """(argmax class, aggregated score vector) for sum_m a_m * f_m(x).
-
-    prob_vectors: (k, C) or list of per-learner vectors; ties break low.
-    """
-    probs = np.asarray(prob_vectors, dtype=np.float64)
-    a = checked_vote_weights(vote_weights)
-    if probs.ndim != 2 or probs.shape[0] != a.shape[0]:
-        raise ConfigError("need k >= 1 probability vectors and matching weights")
-    scores = a @ probs
-    return int(np.argmax(scores)), scores
-
-
 def vote_batch(prob_stack, vote_weights):
     """(k, n, C) stacked probabilities -> each sample's voted class."""
     scores = np.tensordot(np.asarray(vote_weights), prob_stack, axes=(0, 0))

@@ -687,32 +687,3 @@ def fc_step(learner: WeakLearner, acts, y_onehot, weights, learning_rate):
     out = WeakLearner(spec=spec, params=params,
                       eval_accuracy=learner.eval_accuracy, id=learner.id)
     return out, probs
-
-
-def gradient_check(spec: NetworkSpec, seed: int, step=1e-5, batch=2) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    Intended for toy specs (< 10k parameters); everything in float64, the
-    parameters cast up from `init_params`.
-    """
-    rng = np.random.default_rng(seed)
-    params = [None if p is None else (p[0].astype(np.float64), p[1].astype(np.float64))
-              for p in init_params(spec, rng)]
-    ish = spec.input_shape
-    x = rng.standard_normal((batch, ish.channels, ish.height, ish.width))
-    y = rng.integers(0, spec.class_count, size=batch)
-    weights = rng.uniform(0.5, 1.5, size=batch)
-    y_onehot = _one_hot(y, spec.class_count, np.float64)
-
-    _, grads = _probs_and_grads(spec, params, x, y_onehot, weights)
-    analytic = flatten_params(grads)
-    flat = flatten_params(params)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        probe = np.zeros_like(flat)
-        probe[i] = step
-        hi, lo = (_loss(_forward(spec, unflatten_params(spec, flat + d), x), y_onehot, weights)
-                  for d in (probe, -probe))
-        numeric[i] = (hi - lo) / (2 * step)
-    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))

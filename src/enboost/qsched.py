@@ -203,7 +203,7 @@ class StateTracker:
             e_now = 1 if usable < self.half else 2
         e_last = self.e_last
         if e_last is None:
-            e_last = self._bin(usable / self.max_usable * self.max_usable)
+            e_last = self._bin(usable)
         p = device.p_harv
         t1, t2 = self.power_thresholds
         p_bin = 0 if p < t1 else 1 if p < t2 else 2
@@ -211,28 +211,14 @@ class StateTracker:
                 * self.n1 + l)
 
     def record_post_inference(self, device: Device):
-        usable = device.energy - self.cutoff   # `device.usable_fraction`
+        usable = device.energy - self.cutoff
         history = self.history
         history.append((usable if usable > 0.0 else 0.0) / self.max_usable)
         if len(history) > E_LAST_WINDOW:
             del history[0]
-        self.e_last = self._bin(_mean(history) * self.max_usable)
-
-
-def _mean(values) -> float:
-    """`float(np.mean(values))` of 1 to 15 floats, bit for bit: numpy adds
-    its pairwise sum to +0.0, and that sum adds fewer than 8 values in a
-    loop, and more from 8 partial sums, which start at the first 8 values
-    when there are fewer than 16."""
-    n = len(values)
-    total, rest = 0.0, values
-    if n >= 8:
-        r = values
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        rest = values[8:]
-    for v in rest:
-        total += v
-    return total / n
+        # fsum is correctly rounded on every Python; `sum` compensates only
+        # from 3.12 on, so the q-table would depend on the Python version
+        self.e_last = self._bin(math.fsum(history) / len(history) * self.max_usable)
 
 
 def make_device(env: EnvConfig) -> Device:
@@ -283,7 +269,7 @@ def replay(env: EnvConfig, device: Device, costs, agent: Agent):
         t = period + i * period
         advance(t)
         arrive(i, t)
-        if not device.energy >= cutoff:   # `device.is_on`
+        if not device.energy >= cutoff:   # the device is off
             done(0, OFF)
             continue
         l, end = 0, STOP
@@ -383,7 +369,7 @@ class _QLearner(Agent):
             a = self.rng.coin()
         else:
             a = 1 if row[1] > row[0] else 0   # act(rows, n1, s), after the update
-        # reward(l, a, params, device.usable_fraction)
+        # reward(l, a, params, device.usable_energy / max usable energy)
         if a == 1:
             usable = self.device.energy - self._cutoff
             r = self._delta_acc[l] - self._beta * (

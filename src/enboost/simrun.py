@@ -140,24 +140,21 @@ class SimReport:
 
 def run(cfg: SimConfig, shared: dict = None) -> SimReport:
     """Policy-driven inference, with FC-only retraining per cfg.retrain_mode
-    on the test split of cfg.dataset.  `shared`, from `share_batches`, holds
-    the `_Batches` of cfg's ensemble and dataset; without it the run builds
-    its own."""
+    on the test split of cfg.dataset.  `shared`, from `run_many`, holds the
+    `_Batches` of cfg's ensemble and dataset; without it the run builds its
+    own."""
     batches = shared[id(cfg.ensemble), id(cfg.dataset)] if shared else _Batches(cfg)
     return _serve(cfg, batches)[0]
 
 
-def share_batches(cfgs) -> dict:
-    """One `_Batches` for each distinct pair of ensemble and dataset objects
-    among the configs, which every run on that pair shares."""
+def run_many(cfgs):
+    """A generator that `run`s each config in turn as it is iterated.  One
+    `_Batches` for each distinct pair of ensemble and dataset objects among
+    the configs is built before any run, and every run on that pair shares
+    it."""
     pairs = {(id(cfg.ensemble), id(cfg.dataset)): cfg for cfg in cfgs}
-    return {pair: _Batches(cfg) for pair, cfg in pairs.items()}
-
-
-def run_many(cfgs) -> list:
-    """`run` each config in turn on batches shared before any run."""
-    shared = share_batches(cfgs)
-    return [run(cfg, shared) for cfg in cfgs]
+    shared = {pair: _Batches(cfg) for pair, cfg in pairs.items()}
+    return (run(cfg, shared) for cfg in cfgs)
 
 
 def run_concurrent_training(cfg: SimConfig, drift_dataset: Dataset):

@@ -11,7 +11,7 @@ import pytest
 
 from enboost import boost, config, ensemble, nn, qsched
 from enboost.data import synth_dataset
-from enboost.energy import Capacitor, Device
+from enboost.energy import Capacitor, Device, PowerTrace
 from enboost.errors import ConfigError
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs, fc,
                         softmax_layer)
@@ -26,9 +26,68 @@ def bits(a):
 
 def float64_params(params):
     """The parameters cast up to float64, as a pool written before float32
-    holds them, or as `nn.gradient_check` runs them."""
+    holds them, or as `gradient_check` runs them."""
     return [None if p is None else (p[0].astype(np.float64), p[1].astype(np.float64))
             for p in params]
+
+
+# ---------------------------------------------------------------------------
+# References the pipeline does not run: backprop's finite-difference check,
+# a single-sample vote, and the trace's power by lookup
+
+
+def gradient_check(spec: NetworkSpec, seed: int, step=1e-5, batch=2) -> float:
+    """Max relative error between backprop and central finite differences.
+
+    Intended for toy specs (< 10k parameters); everything in float64, the
+    parameters cast up from `init_params`.
+    """
+    rng = np.random.default_rng(seed)
+    params = float64_params(nn.init_params(spec, rng))
+    ish = spec.input_shape
+    x = rng.standard_normal((batch, ish.channels, ish.height, ish.width))
+    y = rng.integers(0, spec.class_count, size=batch)
+    weights = rng.uniform(0.5, 1.5, size=batch)
+    y_onehot = nn._one_hot(y, spec.class_count, np.float64)
+
+    _, grads = nn._probs_and_grads(spec, params, x, y_onehot, weights)
+    analytic = nn.flatten_params(grads)
+    flat = nn.flatten_params(params)
+    numeric = np.zeros_like(flat)
+    for i in range(flat.size):
+        probe = np.zeros_like(flat)
+        probe[i] = step
+        hi, lo = (nn._loss(nn._forward(spec, nn.unflatten_params(spec, flat + d), x),
+                           y_onehot, weights)
+                  for d in (probe, -probe))
+        numeric[i] = (hi - lo) / (2 * step)
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def weighted_vote(prob_vectors, vote_weights):
+    """(argmax class, aggregated score vector) for sum_m a_m * f_m(x).
+
+    prob_vectors: (k, C) or list of per-learner vectors; ties break low.
+    """
+    probs = np.asarray(prob_vectors, dtype=np.float64)
+    a = ensemble.checked_vote_weights(vote_weights)
+    if probs.ndim != 2 or probs.shape[0] != a.shape[0]:
+        raise ConfigError("need k >= 1 probability vectors and matching weights")
+    scores = a @ probs
+    return int(np.argmax(scores)), scores
+
+
+def power_at(trace: PowerTrace, t: float) -> float:
+    """Piecewise-constant lookup (value holds until the next sample)."""
+    idx = int(np.searchsorted(trace.times, t, side="right")) - 1
+    idx = min(max(idx, 0), trace.times.size - 1)
+    return float(trace.power[idx])
+
+
+def usable_fraction(device: Device) -> float:
+    """The device's usable energy over its capacitor's max usable energy."""
+    return device.usable_energy / device.cap.max_usable_energy
 
 
 def tiny_spec(input_shape=(2, 8, 8), classes=3, filters=(4, 6)):
@@ -81,12 +140,12 @@ def max_single_filter_macs(spec: NetworkSpec) -> int:
 class SearchsortedDevice(Device):
     """The reference for `Device`'s trace cursor, which must match it bit for
     bit: every trace segment is found with `np.searchsorted`, the clamp
-    recomputes the full energy, and `p_harv` is set to `PowerTrace.power_at`
-    when it is built and after each advance."""
+    recomputes the full energy, and `p_harv` is set to `power_at` when it is
+    built and after each advance."""
 
     def __post_init__(self):
         super().__post_init__()
-        self.p_harv = self.trace.power_at(self.t)
+        self.p_harv = power_at(self.trace, self.t)
 
     def advance(self, until):
         load_power = self.cost_model.sleep_power
@@ -105,7 +164,7 @@ class SearchsortedDevice(Device):
             self.harvested += self.energy - before + served_load
             self.consumed += served_load
             self.t = seg_end
-        self.p_harv = self.trace.power_at(self.t)
+        self.p_harv = power_at(self.trace, self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +432,7 @@ class GeneratorQLearner(qsched._QLearner):
             a = int(self.rng.integers(0, 2))
         else:
             a = act(self.rows, n1, s)  # a=0 at l = N
-        r = reward(l, a, self.params, self.device.usable_fraction)
+        r = reward(l, a, self.params, usable_fraction(self.device))
         self.total_reward += r
         self.pending = (s, a, r)
         return a

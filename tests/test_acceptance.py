@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import (SchedulerState, brute_force_select, encode_state,
-                      max_single_filter_macs, tiny_spec)
+                      gradient_check, max_single_filter_macs, tiny_spec,
+                      weighted_vote)
 from enboost import boost, config, ensemble as ens, qsched, simrun
 from enboost.boost import (PoolConfig, build_pool, init_weights,
                            update_weights, weight_multipliers)
@@ -17,8 +18,7 @@ from enboost.energy import (Capacitor, CostModel, RequestPattern,
                             inference_cost, synth_trace)
 from enboost.ensemble import backfit_select, pool_eval_probs, subset_accuracy
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs,
-                        count_params, evaluate, fc, forward, gradient_check,
-                        params_checksum, softmax_layer, train_fc_only, trunk)
+                        count_params, evaluate, fc, forward, params_checksum, softmax_layer, train_fc_only, trunk)
 from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams, act,
                             load_qtable, q_update, save_qtable, train_offline)
 from enboost.simrun import (FixedKPolicy, QPolicy, SimConfig, run,
@@ -335,7 +335,7 @@ def test_forward_reuse_predictions_bit_exact(model4, bundled_dataset):
         assert k == 4
         x = sx[event["sample_index"]]
         probs = np.stack([forward(l, x) for l in shadow[:k]])
-        pred, _ = ens.weighted_vote(probs, model4.vote_weights[:k])
+        pred, _ = weighted_vote(probs, model4.vote_weights[:k])
         assert pred == event["predicted"]
         r = event["retrained_learner"]
         if r >= 0:

@@ -499,6 +499,52 @@ def test_build_rejects_csv_values_beyond_float32(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def build_on_csv(tmp_path, rows, encoding="utf-8") -> int:
+    """`build-ensemble`'s exit code on a 3-class CSV dataset of these rows;
+    it must write nothing."""
+    tiny_spec().save(tmp_path / "net.json")
+    (tmp_path / "d.csv").write_bytes("".join(rows).encode(encoding))
+    doc = dict(LIGHT_CONFIG, dataset={"csv": {"path": "d.csv", "classes": 3,
+                                              "shape": [2, 8, 8]}})
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    rc = main(["build-ensemble", "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    return rc
+
+
+def csv_rows(label_of=lambda i: i % 3):
+    rng = np.random.default_rng(0)
+    return [f"{label_of(i)},{','.join(map(str, rng.standard_normal(2 * 8 * 8)))}\n"
+            for i in range(30)]
+
+
+def test_build_rejects_a_csv_label_outside_the_classes(tmp_path, capsys):
+    assert build_on_csv(tmp_path, csv_rows(lambda i: 7 if i == 4 else i % 3)) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'd.csv'}:5: label 7 outside [0, 3)\n"
+
+
+def test_build_rejects_a_csv_that_is_not_utf8(tmp_path, capsys):
+    rows = csv_rows()
+    rows[17] = "# \xff\n"   # byte 0xff in latin-1
+    assert build_on_csv(tmp_path, rows, encoding="latin-1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'd.csv'}:18: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+def test_train_scheduler_rejects_a_config_that_is_not_utf8(workspace, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"scheduler": {"episodes": 1}, "note": "\xff"}')
+    rc = main(["train-scheduler", "--config", str(path),
+               "--ensemble", str(workspace / "build"), "--out", str(tmp_path / "q.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "q.json").exists()
+
+
 def test_build_rejects_generator_noise_beyond_float32(tmp_path, capsys):
     # noise 1e39 draws finite float64 pixels that are inf in float32
     tiny_spec().save(tmp_path / "net.json")

@@ -3,7 +3,7 @@ scheduler-state bins of device readings."""
 import numpy as np
 import pytest
 
-from conftest import SearchsortedDevice
+from conftest import SearchsortedDevice, power_at
 from enboost import config
 from enboost.energy import (Capacitor, CostModel, Device, PowerTrace,
                             RequestPattern, inference_cost, load_trace,
@@ -25,13 +25,13 @@ def test_stored_energy_half_c_v_squared():
 def test_usable_energy_above_cutoff():
     dev = make_device(voltage=3.6)
     assert abs(dev.usable_energy - 2.36645) < 1e-12
-    assert dev.is_on
+    assert dev.energy >= dev.cap.cutoff_energy
 
 
 def test_usable_energy_floors_at_zero_below_cutoff():
     dev = make_device(voltage=1.0)
     assert dev.usable_energy == 0.0
-    assert not dev.is_on
+    assert dev.energy < dev.cap.cutoff_energy
 
 
 def test_with_energy_round_trip():
@@ -106,7 +106,7 @@ def test_load_trace_volt_ampere_schema(tmp_path):
     p.write_text("timestamp_s,voltage_V,current_A\n0.0,2.0,0.001\n1.0,1.5,0.002\n")
     trace = load_trace(p)
     assert np.allclose(trace.power, [0.002, 0.003])
-    assert trace.power_at(0.5) == 0.002
+    assert power_at(trace, 0.5) == 0.002
 
 
 def test_load_trace_power_schema_with_efficiency(tmp_path):
@@ -151,10 +151,10 @@ def test_power_trace_rejects_non_finite():
 
 def test_power_at_holds_last_sample():
     trace = PowerTrace(times=np.array([0.0, 10.0]), power=np.array([1.0, 2.0]))
-    assert trace.power_at(-5.0) == 1.0
-    assert trace.power_at(9.99) == 1.0
-    assert trace.power_at(10.0) == 2.0
-    assert trace.power_at(1e9) == 2.0
+    assert power_at(trace, -5.0) == 1.0
+    assert power_at(trace, 9.99) == 1.0
+    assert power_at(trace, 10.0) == 2.0
+    assert power_at(trace, 1e9) == 2.0
 
 
 def test_synth_constant_profile():
@@ -167,9 +167,9 @@ def test_synth_constant_profile():
 def test_synth_day_night_square_wave():
     trace = synth_trace(0, "day-night", duration=400.0, period=100.0,
                         high_power=0.02)
-    assert trace.power_at(10.0) == 0.02
-    assert trace.power_at(60.0) == 0.0
-    assert trace.power_at(110.0) == 0.02
+    assert power_at(trace, 10.0) == 0.02
+    assert power_at(trace, 60.0) == 0.0
+    assert power_at(trace, 110.0) == 0.02
     assert abs(np.mean(trace.power == 0.0) - 0.5) < 0.01
 
 

@@ -3,7 +3,7 @@ profile."""
 import numpy as np
 import pytest
 
-from conftest import brute_force_select, tiny_spec
+from conftest import brute_force_select, tiny_spec, weighted_vote
 from enboost import ensemble
 from enboost.boost import PoolConfig, build_pool
 from enboost.data import synth_dataset
@@ -11,7 +11,7 @@ from enboost.ensemble import (ERROR_CLAMP, EnsembleModel, backfit_select,
                               greedy_select,
                               learner_weight, load_ensemble, pool_eval_probs,
                               profile_accuracy, save_ensemble,
-                              subset_accuracy, weighted_vote)
+                              subset_accuracy)
 from enboost.errors import ArtifactError, ConfigError
 
 

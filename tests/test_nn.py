@@ -10,16 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (bits, float64_params, parent_backward, parent_count_macs,
-                      parent_forward_cache, parent_layer_out_shape, parent_param_shapes,
-                      parent_softmax, slice_im2col, tiny_spec)
+from conftest import (bits, float64_params, gradient_check, parent_backward,
+                      parent_count_macs, parent_forward_cache, parent_layer_out_shape,
+                      parent_param_shapes, parent_softmax, slice_im2col, tiny_spec)
 from enboost import nn
 from enboost.config import baseline_network
 from enboost.data import Dataset, synth_dataset
 from enboost.errors import ShapeError, TrainingDivergedError
 from enboost.nn import (LayerSpec, NetworkSpec, TensorShape, WeakLearner, avgpool,
                         conv, count_macs, count_params, evaluate, fc, flatten_params,
-                        fc_step, forward, gradient_check, head, param_shapes,
+                        fc_step, forward, head, param_shapes,
                         params_checksum, softmax_layer, train, train_fc_only,
                         trunk, unflatten_params)
 

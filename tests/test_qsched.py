@@ -10,7 +10,7 @@ import pytest
 
 from conftest import (GeneratorQLearner, PolicyAgent, SchedulerState,
                       SearchsortedDevice, bits, discretize_energy,
-                      discretize_power, encode_state)
+                      discretize_power, encode_state, usable_fraction)
 from enboost import qsched
 from enboost.energy import (Capacitor, CostModel, Device, PowerTrace,
                             RequestPattern, synth_trace)
@@ -351,7 +351,7 @@ class ObserveMeanTracker(qsched.StateTracker):
         if self.history:
             mean_frac = float(np.mean(self.history[-qsched.E_LAST_WINDOW:]))
         else:
-            mean_frac = device.usable_fraction
+            mean_frac = usable_fraction(device)
         e_last = discretize_energy(mean_frac * cap.max_usable_energy, cap,
                                    self.one_learner_cost)
         p = discretize_power(device.p_harv, self.power_thresholds)
@@ -530,22 +530,6 @@ def test_abundant_power_policy_runs_full_ensemble():
 # the tracker's trailing mean and state index
 
 
-@pytest.mark.parametrize("n", range(1, qsched.E_LAST_WINDOW + 1))
-def test_mean_matches_numpy_bitwise(n):
-    rng = np.random.default_rng(n)
-    windows = rng.random((10_000, n))
-    # fractions in [0, 1], some at the bounds, signed zeros, and a few
-    # wider magnitudes
-    windows[rng.random(windows.shape) < 0.05] = 0.0
-    windows[rng.random(windows.shape) < 0.05] = 1.0
-    windows[::7] *= 10.0 ** rng.integers(-6, 7, size=(windows[::7].shape[0], n))
-    windows[::11] = -0.0
-    windows[1::11] *= -1.0
-    ours = np.array([qsched._mean(w) for w in windows.tolist()])
-    ref = np.array([float(np.mean(w)) for w in windows.tolist()])
-    assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
-
-
 def test_observe_bins_match_the_discretizers_at_their_edges():
     cap = Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7)
     one_learner_cost, thresholds = 3e-3, (0.01, 0.02)
@@ -572,7 +556,7 @@ def test_observe_bins_match_the_discretizers_at_their_edges():
             device.energy = energy
             ref = SchedulerState(
                 e_now=discretize_energy(device.usable_energy, cap, one_learner_cost),
-                e_last=discretize_energy(device.usable_fraction * cap.max_usable_energy,
+                e_last=discretize_energy(usable_fraction(device) * cap.max_usable_energy,
                                          cap, one_learner_cost),
                 p_harv=discretize_power(device.p_harv, thresholds), l=1)
             assert tracker.observe(device, 1) == encode_state(ref, 2)
@@ -595,7 +579,7 @@ def test_observe_rebins_the_power_for_each_device_and_time():
     def observed(device, l):
         ref = SchedulerState(
             e_now=discretize_energy(device.usable_energy, cap, one_learner_cost),
-            e_last=discretize_energy(device.usable_fraction * cap.max_usable_energy,
+            e_last=discretize_energy(usable_fraction(device) * cap.max_usable_energy,
                                      cap, one_learner_cost),
             p_harv=discretize_power(device.p_harv, thresholds), l=l)
         assert tracker.observe(device, l) == encode_state(ref, 2)

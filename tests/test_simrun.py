@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import (PolicyAgent, bits, discretize_energy, discretize_power,
-                      tiny_spec)
+                      power_at, tiny_spec, weighted_vote)
 from enboost import qsched, simrun
 from enboost.boost import PoolConfig, build_pool
 from enboost.data import drift_dataset, synth_dataset
 from enboost.energy import (Capacitor, CostModel, PowerTrace, RequestPattern,
                             inference_cost, synth_trace)
-from enboost.ensemble import (backfit_select, subset_accuracy, vote_batch,
-                              weighted_vote)
+from enboost.ensemble import backfit_select, subset_accuracy, vote_batch
 from enboost.errors import ConfigError
 from enboost.nn import evaluate, fc_step, forward, head, train_fc_only, trunk
 from enboost.qsched import (POWER_LEVELS, EnvConfig, QTable, RewardParams, replay,
@@ -142,10 +141,10 @@ def test_requests_on_power_changes_see_the_new_power(small_model, monkeypatch):
                            policy=FixedKPolicy(model.size, model.size)))
     request_times = [e["time"] for e in report.events]
     assert set(trace.changes[0][1:]) <= set(request_times)
-    assert [e["p_harv"] for e in report.events] == [trace.power_at(t)
+    assert [e["p_harv"] for e in report.events] == [power_at(trace, t)
                                                      for t in request_times]
     assert {t for t, _ in binned} == set(request_times)
-    assert all(p == discretize_power(trace.power_at(t), env.power_thresholds)
+    assert all(p == discretize_power(power_at(trace, t), env.power_thresholds)
                for t, p in binned)
 
 
@@ -207,7 +206,7 @@ def test_run_many_shares_trunks_and_matches_separate_runs(small_model, monkeypat
             for mode in ("off", "high-energy", "off") for k in (1, model.size)]
     alone = [run(cfg) for cfg in cfgs]
     single, batched = counted_trunk(monkeypatch)
-    shared = run_many(cfgs)
+    shared = list(run_many(cfgs))
     assert single == []
     assert batched == [(l.id, split) for l in model.learners]
     assert [r.retrain_events for r in shared] == [0, 0, 3 * split, 3 * split, 0, 0]
@@ -238,8 +237,8 @@ def test_unretrained_votes_use_rows_of_the_batched_forward(small_model, monkeypa
     offline = [bits(forward(l, sx)) for l in model.learners]
     calls = counted_votes(monkeypatch)
     env = abundant(model, requests=2 * split)
-    reports = run_many([SimConfig(env=env, ensemble=model, dataset=ds,
-                                  policy=FixedKPolicy(k, n)) for k in (1, n)])
+    reports = list(run_many([SimConfig(env=env, ensemble=model, dataset=ds,
+                                       policy=FixedKPolicy(k, n)) for k in (1, n)]))
     seen = set()
     tables = {}
     for k, stack, votes in calls:
@@ -291,8 +290,8 @@ def test_run_many_votes_one_table_per_prefix_length(small_model, monkeypatch):
     env = abundant(model, requests=2 * split)
     for ks in ((1,), (1, n, 1, n)):
         calls = counted_votes(monkeypatch)
-        reports = run_many([SimConfig(env=env, ensemble=three, dataset=ds,
-                                      policy=FixedKPolicy(k, n)) for k in ks])
+        reports = list(run_many([SimConfig(env=env, ensemble=three, dataset=ds,
+                                           policy=FixedKPolicy(k, n)) for k in ks]))
         assert [r.learners_histogram for r in reports] == [{k: 2 * split} for k in ks]
         assert [k for k, _, _ in calls] == [1, 2, 3]
 
@@ -398,7 +397,7 @@ def test_memos_hold_across_retrains_and_runs(small_model):
                       policy=FixedKPolicy(k, n), retrain_mode=mode,
                       retrain_learning_rate=0.5)
             for mode, k in (("high-energy", n), ("off", n), ("off", 1))]
-    shared = run_many(cfgs)
+    shared = list(run_many(cfgs))
     events = shared[0].events
     retrains = [j for j, row in enumerate(events) if row["retrained_learner"] >= 0]
     assert len(retrains) > 10
