@@ -1,6 +1,7 @@
 """On-disk format of the artifacts one command hands to the next: network
 specs, the pool, the ensemble manifest, the q-table, build summaries and
-reports (JSON), and the events, reward-curve and report tables (CSV).
+reports (JSON), and the reward-curve and report tables (CSV;
+`simrun.write_events` writes the events table row by row).
 
 JSON is written with sorted keys, two-space indent and a trailing newline,
 so reruns are byte-identical. A failed read raises one `ArtifactError`

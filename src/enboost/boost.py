@@ -6,6 +6,7 @@ multiplier p_true^(-alpha), then mean-normalized back to 1.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 from . import artifacts
 from .errors import ConfigError
 from .nn import (NetworkSpec, WeakLearner, evaluate, flatten_params, forward,
-                 params_checksum, params_dtype, unflatten_params, train)
+                 params_dtype, unflatten_params, train)
 from .prune import prune_to_budget
 
 PROB_FLOOR = 1e-6  # clamp inside log: the update is singular at p_true = 0
@@ -149,7 +150,9 @@ def load_pool(pool_dir):
                     raise ValueError("parameters must be float32 or float64, "
                                      f"got {flat.dtype}")
                 params = unflatten_params(spec, flat)
-                if params_checksum(params) != checksum:
+                # the bytes `params_checksum(params)` hashes: `unflatten_params`
+                # copies the vector's slices in order
+                if hashlib.sha256(flat.tobytes()).hexdigest() != checksum:
                     raise ValueError("parameters do not match the pool's params_checksum")
             learner = WeakLearner(spec=spec, params=params,
                                   eval_accuracy=entry["eval_accuracy"], id=entry["id"])

@@ -166,7 +166,8 @@ def cmd_simulate(args) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
         artifacts.write_json(run_dir / "report.json",
                              simrun.report_document(report, baseline))
-        (run_dir / "events.csv").write_text(simrun.events_csv(report))
+        with open(run_dir / "events.csv", "w") as f:
+            simrun.write_events(report, f)
 
     def publish(reports):
         """Write each policy's tree as its run ends, the baseline's first,

@@ -307,8 +307,7 @@ def unflatten_params(spec: NetworkSpec, flat: np.ndarray):
             params.append(None)
             continue
         w_shape, b_shape = shapes
-        wn = int(np.prod(w_shape))
-        bn = int(np.prod(b_shape))
+        wn, bn = math.prod(w_shape), math.prod(b_shape)
         params.append((flat[i:i + wn].reshape(w_shape).copy(),
                        flat[i + wn:i + wn + bn].reshape(b_shape).copy()))
         i += wn + bn

@@ -13,8 +13,11 @@ parallelism.
 """
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,14 +42,17 @@ _MISSES = {OFF: MISS_OFF, STOP: MISS_DECLINED, BROWNOUT: MISS_BROWNOUT}
 
 
 class QPolicy:
-    """Greedy lookup into a trained table."""
+    """Greedy lookup into a trained table, on its rows as lists of floats,
+    read once when the policy is built."""
 
     def __init__(self, table: QTable):
         self.table = table
+        self.n = table.n
         self.name = "qtable"
+        self._rows, self._n1 = table.values.tolist(), table.n + 1
 
     def decide(self, s: int) -> int:
-        return act(self.table.values, self.table.n + 1, s)
+        return act(self._rows, self._n1, s)
 
 
 class FixedKPolicy:
@@ -79,6 +85,11 @@ class SimConfig:
             raise ConfigError(f"the dataset has {self.dataset.class_count} classes "
                               f"but the ensemble was built for "
                               f"{self.ensemble.class_count}")
+        if (isinstance(self.policy, (FixedKPolicy, QPolicy))
+                and self.policy.n != self.ensemble.size):
+            # a decision's state index lays out N + 1 prefix lengths
+            raise ConfigError(f"the policy was built for {self.policy.n} learners "
+                              f"but the ensemble has {self.ensemble.size}")
 
 
 @dataclass
@@ -198,7 +209,6 @@ class _EnergyPass(Agent):
     one events row, with the write drawn for it but no vote."""
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
         self.device = make_device(cfg.env)
         self.costs = [inference_cost(l.macs, cfg.env.cost_model)
                       for l in cfg.ensemble.learners]
@@ -211,6 +221,11 @@ class _EnergyPass(Agent):
         self.retrain_cursor = 0
         self.target_requests = 0   # requests whose prefix the target decided
         self.events = []
+        # what every decision and run reads, bound once
+        self._n1 = len(self.costs) + 1
+        self._per_e_now = ENERGY_LEVELS * POWER_LEVELS * self._n1   # states per e_now bin
+        self._policy_decide = cfg.policy.decide
+        self._retrain_fraction = cfg.env.cost_model.fc_retrain_energy_fraction
 
     def arrive(self, i, t):
         # requests cycle through the split so an unconstrained run reproduces
@@ -230,25 +245,25 @@ class _EnergyPass(Agent):
         }
 
     def decide(self, s):
-        n1 = len(self.costs) + 1
-        l = s % n1
+        l = s % self._n1
         if l == 0:
-            self.target = self.targets[s // (ENERGY_LEVELS * POWER_LEVELS * n1)]
+            self.target = self.targets[s // self._per_e_now]
             self.retrain_idx = -1
             if self.target is not None:
                 self.retrain_idx = self.retrain_cursor % self.target
                 self.retrain_cursor += 1
                 self.target_requests += 1
         if self.target is None:
-            return self.cfg.policy.decide(s)
+            return self._policy_decide(s)
         return 1 if l < self.target else 0
 
     def ran(self, l):
         self.row["inference_energy"] += self.costs[l]
-        increment = self.cfg.env.cost_model.fc_retrain_energy_fraction * self.costs[l]
-        if l == self.retrain_idx and self.device.draw(increment):
-            self.row["retrain_energy"] += increment
-            self.row["retrained_learner"] = l
+        if l == self.retrain_idx:
+            increment = self._retrain_fraction * self.costs[l]
+            if self.device.draw(increment):
+                self.row["retrain_energy"] += increment
+                self.row["retrained_learner"] = l
 
     def done(self, l, end):
         self.row["learners_run"] = l
@@ -274,6 +289,7 @@ def _score(cfg: SimConfig, events, batches: _Batches):
     # an FC-only step never writes in place: it gives the learner it
     # returns new FC arrays, so the input learners need no copy
     learners, heads = list(cfg.ensemble.learners), list(batches.heads)
+    prefix_weights = [weights[:k] for k in range(len(weights) + 1)]
     votes = batches.votes   # None from the run's first write on
     for row in events:
         k, i, r = row["learners_run"], row["sample_index"], row["retrained_learner"]
@@ -289,7 +305,7 @@ def _score(cfg: SimConfig, events, batches: _Batches):
             # np.array gives the C-order (k, classes) operand np.stack
             # gives, for less
             rows = [probs[0] if j == r else heads[j][i] for j in range(k)]
-            pred = int((weights[:k] @ np.array(rows)).argmax())
+            pred = int((prefix_weights[k] @ np.array(rows)).argmax())
         else:
             pred = int(votes[k][i])
         row["predicted"] = pred
@@ -302,15 +318,23 @@ def _serve(cfg: SimConfig, batches: _Batches):
     replay(cfg.env, energy.device, energy.costs, energy)
     events, device = energy.events, energy.device
     learners = _score(cfg, events, batches)
+    failures = correct = retrain_events = 0
+    histogram = Counter()   # over the requests the device was on for
+    for row in events:
+        event = row["event"]
+        failures += event != SERVED
+        if event != MISS_OFF:
+            histogram[row["learners_run"]] += 1
+        correct += row["correct"]
+        retrain_events += row["retrained_learner"] >= 0
     report = SimReport(
         policy=getattr(cfg.policy, "name", cfg.retrain_mode),
         total_requests=len(events),
-        failures=sum(row["event"] != SERVED for row in events),
-        correct=sum(row["correct"] for row in events),
+        failures=failures,
+        correct=correct,
         events=events,
-        learners_histogram=Counter(row["learners_run"] for row in events
-                                   if row["event"] != MISS_OFF),
-        retrain_events=sum(row["retrained_learner"] >= 0 for row in events),
+        learners_histogram=histogram,
+        retrain_events=retrain_events,
         retrain_target_requests=energy.target_requests,
         initial_energy=cfg.env.capacitor.energy,
         harvested_energy=device.harvested,
@@ -329,9 +353,20 @@ EVENT_FIELDS = ["time", "event", "voltage", "p_harv", "sample_index",
                 "inference_energy", "retrain_energy"]
 
 
+def write_events(report: SimReport, file):
+    """Write the report's events table to the open text file, row by row:
+    the `EVENT_FIELDS` header, then one line per request, floats by `repr`.
+    No events cell is ever None."""
+    writer = csv.writer(file, lineterminator="\n")
+    writer.writerow(EVENT_FIELDS)
+    writer.writerows(map(itemgetter(*EVENT_FIELDS), report.events))
+
+
 def events_csv(report: SimReport) -> str:
-    return artifacts.csv_text(EVENT_FIELDS,
-                              ([row[k] for k in EVENT_FIELDS] for row in report.events))
+    """The events table `write_events` writes, as one string."""
+    buf = io.StringIO()
+    write_events(report, buf)
+    return buf.getvalue()
 
 
 def failure_rate_reduction(report: SimReport, baseline: SimReport):

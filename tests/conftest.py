@@ -3,6 +3,8 @@
 Session-scoped fixtures hold the expensive artifacts (the bundled pool and
 ensemble) so the acceptance tests can share one build.
 """
+import csv
+import io
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -213,6 +215,26 @@ def discretize_power(p_harv: float, thresholds) -> int:
     if p_harv < t1:
         return 0
     return 1 if p_harv < t2 else 2
+
+
+# ---------------------------------------------------------------------------
+# The events table as `simrun.events_csv` wrote it before `simrun.write_events`:
+# `artifacts.csv_text` of each row's fields in order, None cells as "n/a".
+# The CLI's events.csv and `events_csv` must equal it byte for byte
+# (test_cli::test_simulate_events_csv_is_the_row_writers). Frozen; do not optimize.
+
+PARENT_EVENT_FIELDS = ["time", "event", "voltage", "p_harv", "sample_index",
+                       "learners_run", "retrained_learner", "predicted", "correct",
+                       "inference_energy", "retrain_energy"]
+
+
+def parent_events_csv(report) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(PARENT_EVENT_FIELDS)
+    for row in ([row[k] for k in PARENT_EVENT_FIELDS] for row in report.events):
+        writer.writerow(["n/a" if v is None else v for v in row])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tiny_spec
+from conftest import parent_events_csv, tiny_spec
 from enboost import config, ensemble as ens, nn, qsched, simrun
 from enboost.cli import main
 from enboost.qsched import load_qtable
@@ -796,6 +796,36 @@ def test_simulate_warns_on_a_degenerate_ensemble(workspace, tmp_path):
         assert main(["simulate", "--config", str(workspace / "config.json"),
                      "--ensemble", str(tmp_path / "build"), "--policy", "fixed:1",
                      "--out", str(tmp_path / "sims")]) == 0
+
+
+@pytest.mark.parametrize("mode", ["off", "auto"])
+def test_simulate_events_csv_is_the_row_writers(workspace, qtable_path, tmp_path,
+                                               monkeypatch, mode):
+    # simulate writes each events.csv row by row into the file; its bytes are
+    # `events_csv` of the run's report and the table the parent's `csv_text`
+    # path wrote
+    doc = dict(LIGHT_CONFIG, simulation=dict(LIGHT_CONFIG["simulation"],
+                                             retrain_mode=mode))
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    reports = {}
+    real_run = simrun.run
+
+    def kept(cfg, *shared):
+        reports[cfg.policy.name] = report = real_run(cfg, *shared)
+        return report
+
+    monkeypatch.setattr(simrun, "run", kept)
+    out = tmp_path / "sims"
+    assert main(["simulate", "--config", str(tmp_path / "config.json"),
+                 "--ensemble", str(workspace / "build"),
+                 "--policy", f"qtable:{qtable_path}", "--policy", "fixed:1",
+                 "--policy", "all", "--out", str(out)]) == 0
+    assert sorted(reports) == ["all", "fixed:1", "qtable"]
+    assert (reports["qtable"].retrain_events > 0) == (mode == "auto")
+    for name, report in reports.items():
+        written = (out / name.replace(":", "-") / "events.csv").read_text()
+        assert written.count("\n") == 1 + report.total_requests
+        assert written == simrun.events_csv(report) == parent_events_csv(report)
 
 
 @pytest.mark.parametrize("mode", ["off", "high-energy"])

@@ -731,6 +731,49 @@ def test_sim_config_rejects_class_count_unlike_ensemble(small_model):
         run_concurrent_training(cfg, drift_dataset(other))
 
 
+def test_sim_config_rejects_a_policy_built_for_another_n(small_model):
+    # a policy's state indices lay out its own N + 1 prefix lengths: one
+    # built for more learners fails requests silently, one for fewer indexes
+    # past its table
+    model, ds = small_model
+    env = abundant(model, requests=3)
+    for n in (1, 3, 8):
+        for policy in (FixedKPolicy(1, n), QPolicy(QTable.zeros(n))):
+            with pytest.raises(ConfigError, match=f"the policy was built for {n} "
+                               f"learners but the ensemble has {model.size}"):
+                SimConfig(env=env, ensemble=model, dataset=ds, policy=policy)
+    # the retrain mode is checked first
+    with pytest.raises(ConfigError, match="unknown retrain mode"):
+        SimConfig(env=env, ensemble=model, dataset=ds,
+                  policy=FixedKPolicy(1, 3), retrain_mode="sometimes")
+    cfg = SimConfig(env=env, ensemble=model, dataset=ds,
+                    policy=QPolicy(QTable.zeros(model.size)), retrain_mode="auto")
+    three = replace(model, learners=model.learners + model.learners[:1],
+                    vote_weights=model.vote_weights + model.vote_weights[:1])
+    with pytest.raises(ConfigError, match="built for 2 learners but the ensemble has 3"):
+        replace(cfg, ensemble=three)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_q_policy_decides_as_act_on_the_value_array(n):
+    # QPolicy reads the table's rows once, as lists of Python floats; every
+    # decision equals `act` on the numpy array, ties and signed zeros too
+    rng = np.random.default_rng(n)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 0.1 + 2 ** -56 * 8, 1e300, -1e300,
+                       1e-300, -5e-324, 5e-324, 2.5e15, 2.5e15 + 0.5])
+    size = qsched.state_space_size(n)
+    tables = [rng.choice(values, size=(size, 2)),
+              np.repeat(rng.choice(values, size=(size, 1)), 2, axis=1),   # all ties
+              np.tile([0.0, -0.0], (size, 1)), np.tile([-0.0, 0.0], (size, 1))]
+    for table in tables:
+        policy = QPolicy(QTable(values=table, n=n))
+        decisions = [policy.decide(s) for s in range(size)]
+        assert decisions == [qsched.act(table, n + 1, s) for s in range(size)]
+    # the random table's ties and strict orders both occur
+    q0, q1 = tables[0][:, 0], tables[0][:, 1]
+    assert (q0 == q1).any() and (q1 > q0).any() and (q1 < q0).any()
+
+
 def test_events_csv_shape(small_model):
     model, ds = small_model
     report = run(SimConfig(env=abundant(model, requests=4), ensemble=model,
