@@ -14,8 +14,8 @@ import numpy as np
 
 from . import artifacts
 from .errors import ConfigError
-from .nn import (NetworkSpec, WeakLearner, evaluate, flatten_params, forward,
-                 params_dtype, unflatten_params, train)
+from .nn import (NetworkSpec, TrainSet, WeakLearner, evaluate, flatten_params,
+                 forward, params_dtype, unflatten_params, train)
 from .prune import prune_to_budget
 
 PROB_FLOOR = 1e-6  # clamp inside log: the update is singular at p_true = 0
@@ -86,7 +86,8 @@ def update_weights(weights: np.ndarray, learner: WeakLearner, dataset,
 
 def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
     """Train, prune, and boost M weak learners. Learner m trains from a fresh
-    seed (cfg.seed + m) under the weights left by learner m-1; each pruned
+    seed (cfg.seed + m) under the weights left by learner m-1, and its prune
+    retrains read the batches its training drew (one `TrainSet`); each pruned
     learner is evaluated once, on the eval split. Returns (pool, the weights
     the last learner trained under): no learner follows the last, so its
     weight update is not run."""
@@ -98,14 +99,13 @@ def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
                                      cfg.boost_learning_rate)
         learner = WeakLearner.initialize(base_spec, seed=cfg.seed + m,
                                          learner_id=f"learner-{m:02d}")
-        learner, _ = train(learner, dataset, weights,
-                           epochs=cfg.train_epochs,
-                           learning_rate=cfg.learning_rate,
-                           seed=cfg.seed + m, batch_size=cfg.batch_size)
-        learner = prune_to_budget(learner, dataset, weights, 1.0 / cfg.ensemble_size,
-                                  cfg.retrain_epochs_per_step, seed=cfg.seed + m,
-                                  learning_rate=cfg.learning_rate,
-                                  batch_size=cfg.batch_size)
+        data = TrainSet(learner, dataset, weights, seed=cfg.seed + m,
+                        batch_size=cfg.batch_size)
+        learner = train(learner, data, epochs=cfg.train_epochs,
+                        learning_rate=cfg.learning_rate)
+        learner = prune_to_budget(learner, data, 1.0 / cfg.ensemble_size,
+                                  cfg.retrain_epochs_per_step,
+                                  learning_rate=cfg.learning_rate)
         learner.eval_accuracy = evaluate(learner, *dataset.split("eval"))
         pool.append(learner)
     return pool, weights
@@ -154,8 +154,12 @@ def load_pool(pool_dir):
                 # copies the vector's slices in order
                 if hashlib.sha256(flat.tobytes()).hexdigest() != checksum:
                     raise ValueError("parameters do not match the pool's params_checksum")
+            accuracy = entry["eval_accuracy"]
+            if type(accuracy) not in (int, float) or not 0.0 <= accuracy <= 1.0:
+                raise ValueError(f"{entry['id']}: eval_accuracy must be a number in "
+                                 f"[0, 1], got {accuracy!r}")
             learner = WeakLearner(spec=spec, params=params,
-                                  eval_accuracy=entry["eval_accuracy"], id=entry["id"])
+                                  eval_accuracy=accuracy, id=entry["id"])
             if entry["macs"] != learner.macs:
                 raise ValueError(f"{learner.id}: macs {entry['macs']!r} differ from "
                                  f"its spec's {learner.macs}")

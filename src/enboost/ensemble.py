@@ -167,12 +167,16 @@ def load_ensemble(path) -> EnsembleModel:
             learners = [by_id[i] for i in ids]
         except KeyError as exc:
             raise ValueError(f"learner {exc} missing from pool") from exc
-        model = EnsembleModel(learners=learners, vote_weights=per_learner["vote_weights"],
+        model = EnsembleModel(learners=learners,
+                              vote_weights=[learner_weight(1.0 - l.eval_accuracy)
+                                            for l in learners],
                               acc_profile=per_learner["acc_profile"])
-        for key in ("class_count", "delta_acc", "total_macs"):   # stored copies
+        # stored copies; the vote weights derive from the pool's eval accuracies
+        for key in ("class_count", "vote_weights", "delta_acc", "total_macs"):
             if manifest[key] != getattr(model, key):
                 raise ValueError(f"{key} {manifest[key]!r} differs from "
-                                 f"{getattr(model, key)!r}, derived from the other keys")
+                                 f"{getattr(model, key)!r}, derived from the other "
+                                 "keys and the pool")
         return model
 
     return artifacts.read_json(path, decode, version=1)

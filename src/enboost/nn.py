@@ -5,8 +5,10 @@ The engine runs in the dtype of a learner's parameters: `init_params`
 makes float32 ones, as the devices the pipeline targets train in float32,
 and a learner with float64 parameters (a pool written before float32)
 trains and serves in float64. Inputs, one-hot labels and sample weights
-are cast to that dtype where they meet the parameters; only the loss is
-summed in float64. All randomness goes through seeded
+are cast to that dtype where they meet the parameters; a `TrainSet` casts
+a train split once for every `train` call of one learner. Training
+computes the loss's gradient, never the loss itself: a step diverged when
+its batch probabilities are not finite. All randomness goes through seeded
 `numpy.random.default_rng` instances, so training is bit-reproducible given
 (seed, data, weights, hyperparameters).
 
@@ -109,9 +111,14 @@ class LayerSpec:
     def from_dict(cls, d: dict) -> "LayerSpec":
         if not isinstance(d, dict):
             raise ShapeError(f"a layer must be an object, got {type(d).__name__}")
-        unused = set(d) - {"kind", *_fields_of(d.get("kind"))}
+        fields = _fields_of(d.get("kind"))
+        unused = set(d) - {"kind", *fields}
         if unused:
             raise ShapeError(f"{d['kind']} layers take no {sorted(unused)}")
+        # `conv()` defaults to relu and `LayerSpec` to none: a file says which
+        if "activation" in fields and "activation" not in d:
+            raise ShapeError(f"{d['kind']} layers must name their activation, "
+                             f"one of {_ACTIVATIONS}")
         return cls(**d)
 
 
@@ -391,10 +398,15 @@ def _conv_dx(dz, w, in_shape, s, p):
 
 
 def _avgpool(x, win):
-    """Mean over win x win windows of a (c, h, w, b) batch: the sum of the
-    window's strided terms, then one divide (numpy's window `mean` is slower)."""
-    terms = (x[:, i::win, j::win] for i in range(win) for j in range(win))
-    return functools.reduce(np.add, terms) / (win * win)
+    """Mean over win x win windows of a (c, h, w, b) batch: the window's
+    strided terms summed in order into one buffer, then one divide in place
+    (numpy's window `mean` is slower)."""
+    terms = [x[:, i::win, j::win] for i in range(win) for j in range(win)]
+    out = terms[0].copy()
+    for term in terms[1:]:
+        out += term
+    out /= win * win
+    return out
 
 
 def _softmax(z):
@@ -567,18 +579,6 @@ def _probs_and_grads(spec, params, x, y_onehot, weights, start=0):
     return probs, _backward(spec, params, cache, dlogits, start)
 
 
-def _loss(probs, y_onehot, weights) -> float:
-    # in float64: a float32 floor of 1e-300 rounds to 0.0, and a true-class
-    # probability that underflowed would give an infinite loss
-    p_true = np.clip((probs * y_onehot).sum(axis=1, dtype=np.float64), 1e-300, None)
-    return float(np.mean(weights * -np.log(p_true)))
-
-
-def _loss_and_grads(spec, params, x, y_onehot, weights, start=0):
-    probs, grads = _probs_and_grads(spec, params, x, y_onehot, weights, start)
-    return _loss(probs, y_onehot, weights), grads, probs
-
-
 def _sgd_step(params, grads, lr, layers):
     lr = float(lr)   # a numpy float64 would promote float32 parameters
     for idx in layers:
@@ -600,44 +600,69 @@ def evaluate(learner: WeakLearner, x, y) -> float:
     return accuracy(forward(learner, x), y)
 
 
-def train(learner: WeakLearner, dataset, sample_weights, epochs, learning_rate,
-          seed, batch_size=32):
-    """Weighted-loss SGD over the train split.
+class TrainSet:
+    """A dataset's train split as `train` reads it for one learner and the
+    learners pruned from it, in its dtype and class count: the inputs cast
+    to that dtype, one-hot labels and the sample weights, each positive and
+    finite in it.  Epoch e's batches come from the e-th permutation of a
+    `default_rng(seed)`, drawn once, on first use, so every `train` call on
+    one set reads the same batches in epoch e."""
+
+    def __init__(self, learner: WeakLearner, dataset, sample_weights, seed, batch_size=32):
+        x, y = dataset.split("train")
+        self.dtype = params_dtype(learner.params)
+        self.class_count = learner.spec.class_count
+        self._n, self._batch_size = x.shape[0], batch_size
+        self._w = _sample_weights(sample_weights, self._n, self.dtype, "train samples")
+        self._x = x.astype(self.dtype, copy=False)
+        self._y = _one_hot(y, self.class_count, self.dtype)
+        self._rng = np.random.default_rng(seed)
+        self._orders = []
+
+    def epoch(self, e) -> list:
+        """Epoch e's (inputs, one-hot labels, weights) batches, in order:
+        slices of the epoch's samples, gathered in one pass per call (a
+        set holds its permutations, not its batches)."""
+        while len(self._orders) <= e:
+            self._orders.append(self._rng.permutation(self._n))
+        order, size = self._orders[e], self._batch_size
+        x, y, w = self._x[order], self._y[order], self._w[order]
+        return [(x[i:i + size], y[i:i + size], w[i:i + size])
+                for i in range(0, self._n, size)]
+
+
+def train(learner: WeakLearner, data: TrainSet, epochs, learning_rate) -> WeakLearner:
+    """Weighted-loss SGD over `epochs` epochs of `data`, a set made for a
+    learner of this one's dtype and class count.
 
     Per-sample weights multiply each sample's cross-entropy before the batch
-    mean. Returns (trained learner, per-epoch mean loss history); the learner
-    is not evaluated, so its eval_accuracy is 0.0.
+    mean; the step computes the loss's gradient, never the loss.  A step
+    whose batch probabilities are not finite raises `TrainingDivergedError`
+    before it updates.  Returns the trained learner, with new arrays; it is
+    not evaluated, so its eval_accuracy is 0.0.
     """
-    x, y = dataset.split("train")
     spec = learner.spec
-    n = x.shape[0]
-    dtype = params_dtype(learner.params)
-    weights = _sample_weights(sample_weights, n, dtype, "train samples")
+    if params_dtype(learner.params) != data.dtype or spec.class_count != data.class_count:
+        raise ShapeError(f"a {params_dtype(learner.params)} learner of "
+                         f"{spec.class_count} classes cannot train on a {data.dtype} "
+                         f"train set of {data.class_count}")
     # C-order copies, never the input learner's arrays: the GEMMs round by
     # their operands' layout, and a learner must train to the same bits
     # whatever its arrays' layout (`prune_step`'s channel slices are not
     # C-ordered)
     params = copy_params(learner.params)
-    x = x.astype(dtype, copy=False)
-    y_onehot = _one_hot(y, spec.class_count, dtype)
-    rng = np.random.default_rng(seed)
-    history = []
-    # a diverging step overflows before its loss is checked: raise the error,
-    # not numpy's warnings
+    layers = range(len(params))
+    # a diverging step overflows before its probabilities are checked: raise
+    # the error, not numpy's warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(epochs):
-            order = rng.permutation(n)
-            total = 0.0
-            for start in range(0, n, batch_size):
-                sel = order[start:start + batch_size]
-                loss, grads, _ = _loss_and_grads(spec, params, x[sel], y_onehot[sel],
-                                                 weights[sel])
-                if not np.isfinite(loss):
+            for x, y_onehot, weights in data.epoch(epoch):
+                probs, grads = _probs_and_grads(spec, params, x, y_onehot, weights)
+                # softmax rows are finite, in [0, 1], unless one holds a NaN
+                if not math.isfinite(np.add.reduce(probs, axis=None)):
                     raise TrainingDivergedError(epoch, learner.id, "train")
-                _sgd_step(params, grads, learning_rate, range(len(params)))
-                total += loss * len(sel)
-            history.append(total / n)
-    return WeakLearner(spec=spec, params=params, eval_accuracy=0.0, id=learner.id), history
+                _sgd_step(params, grads, learning_rate, layers)
+    return WeakLearner(spec=spec, params=params, eval_accuracy=0.0, id=learner.id)
 
 
 def train_fc_only(learner: WeakLearner, acts, batch_y, sample_weights,

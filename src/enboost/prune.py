@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (BudgetInfeasibleError, ConfigError, ShapeError,
                      TrainingDivergedError)
-from .nn import CONV, WeakLearner, train
+from .nn import CONV, TrainSet, WeakLearner, train
 
 
 def rank_filters(learner: WeakLearner):
@@ -61,12 +61,11 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
                        eval_accuracy=0.0, id=learner.id)
 
 
-def prune_to_budget(learner: WeakLearner, dataset, sample_weights,
-                    target_mac_fraction: float, retrain_epochs: int, seed,
-                    learning_rate=0.1, batch_size=32) -> WeakLearner:
+def prune_to_budget(learner: WeakLearner, data: TrainSet, target_mac_fraction: float,
+                    retrain_epochs: int, learning_rate=0.1) -> WeakLearner:
     """Remove the globally lowest-L2 filter, one per step, until count_macs
     <= ceil(target_mac_fraction * original), retraining `retrain_epochs`
-    epochs after every step. The result is not evaluated."""
+    epochs of `data` after every step. The result is not evaluated."""
     if not 0.0 < target_mac_fraction <= 1.0:
         raise ConfigError(f"target_mac_fraction must be in (0, 1], got {target_mac_fraction}")
     if retrain_epochs < 0:
@@ -84,9 +83,8 @@ def prune_to_budget(learner: WeakLearner, dataset, sample_weights,
             raise BudgetInfeasibleError(current.spec.conv_layers[0])
         _, idx, f = min(candidates)
         try:
-            current, _ = train(prune_step(current, {idx: [f]}), dataset, sample_weights,
-                               epochs=retrain_epochs, learning_rate=learning_rate,
-                               seed=seed, batch_size=batch_size)
+            current = train(prune_step(current, {idx: [f]}), data,
+                            epochs=retrain_epochs, learning_rate=learning_rate)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(exc.epoch, exc.learner, "prune retrain") from None
     return current

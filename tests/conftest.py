@@ -5,16 +5,17 @@ ensemble) so the acceptance tests can share one build.
 """
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from enboost import boost, config, ensemble, nn, qsched
+from enboost import boost, config, ensemble, nn, prune, qsched
 from enboost.data import synth_dataset
 from enboost.energy import Capacitor, Device, PowerTrace
-from enboost.errors import ConfigError
+from enboost.errors import ConfigError, TrainingDivergedError
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs, fc,
                         softmax_layer)
 from enboost.qsched import ENERGY_LEVELS, POWER_LEVELS, Agent, act, q_update, reward
@@ -59,8 +60,8 @@ def gradient_check(spec: NetworkSpec, seed: int, step=1e-5, batch=2) -> float:
     for i in range(flat.size):
         probe = np.zeros_like(flat)
         probe[i] = step
-        hi, lo = (nn._loss(nn._forward(spec, nn.unflatten_params(spec, flat + d), x),
-                           y_onehot, weights)
+        hi, lo = (reference_loss(nn._forward(spec, nn.unflatten_params(spec, flat + d), x),
+                                 y_onehot, weights)
                   for d in (probe, -probe))
         numeric[i] = (hi - lo) / (2 * step)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
@@ -432,6 +433,78 @@ def parent_param_shapes(spec):
             out.append(None)
         cur = parent_layer_out_shape(layer, cur)
     return out
+
+
+# ---------------------------------------------------------------------------
+# `nn.train` and `prune.prune_to_budget` as they were before training shared
+# one `nn.TrainSet` per learner and stopped computing its loss: each call
+# slices the train split, checks the weights, builds the one-hot rows and
+# draws its permutations, and every step sums the float64 loss, whose
+# history `reference_train` returns. Training and pruning must match them
+# bit for bit (test_nn::test_train_matches_the_reference_trainer,
+# test_prune::test_prune_to_budget_matches_the_reference). `reference_loss`
+# is also `gradient_check`'s loss. Frozen; do not optimize.
+
+
+def reference_loss(probs, y_onehot, weights) -> float:
+    # in float64: a float32 floor of 1e-300 rounds to 0.0, and a true-class
+    # probability that underflowed would give an infinite loss
+    p_true = np.clip((probs * y_onehot).sum(axis=1, dtype=np.float64), 1e-300, None)
+    return float(np.mean(weights * -np.log(p_true)))
+
+
+def loss_and_grads(spec, params, x, y_onehot, weights, start=0):
+    probs, grads = nn._probs_and_grads(spec, params, x, y_onehot, weights, start)
+    return reference_loss(probs, y_onehot, weights), grads, probs
+
+
+def reference_train(learner, dataset, sample_weights, epochs, learning_rate,
+                    seed, batch_size=32):
+    """(trained learner, per-epoch mean loss history)."""
+    x, y = dataset.split("train")
+    spec = learner.spec
+    n = x.shape[0]
+    dtype = nn.params_dtype(learner.params)
+    weights = nn._sample_weights(sample_weights, n, dtype, "train samples")
+    params = nn.copy_params(learner.params)
+    x = x.astype(dtype, copy=False)
+    y_onehot = nn._one_hot(y, spec.class_count, dtype)
+    rng = np.random.default_rng(seed)
+    history = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, batch_size):
+                sel = order[start:start + batch_size]
+                loss, grads, _ = loss_and_grads(spec, params, x[sel], y_onehot[sel],
+                                                weights[sel])
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(epoch, learner.id, "train")
+                nn._sgd_step(params, grads, learning_rate, range(len(params)))
+                total += loss * len(sel)
+            history.append(total / n)
+    return nn.WeakLearner(spec=spec, params=params, eval_accuracy=0.0,
+                          id=learner.id), history
+
+
+def reference_prune_to_budget(learner, dataset, sample_weights, target_mac_fraction,
+                              retrain_epochs, seed, learning_rate=0.1, batch_size=32):
+    target = math.ceil(target_mac_fraction * learner.macs)
+    current = learner
+    while current.macs > target:
+        candidates = [(norm, idx, f)
+                      for idx, entries in prune.rank_filters(current).items()
+                      for f, norm in entries[:-1]]
+        _, idx, f = min(candidates)
+        try:
+            current, _ = reference_train(prune.prune_step(current, {idx: [f]}), dataset,
+                                         sample_weights, epochs=retrain_epochs,
+                                         learning_rate=learning_rate, seed=seed,
+                                         batch_size=batch_size)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(exc.epoch, exc.learner, "prune retrain") from None
+    return current
 
 
 # ---------------------------------------------------------------------------

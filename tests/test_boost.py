@@ -13,7 +13,7 @@ from enboost.boost import (PoolConfig, build_pool, init_weights, load_pool,
                            weight_multipliers)
 from enboost.data import synth_dataset
 from enboost.errors import ArtifactError, ConfigError, ShapeError
-from enboost.nn import WeakLearner, evaluate, forward, train
+from enboost.nn import TrainSet, WeakLearner, evaluate, forward, train
 from enboost.prune import prune_to_budget
 
 
@@ -54,16 +54,15 @@ def test_normalize_mean_one():
 
 
 def test_sample_weights_validation():
-    # Sample weights are plain arrays; the boosting loop's training step
-    # rejects a weight that is not positive and finite.
+    # Sample weights are plain arrays; the train set the boosting loop
+    # trains on rejects a weight that is not positive and finite.
     spec, ds, cfg = small_pool_setup()
     learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
     for value in (0.0, np.inf):
         w = init_weights(ds.split_size("train"))
         w[0] = value
         with pytest.raises(ShapeError):
-            train(learner, ds, w, epochs=1, learning_rate=cfg.learning_rate,
-                  seed=cfg.seed)
+            TrainSet(learner, ds, w, seed=cfg.seed)
 
 
 def small_pool_setup():
@@ -79,8 +78,8 @@ def small_pool_setup():
 def test_update_weights_contract():
     spec, ds, cfg = small_pool_setup()
     learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
-    learner, _ = train(learner, ds, np.ones(ds.split_size("train")),
-                       epochs=3, learning_rate=0.05, seed=0)
+    learner = train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0),
+                    epochs=3, learning_rate=0.05)
     w0 = init_weights(ds.split_size("train"))
     w1 = update_weights(w0, learner, ds, alpha=0.5)
     assert w1.shape == w0.shape
@@ -147,13 +146,13 @@ def test_first_pool_learner_equals_standalone_train_prune():
     pool, _ = build_pool(spec, ds, cfg)
     fresh = WeakLearner.initialize(spec, seed=cfg.seed, learner_id="learner-00")
     w = init_weights(ds.split_size("train"))
-    fresh, _ = train(fresh, ds, w, epochs=cfg.train_epochs,
-                     learning_rate=cfg.learning_rate, seed=cfg.seed,
-                     batch_size=cfg.batch_size)
-    fresh = prune_to_budget(fresh, ds, w, 1.0 / cfg.ensemble_size,
-                            cfg.retrain_epochs_per_step, seed=cfg.seed,
-                            learning_rate=cfg.learning_rate,
-                            batch_size=cfg.batch_size)
+    # a train set each for training and pruning: the pool's learner shares one
+    fresh = train(fresh, TrainSet(fresh, ds, w, seed=cfg.seed, batch_size=cfg.batch_size),
+                  epochs=cfg.train_epochs, learning_rate=cfg.learning_rate)
+    fresh = prune_to_budget(fresh, TrainSet(fresh, ds, w, seed=cfg.seed,
+                                            batch_size=cfg.batch_size),
+                            1.0 / cfg.ensemble_size, cfg.retrain_epochs_per_step,
+                            learning_rate=cfg.learning_rate)
     assert pool[0].checksum() == fresh.checksum()
     assert pool[0].eval_accuracy == evaluate(fresh, *ds.split("eval"))
 
@@ -180,12 +179,12 @@ def test_build_pool_updates_weights_between_learners_only(monkeypatch):
         updated.append(learner.id)
         return real(weights, learner, dataset, alpha)
 
-    def recording_train(learner, dataset, weights, **kw):
+    def recording_train_set(learner, dataset, weights, **kw):
         trained_under.append(weights)
-        return nn.train(learner, dataset, weights, **kw)
+        return nn.TrainSet(learner, dataset, weights, **kw)
 
     monkeypatch.setattr(boost, "update_weights", counting_update)
-    monkeypatch.setattr(boost, "train", recording_train)
+    monkeypatch.setattr(boost, "TrainSet", recording_train_set)
     _, weights = build_pool(spec, ds, cfg)
     assert updated == [f"learner-{m:02d}" for m in range(cfg.pool_size - 1)]
     # the returned weights are the ones the last learner trained under
@@ -242,8 +241,8 @@ def test_a_float64_pool_loads_trains_and_serves_in_float64(tmp_path):
         assert {a.dtype for p in learner.params if p is not None for a in p} == {
             np.dtype(np.float64)}
         assert forward(learner, x).dtype == np.float64
-    trained, _ = train(loaded[0], ds, np.ones(ds.split_size("train")), epochs=1,
-                       learning_rate=0.1, seed=0)
+    data = TrainSet(loaded[0], ds, np.ones(ds.split_size("train")), seed=0)
+    trained = train(loaded[0], data, epochs=1, learning_rate=0.1)
     assert {a.dtype for p in trained.params if p is not None for a in p} == {
         np.dtype(np.float64)}
 

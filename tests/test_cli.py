@@ -317,10 +317,13 @@ def test_sgd_step_bound_exits_1_before_initializing_a_learner(case, tmp_path, ca
 
 # (spec, the bound it breaks, the count): 3x12x12 inputs, one bound each
 _HUGE_NETWORKS = {
-    "params": ([{"kind": "fc", "units": 30000}, {"kind": "fc", "units": 6}],
+    "params": ([{"kind": "fc", "units": 30000, "activation": "relu"},
+                {"kind": "fc", "units": 6, "activation": "none"}],
                "MAX_NETWORK_PARAMS", "parameters", 432 * 30000 + 30000 + 30000 * 6 + 6),
-    "macs": ([{"kind": "conv", "filters": 260000, "kernel": 3, "padding": 1},
-              {"kind": "avgpool", "window": 12}, {"kind": "conv", "filters": 6, "kernel": 1}],
+    "macs": ([{"kind": "conv", "filters": 260000, "kernel": 3, "padding": 1,
+               "activation": "relu"},
+              {"kind": "avgpool", "window": 12},
+              {"kind": "conv", "filters": 6, "kernel": 1, "activation": "relu"}],
              "MAX_NETWORK_MACS", "MACs per sample", 260000 * 27 * 144 + 6 * 260000),
 }
 
@@ -786,11 +789,17 @@ def test_simulate_policies_share_memos_without_seeing_each_other(
 
 
 def test_simulate_warns_on_a_degenerate_ensemble(workspace, tmp_path):
-    # each run checks the vote weights once, before it votes
+    # each run checks the vote weights once, before it votes; loading derives
+    # them from the pool, so both files say every learner is at 30%
     shutil.copytree(workspace / "build", tmp_path / "build")
+    pool = tmp_path / "build" / "pool" / "pool.json"
+    doc = json.loads(pool.read_text())
+    for entry in doc["learners"]:
+        entry["eval_accuracy"] = 0.3
+    pool.write_text(json.dumps(doc))
     manifest = tmp_path / "build" / "ensemble.json"
     doc = json.loads(manifest.read_text())
-    doc["vote_weights"] = [-abs(a) for a in doc["vote_weights"]]
+    doc["vote_weights"] = [ens.learner_weight(0.7)] * len(doc["learners"])
     manifest.write_text(json.dumps(doc))
     with pytest.warns(UserWarning, match="all vote weights <= 0"):
         assert main(["simulate", "--config", str(workspace / "config.json"),
@@ -985,6 +994,13 @@ CORRUPT_ARTIFACTS = {
                                     _edit_json(lambda d: d["vote_weights"].pop())),
     "manifest-vote-weight-nan": ("ensemble.json", _edit_json(
         lambda d: d["vote_weights"].__setitem__(0, float("nan")))),
+    # finite, but not learner_weight(1 - eval_accuracy) of the pool learner
+    **{f"manifest-vote-weight-{v:g}": ("ensemble.json", _edit_json(
+        lambda d, v=v: d["vote_weights"].__setitem__(0, v))) for v in (-1, 0, 1e308)},
+    **{f"pool-entry-eval-accuracy-{name}": ("pool/pool.json", _edit_json(
+        lambda d, v=v: d["learners"][0].update(eval_accuracy=v)))
+       for name, v in (("above-1", 1.5), ("negative", -0.1), ("text", "0.9"),
+                       ("null", None), ("true", True))},
     "manifest-delta-acc-short": ("ensemble.json",
                                  _edit_json(lambda d: d["delta_acc"].pop())),
     "manifest-acc-profile-long": ("ensemble.json", _edit_json(
@@ -1010,6 +1026,10 @@ CORRUPT_ARTIFACTS = {
         lambda d: d["layers"][1].update(activation="relu"))),
     "spec-layer-list": ("pool/learner-00.spec.json", _edit_json(
         lambda d: d["layers"].__setitem__(1, ["avgpool", 2]))),
+    # the learner trained with a ReLU; without the key the layer would load
+    # with none
+    "spec-conv-no-activation": ("pool/learner-00.spec.json", _edit_json(
+        lambda d: d["layers"][0].pop("activation"))),
     "qtable-unknown-hyper": ("q.json", _edit_json(
         lambda d: d["hyperparameters"].update(bogus=1))),
     "qtable-no-values": ("q.json", _edit_json(lambda d: d.pop("values"))),
@@ -1052,6 +1072,10 @@ BAD_NETWORK_SPECS = {
                            "activation"),
     "fc-window": (lambda d: d["layers"][5].update(window=3), "window"),
     "softmax-filters": (lambda d: d["layers"][6].update(filters=7), "filters"),
+    "conv-no-activation": (lambda d: d["layers"][0].pop("activation"),
+                           "conv layers must name their activation"),
+    "fc-no-activation": (lambda d: d["layers"][5].pop("activation"),
+                         "fc layers must name their activation"),
     "top-level-key": (lambda d: d.update(name="net"), "name"),
     "layer-list": (lambda d: d["layers"].__setitem__(1, ["avgpool", 2]), "list"),
     "conv-foo": (lambda d: d["layers"][0].update(foo=1), "conv layers take no ['foo']"),

@@ -10,16 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (bits, float64_params, gradient_check, parent_backward,
-                      parent_count_macs, parent_forward_cache, parent_layer_out_shape,
-                      parent_param_shapes, parent_softmax, slice_im2col, tiny_spec)
+from conftest import (bits, float64_params, gradient_check, loss_and_grads,
+                      parent_backward, parent_count_macs, parent_forward_cache,
+                      parent_layer_out_shape, parent_param_shapes, parent_softmax,
+                      reference_train, slice_im2col, tiny_spec)
 from enboost import nn
 from enboost.config import baseline_network
 from enboost.data import Dataset, synth_dataset
 from enboost.errors import ShapeError, TrainingDivergedError
-from enboost.nn import (LayerSpec, NetworkSpec, TensorShape, WeakLearner, avgpool,
-                        conv, count_macs, count_params, evaluate, fc, flatten_params,
-                        fc_step, forward, head, param_shapes,
+from enboost.nn import (LayerSpec, NetworkSpec, TensorShape, TrainSet, WeakLearner,
+                        avgpool, conv, count_macs, count_params, evaluate, fc,
+                        flatten_params, fc_step, forward, head, param_shapes,
                         params_checksum, softmax_layer, train, train_fc_only,
                         trunk, unflatten_params)
 
@@ -197,6 +198,17 @@ def test_a_layer_key_its_kind_does_not_take_is_rejected(doc):
         LayerSpec.from_dict(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "conv", "filters": 2, "kernel": 3, "stride": 1, "padding": 1},
+    {"kind": "fc", "units": 4},
+])
+def test_a_conv_or_fc_layer_must_name_its_activation(doc):
+    # `conv()` defaults to relu, `LayerSpec` to none: a spec file must say
+    with pytest.raises(ShapeError, match=f"{doc['kind']} layers must name their activation"):
+        LayerSpec.from_dict(doc)
+    assert LayerSpec.from_dict(dict(doc, activation="relu")).activation == "relu"
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -213,10 +225,10 @@ def test_weight_one_identity():
     spec = tiny_spec()
     base = WeakLearner.initialize(spec, seed=0, learner_id="t")
     n = ds.split_size("train")
-    a, hist_a = train(base, ds, np.ones(n), epochs=2, learning_rate=0.05, seed=7)
-    b, hist_b = train(base, ds, np.ones(n), epochs=2, learning_rate=0.05, seed=7)
-    assert hist_a == hist_b
-    assert a.checksum() == b.checksum()
+    a = train(base, TrainSet(base, ds, np.ones(n), seed=7), epochs=2, learning_rate=0.05)
+    b = train(base, TrainSet(base, ds, np.ones(n), seed=7), epochs=2, learning_rate=0.05)
+    assert a.checksum() == b.checksum() != base.checksum()
+    assert all(np.isfinite(v).all() for p in a.params if p for v in p)
 
 
 def test_doubled_weights_normalize_to_identity():
@@ -224,17 +236,17 @@ def test_doubled_weights_normalize_to_identity():
     ds = small_dataset()
     base = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     n = ds.split_size("train")
-    a, _ = train(base, ds, np.ones(n), epochs=2, learning_rate=0.05, seed=7)
-    b, _ = train(base, ds, normalize(2.0 * np.ones(n)), epochs=2,
-                 learning_rate=0.05, seed=7)
+    a = train(base, TrainSet(base, ds, np.ones(n), seed=7), epochs=2, learning_rate=0.05)
+    b = train(base, TrainSet(base, ds, normalize(2.0 * np.ones(n)), seed=7), epochs=2,
+              learning_rate=0.05)
     assert a.checksum() == b.checksum()
 
 
 def test_separable_two_class_set_reaches_95_percent():
     ds = small_dataset(seed=11, classes=2, samples_per_class=30, noise=0.3)
     learner = WeakLearner.initialize(tiny_spec(classes=2), seed=0, learner_id="t")
-    learner, _ = train(learner, ds, np.ones(ds.split_size("train")),
-                       epochs=50, learning_rate=0.05, seed=0)
+    learner = train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0),
+                    epochs=50, learning_rate=0.05)
     assert evaluate(learner, *ds.split("eval")) >= 0.95
 
 
@@ -245,12 +257,128 @@ def test_training_diverges_on_non_finite_loss():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TrainingDivergedError) as err:
-            train(learner, ds, np.ones(ds.split_size("train")), epochs=1,
-                  learning_rate=0.05, seed=0, batch_size=len(ds.y))
+            train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0,
+                                    batch_size=len(ds.y)), epochs=1, learning_rate=0.05)
     assert err.value.epoch == 0
     assert [str(w.message) for w in caught] == []
     assert (err.value.learner, err.value.stage) == ("learner-07", "train")
     assert "learner-07" in str(err.value) and "train" in str(err.value)
+
+
+def stride_2_spec():
+    return NetworkSpec(input_shape=TensorShape(2, 8, 8), class_count=3, layers=(
+        conv(4, kernel=3, stride=2, padding=1), conv(3, kernel=3, padding=1),
+        avgpool(2), fc(3), softmax_layer()))
+
+
+# (spec, float64 parameters, batch size): each size leaves a short last
+# batch of the 36 train samples
+TRAIN_CASES = {
+    "float32-batch-7": (tiny_spec, False, 7),
+    "float32-batch-32": (tiny_spec, False, 32),
+    "float64-batch-10": (tiny_spec, True, 10),
+    "stride-2-batch-5": (stride_2_spec, False, 5),
+}
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+@pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+def test_train_matches_the_reference_trainer(case, epochs):
+    # the reference slices, checks and draws anew in each call, and sums the
+    # float64 loss at every step; `train` reads its epochs from a TrainSet
+    # that an earlier call drew
+    make_spec, in_float64, batch_size = TRAIN_CASES[case]
+    ds = small_dataset(samples_per_class=20)
+    assert ds.split_size("train") == 36 and 36 % batch_size
+    learner = WeakLearner.initialize(make_spec(), seed=3, learner_id="t")
+    dtype = np.float64 if in_float64 else np.float32
+    if in_float64:
+        learner.params = float64_params(learner.params)
+    w = np.random.default_rng(4).uniform(0.2, 3.0, ds.split_size("train"))
+    want, _ = reference_train(learner, ds, w, epochs=epochs, learning_rate=0.1, seed=9,
+                              batch_size=batch_size)
+    data = TrainSet(learner, ds, w, seed=9, batch_size=batch_size)
+    train(learner, data, epochs=3, learning_rate=0.1)   # draws every epoch first
+    got = train(learner, data, epochs=epochs, learning_rate=0.1)
+    assert got.spec == want.spec
+    for p, q in zip(got.params, want.params):
+        for a, b in zip(p or (), q or ()):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(bits(a), bits(b))
+
+
+def poisoned_in_second_batch(ds, seed, batch_size, epoch=0):
+    """Poison (inf) the train sample that the second batch of `epoch` at this
+    seed opens with; returns its dataset index."""
+    rng = np.random.default_rng(seed)
+    for _ in range(epoch + 1):
+        order = rng.permutation(ds.split_size("train"))
+    victim = int(ds.splits["train"][order[batch_size]])
+    ds.x[victim] = np.inf
+    return victim
+
+
+def test_training_diverges_at_the_step_of_the_poisoned_batch(monkeypatch):
+    # one sample of the second batch is inf: the first step updates, the
+    # second raises before its update, and numpy warns of nothing
+    ds = small_dataset()
+    poisoned_in_second_batch(ds, seed=3, batch_size=8)
+    learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="learner-02")
+    steps = []
+    monkeypatch.setattr(nn, "_sgd_step", lambda *a, real=nn._sgd_step: (
+        steps.append(a[0][0][0].copy()), real(*a)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingDivergedError) as err:
+            train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=3,
+                                    batch_size=8), epochs=2, learning_rate=0.05)
+    assert [str(w.message) for w in caught] == []
+    assert (err.value.epoch, err.value.learner, err.value.stage) == (0, "learner-02", "train")
+    assert len(steps) == 1 and np.isfinite(steps[0]).all()
+
+
+def test_a_float64_weight_near_the_float64_max_diverges_one_step_later(monkeypatch):
+    # the reference's float64 loss overflows at the heavy sample's step, so
+    # it raised before that step's update; the update's gradient is finite,
+    # so `train` makes it, and the next step's probabilities are NaN
+    ds = small_dataset()
+    w = np.ones(ds.split_size("train"))
+    w[3] = 1.7e308
+    learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
+    learner.params = float64_params(learner.params)
+    updates = {}
+    for name, fit in (("reference", lambda: reference_train(
+            learner, ds, w, epochs=3, learning_rate=0.05, seed=0, batch_size=8)),
+                      ("train", lambda: train(learner, TrainSet(
+                          learner, ds, w, seed=0, batch_size=8),
+                          epochs=3, learning_rate=0.05))):
+        steps = []
+        monkeypatch.setattr(nn, "_sgd_step", lambda *a, real=nn._sgd_step: (
+            steps.append(1), real(*a)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingDivergedError) as err:
+                fit()
+        monkeypatch.undo()
+        assert [str(m.message) for m in caught] == [] and err.value.epoch == 0
+        updates[name] = len(steps)
+    assert updates == {"reference": 1, "train": 2}
+
+
+def test_a_train_set_is_for_one_dtype_and_class_count():
+    ds = small_dataset()
+    learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
+    data = TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0, batch_size=8)
+    # each call gathers epoch 1 of the same permutation
+    first, again = data.epoch(1), data.epoch(1)
+    assert [len(x) for x, _, _ in first] == [8, 8, 6]
+    for a, b in zip(first, again):
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+    f64 = WeakLearner(learner.spec, float64_params(learner.params), 0.0, "t")
+    wide = WeakLearner.initialize(tiny_spec(classes=4), seed=0, learner_id="t")
+    for other in (f64, wide):
+        with pytest.raises(ShapeError, match="cannot train on a float32 train set of 3"):
+            train(other, data, epochs=1, learning_rate=0.05)
 
 
 @pytest.mark.parametrize("epochs", [0, 1])
@@ -258,8 +386,8 @@ def test_train_shares_no_array_with_its_input(epochs):
     ds = small_dataset()
     learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     before = nn.copy_params(learner.params)
-    trained, _ = train(learner, ds, np.ones(ds.split_size("train")), epochs=epochs,
-                       learning_rate=0.05, seed=0)
+    trained = train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0),
+                    epochs=epochs, learning_rate=0.05)
     for p, q, r in zip(trained.params, learner.params, before):
         if p is None:
             continue
@@ -280,7 +408,8 @@ ds = synth_dataset(seed=5, classes=3, samples_per_class=20, shape=(3, 6, 6), noi
 learner = nn.WeakLearner.initialize(spec, seed=0, learner_id="t")
 weights = np.ones(ds.split_size("train"))
 for call in range(3):
-    nn.train(learner, ds, weights, epochs=322, learning_rate=0.05, seed=0)
+    nn.train(learner, nn.TrainSet(learner, ds, weights, seed=0), epochs=322,
+             learning_rate=0.05)
     if call == 0:
         tracemalloc.start()
     print(tracemalloc.get_traced_memory()[0])
@@ -306,18 +435,19 @@ def test_train_rejects_bad_weights():
     ds = small_dataset()
     learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     with pytest.raises(ShapeError):
-        train(learner, ds, np.ones(3), epochs=1, learning_rate=0.05, seed=0)
+        TrainSet(learner, ds, np.ones(3), seed=0)
     for value in (-1.0, 0.0, np.inf, np.nan):
         bad = np.ones(ds.split_size("train"))
         bad[0] = value
         with pytest.raises(ShapeError):
-            train(learner, ds, bad, epochs=1, learning_rate=0.05, seed=0)
+            TrainSet(learner, ds, bad, seed=0)
 
 
 def test_float32_step_with_an_underflowing_true_class_probability_is_finite():
     # logits of +-200 put the true class's probability at exp(-400), which is
-    # 0.0 in float32; a float32 floor of 1e-300 is 0.0 as well, so the loss
-    # was -log 0 = inf and the step raised TrainingDivergedError
+    # 0.0 in float32; a float32 loss with a float32 floor of 1e-300 was
+    # -log 0 = inf, and the step raised TrainingDivergedError. The
+    # probabilities are finite, so the step completes
     learner = WeakLearner.initialize(fc_net(1, 2), seed=0, learner_id="t")
     learner.params[0] = (np.array([[200.0], [-200.0]], dtype=np.float32),
                          np.zeros(2, dtype=np.float32))
@@ -326,10 +456,10 @@ def test_float32_step_with_an_underflowing_true_class_probability_is_finite():
                  splits={"train": np.arange(4), "eval": np.arange(1),
                          "test": np.arange(1)})
     assert forward(learner, x)[:, 1].tolist() == [0.0] * 4
-    trained, history = train(learner, ds, np.ones(4), epochs=1, learning_rate=0.1,
-                             seed=0, batch_size=4)
-    assert history == [pytest.approx(-np.log(1e-300))]   # the floor, in float64
+    trained = train(learner, TrainSet(learner, ds, np.ones(4), seed=0, batch_size=4), epochs=1,
+                    learning_rate=0.1)
     assert all(np.isfinite(p).all() for p in trained.params[0])
+    assert trained.params[0][0].tolist() != learner.params[0][0].tolist()
 
 
 def param_dtypes(learner):
@@ -342,10 +472,10 @@ def test_the_engine_runs_in_float32():
     assert ds.x.dtype == np.float32
     learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
     assert param_dtypes(learner) == {np.dtype(np.float32)}
-    trained, history = train(learner, ds, np.ones(ds.split_size("train")), epochs=1,
-                             learning_rate=0.05, seed=0)
+    trained = train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0),
+                    epochs=1, learning_rate=0.05)
     assert param_dtypes(trained) == {np.dtype(np.float32)}
-    assert all(type(h) is float for h in history)
+    assert all(np.isfinite(v).all() for p in trained.params if p for v in p)
     x = ds.split("eval")[0].astype(np.float64)   # inputs are cast, not followed
     acts = trunk(trained, x)
     assert acts.dtype == forward(trained, x).dtype == forward(trained, x[0]).dtype
@@ -368,8 +498,8 @@ def test_a_float64_learner_trains_and_serves_in_float64():
     ds = small_dataset()
     learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
     learner.params = float64_params(learner.params)
-    trained, _ = train(learner, ds, np.ones(ds.split_size("train")), epochs=1,
-                       learning_rate=0.05, seed=0)
+    data = TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0)
+    trained = train(learner, data, epochs=1, learning_rate=0.05)
     assert param_dtypes(trained) == {np.dtype(np.float64)}
     x = ds.split("eval")[0]
     acts = trunk(trained, x)
@@ -534,13 +664,13 @@ def test_weights_that_float32_rounds_to_0_or_inf_are_rejected_before_training(we
     weights = np.ones(ds.split_size("train"))
     weights[0] = weight
     with pytest.raises(ShapeError, match="positive and finite in float32"):
-        nn.train(net, ds, weights, epochs=1, learning_rate=0.01, seed=0)
+        nn.TrainSet(net, ds, weights, seed=0)
     net.params = float64_params(net.params)
     # a rate small enough that a 1e39 weight does not diverge
-    trained, history = nn.train(net, ds, weights, epochs=1, learning_rate=1e-40,
-                                seed=0)
+    trained = nn.train(net, nn.TrainSet(net, ds, weights, seed=0),
+                       epochs=1, learning_rate=1e-40)
     assert trained.params[0][0].dtype == np.float64
-    assert all(np.isfinite(history))
+    assert all(np.isfinite(v).all() for p in trained.params if p for v in p)
 
 
 def test_fc_only_rejects_activations_of_the_wrong_shape():
@@ -776,10 +906,10 @@ def _engine_outputs(learner, x, y, w):
     """Every array the engine's callers see, as a flat list."""
     spec = learner.spec
     onehot = nn._one_hot(y, spec.class_count, np.float64)
-    loss, grads, probs = nn._loss_and_grads(spec, learner.params, x, onehot, w)
+    loss, grads, probs = loss_and_grads(spec, learner.params, x, onehot, w)
     acts = trunk(learner, x)
-    head_loss, head_grads, _ = nn._loss_and_grads(spec, learner.params, acts,
-                                                  onehot, w, spec.head_start)
+    head_loss, head_grads, _ = loss_and_grads(spec, learner.params, acts,
+                                              onehot, w, spec.head_start)
     updated, fc_probs = train_fc_only(learner, acts, y, w, 0.1)
     out = [np.array(loss), probs, acts, head(learner, acts), forward(learner, x),
            np.array(head_loss), fc_probs]
@@ -835,13 +965,13 @@ def test_large_conv_biases_match_parent_oracle(name, batch, monkeypatch):
     y = forward(learner, x).argmin(axis=1)   # the saturated softmax stays wrong
     w = rng.uniform(0.5, 1.5, size=batch)
     onehot = nn._one_hot(y, spec.class_count, np.float64)
-    got = nn._loss_and_grads(spec, learner.params, x, onehot, w)
+    got = loss_and_grads(spec, learner.params, x, onehot, w)
     outs = [nn._forward_cache(spec, learner.params, x, stop=stop)[0]
             for stop in range(1, len(spec.layers) + 1)]
     with monkeypatch.context() as m:
         m.setattr(nn, "_forward_cache", parent_forward_cache)
         m.setattr(nn, "_backward", parent_backward)
-        want = nn._loss_and_grads(spec, learner.params, x, onehot, w)
+        want = loss_and_grads(spec, learner.params, x, onehot, w)
         want_outs = [parent_forward_cache(spec, learner.params, x, stop=stop)[0]
                      for stop in range(1, len(spec.layers) + 1)]
     conv_grads = [(g, h) for g, h, layer in zip(got[1], want[1], spec.layers)

@@ -4,12 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import tiny_spec
+from conftest import bits, reference_prune_to_budget, tiny_spec
 from enboost import nn, prune
 from enboost.data import synth_dataset
 from enboost.errors import (BudgetInfeasibleError, ConfigError, ShapeError,
                             TrainingDivergedError)
-from enboost.nn import (NetworkSpec, TensorShape, WeakLearner, conv,
+from enboost.nn import (NetworkSpec, TensorShape, TrainSet, WeakLearner, conv,
                         count_macs, count_params, fc, softmax_layer, train)
 from enboost.prune import prune_step, prune_to_budget, rank_filters
 
@@ -112,8 +112,8 @@ def test_retraining_a_pruned_learner_does_not_depend_on_its_layout():
     pruned.params = [p and tuple(map(np.asfortranarray, p)) for p in pruned.params]
     assert not all(a.flags.c_contiguous for p in pruned.params if p for a in p)
     w = np.ones(ds.split_size("train"))
-    a, _ = train(pruned, ds, w, epochs=1, learning_rate=0.05, seed=0)
-    b, _ = train(pruned.copy(), ds, w, epochs=1, learning_rate=0.05, seed=0)
+    a = train(pruned, TrainSet(pruned, ds, w, seed=0), epochs=1, learning_rate=0.05)
+    b = train(pruned.copy(), TrainSet(pruned, ds, w, seed=0), epochs=1, learning_rate=0.05)
     assert a.checksum() == b.checksum()
 
 
@@ -125,14 +125,18 @@ def small_dataset():
 def trained_tiny():
     ds = small_dataset()
     learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
-    learner, _ = train(learner, ds, np.ones(ds.split_size("train")),
-                       epochs=2, learning_rate=0.05, seed=0)
+    learner = train(learner, ones_set(learner, ds), epochs=2, learning_rate=0.05)
     return learner, ds
+
+
+def ones_set(learner, ds, seed=0, batch_size=32):
+    return TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=seed,
+                    batch_size=batch_size)
 
 
 def test_prune_to_budget_identity_fraction():
     learner, ds = trained_tiny()
-    out = prune_to_budget(learner, ds, np.ones(ds.split_size("train")), 1.0, 2, seed=0)
+    out = prune_to_budget(learner, ones_set(learner, ds), 1.0, 2)
     assert out.checksum() == learner.checksum()
     assert out.macs == learner.macs
 
@@ -140,8 +144,7 @@ def test_prune_to_budget_identity_fraction():
 @pytest.mark.parametrize("fraction", [0.5, 0.25], ids=["0.5", "0.25"])
 def test_prune_to_budget_meets_budget(fraction):
     learner, ds = trained_tiny()
-    out = prune_to_budget(learner, ds, np.ones(ds.split_size("train")), fraction, 1,
-                          seed=0)
+    out = prune_to_budget(learner, ones_set(learner, ds), fraction, 1)
     assert out.macs <= int(np.ceil(fraction * learner.macs))
     assert count_params(out.spec) < count_params(learner.spec)
     assert all(out.spec.layers[i].filters >= 1 for i in out.spec.conv_layers)
@@ -149,16 +152,15 @@ def test_prune_to_budget_meets_budget(fraction):
 
 def test_prune_to_budget_deterministic():
     learner, ds = trained_tiny()
-    w = np.ones(ds.split_size("train"))
-    a = prune_to_budget(learner, ds, w, 0.5, 1, seed=0)
-    b = prune_to_budget(learner, ds, w, 0.5, 1, seed=0)
+    a = prune_to_budget(learner, ones_set(learner, ds), 0.5, 1)
+    b = prune_to_budget(learner, ones_set(learner, ds), 0.5, 1)
     assert a.checksum() == b.checksum()
 
 
 def test_prune_to_budget_infeasible_names_layer():
     learner, ds = trained_tiny()
     with pytest.raises(BudgetInfeasibleError) as err:
-        prune_to_budget(learner, ds, np.ones(ds.split_size("train")), 0.001, 0, seed=0)
+        prune_to_budget(learner, ones_set(learner, ds), 0.001, 0)
     assert err.value.layer_index in (0, 2)
 
 
@@ -168,10 +170,43 @@ def test_prune_retrain_divergence_names_learner_and_stage():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TrainingDivergedError) as err:
-            prune_to_budget(learner, ds, np.ones(ds.split_size("train")), 0.5, 2, seed=0)
+            prune_to_budget(learner, ones_set(learner, ds), 0.5, 2)
     assert [str(w.message) for w in caught] == []
     assert (err.value.learner, err.value.stage) == ("t", "prune retrain")
     assert str(err.value).startswith("t: ") and "prune retrain" in str(err.value)
+
+
+def test_prune_retrain_diverges_at_the_step_of_the_poisoned_batch():
+    # trained first, then one sample that a retrain's second batch opens with
+    # turns inf: the first retrain raises in epoch 0, with no numpy warning
+    learner, ds = trained_tiny()
+    rng = np.random.default_rng(5)
+    ds.x[ds.splits["train"][rng.permutation(ds.split_size("train"))[8]]] = np.inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingDivergedError) as err:
+            prune_to_budget(learner, ones_set(learner, ds, seed=5, batch_size=8), 0.5, 2)
+    assert [str(w.message) for w in caught] == []
+    assert (err.value.epoch, err.value.learner, err.value.stage) == (
+        0, "t", "prune retrain")
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+@pytest.mark.parametrize("batch_size", [7, 32])
+def test_prune_to_budget_matches_the_reference(batch_size, epochs):
+    # every retrain reads the TrainSet the learner trained on; the reference
+    # re-slices and redraws the same permutations in each retrain
+    learner, ds = trained_tiny()
+    w = np.random.default_rng(2).uniform(0.2, 3.0, ds.split_size("train"))
+    want = reference_prune_to_budget(learner, ds, w, 0.25, epochs, seed=4,
+                                     learning_rate=0.1, batch_size=batch_size)
+    data = TrainSet(learner, ds, w, seed=4, batch_size=batch_size)
+    train(learner, data, epochs=2, learning_rate=0.1)
+    got = prune_to_budget(learner, data, 0.25, epochs, learning_rate=0.1)
+    assert got.spec == want.spec and got.macs < learner.macs
+    for p, q in zip(got.params, want.params):
+        for a, b in zip(p or (), q or ()):
+            assert np.array_equal(bits(a), bits(b))
 
 
 def test_bundled_baseline_quarter_params(pool4, baseline_spec):
@@ -185,11 +220,10 @@ def test_bundled_baseline_quarter_params(pool4, baseline_spec):
 def test_schedule_validation():
     learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     ds = small_dataset()
-    w = np.ones(ds.split_size("train"))
     with pytest.raises(ConfigError, match="target_mac_fraction"):
-        prune_to_budget(learner, ds, w, 0.0, 1, seed=0)
+        prune_to_budget(learner, ones_set(learner, ds), 0.0, 1)
     with pytest.raises(ConfigError, match="retrain_epochs"):
-        prune_to_budget(learner, ds, w, 0.5, -1, seed=0)
+        prune_to_budget(learner, ones_set(learner, ds), 0.5, -1)
 
 
 def test_each_prune_step_removes_the_lowest_norm_filter_that_may_go(monkeypatch):
@@ -205,7 +239,7 @@ def test_each_prune_step_removes_the_lowest_norm_filter_that_may_go(monkeypatch)
         return prune_step(current, victims)
 
     monkeypatch.setattr(prune, "prune_step", spy)
-    prune_to_budget(learner, ds, np.ones(ds.split_size("train")), 0.25, 1, seed=0)
+    prune_to_budget(learner, ones_set(learner, ds), 0.25, 1)
     assert len(calls) > 1
     for victims, expected in calls:
         assert victims == expected
