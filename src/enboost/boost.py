@@ -25,26 +25,12 @@ PROB_FLOOR = 1e-6  # clamp inside log: the update is singular at p_true = 0
 class PoolConfig:
     pool_size: int                 # M
     ensemble_size: int             # N
-    boost_learning_rate: float = 0.5
-    train_epochs: int = 12
-    retrain_epochs_per_step: int = 4
-    learning_rate: float = 0.1
-    batch_size: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 2 <= self.ensemble_size:
-            raise ConfigError("ensemble_size must be >= 2")
-        if self.pool_size <= self.ensemble_size:
-            raise ConfigError("pool_size must exceed ensemble_size")
-        if self.boost_learning_rate <= 0:
-            raise ConfigError("boost_learning_rate must be > 0")
-        if self.train_epochs < 0:
-            raise ConfigError("train_epochs must be >= 0")
-        if self.retrain_epochs_per_step < 0:
-            raise ConfigError("retrain_epochs_per_step must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+    boost_learning_rate: float
+    train_epochs: int
+    retrain_epochs_per_step: int
+    learning_rate: float
+    batch_size: int
+    seed: int
 
 
 def init_weights(train_size: int) -> np.ndarray:
@@ -112,10 +98,9 @@ def build_pool(base_spec: NetworkSpec, dataset, cfg: PoolConfig):
 
 
 # ---------------------------------------------------------------------------
-# pool persistence: pool.json plus one spec json and one .npy per learner, in
-# the parameters' dtype (float32; a pool written before float32 holds
-# float64, and its learners run in float64); the manifest records each
-# learner's parameter checksum and MACs, which loading checks
+# pool persistence: pool.json plus one spec json and one float32 .npy per
+# learner; the manifest records each learner's parameter checksum and MACs,
+# which loading checks
 
 POOL_VERSION = 2
 
@@ -146,9 +131,8 @@ def load_pool(pool_dir):
             checksum = entry["params_checksum"]   # a missing key names pool.json
             with artifacts.reading(root / entry["params"]):
                 flat = np.load(root / entry["params"])
-                if flat.dtype not in (np.float32, np.float64):
-                    raise ValueError("parameters must be float32 or float64, "
-                                     f"got {flat.dtype}")
+                if flat.dtype != np.float32:
+                    raise ValueError(f"parameters must be float32, got {flat.dtype}")
                 params = unflatten_params(spec, flat)
                 # the bytes `params_checksum(params)` hashes: `unflatten_params`
                 # copies the vector's slices in order

@@ -1,8 +1,11 @@
 """Project configuration: one JSON document driving the whole pipeline.
 
-The document is validated up front (types checked, unknown keys rejected)
-before any command does work. Relative paths resolve against the config
-file's directory.
+`_SCHEMA` is the one place a config default or range is stated. The
+document is validated against it up front (types and ranges checked,
+unknown keys rejected) before any command does work; the builders below
+then pass every value to constructors that take each one as a required
+argument and do not check it again. Relative paths resolve against the
+config file's directory.
 """
 from __future__ import annotations
 

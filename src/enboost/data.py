@@ -70,11 +70,8 @@ def _class_patterns(rng, classes, shape):
     return patterns
 
 
-def synth_dataset(seed, classes=6, samples_per_class=100, shape=(3, 12, 12),
-                  noise=2.5) -> Dataset:
+def synth_dataset(seed, classes, samples_per_class, shape, noise) -> Dataset:
     """Gaussian-blob image classification set; deterministic given seed."""
-    if not 2 <= classes:
-        raise ConfigError("need >= 2 classes")
     rng = np.random.default_rng(seed)
     patterns = _class_patterns(rng, classes, shape)
     n = classes * samples_per_class
@@ -103,7 +100,7 @@ def drift_dataset(ds: Dataset, seed=0) -> Dataset:
                    splits={k: v.copy() for k, v in ds.splits.items()})
 
 
-def load_csv(path, input_shape, class_count, seed=0) -> Dataset:
+def load_csv(path, input_shape, class_count, seed) -> Dataset:
     """One row per sample of UTF-8 text: a label in [0, class_count), then
     channel-major flattened pixels, each a finite number within float32's
     range."""

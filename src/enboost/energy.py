@@ -18,18 +18,10 @@ from .errors import ConfigError, TraceError
 @dataclass(frozen=True)
 class Capacitor:
     """The storage part; `voltage` is its charge when a run starts."""
-    capacitance: float = 0.47   # farads
-    v_max: float = 4.2          # regulated charging ceiling, volts
-    v_cutoff: float = 1.7       # device browns out below this, volts
-    voltage: float = 4.2
-
-    def __post_init__(self):
-        if not self.capacitance > 0.0:
-            raise ConfigError("need capacitance > 0")
-        if not 0.0 < self.v_cutoff < self.v_max:
-            raise ConfigError("need 0 < v_cutoff < v_max")
-        if not 0.0 <= self.voltage <= self.v_max:
-            raise ConfigError("voltage outside [0, v_max]")
+    capacitance: float   # farads
+    v_max: float         # regulated charging ceiling, volts
+    v_cutoff: float      # device browns out below this, volts
+    voltage: float
 
     @property
     def energy(self) -> float:
@@ -123,17 +115,15 @@ def load_trace(path) -> PowerTrace:
         raise TraceError(f"{path}: {exc}") from exc
 
 
-def synth_trace(seed, profile, duration, sample_interval=1.0,
-                period=200.0, high_power=0.02, burst_rate=0.02,
-                constant_power=None) -> PowerTrace:
-    """Deterministic synthetic traces.
+def synth_trace(seed, profile, duration, sample_interval, period, high_power,
+                burst_rate, constant_power=None) -> PowerTrace:
+    """Deterministic synthetic traces, from the keys of
+    `energy.trace.synthetic` as `config.validate_config` checks them.
 
     profile "day-night": square wave, high_power for the first half of each
     period and 0 for the second half. "bursty": Poisson-ish random bursts.
     "constant": fixed power (constant_power).
     """
-    if duration <= 0:
-        raise ConfigError("duration must be > 0")
     rng = np.random.default_rng(seed)
     t = np.arange(0.0, duration, sample_interval)
     if profile == "day-night":
@@ -142,26 +132,17 @@ def synth_trace(seed, profile, duration, sample_interval=1.0,
     elif profile == "bursty":
         on = rng.random(t.size) < burst_rate
         p = np.where(on, high_power * rng.uniform(0.5, 1.5, size=t.size), 0.0)
-    elif profile == "constant":
-        if constant_power is None:
-            raise ConfigError("constant profile needs constant_power")
+    else:   # "constant"
         p = np.full(t.size, float(constant_power))
-    else:
-        raise ConfigError(f"unknown trace profile {profile!r}")
     return PowerTrace(times=t, power=p, source=f"synthetic:{profile}:{seed}")
 
 
 @dataclass(frozen=True)
 class CostModel:
-    energy_per_mac: float = 1e-9          # joules
-    per_inference_overhead: float = 1e-4  # joules per learner execution
-    sleep_power: float = 5e-6             # watts
-    fc_retrain_energy_fraction: float = 0.1  # FC-backward cost / forward cost
-
-    def __post_init__(self):
-        for name, v in self.__dict__.items():
-            if v < 0:
-                raise ConfigError(f"cost model field {name} must be >= 0")
+    energy_per_mac: float               # joules
+    per_inference_overhead: float       # joules per learner execution
+    sleep_power: float                  # watts
+    fc_retrain_energy_fraction: float   # FC-backward cost / forward cost
 
 
 def inference_cost(learner_macs: int, cost_model: CostModel) -> float:
@@ -172,12 +153,6 @@ def inference_cost(learner_macs: int, cost_model: CostModel) -> float:
 class RequestPattern:
     period: float          # seconds between inference requests
     horizon: float         # total simulated seconds
-
-    def __post_init__(self):
-        if self.period <= 0:
-            raise ConfigError("request period must be > 0")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be > 0")
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,14 @@
 per-sample weighted cross-entropy training, and exact MAC accounting.
 
 The engine runs in the dtype of a learner's parameters: `init_params`
-makes float32 ones, as the devices the pipeline targets train in float32,
-and a learner with float64 parameters (a pool written before float32)
-trains and serves in float64. Inputs, one-hot labels and sample weights
-are cast to that dtype where they meet the parameters; a `TrainSet` casts
-a train split once for every `train` call of one learner. Training
-computes the loss's gradient, never the loss itself: a step diverged when
-its batch probabilities are not finite. All randomness goes through seeded
-`numpy.random.default_rng` instances, so training is bit-reproducible given
-(seed, data, weights, hyperparameters).
+makes float32 ones, as the devices the pipeline targets train in float32.
+Inputs, one-hot labels and sample weights are cast to that dtype where they
+meet the parameters; a `TrainSet` casts a train split once for every
+`train` call of one learner. Training computes the loss's gradient, never
+the loss itself: a step diverged when its batch probabilities are not
+finite. All randomness goes through seeded `numpy.random.default_rng`
+instances, so training is bit-reproducible given (seed, data, weights,
+hyperparameters).
 
 Memory layout. Callers see (b, c, h, w) batches; between layers the engine
 keeps them batch-last, (c, h, w, b), and an FC or softmax output as
@@ -608,7 +607,7 @@ class TrainSet:
     `default_rng(seed)`, drawn once, on first use, so every `train` call on
     one set reads the same batches in epoch e."""
 
-    def __init__(self, learner: WeakLearner, dataset, sample_weights, seed, batch_size=32):
+    def __init__(self, learner: WeakLearner, dataset, sample_weights, seed, batch_size):
         x, y = dataset.split("train")
         self.dtype = params_dtype(learner.params)
         self.class_count = learner.spec.class_count

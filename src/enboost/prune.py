@@ -62,7 +62,7 @@ def prune_step(learner: WeakLearner, victims: dict) -> WeakLearner:
 
 
 def prune_to_budget(learner: WeakLearner, data: TrainSet, target_mac_fraction: float,
-                    retrain_epochs: int, learning_rate=0.1) -> WeakLearner:
+                    retrain_epochs: int, learning_rate) -> WeakLearner:
     """Remove the globally lowest-L2 filter, one per step, until count_macs
     <= ceil(target_mac_fraction * original), retraining `retrain_epochs`
     epochs of `data` after every step. The result is not evaluated."""

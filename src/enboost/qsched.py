@@ -17,7 +17,7 @@ request-to-request time, not prefix depth.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -59,13 +59,11 @@ def power_terciles(trace: PowerTrace):
 
 @dataclass(frozen=True)
 class RewardParams:
-    beta: float = 0.05
-    p_miss: float = 0.5
+    beta: float
+    p_miss: float
     delta_acc: tuple = ()
 
     def __post_init__(self):
-        if self.beta < 0 or self.p_miss < 0:
-            raise ConfigError("beta and p_miss must be >= 0")
         object.__setattr__(self, "delta_acc", tuple(self.delta_acc))
 
 
@@ -84,23 +82,22 @@ def reward(l, a, params: RewardParams, energy_fraction) -> float:
 
 @dataclass(frozen=True)
 class QHyperParams:
-    learning_rate: float = 0.1
-    discount: float = 0.9
-    epsilon_start: float = 0.3
-    epsilon_end: float = 0.01
-    anneal_fraction: float = 0.8
+    learning_rate: float
+    discount: float
+    epsilon_start: float
+    epsilon_end: float
+    anneal_fraction: float
 
 
 @dataclass
 class QTable:
     values: np.ndarray   # (state count, 2)
     n: int
-    hyper: QHyperParams = field(default_factory=QHyperParams)
+    hyper: QHyperParams
 
     @classmethod
-    def zeros(cls, n, hyper=None) -> "QTable":
-        return cls(values=np.zeros((state_space_size(n), 2)), n=n,
-                   hyper=hyper or QHyperParams())
+    def zeros(cls, n, hyper) -> "QTable":
+        return cls(values=np.zeros((state_space_size(n), 2)), n=n, hyper=hyper)
 
 
 # `act` and `q_update` take a table's rows (the value array, or its rows as
@@ -395,7 +392,7 @@ class _QLearner(Agent):
 
 
 def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
-                  hyper: QHyperParams = None):
+                  hyper: QHyperParams):
     """Episodic epsilon-greedy Q-learning against the simulated device.
 
     Each episode replays the trace from the start. Misses that happen while
@@ -403,10 +400,7 @@ def train_offline(env: EnvConfig, ensemble_model, episodes, seed,
     action. Returns (QTable, per-episode cumulative reward list); 0 episodes
     give the all-zero table.
     """
-    if episodes < 0:
-        raise ConfigError(f"episodes must be >= 0, got {episodes}")
     params = replace(env.reward, delta_acc=tuple(ensemble_model.delta_acc))
-    hyper = hyper or QHyperParams()
     n = ensemble_model.size
     table = QTable.zeros(n, hyper)
     rows = table.values.tolist()

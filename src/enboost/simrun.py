@@ -73,13 +73,11 @@ class SimConfig:
     ensemble: EnsembleModel
     dataset: Dataset
     policy: object
-    seed: int = 0
-    retrain_mode: str = "off"
-    retrain_learning_rate: float = 0.05
+    seed: int
+    retrain_mode: str   # one of RETRAIN_MODES
+    retrain_learning_rate: float
 
     def __post_init__(self):
-        if self.retrain_mode not in RETRAIN_MODES:
-            raise ConfigError(f"unknown retrain mode {self.retrain_mode!r}")
         if self.dataset.class_count != self.ensemble.class_count:
             # a vote can only name the ensemble's classes
             raise ConfigError(f"the dataset has {self.dataset.class_count} classes "

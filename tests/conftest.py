@@ -12,13 +12,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from enboost import boost, config, ensemble, nn, prune, qsched
+from enboost import boost, config, ensemble, nn, prune, qsched, simrun
 from enboost.data import synth_dataset
-from enboost.energy import Capacitor, Device, PowerTrace
+from enboost.energy import Capacitor, CostModel, Device, PowerTrace, synth_trace
 from enboost.errors import ConfigError, TrainingDivergedError
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs, fc,
                         softmax_layer)
-from enboost.qsched import ENERGY_LEVELS, POWER_LEVELS, Agent, act, q_update, reward
+from enboost.qsched import (ENERGY_LEVELS, POWER_LEVELS, Agent, RewardParams, act,
+                            q_update, reward)
 
 
 def bits(a):
@@ -91,6 +92,59 @@ def power_at(trace: PowerTrace, t: float) -> float:
 def usable_fraction(device: Device) -> float:
     """The device's usable energy over its capacitor's max usable energy."""
     return device.usable_energy / device.cap.max_usable_energy
+
+
+# ---------------------------------------------------------------------------
+# the pipeline's objects as the config builds them: each value a test does
+# not state is `config.default_config()`'s, the one source of defaults
+
+
+def defaults(*keys):
+    """The section of `config.default_config()` at `keys`."""
+    section = config.default_config()
+    for key in keys:
+        section = section[key]
+    return section
+
+
+def capacitor(capacitance, **given) -> Capacitor:
+    """A store of `capacitance` farads with the config's v_max and v_cutoff,
+    charged to its v_max, as `config.make_env` charges it, unless `voltage`
+    is given."""
+    cap = defaults("energy", "capacitor")
+    return Capacitor(**{**cap, "voltage": given.get("v_max", cap["v_max"]),
+                        "capacitance": capacitance, **given})
+
+
+def cost_model(**given) -> CostModel:
+    return CostModel(**{**defaults("energy", "cost_model"), **given})
+
+
+def reward_params(**given) -> RewardParams:
+    return RewardParams(**{**defaults("scheduler", "reward"), **given})
+
+
+def q_hyper(**given) -> qsched.QHyperParams:
+    return replace(config.make_qhyper(config.default_config()), **given)
+
+
+def pool_config(**given) -> boost.PoolConfig:
+    return replace(config.make_pool_config(config.default_config()), **given)
+
+
+def sim_config(env, ensemble, dataset, policy, **given) -> simrun.SimConfig:
+    sim = defaults("simulation")
+    kwargs = {key: sim[key] for key in ("seed", "retrain_mode", "retrain_learning_rate")}
+    return simrun.SimConfig(env=env, ensemble=ensemble, dataset=dataset, policy=policy,
+                            **{**kwargs, **given})
+
+
+def constant_trace(duration, power, **given) -> PowerTrace:
+    """A synthetic trace of constant `power` watts; the parameters it ignores
+    (period, high power, burst rate), its seed and, unless given, its sample
+    interval are the config's."""
+    return synth_trace(**{**defaults("energy", "trace", "synthetic"), "profile": "constant",
+                          "duration": duration, "constant_power": power, **given})
 
 
 def tiny_spec(input_shape=(2, 8, 8), classes=3, filters=(4, 6)):
@@ -459,7 +513,7 @@ def loss_and_grads(spec, params, x, y_onehot, weights, start=0):
 
 
 def reference_train(learner, dataset, sample_weights, epochs, learning_rate,
-                    seed, batch_size=32):
+                    seed, batch_size):
     """(trained learner, per-epoch mean loss history)."""
     x, y = dataset.split("train")
     spec = learner.spec
@@ -489,7 +543,7 @@ def reference_train(learner, dataset, sample_weights, epochs, learning_rate,
 
 
 def reference_prune_to_budget(learner, dataset, sample_weights, target_mac_fraction,
-                              retrain_epochs, seed, learning_rate=0.1, batch_size=32):
+                              retrain_epochs, seed, learning_rate, batch_size):
     target = math.ceil(target_mac_fraction * learner.macs)
     current = learner
     while current.macs > target:

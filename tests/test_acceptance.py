@@ -7,21 +7,21 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (SchedulerState, brute_force_select, encode_state,
-                      gradient_check, max_single_filter_macs, tiny_spec,
+from conftest import (SchedulerState, brute_force_select, capacitor, constant_trace,
+                      cost_model, encode_state, gradient_check, max_single_filter_macs,
+                      pool_config, q_hyper, reward_params, sim_config, tiny_spec,
                       weighted_vote)
 from enboost import boost, config, ensemble as ens, qsched, simrun
-from enboost.boost import (PoolConfig, build_pool, init_weights,
+from enboost.boost import (build_pool, init_weights,
                            update_weights, weight_multipliers)
 from enboost.data import drift_dataset, synth_dataset
-from enboost.energy import (Capacitor, CostModel, RequestPattern,
-                            inference_cost, synth_trace)
+from enboost.energy import RequestPattern, inference_cost
 from enboost.ensemble import backfit_select, pool_eval_probs, subset_accuracy
 from enboost.nn import (NetworkSpec, TensorShape, avgpool, conv, count_macs,
                         count_params, evaluate, fc, forward, params_checksum, softmax_layer, train_fc_only, trunk)
-from enboost.qsched import (EnvConfig, QHyperParams, QTable, RewardParams, act,
+from enboost.qsched import (EnvConfig, QTable, act,
                             load_qtable, q_update, save_qtable, train_offline)
-from enboost.simrun import (FixedKPolicy, QPolicy, SimConfig, run,
+from enboost.simrun import (FixedKPolicy, QPolicy, run,
                             run_concurrent_training)
 
 # reports accumulated by the scheduling criteria; the energy-accounting
@@ -64,7 +64,7 @@ def test_mac_budget_for_two_and_four_learners(pool4, model4, baseline_spec,
     baseline_macs = count_macs(baseline_spec)
     slack = max_single_filter_macs(baseline_spec)
 
-    pool2_cfg = PoolConfig(
+    pool2_cfg = pool_config(
         pool_size=6, ensemble_size=2,
         train_epochs=bundled_cfg["pool"]["train_epochs"],
         learning_rate=bundled_cfg["pool"]["learning_rate"],
@@ -117,10 +117,10 @@ def test_backfit_tracks_brute_force(baseline_spec, bundled_dataset):
     close = greedy_ok = 0
     for seed in range(20):
         # reduced epochs per pool keep 20 builds inside the runtime bound
-        cfg = PoolConfig(pool_size=6, ensemble_size=3, train_epochs=8,
-                         learning_rate=0.1,
-                         retrain_epochs_per_step=1,
-                         seed=seed)
+        cfg = pool_config(pool_size=6, ensemble_size=3, train_epochs=8,
+                          learning_rate=0.1,
+                          retrain_epochs_per_step=1,
+                          seed=seed)
         pool, _ = build_pool(baseline_spec, bundled_dataset, cfg)
         model = backfit_select(pool, 3, ex, ey)
         _, best = brute_force_select(pool, 3, ex, ey)
@@ -190,7 +190,7 @@ def test_toy_mdp_recovers_optimal_policy():
     start = time.monotonic()
     s0, s1, s2 = _chain_states()
     for seed in range(5):
-        table = QTable.zeros(2, QHyperParams(learning_rate=0.2, discount=0.9))
+        table = QTable.zeros(2, q_hyper(learning_rate=0.2, discount=0.9))
         rng = np.random.default_rng(seed)
         done = 0
         while done < 10_000:
@@ -221,8 +221,8 @@ def test_q_policy_beats_all_n(model4, bundled_cfg, bundled_dataset):
     episodes = bundled_cfg["scheduler"]["episodes"]
 
     def sim(policy):
-        report = run(SimConfig(env=env, ensemble=model4,
-                               dataset=bundled_dataset, policy=policy))
+        report = run(sim_config(env=env, ensemble=model4,
+                                dataset=bundled_dataset, policy=policy))
         COMPLETED_REPORTS.append(report)
         return report
 
@@ -230,7 +230,8 @@ def test_q_policy_beats_all_n(model4, bundled_cfg, bundled_dataset):
     assert baseline.failure_rate is not None and baseline.failure_rate > 0
     wins = 0
     for seed in range(5):
-        table, _ = train_offline(env, model4, episodes, seed)
+        table, _ = train_offline(env, model4, episodes, seed,
+                                 config.make_qhyper(bundled_cfg))
         report = sim(QPolicy(table))
         reduction = simrun.failure_rate_reduction(report, baseline)
         drop = baseline.mean_accuracy - report.mean_accuracy
@@ -251,8 +252,8 @@ def test_q_policy_beats_all_n(model4, bundled_cfg, bundled_dataset):
 
 def test_energy_closure(model4, bundled_cfg, bundled_dataset):
     env = config.make_env(bundled_cfg)
-    fresh = run(SimConfig(env=env, ensemble=model4, dataset=bundled_dataset,
-                          policy=FixedKPolicy(2, model4.size)))
+    fresh = run(sim_config(env=env, ensemble=model4, dataset=bundled_dataset,
+                           policy=FixedKPolicy(2, model4.size)))
     for report in COMPLETED_REPORTS + [fresh]:
         assert report.energy_closure_error() < 1e-6
     print(f"[criterion 9] energy books close < 1e-6 J on "
@@ -263,13 +264,11 @@ def test_energy_closure(model4, bundled_cfg, bundled_dataset):
 # 10: concurrent-training contracts
 
 
-def _abundant_env(model, requests, cost_model=None):
-    trace = synth_trace(0, "constant", duration=requests + 1.0,
-                        constant_power=0.05)
-    return EnvConfig(capacitor=Capacitor(capacitance=0.01), trace=trace,
-                     cost_model=cost_model or CostModel(),
+def _abundant_env(model, requests, cm=None):
+    return EnvConfig(capacitor=capacitor(0.01), trace=constant_trace(requests + 1.0, 0.05),
+                     cost_model=cm or cost_model(),
                      requests=RequestPattern(period=1.0, horizon=float(requests)),
-                     reward=RewardParams(delta_acc=tuple(model.delta_acc)))
+                     reward=reward_params(delta_acc=tuple(model.delta_acc)))
 
 
 def test_fc_retraining_preserves_conv_parameters(model4):
@@ -296,8 +295,8 @@ def test_low_energy_mode_saves_quarter_energy(model4, bundled_dataset):
     model = ens.EnsembleModel(learners=learners, vote_weights=[1.0] * 4,
                               acc_profile=[0.5] * 4)
     env = _abundant_env(model, requests=10)
-    cfg = SimConfig(env=env, ensemble=model, dataset=bundled_dataset,
-                    policy=FixedKPolicy(4, 4), retrain_mode="low-energy")
+    cfg = sim_config(env=env, ensemble=model, dataset=bundled_dataset,
+                     policy=FixedKPolicy(4, 4), retrain_mode="low-energy")
     report, _, _ = run_concurrent_training(cfg, bundled_dataset)
     cost = inference_cost(learners[0].macs, env.cost_model)
     assert report.learners_histogram == {3: 10}
@@ -309,14 +308,14 @@ def test_low_energy_mode_saves_quarter_energy(model4, bundled_dataset):
 
 def test_forward_reuse_predictions_bit_exact(model4, bundled_dataset):
     # zero-rate retraining must reproduce the no-retraining run verbatim
-    cm = CostModel(fc_retrain_energy_fraction=0.0)
-    env = _abundant_env(model4, requests=30, cost_model=cm)
-    plain = run(SimConfig(env=env, ensemble=model4, dataset=bundled_dataset,
-                          policy=FixedKPolicy(4, 4)))
+    cm = cost_model(fc_retrain_energy_fraction=0.0)
+    env = _abundant_env(model4, requests=30, cm=cm)
+    plain = run(sim_config(env=env, ensemble=model4, dataset=bundled_dataset,
+                           policy=FixedKPolicy(4, 4)))
     frozen, _, _ = run_concurrent_training(
-        SimConfig(env=env, ensemble=model4, dataset=bundled_dataset,
-                  policy=FixedKPolicy(4, 4), retrain_mode="high-energy",
-                  retrain_learning_rate=0.0),
+        sim_config(env=env, ensemble=model4, dataset=bundled_dataset,
+                   policy=FixedKPolicy(4, 4), retrain_mode="high-energy",
+                   retrain_learning_rate=0.0),
         bundled_dataset)
     assert [e["predicted"] for e in frozen.events] == \
            [e["predicted"] for e in plain.events]
@@ -324,9 +323,9 @@ def test_forward_reuse_predictions_bit_exact(model4, bundled_dataset):
     # with live updates, each request's prediction still comes from the
     # pre-update parameters: replay the event log against shadow learners
     env = _abundant_env(model4, requests=30)
-    cfg = SimConfig(env=env, ensemble=model4, dataset=bundled_dataset,
-                    policy=FixedKPolicy(4, 4), retrain_mode="high-energy",
-                    retrain_learning_rate=0.05)
+    cfg = sim_config(env=env, ensemble=model4, dataset=bundled_dataset,
+                     policy=FixedKPolicy(4, 4), retrain_mode="high-energy",
+                     retrain_learning_rate=0.05)
     report, _, _ = run_concurrent_training(cfg, bundled_dataset)
     shadow = [l.copy() for l in model4.learners]
     sx, sy = bundled_dataset.split("test")
@@ -352,19 +351,19 @@ def test_drift_retraining_improves(bundled_cfg):
     for seed in range(5):
         ds = synth_dataset(seed=5, classes=3, samples_per_class=24,
                            shape=(2, 8, 8), noise=0.5)
-        cfg = PoolConfig(pool_size=3, ensemble_size=2, train_epochs=12,
-                         learning_rate=0.1,
-                         retrain_epochs_per_step=1,
-                         seed=seed)
+        cfg = pool_config(pool_size=3, ensemble_size=2, train_epochs=12,
+                          learning_rate=0.1,
+                          retrain_epochs_per_step=1,
+                          seed=seed)
         pool, _ = build_pool(tiny_spec(), ds, cfg)
         ex, ey = ds.split("eval")
         model = backfit_select(pool, 2, ex, ey)
         drift = drift_dataset(ds)
         env = _abundant_env(model, requests=300)
-        sim_cfg = SimConfig(env=env, ensemble=model, dataset=ds,
-                            policy=FixedKPolicy(2, 2),
-                            retrain_mode="high-energy",
-                            retrain_learning_rate=0.05)
+        sim_cfg = sim_config(env=env, ensemble=model, dataset=ds,
+                             policy=FixedKPolicy(2, 2),
+                             retrain_mode="high-energy",
+                             retrain_learning_rate=0.05)
         report, before, after = run_concurrent_training(sim_cfg, drift)
         assert report.retrain_events > 0
         wins += all(a > b for a, b in zip(after, before))

@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import float64_params, tiny_spec
+from conftest import float64_params, pool_config, tiny_spec
 from enboost import boost, nn, prune
-from enboost.boost import (PoolConfig, build_pool, init_weights, load_pool,
+from enboost.boost import (build_pool, init_weights, load_pool,
                            normalize, save_pool, update_weights,
                            weight_multipliers)
 from enboost.data import synth_dataset
@@ -62,24 +62,24 @@ def test_sample_weights_validation():
         w = init_weights(ds.split_size("train"))
         w[0] = value
         with pytest.raises(ShapeError):
-            TrainSet(learner, ds, w, seed=cfg.seed)
+            TrainSet(learner, ds, w, seed=cfg.seed, batch_size=cfg.batch_size)
 
 
 def small_pool_setup():
     ds = synth_dataset(seed=5, classes=3, samples_per_class=16,
                        shape=(2, 8, 8), noise=1.5)
-    cfg = PoolConfig(pool_size=3, ensemble_size=2, train_epochs=3,
-                     learning_rate=0.05,
-                     retrain_epochs_per_step=1,
-                     seed=0)
+    cfg = pool_config(pool_size=3, ensemble_size=2, train_epochs=3,
+                      learning_rate=0.05,
+                      retrain_epochs_per_step=1,
+                      seed=0)
     return tiny_spec(), ds, cfg
 
 
 def test_update_weights_contract():
     spec, ds, cfg = small_pool_setup()
     learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
-    learner = train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0),
-                    epochs=3, learning_rate=0.05)
+    data = TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0, batch_size=32)
+    learner = train(learner, data, epochs=3, learning_rate=0.05)
     w0 = init_weights(ds.split_size("train"))
     w1 = update_weights(w0, learner, ds, alpha=0.5)
     assert w1.shape == w0.shape
@@ -104,21 +104,6 @@ def test_update_weights_rejects_a_weight_that_rounds_to_0_in_the_learners_dtype(
         update_weights(w, learner, ds, alpha=1e-9)
     learner.params = float64_params(learner.params)
     assert update_weights(w, learner, ds, alpha=1e-9)[0] > 0
-
-
-def test_pool_config_validation():
-    with pytest.raises(ConfigError):
-        PoolConfig(pool_size=2, ensemble_size=2)
-    with pytest.raises(ConfigError):
-        PoolConfig(pool_size=3, ensemble_size=1)
-    with pytest.raises(ConfigError):
-        PoolConfig(pool_size=3, ensemble_size=2, boost_learning_rate=0.0)
-    with pytest.raises(ConfigError):
-        PoolConfig(pool_size=3, ensemble_size=2, batch_size=0)
-    with pytest.raises(ConfigError):
-        PoolConfig(pool_size=3, ensemble_size=2, train_epochs=-1)
-    with pytest.raises(ConfigError):
-        PoolConfig(pool_size=3, ensemble_size=2, retrain_epochs_per_step=-1)
 
 
 def test_build_pool_shape_and_budget():
@@ -221,34 +206,22 @@ def test_pool_round_trip(tmp_path):
         128 + 4 * nn.count_params(loaded[0].spec))
 
 
-def float64_pool(tmp_path):
-    """A pool as written before float32: float64 `.npy` files, and the
-    checksums of their bytes."""
+def test_a_float64_pool_is_rejected_naming_its_file(tmp_path):
+    # a pool as written before float32: float64 `.npy` files, and the
+    # checksums of their bytes
     spec, ds, cfg = small_pool_setup()
     pool, _ = build_pool(spec, ds, cfg)
     for learner in pool:
         learner.params = float64_params(learner.params)
     save_pool(pool, tmp_path / "pool")
-    return pool, ds
+    path = tmp_path / "pool" / "learner-00.params.npy"
+    with pytest.raises(ArtifactError, match=f"^{path}: parameters must be float32, "
+                                            "got float64$"):
+        load_pool(tmp_path / "pool")
 
 
-def test_a_float64_pool_loads_trains_and_serves_in_float64(tmp_path):
-    pool, ds = float64_pool(tmp_path)
-    loaded = load_pool(tmp_path / "pool")
-    assert [l.checksum() for l in loaded] == [l.checksum() for l in pool]
-    x = ds.split("eval")[0]
-    for learner in loaded:
-        assert {a.dtype for p in learner.params if p is not None for a in p} == {
-            np.dtype(np.float64)}
-        assert forward(learner, x).dtype == np.float64
-    data = TrainSet(loaded[0], ds, np.ones(ds.split_size("train")), seed=0)
-    trained = train(loaded[0], data, epochs=1, learning_rate=0.1)
-    assert {a.dtype for p in trained.params if p is not None for a in p} == {
-        np.dtype(np.float64)}
-
-
-@pytest.mark.parametrize("dtype", [np.int64, np.float16])
-def test_load_pool_rejects_parameters_neither_float32_nor_float64(tmp_path, dtype):
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, np.float64])
+def test_load_pool_rejects_parameters_other_than_float32(tmp_path, dtype):
     # even with a matching checksum: the engine would run in their dtype
     save_pool(build_pool(*small_pool_setup())[0], tmp_path / "pool")
     manifest = json.loads((tmp_path / "pool" / "pool.json").read_text())
@@ -258,6 +231,6 @@ def test_load_pool_rejects_parameters_neither_float32_nor_float64(tmp_path, dtyp
     checksum = hashlib.sha256(flat.tobytes()).hexdigest()
     manifest["learners"][0]["params_checksum"] = checksum
     (tmp_path / "pool" / "pool.json").write_text(json.dumps(manifest))
-    with pytest.raises(ArtifactError, match=f"{path}: parameters must be float32 or "
-                                            f"float64, got {np.dtype(dtype)}"):
+    with pytest.raises(ArtifactError, match=f"{path}: parameters must be float32, "
+                                            f"got {np.dtype(dtype)}"):
         load_pool(tmp_path / "pool")

@@ -1032,6 +1032,9 @@ CORRUPT_ARTIFACTS = {
         lambda d: d["layers"][0].pop("activation"))),
     "qtable-unknown-hyper": ("q.json", _edit_json(
         lambda d: d["hyperparameters"].update(bogus=1))),
+    # every hyperparameter is stated: none is filled in from a default
+    "qtable-no-discount": ("q.json", _edit_json(
+        lambda d: d["hyperparameters"].pop("discount"))),
     "qtable-no-values": ("q.json", _edit_json(lambda d: d.pop("values"))),
     "qtable-version-1": ("q.json", _edit_json(_as_version_1)),
 }

@@ -1,4 +1,6 @@
 """Config schema validation and builders."""
+import dataclasses
+import inspect
 import json
 import re
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import PolicyAgent, schema_leaves
-from enboost import config, qsched
+from enboost import boost, config, data, energy, nn, prune, qsched, simrun
 from enboost.errors import ConfigError
 from enboost.nn import count_macs, count_params
 
@@ -182,7 +184,8 @@ def test_make_pool_config_prunes_to_one_over_n():
 def test_make_env_defaults():
     cfg = config.default_config()
     env = config.make_env(cfg)
-    assert env.capacitor.voltage == env.capacitor.v_max
+    assert env.capacitor.capacitance == 2.2e-3
+    assert env.capacitor.voltage == env.capacitor.v_max == 4.2
     assert env.requests.period == 10.0
     assert env.requests.horizon == env.trace.horizon == env.horizon
     t1, t2 = env.power_thresholds
@@ -286,14 +289,25 @@ def test_every_numeric_leaf_has_a_range_its_default_satisfies():
 @pytest.mark.parametrize("key,value,text", [
     ("pool.learning_rate", -1, "> 0"),
     ("pool.batch_size", 0, ">= 1"),
+    ("pool.boost_learning_rate", 0.0, "> 0"),
+    ("pool.train_epochs", -1, ">= 0"),
+    ("pool.prune.retrain_epochs_per_step", -1, ">= 0"),
+    ("ensemble.size", 1, ">= 2"),
+    ("dataset.generator.classes", 1, ">= 2"),
+    ("energy.cost_model.energy_per_mac", -1.0, ">= 0"),
     ("energy.trace.synthetic.period", 0, "> 0"),
     ("energy.trace.synthetic.burst_rate", 1.5, "in [0, 1]"),
     ("energy.harvester_efficiency", 0, "in (0, 1]"),
+    ("scheduler.reward.beta", -0.1, ">= 0"),
+    ("scheduler.reward.p_miss", -1.0, ">= 0"),
     ("scheduler.q.epsilon_start", -0.25, "in [0, 1]"),
-    ("energy.trace.synthetic.profile", "sunny",
-     "one of 'day-night', 'bursty', 'constant'"),
-    ("simulation.retrain_mode", "always",
-     "one of 'off', 'high-energy', 'low-energy', 'auto'"),
+    ("scheduler.episodes", -1, ">= 0"),
+    ("simulation.request_period", 0.0, "> 0"),
+    ("simulation.duration", -1.0, "> 0"),
+    *[("energy.trace.synthetic.profile", profile,
+       "one of 'day-night', 'bursty', 'constant'") for profile in ("sunny", "lunar")],
+    *[("simulation.retrain_mode", mode,
+       "one of 'off', 'high-energy', 'low-energy', 'auto'") for mode in ("always", "sometimes")],
 ])
 def test_out_of_range_value_names_key_range_and_value(key, value, text):
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be "
@@ -333,3 +347,38 @@ def test_sgd_step_bound_counts_the_default_build(monkeypatch):
     monkeypatch.setattr(config, "MAX_SGD_STEPS", 10_367)
     with pytest.raises(ConfigError, match=r"at most 10367 SGD steps, got 10368$"):
         config.check_sgd_steps(cfg, spec, train_size)
+
+
+# the fields and parameters that take a value the config builders pass: the
+# schema states its default and range, so code states neither (None: every
+# field of the dataclass)
+SCHEMA_BACKED = [
+    (boost.PoolConfig, None),
+    (energy.Capacitor, None),
+    (energy.CostModel, None),
+    (qsched.QHyperParams, None),
+    (qsched.RewardParams, ["beta", "p_miss"]),
+    (qsched.QTable, ["hyper"]),
+    (qsched.QTable.zeros, ["hyper"]),
+    (qsched.train_offline, ["hyper"]),
+    (simrun.SimConfig, ["seed", "retrain_mode", "retrain_learning_rate"]),
+    (energy.synth_trace, ["sample_interval", "period", "high_power", "burst_rate"]),
+    (data.synth_dataset, ["classes", "samples_per_class", "shape", "noise"]),
+    (data.load_csv, ["seed"]),
+    (nn.TrainSet, ["batch_size"]),
+    (prune.prune_to_budget, ["learning_rate"]),
+]
+
+
+@pytest.mark.parametrize("target, names", SCHEMA_BACKED,
+                         ids=[t.__qualname__ for t, _ in SCHEMA_BACKED])
+def test_schema_backed_values_have_no_default_in_code(target, names):
+    if dataclasses.is_dataclass(target):
+        defaults = {f.name: f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING
+                    for f in dataclasses.fields(target)}
+    else:
+        defaults = {name: p.default is not p.empty
+                    for name, p in inspect.signature(target).parameters.items()}
+    names = list(defaults) if names is None else names
+    assert [name for name in names if defaults[name]] == []

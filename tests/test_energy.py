@@ -3,10 +3,10 @@ scheduler-state bins of device readings."""
 import numpy as np
 import pytest
 
-from conftest import SearchsortedDevice, power_at
+from conftest import (SearchsortedDevice, capacitor, constant_trace, cost_model,
+                      power_at)
 from enboost import config
-from enboost.energy import (Capacitor, CostModel, Device, PowerTrace,
-                            RequestPattern, inference_cost, load_trace,
+from enboost.energy import (Capacitor, Device, PowerTrace, inference_cost, load_trace,
                             synth_trace)
 from enboost.errors import ConfigError, TraceError
 from enboost.qsched import (ENERGY_LEVELS, POWER_LEVELS, StateTracker,
@@ -43,19 +43,9 @@ def test_with_energy_clamps():
     dev = make_device(voltage=2.5, power=1.0)
     dev.advance(100.0)
     assert abs(dev.voltage - dev.cap.v_max) < 1e-12
-    dev.cost_model = CostModel(sleep_power=10.0)
+    dev.cost_model = cost_model(sleep_power=10.0)
     dev.advance(200.0)
     assert dev.voltage == 0.0
-
-
-def test_capacitor_validation():
-    with pytest.raises(ConfigError):
-        Capacitor(v_cutoff=5.0, v_max=4.2)
-    with pytest.raises(ConfigError):
-        Capacitor(voltage=9.0)
-    for capacitance in (0.0, -0.0022):
-        with pytest.raises(ConfigError, match="capacitance > 0"):
-            Capacitor(capacitance=capacitance)
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +54,8 @@ def test_capacitor_validation():
 
 def one_segment_device(voltage, power, sleep_power, t=0.0):
     trace = PowerTrace(times=[0.0], power=[power])
-    return Device(cap=Capacitor(voltage=voltage), trace=trace,
-                  cost_model=CostModel(sleep_power=sleep_power), t=t)
+    return Device(cap=capacitor(0.47, voltage=voltage), trace=trace,
+                  cost_model=cost_model(sleep_power=sleep_power), t=t)
 
 
 def test_step_balanced_power_is_identity():
@@ -158,15 +148,13 @@ def test_power_at_holds_last_sample():
 
 
 def test_synth_constant_profile():
-    trace = synth_trace(0, "constant", duration=10.0, constant_power=0.005)
+    trace = constant_trace(10.0, 0.005)
     assert np.all(trace.power == 0.005)
-    with pytest.raises(ConfigError):
-        synth_trace(0, "constant", duration=10.0)
 
 
 def test_synth_day_night_square_wave():
-    trace = synth_trace(0, "day-night", duration=400.0, period=100.0,
-                        high_power=0.02)
+    trace = synth_trace(0, "day-night", duration=400.0, sample_interval=1.0,
+                        period=100.0, high_power=0.02, burst_rate=0.02)
     assert power_at(trace, 10.0) == 0.02
     assert power_at(trace, 60.0) == 0.0
     assert power_at(trace, 110.0) == 0.02
@@ -174,15 +162,12 @@ def test_synth_day_night_square_wave():
 
 
 def test_synth_bursty_deterministic():
-    a = synth_trace(7, "bursty", duration=500.0)
-    b = synth_trace(7, "bursty", duration=500.0)
+    def bursty(seed):
+        return synth_trace(seed, "bursty", duration=500.0, sample_interval=1.0,
+                           period=200.0, high_power=0.02, burst_rate=0.02)
+    a, b = bursty(7), bursty(7)
     assert np.array_equal(a.power, b.power)
-    assert not np.array_equal(a.power, synth_trace(8, "bursty", duration=500.0).power)
-
-
-def test_synth_unknown_profile():
-    with pytest.raises(ConfigError):
-        synth_trace(0, "lunar", duration=10.0)
+    assert not np.array_equal(a.power, bursty(8).power)
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +175,13 @@ def test_synth_unknown_profile():
 
 
 def test_inference_cost_examples():
-    cm = CostModel(per_inference_overhead=0.0)
+    cm = cost_model(energy_per_mac=1e-9, per_inference_overhead=0.0)
     assert inference_cost(0, cm) == 0.0
     assert abs(inference_cost(1_000_000, cm) - 1e-3) < 1e-15
-    default = CostModel()
+    default = cost_model(energy_per_mac=1e-9, per_inference_overhead=1e-4)
     assert abs(inference_cost(1_000_000, default) - 1.1e-3) < 1e-15
     # equal MACs, equal cost regardless of architecture
     assert inference_cost(78624, default) == inference_cost(78624, default)
-
-
-def test_cost_model_validation():
-    with pytest.raises(ConfigError):
-        CostModel(energy_per_mac=-1.0)
-
-
-def test_request_pattern_validation():
-    with pytest.raises(ConfigError):
-        RequestPattern(period=0.0, horizon=10.0)
-    with pytest.raises(ConfigError):
-        RequestPattern(period=1.0, horizon=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +203,14 @@ def device_holding(cap, stored=None, power=(0.0,)):
     charge by default) on a trace with one sample of each `power` per
     second."""
     trace = PowerTrace(times=np.arange(len(power), dtype=np.float64), power=power)
-    device = Device(cap=cap, trace=trace, cost_model=CostModel())
+    device = Device(cap=cap, trace=trace, cost_model=cost_model())
     if stored is not None:
         device.energy = stored
     return device
 
 
 def test_discretize_energy_bins():
-    cap = Capacitor(capacitance=0.47, v_max=4.2, v_cutoff=1.7)
+    cap = capacitor(0.47, v_max=4.2, v_cutoff=1.7)
     cost = 1e-3
     for usable, level in ((cap.max_usable_energy, 3), (0.5 * cost, 0),
                           (0.3 * cap.max_usable_energy, 1),
@@ -247,7 +220,7 @@ def test_discretize_energy_bins():
 
 
 def test_discretize_energy_fraction_matches_energy():
-    cap = Capacitor(capacitance=0.47, v_max=4.2, v_cutoff=1.7)
+    cap = capacitor(0.47, v_max=4.2, v_cutoff=1.7)
     cost = 1e-3
     levels = set()
     for frac in (0.0, 0.2, 0.5, 0.8, 1.0):
@@ -261,7 +234,7 @@ def test_discretize_energy_fraction_matches_energy():
 def test_discretize_power_bins():
     th = (0.001, 0.01)
     power = (0.0, 0.001, 0.005, 0.01, 5.0)
-    device = device_holding(Capacitor(), power=power)
+    device = device_holding(capacitor(0.47), power=power)
     bins = []
     for t in range(len(power)):
         device.advance(float(t))
@@ -276,7 +249,7 @@ def test_power_terciles_uniform_trace():
     trace = PowerTrace(times=np.arange(30000, dtype=np.float64),
                        power=rng.uniform(0.0, 0.03, size=30000))
     t1, t2 = power_terciles(trace)
-    device = device_holding(Capacitor(), power=trace.power)
+    device = device_holding(capacitor(0.47), power=trace.power)
     bins = []
     for t in trace.times.tolist():
         device.advance(t)
@@ -290,7 +263,7 @@ def test_power_terciles_zero_heavy_fallback():
     trace = PowerTrace(times=np.arange(100, dtype=np.float64), power=power)
     t1, t2 = power_terciles(trace)
     assert 0.0 < t1 < t2
-    device = device_holding(Capacitor(), power=(0.0, 0.02))
+    device = device_holding(capacitor(0.47), power=(0.0, 0.02))
     assert observed_bins(device, thresholds=(t1, t2))[2] == 0
     device.advance(1.0)
     assert observed_bins(device, thresholds=(t1, t2))[2] == 2
@@ -301,9 +274,8 @@ def test_power_terciles_zero_heavy_fallback():
 
 
 def make_device(voltage=3.0, power=0.002):
-    trace = synth_trace(0, "constant", duration=1000.0, constant_power=power)
-    return Device(cap=Capacitor(voltage=voltage), trace=trace,
-                  cost_model=CostModel())
+    return Device(cap=capacitor(0.47, voltage=voltage),
+                  trace=constant_trace(1000.0, power), cost_model=cost_model())
 
 
 def test_device_energy_closure():
@@ -311,21 +283,21 @@ def test_device_energy_closure():
     e0 = dev.energy
     dev.advance(100.0)
     assert dev.draw(0.5)
-    dev.cost_model = CostModel(sleep_power=0.01)
+    dev.cost_model = cost_model(sleep_power=0.01)
     dev.advance(400.0)
     assert abs(dev.energy - (e0 + dev.harvested - dev.consumed)) < 1e-9
 
 
 def test_device_closure_across_clamps():
     # force both clamps: full charge then depletion
-    trace = synth_trace(0, "day-night", duration=4000.0, period=2000.0,
-                        high_power=0.05)
-    dev = Device(cap=Capacitor(voltage=4.0), trace=trace,
-                 cost_model=CostModel())
+    trace = synth_trace(0, "day-night", duration=4000.0, sample_interval=1.0,
+                        period=2000.0, high_power=0.05, burst_rate=0.02)
+    dev = Device(cap=capacitor(0.47, voltage=4.0), trace=trace,
+                 cost_model=cost_model())
     e0 = dev.energy
     dev.advance(1000.0)                    # charges to full, clamp on top
     assert abs(dev.energy - dev.cap.max_energy) < 1e-9
-    dev.cost_model = CostModel(sleep_power=0.05)
+    dev.cost_model = cost_model(sleep_power=0.05)
     dev.advance(4000.0)   # discharges to empty, clamp at 0
     assert dev.energy == 0.0
     assert abs(dev.energy - (e0 + dev.harvested - dev.consumed)) < 1e-9
@@ -387,8 +359,8 @@ def run_against_reference(trace, ops, t0, exact):
     """Run `ops` on a `Device` and on the searchsorted reference; every draw
     result must match. Returns whether the reference store sat empty after
     some advance and full after another."""
-    kwargs = dict(cap=Capacitor(capacitance=0.01, voltage=3.0), trace=trace,
-                  cost_model=CostModel(), t=t0)
+    kwargs = dict(cap=capacitor(0.01, voltage=3.0), trace=trace,
+                  cost_model=cost_model(), t=t0)
     dev, ref = Device(**kwargs), SearchsortedDevice(**kwargs)
     assert_matches(dev, ref, exact)
     empty = full = False
@@ -396,7 +368,7 @@ def run_against_reference(trace, ops, t0, exact):
         if op == "advance":   # both advance at the op's sleep power
             until, sleep_power = args
             dev.cost_model = ref.cost_model = (
-                CostModel() if sleep_power is None else CostModel(sleep_power=sleep_power))
+                cost_model() if sleep_power is None else cost_model(sleep_power=sleep_power))
             args = [until]
         assert getattr(dev, op)(*args) == getattr(ref, op)(*args)
         assert_matches(dev, ref, exact)
@@ -422,8 +394,8 @@ def test_cursor_matches_searchsorted_stepper(t0, trace):
     if trace == "irregular":
         tr, ops = CURSOR_TRACE, CURSOR_OPS
     else:
-        tr = synth_trace(3, "bursty", duration=60.0, high_power=0.05,
-                         burst_rate=0.3)
+        tr = synth_trace(3, "bursty", duration=60.0, sample_interval=1.0,
+                         period=200.0, high_power=0.05, burst_rate=0.3)
         ops = random_ops(rng, -5.0, 70.0)
     # no two adjacent irregular samples share a power, so from t0 >= 0 no
     # run collapses and the bits must match; before the trace, the first
@@ -434,8 +406,8 @@ def test_cursor_matches_searchsorted_stepper(t0, trace):
 @pytest.mark.parametrize("profile", ["day-night", "bursty", "constant"])
 def test_collapsed_runs_match_searchsorted_stepper(profile):
     # from before the trace, across runs of equal power, into both clamps
-    trace = synth_trace(5, profile, duration=60.0, period=20.0, high_power=0.05,
-                        burst_rate=0.3, constant_power=0.05)
+    trace = synth_trace(5, profile, duration=60.0, sample_interval=1.0, period=20.0,
+                        high_power=0.05, burst_rate=0.3, constant_power=0.05)
     ops = random_ops(np.random.default_rng(11), -5.0, 70.0)
     assert run_against_reference(trace, ops, t0=-2.5, exact=False)
 

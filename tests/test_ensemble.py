@@ -3,9 +3,9 @@ profile."""
 import numpy as np
 import pytest
 
-from conftest import brute_force_select, tiny_spec, weighted_vote
+from conftest import brute_force_select, pool_config, tiny_spec, weighted_vote
 from enboost import ensemble
-from enboost.boost import PoolConfig, build_pool
+from enboost.boost import build_pool
 from enboost.data import synth_dataset
 from enboost.ensemble import (ERROR_CLAMP, EnsembleModel, backfit_select,
                               greedy_select,
@@ -72,10 +72,10 @@ def test_weighted_vote_validation():
 def small_pool():
     ds = synth_dataset(seed=5, classes=3, samples_per_class=20,
                        shape=(2, 8, 8), noise=1.8)
-    cfg = PoolConfig(pool_size=5, ensemble_size=3, train_epochs=4,
-                     learning_rate=0.05,
-                     retrain_epochs_per_step=1,
-                     seed=0)
+    cfg = pool_config(pool_size=5, ensemble_size=3, train_epochs=4,
+                      learning_rate=0.05,
+                      retrain_epochs_per_step=1,
+                      seed=0)
     pool, _ = build_pool(tiny_spec(), ds, cfg)
     return pool, ds
 

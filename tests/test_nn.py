@@ -225,8 +225,10 @@ def test_weight_one_identity():
     spec = tiny_spec()
     base = WeakLearner.initialize(spec, seed=0, learner_id="t")
     n = ds.split_size("train")
-    a = train(base, TrainSet(base, ds, np.ones(n), seed=7), epochs=2, learning_rate=0.05)
-    b = train(base, TrainSet(base, ds, np.ones(n), seed=7), epochs=2, learning_rate=0.05)
+    a = train(base, TrainSet(base, ds, np.ones(n), seed=7, batch_size=32), epochs=2,
+              learning_rate=0.05)
+    b = train(base, TrainSet(base, ds, np.ones(n), seed=7, batch_size=32), epochs=2,
+              learning_rate=0.05)
     assert a.checksum() == b.checksum() != base.checksum()
     assert all(np.isfinite(v).all() for p in a.params if p for v in p)
 
@@ -236,16 +238,18 @@ def test_doubled_weights_normalize_to_identity():
     ds = small_dataset()
     base = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     n = ds.split_size("train")
-    a = train(base, TrainSet(base, ds, np.ones(n), seed=7), epochs=2, learning_rate=0.05)
-    b = train(base, TrainSet(base, ds, normalize(2.0 * np.ones(n)), seed=7), epochs=2,
+    a = train(base, TrainSet(base, ds, np.ones(n), seed=7, batch_size=32), epochs=2,
               learning_rate=0.05)
+    b = train(base, TrainSet(base, ds, normalize(2.0 * np.ones(n)), seed=7, batch_size=32),
+              epochs=2, learning_rate=0.05)
     assert a.checksum() == b.checksum()
 
 
 def test_separable_two_class_set_reaches_95_percent():
     ds = small_dataset(seed=11, classes=2, samples_per_class=30, noise=0.3)
     learner = WeakLearner.initialize(tiny_spec(classes=2), seed=0, learner_id="t")
-    learner = train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0),
+    learner = train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0,
+                                      batch_size=32),
                     epochs=50, learning_rate=0.05)
     assert evaluate(learner, *ds.split("eval")) >= 0.95
 
@@ -386,7 +390,8 @@ def test_train_shares_no_array_with_its_input(epochs):
     ds = small_dataset()
     learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     before = nn.copy_params(learner.params)
-    trained = train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0),
+    trained = train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0,
+                                      batch_size=32),
                     epochs=epochs, learning_rate=0.05)
     for p, q, r in zip(trained.params, learner.params, before):
         if p is None:
@@ -408,7 +413,7 @@ ds = synth_dataset(seed=5, classes=3, samples_per_class=20, shape=(3, 6, 6), noi
 learner = nn.WeakLearner.initialize(spec, seed=0, learner_id="t")
 weights = np.ones(ds.split_size("train"))
 for call in range(3):
-    nn.train(learner, nn.TrainSet(learner, ds, weights, seed=0), epochs=322,
+    nn.train(learner, nn.TrainSet(learner, ds, weights, seed=0, batch_size=32), epochs=322,
              learning_rate=0.05)
     if call == 0:
         tracemalloc.start()
@@ -435,12 +440,12 @@ def test_train_rejects_bad_weights():
     ds = small_dataset()
     learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     with pytest.raises(ShapeError):
-        TrainSet(learner, ds, np.ones(3), seed=0)
+        TrainSet(learner, ds, np.ones(3), seed=0, batch_size=32)
     for value in (-1.0, 0.0, np.inf, np.nan):
         bad = np.ones(ds.split_size("train"))
         bad[0] = value
         with pytest.raises(ShapeError):
-            TrainSet(learner, ds, bad, seed=0)
+            TrainSet(learner, ds, bad, seed=0, batch_size=32)
 
 
 def test_float32_step_with_an_underflowing_true_class_probability_is_finite():
@@ -456,8 +461,8 @@ def test_float32_step_with_an_underflowing_true_class_probability_is_finite():
                  splits={"train": np.arange(4), "eval": np.arange(1),
                          "test": np.arange(1)})
     assert forward(learner, x)[:, 1].tolist() == [0.0] * 4
-    trained = train(learner, TrainSet(learner, ds, np.ones(4), seed=0, batch_size=4), epochs=1,
-                    learning_rate=0.1)
+    trained = train(learner, TrainSet(learner, ds, np.ones(4), seed=0, batch_size=4),
+                    epochs=1, learning_rate=0.1)
     assert all(np.isfinite(p).all() for p in trained.params[0])
     assert trained.params[0][0].tolist() != learner.params[0][0].tolist()
 
@@ -472,7 +477,8 @@ def test_the_engine_runs_in_float32():
     assert ds.x.dtype == np.float32
     learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
     assert param_dtypes(learner) == {np.dtype(np.float32)}
-    trained = train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0),
+    trained = train(learner, TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0,
+                                      batch_size=32),
                     epochs=1, learning_rate=0.05)
     assert param_dtypes(trained) == {np.dtype(np.float32)}
     assert all(np.isfinite(v).all() for p in trained.params if p for v in p)
@@ -498,7 +504,7 @@ def test_a_float64_learner_trains_and_serves_in_float64():
     ds = small_dataset()
     learner = WeakLearner.initialize(spec, seed=0, learner_id="t")
     learner.params = float64_params(learner.params)
-    data = TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0)
+    data = TrainSet(learner, ds, np.ones(ds.split_size("train")), seed=0, batch_size=32)
     trained = train(learner, data, epochs=1, learning_rate=0.05)
     assert param_dtypes(trained) == {np.dtype(np.float64)}
     x = ds.split("eval")[0]
@@ -659,15 +665,15 @@ def test_weights_that_float32_rounds_to_0_or_inf_are_rejected_before_training(we
     learner, acts = fc_only_batch_of_three()
     with pytest.raises(ShapeError, match="positive and finite in float32"):
         train_fc_only(learner, acts, [0, 1, 2], [1.0, weight, 1.0], 0.1)
-    ds = synth_dataset(seed=0, classes=3, samples_per_class=5, shape=(2, 8, 8))
+    ds = synth_dataset(seed=0, classes=3, samples_per_class=5, shape=(2, 8, 8), noise=2.5)
     net = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     weights = np.ones(ds.split_size("train"))
     weights[0] = weight
     with pytest.raises(ShapeError, match="positive and finite in float32"):
-        nn.TrainSet(net, ds, weights, seed=0)
+        nn.TrainSet(net, ds, weights, seed=0, batch_size=32)
     net.params = float64_params(net.params)
     # a rate small enough that a 1e39 weight does not diverge
-    trained = nn.train(net, nn.TrainSet(net, ds, weights, seed=0),
+    trained = nn.train(net, nn.TrainSet(net, ds, weights, seed=0, batch_size=32),
                        epochs=1, learning_rate=1e-40)
     assert trained.params[0][0].dtype == np.float64
     assert all(np.isfinite(v).all() for p in trained.params if p for v in p)

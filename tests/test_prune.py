@@ -112,8 +112,10 @@ def test_retraining_a_pruned_learner_does_not_depend_on_its_layout():
     pruned.params = [p and tuple(map(np.asfortranarray, p)) for p in pruned.params]
     assert not all(a.flags.c_contiguous for p in pruned.params if p for a in p)
     w = np.ones(ds.split_size("train"))
-    a = train(pruned, TrainSet(pruned, ds, w, seed=0), epochs=1, learning_rate=0.05)
-    b = train(pruned.copy(), TrainSet(pruned, ds, w, seed=0), epochs=1, learning_rate=0.05)
+    a = train(pruned, TrainSet(pruned, ds, w, seed=0, batch_size=32), epochs=1,
+              learning_rate=0.05)
+    b = train(pruned.copy(), TrainSet(pruned, ds, w, seed=0, batch_size=32), epochs=1,
+              learning_rate=0.05)
     assert a.checksum() == b.checksum()
 
 
@@ -136,7 +138,7 @@ def ones_set(learner, ds, seed=0, batch_size=32):
 
 def test_prune_to_budget_identity_fraction():
     learner, ds = trained_tiny()
-    out = prune_to_budget(learner, ones_set(learner, ds), 1.0, 2)
+    out = prune_to_budget(learner, ones_set(learner, ds), 1.0, 2, learning_rate=0.1)
     assert out.checksum() == learner.checksum()
     assert out.macs == learner.macs
 
@@ -144,7 +146,7 @@ def test_prune_to_budget_identity_fraction():
 @pytest.mark.parametrize("fraction", [0.5, 0.25], ids=["0.5", "0.25"])
 def test_prune_to_budget_meets_budget(fraction):
     learner, ds = trained_tiny()
-    out = prune_to_budget(learner, ones_set(learner, ds), fraction, 1)
+    out = prune_to_budget(learner, ones_set(learner, ds), fraction, 1, learning_rate=0.1)
     assert out.macs <= int(np.ceil(fraction * learner.macs))
     assert count_params(out.spec) < count_params(learner.spec)
     assert all(out.spec.layers[i].filters >= 1 for i in out.spec.conv_layers)
@@ -152,15 +154,15 @@ def test_prune_to_budget_meets_budget(fraction):
 
 def test_prune_to_budget_deterministic():
     learner, ds = trained_tiny()
-    a = prune_to_budget(learner, ones_set(learner, ds), 0.5, 1)
-    b = prune_to_budget(learner, ones_set(learner, ds), 0.5, 1)
+    a = prune_to_budget(learner, ones_set(learner, ds), 0.5, 1, learning_rate=0.1)
+    b = prune_to_budget(learner, ones_set(learner, ds), 0.5, 1, learning_rate=0.1)
     assert a.checksum() == b.checksum()
 
 
 def test_prune_to_budget_infeasible_names_layer():
     learner, ds = trained_tiny()
     with pytest.raises(BudgetInfeasibleError) as err:
-        prune_to_budget(learner, ones_set(learner, ds), 0.001, 0)
+        prune_to_budget(learner, ones_set(learner, ds), 0.001, 0, learning_rate=0.1)
     assert err.value.layer_index in (0, 2)
 
 
@@ -170,7 +172,7 @@ def test_prune_retrain_divergence_names_learner_and_stage():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TrainingDivergedError) as err:
-            prune_to_budget(learner, ones_set(learner, ds), 0.5, 2)
+            prune_to_budget(learner, ones_set(learner, ds), 0.5, 2, learning_rate=0.1)
     assert [str(w.message) for w in caught] == []
     assert (err.value.learner, err.value.stage) == ("t", "prune retrain")
     assert str(err.value).startswith("t: ") and "prune retrain" in str(err.value)
@@ -185,7 +187,8 @@ def test_prune_retrain_diverges_at_the_step_of_the_poisoned_batch():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(TrainingDivergedError) as err:
-            prune_to_budget(learner, ones_set(learner, ds, seed=5, batch_size=8), 0.5, 2)
+            prune_to_budget(learner, ones_set(learner, ds, seed=5, batch_size=8), 0.5, 2,
+                            learning_rate=0.1)
     assert [str(w.message) for w in caught] == []
     assert (err.value.epoch, err.value.learner, err.value.stage) == (
         0, "t", "prune retrain")
@@ -221,9 +224,9 @@ def test_schedule_validation():
     learner = WeakLearner.initialize(tiny_spec(), seed=0, learner_id="t")
     ds = small_dataset()
     with pytest.raises(ConfigError, match="target_mac_fraction"):
-        prune_to_budget(learner, ones_set(learner, ds), 0.0, 1)
+        prune_to_budget(learner, ones_set(learner, ds), 0.0, 1, learning_rate=0.1)
     with pytest.raises(ConfigError, match="retrain_epochs"):
-        prune_to_budget(learner, ones_set(learner, ds), 0.5, -1)
+        prune_to_budget(learner, ones_set(learner, ds), 0.5, -1, learning_rate=0.1)
 
 
 def test_each_prune_step_removes_the_lowest_norm_filter_that_may_go(monkeypatch):
@@ -239,7 +242,7 @@ def test_each_prune_step_removes_the_lowest_norm_filter_that_may_go(monkeypatch)
         return prune_step(current, victims)
 
     monkeypatch.setattr(prune, "prune_step", spy)
-    prune_to_budget(learner, ones_set(learner, ds), 0.25, 1)
+    prune_to_budget(learner, ones_set(learner, ds), 0.25, 1, learning_rate=0.1)
     assert len(calls) > 1
     for victims, expected in calls:
         assert victims == expected

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import (GeneratorQLearner, PolicyAgent, SchedulerState,
-                      SearchsortedDevice, bits, discretize_energy,
-                      discretize_power, encode_state, usable_fraction)
+                      SearchsortedDevice, bits, capacitor, constant_trace, cost_model,
+                      discretize_energy, discretize_power, encode_state, q_hyper,
+                      reward_params, usable_fraction)
 from enboost import qsched
-from enboost.energy import (Capacitor, CostModel, Device, PowerTrace,
-                            RequestPattern, synth_trace)
+from enboost.energy import Device, PowerTrace, RequestPattern, synth_trace
 from enboost.errors import ArtifactError, ConfigError
-from enboost.qsched import (ENERGY_LEVELS, POWER_LEVELS, EnvConfig, QHyperParams,
-                            QTable, RewardParams, act, inference_cost,
+from enboost.qsched import (ENERGY_LEVELS, POWER_LEVELS, EnvConfig,
+                            QTable, act, inference_cost,
                             load_qtable, make_device, q_update, replay, reward,
                             save_qtable, state_space_size, train_offline)
 
@@ -77,7 +77,7 @@ def test_encode_rejects_out_of_range():
 
 
 def params(delta=(0.3, 0.1), beta=0.05, p_miss=0.5):
-    return RewardParams(beta=beta, p_miss=p_miss, delta_acc=delta)
+    return reward_params(beta=beta, p_miss=p_miss, delta_acc=delta)
 
 
 def test_reward_declining_unserved_request():
@@ -104,33 +104,26 @@ def test_reward_masked_action_raises():
         reward(2, 1, params(), 1.0)
 
 
-def test_reward_params_validation():
-    with pytest.raises(ConfigError):
-        RewardParams(beta=-0.1)
-    with pytest.raises(ConfigError):
-        RewardParams(p_miss=-1.0)
-
-
 # ---------------------------------------------------------------------------
 # q_update / act, on the rows of an N=2 table (n1 = 3)
 
 
 def test_q_update_zero_learning_rate_is_identity():
-    table = QTable.zeros(2, QHyperParams(learning_rate=0.0))
+    table = QTable.zeros(2, q_hyper(learning_rate=0.0))
     before = table.values.copy()
     q_update(table.values, 3, table.hyper, si(l=0), 1, 5.0, si(l=1))
     assert np.array_equal(table.values, before)
 
 
 def test_q_update_from_zero_table():
-    table = QTable.zeros(2, QHyperParams(learning_rate=0.1, discount=0.0))
+    table = QTable.zeros(2, q_hyper(learning_rate=0.1, discount=0.0))
     s = si(l=0)
     q_update(table.values, 3, table.hyper, s, 1, 2.0, si(l=1))
     assert abs(table.values[s, 1] - 0.2) < 1e-12
 
 
 def test_q_update_terminal_ignores_successor():
-    table = QTable.zeros(2, QHyperParams(learning_rate=1.0, discount=0.9))
+    table = QTable.zeros(2, q_hyper(learning_rate=1.0, discount=0.9))
     s = si(l=0)
     q_update(table.values, 3, table.hyper, s, 0, 1.0, None)
     assert table.values[s, 0] == 1.0
@@ -139,7 +132,7 @@ def test_q_update_terminal_ignores_successor():
 def test_q_update_discounts_only_the_next_request():
     # gamma measures request-to-request time: a successor with l > 0 is in
     # the same request and is not discounted, one at l = 0 is
-    hyper = QHyperParams(learning_rate=1.0, discount=0.9)
+    hyper = q_hyper(learning_rate=1.0, discount=0.9)
     s, same_request, next_request = si(l=1), si(l=2), si(l=0, e_now=1)
     table = QTable.zeros(2, hyper)
     table.values[same_request, 0] = 2.0
@@ -153,7 +146,7 @@ def test_q_update_discounts_only_the_next_request():
 
 def test_masked_max_at_full_prefix_uses_stop_only():
     # q_update bootstraps from the best legal action of the successor
-    table = QTable.zeros(2, QHyperParams(learning_rate=1.0))
+    table = QTable.zeros(2, q_hyper(learning_rate=1.0))
     s, full = si(l=1), si(l=2)
     table.values[full] = [0.5, 9.0]  # a=1 illegal at l=N
     q_update(table.values, 3, table.hyper, s, 1, 0.0, full)
@@ -164,7 +157,7 @@ def test_masked_max_at_full_prefix_uses_stop_only():
 
 
 def test_act_greedy_mask_and_ties():
-    table = QTable.zeros(2)
+    table = QTable.zeros(2, q_hyper())
     s = si(l=0)
     assert act(table.values, 3, s) == 0           # tie at 0 resolves to stop
     table.values[s] = [0.1, 0.4]
@@ -193,7 +186,7 @@ def chain_step(s, a, s0, s1, s2):
 
 def run_chain(seed, updates=10_000):
     s0, s1, s2 = chain_states()
-    table = QTable.zeros(2, QHyperParams(learning_rate=0.2, discount=0.9))
+    table = QTable.zeros(2, q_hyper(learning_rate=0.2, discount=0.9))
     rng = np.random.default_rng(seed)
     done = 0
     while done < updates:
@@ -223,7 +216,7 @@ def test_toy_chain_learns_optimal_policy():
 
 def test_qtable_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
-    table = QTable.zeros(4, QHyperParams(learning_rate=0.07))
+    table = QTable.zeros(4, q_hyper(learning_rate=0.07))
     table.values[:] = rng.standard_normal(table.values.shape)
     path = tmp_path / "q.json"
     save_qtable(table, path)
@@ -236,7 +229,7 @@ def test_qtable_round_trip_bit_exact(tmp_path):
 
 def test_qtable_load_errors(tmp_path):
     path = tmp_path / "q.json"
-    save_qtable(QTable.zeros(3), path)
+    save_qtable(QTable.zeros(3, q_hyper()), path)
     with pytest.raises(ArtifactError, match="trained for N=3"):
         load_qtable(path, expected_n=4)
     path.write_text("{not json")
@@ -255,7 +248,7 @@ def test_qtable_load_errors(tmp_path):
         load_qtable(path)
     # `json` reads NaN and Infinity; a greedy lookup would decline silently
     for bad in (float("nan"), float("inf")):
-        table = QTable.zeros(3)
+        table = QTable.zeros(3, q_hyper())
         table.values[0, 1] = bad
         save_qtable(table, path)
         with pytest.raises(ArtifactError,
@@ -274,13 +267,13 @@ def stub_ensemble(delta=(0.3, 0.15, 0.05), macs=100_000):
 
 
 def abundant_env():
-    trace = synth_trace(0, "constant", duration=200.0, constant_power=0.05)
+    trace = constant_trace(200.0, 0.05)
     return EnvConfig(
-        capacitor=Capacitor(capacitance=0.01, v_max=4.2, v_cutoff=1.7),
+        capacitor=capacitor(0.01, v_max=4.2, v_cutoff=1.7),
         trace=trace,
-        cost_model=CostModel(),
+        cost_model=cost_model(),
         requests=RequestPattern(period=10.0, horizon=200.0),
-        reward=RewardParams(beta=0.01, p_miss=0.5),
+        reward=reward_params(beta=0.01, p_miss=0.5),
         power_thresholds=(0.01, 0.04))
 
 
@@ -302,18 +295,17 @@ def test_replay_serves_the_arange_request_times():
     # np.arange(period, horizon + 1e-9, period), bit for bit, and
     # `request_count` its length, at integer and non-integer ratios of the
     # duration to the period
-    trace = synth_trace(0, "constant", duration=2e4, constant_power=0.05,
-                        sample_interval=1e3)
+    trace = constant_trace(2e4, 0.05, sample_interval=1e3)
     rng = np.random.default_rng(29)
     for case in range(1200):
         period = (float(rng.choice((0.1, 0.3, 0.7, 2.5, 10.0))) if case % 3 == 0
                   else float(rng.uniform(0.01, 50.0)))
         ratio = float(rng.integers(1, 300)) if case % 2 else float(rng.uniform(0.5, 300.0))
         duration = period * ratio
-        env = EnvConfig(capacitor=Capacitor(capacitance=0.01), trace=trace,
-                        cost_model=CostModel(),
+        env = EnvConfig(capacitor=capacitor(0.01), trace=trace,
+                        cost_model=cost_model(),
                         requests=RequestPattern(period=period, horizon=duration),
-                        reward=RewardParams(), power_thresholds=(0.01, 0.04))
+                        reward=reward_params(), power_thresholds=(0.01, 0.04))
         agent = Arrivals()
         replay(env, make_device(env), [1e-3], agent)
         want = np.arange(period, duration + 1e-9, period)
@@ -325,17 +317,17 @@ def test_replay_serves_the_arange_request_times():
 def test_train_offline_deterministic():
     env = abundant_env()
     ens = stub_ensemble()
-    ta, ca = train_offline(env, ens, episodes=10, seed=4)
-    tb, cb = train_offline(env, ens, episodes=10, seed=4)
+    ta, ca = train_offline(env, ens, episodes=10, seed=4, hyper=q_hyper())
+    tb, cb = train_offline(env, ens, episodes=10, seed=4, hyper=q_hyper())
     assert np.array_equal(ta.values, tb.values)
     assert ca == cb
-    tc, cc = train_offline(env, ens, episodes=10, seed=5)
+    tc, cc = train_offline(env, ens, episodes=10, seed=5, hyper=q_hyper())
     assert not np.array_equal(ta.values, tc.values)
 
 
 def test_train_offline_zero_episodes():
     table, curve = train_offline(abundant_env(), stub_ensemble(), episodes=0,
-                                 seed=0)
+                                 seed=0, hyper=q_hyper())
     assert curve == []
     assert not table.values.any()
 
@@ -362,18 +354,18 @@ class ObserveMeanTracker(qsched.StateTracker):
 def test_train_offline_matches_reference_stepper(monkeypatch):
     # requests every 2.5 s on a 1-s trace; nights drain the store below the
     # cutoff, so requests stop, brown out and find the device off
-    trace = synth_trace(1, "day-night", duration=600.0, period=120.0,
-                        high_power=0.03)
-    env = EnvConfig(capacitor=Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7),
-                    trace=trace, cost_model=CostModel(sleep_power=1e-3),
+    trace = synth_trace(1, "day-night", duration=600.0, sample_interval=1.0,
+                        period=120.0, high_power=0.03, burst_rate=0.02)
+    env = EnvConfig(capacitor=capacitor(0.005, v_max=4.2, v_cutoff=1.7),
+                    trace=trace, cost_model=cost_model(sleep_power=1e-3),
                     requests=RequestPattern(period=2.5, horizon=600.0),
-                    reward=RewardParams(beta=0.05, p_miss=0.5))
+                    reward=reward_params(beta=0.05, p_miss=0.5))
     ens = stub_ensemble(macs=8_000_000)
-    table, curve = train_offline(env, ens, episodes=6, seed=2)
+    table, curve = train_offline(env, ens, episodes=6, seed=2, hyper=q_hyper())
     monkeypatch.setattr(qsched, "make_device", lambda env: SearchsortedDevice(
         cap=env.capacitor, trace=env.trace, cost_model=env.cost_model))
     monkeypatch.setattr(qsched, "StateTracker", ObserveMeanTracker)
-    ref_table, ref_curve = train_offline(env, ens, episodes=6, seed=2)
+    ref_table, ref_curve = train_offline(env, ens, episodes=6, seed=2, hyper=q_hyper())
     assert np.array_equal(table.values, ref_table.values)
     assert curve == ref_curve
 
@@ -445,14 +437,14 @@ def words_drawn(rng, seed) -> int:
 def test_train_offline_matches_generator_draws(monkeypatch, epsilon):
     # the frozen learner draws from a numpy Generator; the runs span many
     # blocks, and nights make requests brown out and find the device off
-    trace = synth_trace(1, "day-night", duration=600.0, period=120.0,
-                        high_power=0.03)
-    env = EnvConfig(capacitor=Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7),
-                    trace=trace, cost_model=CostModel(sleep_power=1e-3),
+    trace = synth_trace(1, "day-night", duration=600.0, sample_interval=1.0,
+                        period=120.0, high_power=0.03, burst_rate=0.02)
+    env = EnvConfig(capacitor=capacitor(0.005, v_max=4.2, v_cutoff=1.7),
+                    trace=trace, cost_model=cost_model(sleep_power=1e-3),
                     requests=RequestPattern(period=2.5, horizon=600.0),
-                    reward=RewardParams(beta=0.05, p_miss=0.5))
+                    reward=reward_params(beta=0.05, p_miss=0.5))
     ens = stub_ensemble(macs=8_000_000)
-    hyper = QHyperParams(epsilon_start=epsilon[0], epsilon_end=epsilon[1])
+    hyper = q_hyper(epsilon_start=epsilon[0], epsilon_end=epsilon[1])
     table, curve = train_offline(env, ens, episodes=8, seed=2, hyper=hyper)
     generators = []
 
@@ -478,15 +470,15 @@ def test_train_offline_matches_generator_draws_at_n_1_and_4(monkeypatch, macs, e
     # l digit, with unequal learner costs, so that a request can brown out
     # on a dearer learner after a cheaper one ran, and a larger beta
     n = len(macs)
-    trace = synth_trace(3, "day-night", duration=600.0, period=120.0,
-                        high_power=0.03)
-    env = EnvConfig(capacitor=Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7),
-                    trace=trace, cost_model=CostModel(sleep_power=1e-3),
+    trace = synth_trace(3, "day-night", duration=600.0, sample_interval=1.0,
+                        period=120.0, high_power=0.03, burst_rate=0.02)
+    env = EnvConfig(capacitor=capacitor(0.005, v_max=4.2, v_cutoff=1.7),
+                    trace=trace, cost_model=cost_model(sleep_power=1e-3),
                     requests=RequestPattern(period=2.5, horizon=600.0),
-                    reward=RewardParams(beta=0.4, p_miss=0.5))
+                    reward=reward_params(beta=0.4, p_miss=0.5))
     ens = SimpleNamespace(size=n, delta_acc=[0.3, 0.15, 0.05, 0.02][:n],
                           learners=[SimpleNamespace(macs=m) for m in macs])
-    hyper = QHyperParams(epsilon_start=epsilon[0], epsilon_end=epsilon[1])
+    hyper = q_hyper(epsilon_start=epsilon[0], epsilon_end=epsilon[1])
     table, curve = train_offline(env, ens, episodes=8, seed=4, hyper=hyper)
     ends = []
 
@@ -518,7 +510,7 @@ def greedy_executions(table, env, ens):
 def test_abundant_power_policy_runs_full_ensemble():
     env = abundant_env()
     ens = stub_ensemble()
-    table, curve = train_offline(env, ens, episodes=80, seed=0)
+    table, curve = train_offline(env, ens, episodes=80, seed=0, hyper=q_hyper())
     runs = greedy_executions(table, env, ens)
     assert len(runs) == 19   # every 10 s up to the trace's last sample, 199 s
     assert np.mean(np.asarray(runs) == ens.size) >= 0.9
@@ -531,13 +523,13 @@ def test_abundant_power_policy_runs_full_ensemble():
 
 
 def test_observe_bins_match_the_discretizers_at_their_edges():
-    cap = Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7)
+    cap = capacitor(0.005, v_max=4.2, v_cutoff=1.7)
     one_learner_cost, thresholds = 3e-3, (0.01, 0.02)
     power = []
     for edge in thresholds:
         power += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
     trace = PowerTrace(times=np.arange(len(power), dtype=float), power=power)
-    device = Device(cap=cap, trace=trace, cost_model=CostModel())
+    device = Device(cap=cap, trace=trace, cost_model=cost_model())
     tracker = qsched.StateTracker(cap, one_learner_cost, thresholds, n=2)
     edges = (one_learner_cost, 0.5 * cap.max_usable_energy,
              cap.max_usable_energy - 1e-9, cap.max_usable_energy)
@@ -568,13 +560,13 @@ def test_observe_rebins_the_power_for_each_device_and_time():
     # one tracker must rebin the power when time moves over a power change
     # and when another device is observed at the same time, and a draw moves
     # the energy bins but not the power's
-    cap = Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7)
+    cap = capacitor(0.005, v_max=4.2, v_cutoff=1.7)
     one_learner_cost, thresholds = 3e-3, (0.01, 0.02)
     tracker = qsched.StateTracker(cap, one_learner_cost, thresholds, n=2)
 
     def device(power):
         trace = PowerTrace(times=np.arange(len(power), dtype=float), power=power)
-        return Device(cap=cap, trace=trace, cost_model=CostModel())
+        return Device(cap=cap, trace=trace, cost_model=cost_model())
 
     def observed(device, l):
         ref = SchedulerState(
@@ -607,12 +599,12 @@ def test_observe_rebins_the_power_for_each_device_and_time():
 def test_observe_index_matches_reference_state(monkeypatch):
     # nights drain the store below the cutoff, so requests brown out and
     # find the device off; random decisions visit many states
-    trace = synth_trace(1, "day-night", duration=900.0, period=150.0,
-                        high_power=0.03)
-    env = EnvConfig(capacitor=Capacitor(capacitance=0.005, v_max=4.2, v_cutoff=1.7),
-                    trace=trace, cost_model=CostModel(sleep_power=1e-3),
+    trace = synth_trace(1, "day-night", duration=900.0, sample_interval=1.0,
+                        period=150.0, high_power=0.03, burst_rate=0.02)
+    env = EnvConfig(capacitor=capacitor(0.005, v_max=4.2, v_cutoff=1.7),
+                    trace=trace, cost_model=cost_model(sleep_power=1e-3),
                     requests=RequestPattern(period=2.5, horizon=900.0),
-                    reward=RewardParams())
+                    reward=reward_params())
     ens = stub_ensemble(delta=(0.3, 0.15, 0.05, 0.02), macs=8_000_000)
     n = ens.size
     pairs = []

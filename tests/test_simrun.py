@@ -6,20 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (PolicyAgent, bits, discretize_energy, discretize_power,
-                      power_at, tiny_spec, weighted_vote)
+from conftest import (PolicyAgent, bits, capacitor, constant_trace, cost_model,
+                      discretize_energy, discretize_power, pool_config, power_at,
+                      q_hyper, reward_params, sim_config, tiny_spec, weighted_vote)
 from enboost import qsched, simrun
-from enboost.boost import PoolConfig, build_pool
+from enboost.boost import build_pool
 from enboost.data import drift_dataset, synth_dataset
-from enboost.energy import (Capacitor, CostModel, PowerTrace, RequestPattern,
-                            inference_cost, synth_trace)
+from enboost.energy import PowerTrace, RequestPattern, inference_cost, synth_trace
 from enboost.ensemble import backfit_select, subset_accuracy, vote_batch
 from enboost.errors import ConfigError
 from enboost.nn import evaluate, fc_step, forward, head, train_fc_only, trunk
-from enboost.qsched import (POWER_LEVELS, EnvConfig, QTable, RewardParams, replay,
-                            make_device)
+from enboost.qsched import POWER_LEVELS, EnvConfig, QTable, replay, make_device
 from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
-                            QPolicy, SimConfig, events_csv,
+                            QPolicy, events_csv,
                             failure_rate_reduction, render_report, run,
                             run_concurrent_training, run_many, _EnergyPass)
 
@@ -28,10 +27,10 @@ from enboost.simrun import (MISS_DECLINED, MISS_OFF, SERVED, FixedKPolicy,
 def small_model():
     ds = synth_dataset(seed=5, classes=3, samples_per_class=24,
                        shape=(2, 8, 8), noise=0.5)
-    cfg = PoolConfig(pool_size=3, ensemble_size=2, train_epochs=12,
-                     learning_rate=0.1,
-                     retrain_epochs_per_step=1,
-                     seed=0)
+    cfg = pool_config(pool_size=3, ensemble_size=2, train_epochs=12,
+                      learning_rate=0.1,
+                      retrain_epochs_per_step=1,
+                      seed=0)
     pool, _ = build_pool(tiny_spec(), ds, cfg)
     ex, ey = ds.split("eval")
     return backfit_select(pool, 2, ex, ey), ds
@@ -39,16 +38,15 @@ def small_model():
 
 def make_env(model, trace, period, horizon, cap=None):
     return EnvConfig(
-        capacitor=cap or Capacitor(capacitance=0.01),
+        capacitor=cap or capacitor(0.01),
         trace=trace,
-        cost_model=CostModel(),
+        cost_model=cost_model(),
         requests=RequestPattern(period=period, horizon=horizon),
-        reward=RewardParams(delta_acc=tuple(model.delta_acc)))
+        reward=reward_params(delta_acc=tuple(model.delta_acc)))
 
 
 def abundant(model, requests, period=1.0):
-    trace = synth_trace(0, "constant", duration=requests * period + period,
-                        constant_power=0.05)
+    trace = constant_trace(requests * period + period, 0.05)
     return make_env(model, trace, period, requests * period)
 
 
@@ -56,8 +54,8 @@ def test_unconstrained_run_reproduces_split_accuracy(small_model):
     model, ds = small_model
     tx, ty = ds.split("test")
     env = abundant(model, requests=2 * len(ty))
-    cfg = SimConfig(env=env, ensemble=model, dataset=ds,
-                    policy=FixedKPolicy(model.size, model.size))
+    cfg = sim_config(env=env, ensemble=model, dataset=ds,
+                     policy=FixedKPolicy(model.size, model.size))
     report = run(cfg)
     assert report.total_requests == 2 * len(ty)
     assert report.failures == 0
@@ -71,11 +69,11 @@ def test_unconstrained_run_reproduces_split_accuracy(small_model):
 
 def test_zero_power_run_goes_dark(small_model):
     model, ds = small_model
-    trace = synth_trace(0, "constant", duration=100.0, constant_power=0.0)
+    trace = constant_trace(100.0, 0.0)
     env = make_env(model, trace, period=1.0, horizon=100.0,
-                   cap=Capacitor(capacitance=1e-3, voltage=1.8))
-    report = run(SimConfig(env=env, ensemble=model, dataset=ds,
-                           policy=FixedKPolicy(model.size, model.size)))
+                   cap=capacitor(1e-3, voltage=1.8))
+    report = run(sim_config(env=env, ensemble=model, dataset=ds,
+                            policy=FixedKPolicy(model.size, model.size)))
     kinds = [e["event"] for e in report.events]
     assert MISS_OFF in kinds
     first_off = kinds.index(MISS_OFF)
@@ -86,14 +84,14 @@ def test_zero_power_run_goes_dark(small_model):
 
 def test_failure_count_monotone_in_request_rate(small_model):
     model, ds = small_model
-    trace = synth_trace(0, "day-night", duration=800.0, period=200.0,
-                        high_power=5e-5)
-    cap = Capacitor(capacitance=2e-3, voltage=2.5)
+    trace = synth_trace(0, "day-night", duration=800.0, sample_interval=1.0,
+                        period=200.0, high_power=5e-5, burst_rate=0.02)
+    cap = capacitor(2e-3, voltage=2.5)
     failures = []
     for period in (8.0, 4.0, 2.0):
         env = make_env(model, trace, period=period, horizon=800.0, cap=cap)
-        report = run(SimConfig(env=env, ensemble=model, dataset=ds,
-                               policy=FixedKPolicy(model.size, model.size)))
+        report = run(sim_config(env=env, ensemble=model, dataset=ds,
+                                policy=FixedKPolicy(model.size, model.size)))
         assert report.energy_closure_error() < 1e-6
         failures.append(report.failures)
     assert failures[0] <= failures[1] <= failures[2]
@@ -102,14 +100,14 @@ def test_failure_count_monotone_in_request_rate(small_model):
 
 def test_run_matches_bare_stepper(small_model):
     model, ds = small_model
-    trace = synth_trace(0, "day-night", duration=800.0, period=200.0,
-                        high_power=5e-5)
+    trace = synth_trace(0, "day-night", duration=800.0, sample_interval=1.0,
+                        period=200.0, high_power=5e-5, burst_rate=0.02)
     env = make_env(model, trace, period=2.0, horizon=800.0,
-                   cap=Capacitor(capacitance=2e-3, voltage=2.5))
+                   cap=capacitor(2e-3, voltage=2.5))
     costs = [inference_cost(l.macs, env.cost_model) for l in model.learners]
     for k in (1, model.size):
         policy = FixedKPolicy(k, model.size)
-        cfg = SimConfig(env=env, ensemble=model, dataset=ds, policy=policy)
+        cfg = sim_config(env=env, ensemble=model, dataset=ds, policy=policy)
         report = run(cfg)
         device = make_device(env)
         agent = PolicyAgent(policy.decide)
@@ -137,8 +135,8 @@ def test_requests_on_power_changes_see_the_new_power(small_model, monkeypatch):
         return s
 
     monkeypatch.setattr(qsched.StateTracker, "observe", spy)
-    report = run(SimConfig(env=env, ensemble=model, dataset=ds, retrain_mode="off",
-                           policy=FixedKPolicy(model.size, model.size)))
+    report = run(sim_config(env=env, ensemble=model, dataset=ds, retrain_mode="off",
+                            policy=FixedKPolicy(model.size, model.size)))
     request_times = [e["time"] for e in report.events]
     assert set(trace.changes[0][1:]) <= set(request_times)
     assert [e["p_harv"] for e in report.events] == [power_at(trace, t)
@@ -168,8 +166,8 @@ def test_run_forwards_each_learner_sample_once(small_model, monkeypatch):
     model, ds = small_model
     split = ds.split_size("test")
     single, batched = counted_trunk(monkeypatch)
-    report = run(SimConfig(env=abundant(model, requests=3 * split), ensemble=model,
-                           dataset=ds, policy=FixedKPolicy(model.size, model.size)))
+    report = run(sim_config(env=abundant(model, requests=3 * split), ensemble=model,
+                            dataset=ds, policy=FixedKPolicy(model.size, model.size)))
     assert report.learners_histogram == {model.size: 3 * split}
     # one batch over the test split per learner, and no batch-1 trunk
     assert single == []
@@ -183,9 +181,9 @@ def test_retraining_runs_each_learner_trunk_once_per_sample(small_model, monkeyp
     drift = drift_dataset(ds)
     split = ds.split_size("test")
     single, batched = counted_trunk(monkeypatch)
-    cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
-                    dataset=ds, policy=FixedKPolicy(model.size, model.size),
-                    retrain_mode="high-energy", retrain_learning_rate=0.5)
+    cfg = sim_config(env=abundant(model, requests=4 * split), ensemble=model,
+                     dataset=ds, policy=FixedKPolicy(model.size, model.size),
+                     retrain_mode="high-energy", retrain_learning_rate=0.5)
     report, _, _ = run_concurrent_training(cfg, drift)
     assert report.retrain_events == report.total_requests == 4 * split
     assert single == []
@@ -200,9 +198,9 @@ def test_run_many_shares_trunks_and_matches_separate_runs(small_model, monkeypat
     model, ds = small_model
     split = ds.split_size("test")
     env = abundant(model, requests=3 * split)
-    cfgs = [SimConfig(env=env, ensemble=model, dataset=ds,
-                      policy=FixedKPolicy(k, model.size), retrain_mode=mode,
-                      retrain_learning_rate=0.5)
+    cfgs = [sim_config(env=env, ensemble=model, dataset=ds,
+                       policy=FixedKPolicy(k, model.size), retrain_mode=mode,
+                       retrain_learning_rate=0.5)
             for mode in ("off", "high-energy", "off") for k in (1, model.size)]
     alone = [run(cfg) for cfg in cfgs]
     single, batched = counted_trunk(monkeypatch)
@@ -237,8 +235,8 @@ def test_unretrained_votes_use_rows_of_the_batched_forward(small_model, monkeypa
     offline = [bits(forward(l, sx)) for l in model.learners]
     calls = counted_votes(monkeypatch)
     env = abundant(model, requests=2 * split)
-    reports = list(run_many([SimConfig(env=env, ensemble=model, dataset=ds,
-                                       policy=FixedKPolicy(k, n)) for k in (1, n)]))
+    reports = list(run_many([sim_config(env=env, ensemble=model, dataset=ds,
+                                        policy=FixedKPolicy(k, n)) for k in (1, n)]))
     seen = set()
     tables = {}
     for k, stack, votes in calls:
@@ -272,9 +270,9 @@ def test_retraining_keeps_the_learners_dtype(small_model, monkeypatch, dtype):
         return out, probs
 
     monkeypatch.setattr(simrun, "fc_step", stepped)
-    cfg = SimConfig(env=abundant(model, requests=ds.split_size("test")),
-                    ensemble=model, dataset=ds, policy=FixedKPolicy(2, 2),
-                    retrain_mode="high-energy")
+    cfg = sim_config(env=abundant(model, requests=ds.split_size("test")),
+                     ensemble=model, dataset=ds, policy=FixedKPolicy(2, 2),
+                     retrain_mode="high-energy")
     report, before, after = run_concurrent_training(cfg, drift_dataset(ds))
     assert len(seen) == report.retrain_events > 0
     assert all(s == {np.dtype(dtype)} for s in seen)
@@ -290,8 +288,8 @@ def test_run_many_votes_one_table_per_prefix_length(small_model, monkeypatch):
     env = abundant(model, requests=2 * split)
     for ks in ((1,), (1, n, 1, n)):
         calls = counted_votes(monkeypatch)
-        reports = list(run_many([SimConfig(env=env, ensemble=three, dataset=ds,
-                                           policy=FixedKPolicy(k, n)) for k in ks]))
+        reports = list(run_many([sim_config(env=env, ensemble=three, dataset=ds,
+                                            policy=FixedKPolicy(k, n)) for k in ks]))
         assert [r.learners_histogram for r in reports] == [{k: 2 * split} for k in ks]
         assert [k for k, _, _ in calls] == [1, 2, 3]
 
@@ -309,9 +307,9 @@ def test_retrained_learners_run_one_head_batch_per_write(small_model, monkeypatc
         return head(learner, acts)
 
     monkeypatch.setattr(simrun, "head", counted)
-    cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
-                    dataset=ds, policy=FixedKPolicy(n, n),
-                    retrain_mode="high-energy", retrain_learning_rate=0.5)
+    cfg = sim_config(env=abundant(model, requests=4 * split), ensemble=model,
+                     dataset=ds, policy=FixedKPolicy(n, n),
+                     retrain_mode="high-energy", retrain_learning_rate=0.5)
     report, _, _ = run_concurrent_training(cfg, drift)
     assert report.retrain_events == report.total_requests == 4 * split
     # the drift accuracies: one eval-split head per learner before, one after
@@ -357,9 +355,9 @@ def test_retrained_votes_use_rows_of_the_batched_head(small_model, monkeypatch):
 
     monkeypatch.setattr(simrun, "head", rows)
     monkeypatch.setattr(simrun, "fc_step", stepped)
-    cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
-                    dataset=ds, policy=FixedKPolicy(n, n),
-                    retrain_mode="high-energy", retrain_learning_rate=0.5)
+    cfg = sim_config(env=abundant(model, requests=4 * split), ensemble=model,
+                     dataset=ds, policy=FixedKPolicy(n, n),
+                     retrain_mode="high-energy", retrain_learning_rate=0.5)
     run_concurrent_training(cfg, drift)
     assert seen == {(l, i) for l in range(n) for i in range(split)}
 
@@ -372,7 +370,7 @@ def test_run_many_keeps_memos_apart_for_other_ensembles_and_datasets(small_model
     other = synth_dataset(seed=6, classes=3, samples_per_class=24,
                           shape=(2, 8, 8), noise=0.5)
     env = abundant(model, requests=2 * ds.split_size("test"))
-    cfgs = [SimConfig(env=env, ensemble=m, dataset=d, policy=FixedKPolicy(k, n))
+    cfgs = [sim_config(env=env, ensemble=m, dataset=d, policy=FixedKPolicy(k, n))
             for m, d, k in ((model, ds, n), (model, ds, 1), (reordered, ds, 1),
                             (model, other, n))]
     for cfg, report in zip(cfgs, run_many(cfgs)):
@@ -388,14 +386,14 @@ def test_memos_hold_across_retrains_and_runs(small_model):
     model, ds = small_model
     n = model.size
     trace = PowerTrace(times=[0.0, 10.0, 300.0], power=[1e-3, 2e-4, 2e-4])
-    env = EnvConfig(capacitor=Capacitor(capacitance=1e-3), trace=trace,
-                    cost_model=CostModel(fc_retrain_energy_fraction=10.0),
+    env = EnvConfig(capacitor=capacitor(1e-3), trace=trace,
+                    cost_model=cost_model(fc_retrain_energy_fraction=10.0),
                     requests=RequestPattern(period=1.0, horizon=300.0),
-                    reward=RewardParams(delta_acc=tuple(model.delta_acc)))
+                    reward=reward_params(delta_acc=tuple(model.delta_acc)))
     drift = drift_dataset(ds)
-    cfgs = [SimConfig(env=env, ensemble=model, dataset=drift,
-                      policy=FixedKPolicy(k, n), retrain_mode=mode,
-                      retrain_learning_rate=0.5)
+    cfgs = [sim_config(env=env, ensemble=model, dataset=drift,
+                       policy=FixedKPolicy(k, n), retrain_mode=mode,
+                       retrain_learning_rate=0.5)
             for mode, k in (("high-energy", n), ("off", n), ("off", 1))]
     shared = list(run_many(cfgs))
     events = shared[0].events
@@ -427,9 +425,9 @@ def test_retrained_learner_is_forwarded_again(small_model):
     model, ds = small_model
     drift = drift_dataset(ds)
     split = ds.split_size("test")
-    cfg = SimConfig(env=abundant(model, requests=4 * split), ensemble=model,
-                    dataset=ds, policy=FixedKPolicy(model.size, model.size),
-                    retrain_mode="high-energy", retrain_learning_rate=0.5)
+    cfg = sim_config(env=abundant(model, requests=4 * split), ensemble=model,
+                     dataset=ds, policy=FixedKPolicy(model.size, model.size),
+                     retrain_mode="high-energy", retrain_learning_rate=0.5)
     report, _, _ = run_concurrent_training(cfg, drift)
     assert report.retrain_events == report.total_requests == 4 * split
     shadow = [l.copy() for l in model.learners]
@@ -474,10 +472,10 @@ def test_drift_accuracies_are_exact(small_model):
     # give each learner's eval-split accuracy exactly
     model, ds = small_model
     drift = drift_dataset(ds)
-    cfg = SimConfig(env=abundant(model, requests=4 * ds.split_size("test")),
-                    ensemble=model, dataset=ds,
-                    policy=FixedKPolicy(model.size, model.size),
-                    retrain_mode="high-energy", retrain_learning_rate=0.5)
+    cfg = sim_config(env=abundant(model, requests=4 * ds.split_size("test")),
+                     ensemble=model, dataset=ds,
+                     policy=FixedKPolicy(model.size, model.size),
+                     retrain_mode="high-energy", retrain_learning_rate=0.5)
     report, before, after = run_concurrent_training(cfg, drift)
     learners = shadow_replay(report.events, model.learners, model.vote_weights,
                              drift, 0.5)
@@ -494,9 +492,9 @@ def test_degenerate_ensemble_warns_once_per_run(small_model):
     env = abundant(model, requests=3 * split)
     drift = drift_dataset(ds)
     for mode in ("off", "high-energy"):
-        cfg = SimConfig(env=env, ensemble=negated, dataset=ds,
-                        policy=FixedKPolicy(n, n), retrain_mode=mode,
-                        retrain_learning_rate=0.5)
+        cfg = sim_config(env=env, ensemble=negated, dataset=ds,
+                         policy=FixedKPolicy(n, n), retrain_mode=mode,
+                         retrain_learning_rate=0.5)
         with pytest.warns(UserWarning) as caught:
             if mode == "off":
                 report, data = run(cfg), ds
@@ -510,10 +508,10 @@ def test_degenerate_ensemble_warns_once_per_run(small_model):
 
 def test_empty_request_log(small_model):
     model, ds = small_model
-    trace = synth_trace(0, "constant", duration=10.0, constant_power=0.01)
+    trace = constant_trace(10.0, 0.01)
     env = make_env(model, trace, period=50.0, horizon=10.0)
-    report = run(SimConfig(env=env, ensemble=model, dataset=ds,
-                           policy=FixedKPolicy(1, model.size)))
+    report = run(sim_config(env=env, ensemble=model, dataset=ds,
+                            policy=FixedKPolicy(1, model.size)))
     assert report.total_requests == 0
     assert report.failure_rate is None
     assert report.mean_accuracy is None
@@ -521,8 +519,8 @@ def test_empty_request_log(small_model):
     # a run checks its vote weights whether or not it votes
     negated = replace(model, vote_weights=[-abs(a) for a in model.vote_weights])
     with pytest.warns(UserWarning) as caught:
-        report = run(SimConfig(env=env, ensemble=negated, dataset=ds,
-                               policy=FixedKPolicy(1, model.size)))
+        report = run(sim_config(env=env, ensemble=negated, dataset=ds,
+                                policy=FixedKPolicy(1, model.size)))
     assert [str(w.message) for w in caught] == [
         "all vote weights <= 0: degenerate ensemble"]
     assert report.total_requests == 0
@@ -532,14 +530,14 @@ def test_policy_names(small_model):
     model, _ = small_model
     assert FixedKPolicy(1, model.size).name == "fixed:1"
     assert FixedKPolicy(model.size, model.size).name == "all"
-    assert QPolicy(QTable.zeros(model.size)).name == "qtable"
+    assert QPolicy(QTable.zeros(model.size, q_hyper())).name == "qtable"
 
 
 def test_qpolicy_zero_table_declines_everything(small_model):
     model, ds = small_model
     env = abundant(model, requests=5)
-    report = run(SimConfig(env=env, ensemble=model, dataset=ds,
-                           policy=QPolicy(QTable.zeros(model.size))))
+    report = run(sim_config(env=env, ensemble=model, dataset=ds,
+                            policy=QPolicy(QTable.zeros(model.size, q_hyper()))))
     assert all(e["event"] == MISS_DECLINED for e in report.events)
     assert report.failures == report.total_requests == 5
 
@@ -552,9 +550,9 @@ def test_round_robin_mode_mapping(small_model):
     assert high != low
 
     def targets(mode):
-        return _EnergyPass(SimConfig(env=abundant(model, requests=1), ensemble=model,
-                                     dataset=ds, policy=FixedKPolicy(1, model.size),
-                                     retrain_mode=mode)).targets
+        return _EnergyPass(sim_config(env=abundant(model, requests=1), ensemble=model,
+                                      dataset=ds, policy=FixedKPolicy(1, model.size),
+                                      retrain_mode=mode)).targets
 
     assert targets("auto")[3] == high
     assert targets("auto")[2] == high
@@ -571,10 +569,10 @@ def test_auto_mode_follows_each_requests_energy_bin(small_model, monkeypatch):
     # out, and the zero q-table declines whenever the mode leaves it to decide
     model, ds = small_model
     n = model.size
-    trace = synth_trace(0, "day-night", duration=800.0, period=200.0,
-                        high_power=1e-3)
+    trace = synth_trace(0, "day-night", duration=800.0, sample_interval=1.0,
+                        period=200.0, high_power=1e-3, burst_rate=0.02)
     env = make_env(model, trace, period=1.0, horizon=800.0,
-                   cap=Capacitor(capacitance=1e-3))
+                   cap=capacitor(1e-3))
     first_bins = []   # e_now of each request's l = 0 state, by the reference
     tracker = qsched.StateTracker
 
@@ -586,8 +584,9 @@ def test_auto_mode_follows_each_requests_energy_bin(small_model, monkeypatch):
             return tracker.observe(self, device, l)
 
     monkeypatch.setattr(qsched, "StateTracker", Spy)
-    report = run(SimConfig(env=env, ensemble=model, dataset=ds,
-                           policy=QPolicy(QTable.zeros(n)), retrain_mode="auto"))
+    report = run(sim_config(env=env, ensemble=model, dataset=ds,
+                            policy=QPolicy(QTable.zeros(n, q_hyper())),
+                            retrain_mode="auto"))
     rows = [row for row in report.events if row["event"] != MISS_OFF]
     assert len(rows) == len(first_bins)
     assert set(first_bins) == {0, 1, 2, 3}
@@ -609,10 +608,10 @@ def test_report_counts_the_requests_the_retrain_target_decided(small_model,
     # the day-night store of the test above: requests see every energy bin
     model, ds = small_model
     n = model.size
-    trace = synth_trace(0, "day-night", duration=800.0, period=200.0,
-                        high_power=1e-3)
+    trace = synth_trace(0, "day-night", duration=800.0, sample_interval=1.0,
+                        period=200.0, high_power=1e-3, burst_rate=0.02)
     env = make_env(model, trace, period=1.0, horizon=800.0,
-                   cap=Capacitor(capacitance=1e-3))
+                   cap=capacitor(1e-3))
     first_bins = []
     tracker = qsched.StateTracker
 
@@ -627,8 +626,9 @@ def test_report_counts_the_requests_the_retrain_target_decided(small_model,
 
     def serve(mode):
         first_bins.clear()
-        return run(SimConfig(env=env, ensemble=model, dataset=ds,
-                             policy=QPolicy(QTable.zeros(n)), retrain_mode=mode))
+        return run(sim_config(env=env, ensemble=model, dataset=ds,
+                              policy=QPolicy(QTable.zeros(n, q_hyper())),
+                              retrain_mode=mode))
 
     off, high, auto = map(serve, ("off", "high-energy", "auto"))
     # high-energy sets the prefix of every request that found the device on
@@ -652,9 +652,9 @@ def _count(report, event):
 def test_low_energy_mode_drops_one_learner(small_model):
     model, ds = small_model
     env = abundant(model, requests=8)
-    cfg = SimConfig(env=env, ensemble=model, dataset=ds,
-                    policy=FixedKPolicy(model.size, model.size),
-                    retrain_mode="low-energy")
+    cfg = sim_config(env=env, ensemble=model, dataset=ds,
+                     policy=FixedKPolicy(model.size, model.size),
+                     retrain_mode="low-energy")
     report, _, _ = run_concurrent_training(cfg, ds)
     assert report.learners_histogram == {model.size - 1: 8}
     assert report.retrain_events == 8
@@ -665,9 +665,9 @@ def test_low_energy_mode_drops_one_learner(small_model):
 def test_retrain_rotates_round_robin(small_model):
     model, ds = small_model
     env = abundant(model, requests=6)
-    cfg = SimConfig(env=env, ensemble=model, dataset=ds,
-                    policy=FixedKPolicy(model.size, model.size),
-                    retrain_mode="high-energy")
+    cfg = sim_config(env=env, ensemble=model, dataset=ds,
+                     policy=FixedKPolicy(model.size, model.size),
+                     retrain_mode="high-energy")
     report, before, after = run_concurrent_training(cfg, ds)
     trained = [e["retrained_learner"] for e in report.events]
     assert trained == [i % model.size for i in range(6)]
@@ -678,14 +678,14 @@ def test_zero_retrain_fraction_costs_nothing_extra(small_model):
     model, ds = small_model
 
     def consumed(retrain):
-        trace = synth_trace(0, "constant", duration=9.0, constant_power=0.05)
-        env = EnvConfig(capacitor=Capacitor(capacitance=0.01), trace=trace,
-                        cost_model=CostModel(fc_retrain_energy_fraction=0.0),
+        trace = constant_trace(9.0, 0.05)
+        env = EnvConfig(capacitor=capacitor(0.01), trace=trace,
+                        cost_model=cost_model(fc_retrain_energy_fraction=0.0),
                         requests=RequestPattern(period=1.0, horizon=8.0),
-                        reward=RewardParams(delta_acc=tuple(model.delta_acc)))
-        cfg = SimConfig(env=env, ensemble=model, dataset=ds,
-                        policy=FixedKPolicy(model.size, model.size),
-                        retrain_mode="high-energy" if retrain else "off")
+                        reward=reward_params(delta_acc=tuple(model.delta_acc)))
+        cfg = sim_config(env=env, ensemble=model, dataset=ds,
+                         policy=FixedKPolicy(model.size, model.size),
+                         retrain_mode="high-energy" if retrain else "off")
         if retrain:
             return run_concurrent_training(cfg, ds)[0]
         return run(cfg)
@@ -700,18 +700,10 @@ def test_zero_retrain_fraction_costs_nothing_extra(small_model):
 def test_concurrent_training_requires_mode(small_model):
     model, ds = small_model
     env = abundant(model, requests=3)
-    cfg = SimConfig(env=env, ensemble=model, dataset=ds,
-                    policy=FixedKPolicy(model.size, model.size))
+    cfg = sim_config(env=env, ensemble=model, dataset=ds,
+                     policy=FixedKPolicy(model.size, model.size))
     with pytest.raises(ConfigError):
         run_concurrent_training(cfg, ds)
-
-
-def test_sim_config_validation(small_model):
-    model, ds = small_model
-    env = abundant(model, requests=3)
-    with pytest.raises(ConfigError):
-        SimConfig(env=env, ensemble=model, dataset=ds,
-                  policy=FixedKPolicy(1, 2), retrain_mode="sometimes")
 
 
 def test_sim_config_rejects_class_count_unlike_ensemble(small_model):
@@ -723,10 +715,10 @@ def test_sim_config_rejects_class_count_unlike_ensemble(small_model):
                           shape=(2, 8, 8), noise=0.5)
     message = "the dataset has 4 classes but the ensemble was built for 3"
     with pytest.raises(ConfigError, match=message):
-        SimConfig(env=env, ensemble=model, dataset=other,
-                  policy=FixedKPolicy(1, model.size))
-    cfg = SimConfig(env=env, ensemble=model, dataset=ds,
-                    policy=FixedKPolicy(1, model.size), retrain_mode="high-energy")
+        sim_config(env=env, ensemble=model, dataset=other,
+                   policy=FixedKPolicy(1, model.size))
+    cfg = sim_config(env=env, ensemble=model, dataset=ds,
+                     policy=FixedKPolicy(1, model.size), retrain_mode="high-energy")
     with pytest.raises(ConfigError, match=message):
         run_concurrent_training(cfg, drift_dataset(other))
 
@@ -738,16 +730,13 @@ def test_sim_config_rejects_a_policy_built_for_another_n(small_model):
     model, ds = small_model
     env = abundant(model, requests=3)
     for n in (1, 3, 8):
-        for policy in (FixedKPolicy(1, n), QPolicy(QTable.zeros(n))):
+        for policy in (FixedKPolicy(1, n), QPolicy(QTable.zeros(n, q_hyper()))):
             with pytest.raises(ConfigError, match=f"the policy was built for {n} "
                                f"learners but the ensemble has {model.size}"):
-                SimConfig(env=env, ensemble=model, dataset=ds, policy=policy)
-    # the retrain mode is checked first
-    with pytest.raises(ConfigError, match="unknown retrain mode"):
-        SimConfig(env=env, ensemble=model, dataset=ds,
-                  policy=FixedKPolicy(1, 3), retrain_mode="sometimes")
-    cfg = SimConfig(env=env, ensemble=model, dataset=ds,
-                    policy=QPolicy(QTable.zeros(model.size)), retrain_mode="auto")
+                sim_config(env=env, ensemble=model, dataset=ds, policy=policy)
+    cfg = sim_config(env=env, ensemble=model, dataset=ds,
+                     policy=QPolicy(QTable.zeros(model.size, q_hyper())),
+                     retrain_mode="auto")
     three = replace(model, learners=model.learners + model.learners[:1],
                     vote_weights=model.vote_weights + model.vote_weights[:1])
     with pytest.raises(ConfigError, match="built for 2 learners but the ensemble has 3"):
@@ -766,7 +755,7 @@ def test_q_policy_decides_as_act_on_the_value_array(n):
               np.repeat(rng.choice(values, size=(size, 1)), 2, axis=1),   # all ties
               np.tile([0.0, -0.0], (size, 1)), np.tile([-0.0, 0.0], (size, 1))]
     for table in tables:
-        policy = QPolicy(QTable(values=table, n=n))
+        policy = QPolicy(QTable(values=table, n=n, hyper=q_hyper()))
         decisions = [policy.decide(s) for s in range(size)]
         assert decisions == [qsched.act(table, n + 1, s) for s in range(size)]
     # the random table's ties and strict orders both occur
@@ -776,8 +765,8 @@ def test_q_policy_decides_as_act_on_the_value_array(n):
 
 def test_events_csv_shape(small_model):
     model, ds = small_model
-    report = run(SimConfig(env=abundant(model, requests=4), ensemble=model,
-                           dataset=ds, policy=FixedKPolicy(1, model.size)))
+    report = run(sim_config(env=abundant(model, requests=4), ensemble=model,
+                            dataset=ds, policy=FixedKPolicy(1, model.size)))
     lines = events_csv(report).strip().split("\n")
     assert lines[0].startswith("time,event,voltage")
     assert len(lines) == 1 + 4
@@ -785,8 +774,8 @@ def test_events_csv_shape(small_model):
 
 def test_render_formats_and_reduction(small_model):
     model, ds = small_model
-    base = run(SimConfig(env=abundant(model, requests=4), ensemble=model,
-                         dataset=ds, policy=FixedKPolicy(model.size, model.size)))
+    base = run(sim_config(env=abundant(model, requests=4), ensemble=model,
+                          dataset=ds, policy=FixedKPolicy(model.size, model.size)))
     assert failure_rate_reduction(base, base) is None  # baseline failure 0
     text = render_report(base)
     assert "policy: all" in text
